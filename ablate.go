@@ -250,7 +250,7 @@ func AblateTimestamps(workload string, memoryMiB int, footprintFrac float64, int
 			if err != nil {
 				return 0, err
 			}
-			RunLimited(w, vmSink{sys, 1}, maxRefs)
+			RunBatch(w, vmSink{sys, 1}, maxRefs)
 			return sys.Device().TotalIO(), nil
 		},
 		sweep.Options{Workers: workers, Name: "ablate timestamps"})
@@ -333,7 +333,7 @@ func AblateEviction(workload string, memoryMiB int, fracs []float64, maxRefs, se
 			if err != nil {
 				return 0, err
 			}
-			RunLimited(w, vmSink{sys, 1}, maxRefs)
+			RunBatch(w, vmSink{sys, 1}, maxRefs)
 			return sys.Device().TotalIO(), nil
 		},
 		sweep.Options{Workers: workers, Name: "ablate eviction"})

@@ -11,11 +11,17 @@ import (
 	"mosaic/internal/trace"
 )
 
-// The batched replay engine's contract is byte-identical results: every
-// counter, histogram bucket, sampler window, and event reference index must
-// come out exactly as the scalar Access path produces them. These tests pin
-// that contract by serializing the full results.File from a scalar replay
-// and a batched replay of the same stream and comparing the JSON bytes.
+// The simulator's batching contract is byte-identical results at any batch
+// granularity: every counter, histogram bucket, sampler window, and event
+// reference index must come out the same however the stream is cut into
+// batches. These tests pin that contract by serializing the full
+// results.File from replays of one stream at different batchings and
+// comparing the JSON bytes.
+
+// batchRecorder retains every delivered ref in order.
+type batchRecorder struct{ refs trace.Batch }
+
+func (r *batchRecorder) ProcessBatch(b trace.Batch) { r.refs = append(r.refs, b...) }
 
 // captureStream runs a workload to a Batch in memory.
 func captureStream(t *testing.T, name string, footprint, maxRefs uint64) trace.Batch {
@@ -24,26 +30,17 @@ func captureStream(t *testing.T, name string, footprint, maxRefs uint64) trace.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec trace.Recorder
-	RunLimited(w, &rec, maxRefs)
-	b := make(trace.Batch, len(rec.Accesses))
-	for i, a := range rec.Accesses {
-		b[i] = trace.MakeRef(a.VA, a.Write)
-	}
-	return b
+	var rec batchRecorder
+	RunBatch(w, &rec, maxRefs)
+	return rec.refs
 }
 
-// unevenBatches slices a stream into batches of cycling, boundary-hostile
-// sizes (1, 3, and around DefaultBatchSize), so equivalence cannot depend
-// on any particular batch granularity.
-func unevenBatches(stream trace.Batch) []trace.Batch {
-	sizes := []int{1, 3, trace.DefaultBatchSize - 1, trace.DefaultBatchSize, 17, 4095}
+// cutBatches slices a stream into batches of cycling sizes; a single size
+// gives a uniform batching.
+func cutBatches(stream trace.Batch, sizes ...int) []trace.Batch {
 	var out []trace.Batch
 	for i, k := 0, 0; i < len(stream); k++ {
-		n := sizes[k%len(sizes)]
-		if i+n > len(stream) {
-			n = len(stream) - i
-		}
+		n := min(sizes[k%len(sizes)], len(stream)-i)
 		out = append(out, stream[i:i+n])
 		i += n
 	}
@@ -85,242 +82,171 @@ func equivSim(t *testing.T, ob *obs.Observer) *Simulator {
 	return sim
 }
 
-// TestBatchReplayMatchesScalarFig6 replays a fig6-style capture through
-// Access and through ProcessBatch and requires byte-identical results
-// files. The sampled variant exercises the observer/sampler fallback; the
-// unsampled variant pins the tight batch loop.
-func TestBatchReplayMatchesScalarFig6(t *testing.T) {
-	stream := captureStream(t, "gups", 4<<20, 300_000)
-	for _, sampled := range []bool{false, true} {
-		var obScalar, obBatch *obs.Observer
-		if sampled {
-			obScalar = obs.NewObserver(1 << 12)
-			obBatch = obs.NewObserver(1 << 12)
-		}
-		scalar := equivSim(t, obScalar)
-		for _, r := range stream {
-			scalar.Access(r.VA(), r.Write())
-		}
-		batch := equivSim(t, obBatch)
-		for _, b := range unevenBatches(stream) {
-			batch.ProcessBatch(b)
-		}
-		a, b := resultsJSON(t, scalar, obScalar), resultsJSON(t, batch, obBatch)
-		if !bytes.Equal(a, b) {
-			t.Errorf("sampled=%v: batched replay diverged from scalar replay:\n%s",
-				sampled, firstDiff(a, b))
-		}
-	}
+// batchings are the cuts TestBatchBoundaryInvariance compares against the
+// default-size replay: uniform boundary-hostile sizes around 1 and
+// DefaultBatchSize, a cycling mix of them, and the whole stream at once.
+var batchings = map[string][]int{
+	"1":     {1},
+	"3":     {3},
+	"17":    {17},
+	"4095":  {trace.DefaultBatchSize - 1},
+	"4096":  {trace.DefaultBatchSize},
+	"mixed": {1, 3, trace.DefaultBatchSize - 1, trace.DefaultBatchSize, 17},
+	"whole": {1 << 30},
 }
 
-// TestBatchReplayMatchesScalarMultiprogram pins the multiprogram shared-run
-// path: two captured streams interleaved in round-robin quanta, scalar
-// AccessFrom versus the quantum-sliced batch replay.
-func TestBatchReplayMatchesScalarMultiprogram(t *testing.T) {
-	streams := []trace.Batch{
-		captureStream(t, "gups", 2<<20, 150_000),
-		captureStream(t, "kvstore", 2<<20, 150_000),
-	}
-	// Encode each stream as a v2 trace so the batch side replays exactly
-	// what Multiprogram's shared run replays.
-	encoded := make([][]byte, len(streams))
-	for i, s := range streams {
-		var buf bytes.Buffer
-		w, err := trace.NewBatchWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
+// TestBatchBoundaryInvariance replays one captured stream into a Simulator
+// at every batching and requires results files byte-identical to the
+// default-size replay. The fig6 case runs with the sampler off (the tight
+// batch loop) and on (the per-reference observer path); the multiprogram
+// case interleaves two streams in round-robin quanta, cut either per
+// quantum or through the v2 decoder's frame-carrying quantum slicer.
+func TestBatchBoundaryInvariance(t *testing.T) {
+	t.Run("fig6", func(t *testing.T) {
+		stream := captureStream(t, "gups", 4<<20, 300_000)
+		for _, sampled := range []bool{false, true} {
+			replay := func(sizes ...int) []byte {
+				var ob *obs.Observer
+				if sampled {
+					ob = obs.NewObserver(1 << 12)
+				}
+				sim := equivSim(t, ob)
+				for _, b := range cutBatches(stream, sizes...) {
+					sim.ProcessBatch(b)
+				}
+				return resultsJSON(t, sim, ob)
+			}
+			want := replay(trace.DefaultBatchSize)
+			for name, sizes := range batchings {
+				if got := replay(sizes...); !bytes.Equal(got, want) {
+					t.Errorf("sampled=%v, batches of %s: diverged from the default-size replay:\n%s",
+						sampled, name, firstDiff(got, want))
+				}
+			}
 		}
-		if err := w.WriteBatch(s); err != nil {
-			t.Fatal(err)
+	})
+	t.Run("multiprogram", func(t *testing.T) {
+		streams := []trace.Batch{
+			captureStream(t, "gups", 2<<20, 150_000),
+			captureStream(t, "kvstore", 2<<20, 150_000),
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		const quantum = 5_000
+		// replay interleaves the streams in quanta, delivering each
+		// quantum cut into batches of the given sizes.
+		replay := func(sizes ...int) []byte {
+			sim := equivSim(t, nil)
+			offs := make([]int, len(streams))
+			for live := len(streams); live > 0; {
+				live = 0
+				for i, s := range streams {
+					if offs[i] == len(s) {
+						continue
+					}
+					n := min(quantum, len(s)-offs[i])
+					for _, b := range cutBatches(s[offs[i]:offs[i]+n], sizes...) {
+						sim.ProcessBatchFrom(ASID(i+1), b)
+					}
+					offs[i] += n
+					if offs[i] < len(s) {
+						live++
+					}
+				}
+			}
+			return resultsJSON(t, sim, nil)
 		}
-		encoded[i] = buf.Bytes()
-	}
-	const quantum = 5_000
-
-	scalar := equivSim(t, nil)
-	offs := make([]int, len(streams))
-	for live := len(streams); live > 0; {
-		live = 0
+		want := replay(trace.DefaultBatchSize)
+		for name, sizes := range batchings {
+			if got := replay(sizes...); !bytes.Equal(got, want) {
+				t.Errorf("batches of %s: diverged from the default-size replay:\n%s", name, firstDiff(got, want))
+			}
+		}
+		// The quantum slicer Multiprogram's shared run uses: v2 captures
+		// decoded frame by frame, frames carried across quantum cuts.
+		sim := equivSim(t, nil)
+		readers := make([]*quantumStream, len(streams))
 		for i, s := range streams {
-			if offs[i] == len(s) {
-				continue
-			}
-			n := quantum
-			if len(s)-offs[i] < n {
-				n = len(s) - offs[i]
-			}
-			for _, r := range s[offs[i] : offs[i]+n] {
-				scalar.AccessFrom(ASID(i+1), r.VA(), r.Write())
-			}
-			offs[i] += n
-			if offs[i] < len(s) {
-				live++
-			}
-		}
-	}
-
-	batch := equivSim(t, nil)
-	readers := make([]*quantumStream, len(encoded))
-	for i, data := range encoded {
-		r, err := trace.NewBatchReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readers[i] = &quantumStream{r: r, buf: make(trace.Batch, 0, trace.DefaultBatchSize)}
-	}
-	for live := len(readers); live > 0; {
-		live = 0
-		for i, r := range readers {
-			if r == nil {
-				continue
-			}
-			done, err := r.replayQuantum(batch, ASID(i+1), quantum)
+			var buf bytes.Buffer
+			w, err := trace.NewBatchWriter(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if done {
-				readers[i] = nil
-				continue
+			if err := w.WriteBatch(s); err != nil {
+				t.Fatal(err)
 			}
-			live++
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := trace.NewBatchReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers[i] = &quantumStream{r: r, buf: make(trace.Batch, 0, trace.DefaultBatchSize)}
 		}
-	}
-
-	a, b := resultsJSON(t, scalar, nil), resultsJSON(t, batch, nil)
-	if !bytes.Equal(a, b) {
-		t.Errorf("multiprogram batched replay diverged from scalar replay:\n%s", firstDiff(a, b))
-	}
-}
-
-// scalarStream is streamWorkload without the BatchRunner leg, so RunBatch
-// takes the scalar Access path.
-type scalarStream struct{ n uint64 }
-
-func (s scalarStream) Name() string           { return "scalar-stream" }
-func (s scalarStream) FootprintBytes() uint64 { return s.n * 64 }
-func (s scalarStream) Run(sink Sink) {
-	for i := uint64(0); i < s.n; i++ {
-		sink.Access(i*64, false)
-	}
+		for live := len(readers); live > 0; {
+			live = 0
+			for i, r := range readers {
+				if r == nil {
+					continue
+				}
+				done, err := r.replayQuantum(sim, ASID(i+1), quantum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					readers[i] = nil
+					continue
+				}
+				live++
+			}
+		}
+		if got := resultsJSON(t, sim, nil); !bytes.Equal(got, want) {
+			t.Errorf("quantum-sliced v2 replay diverged from the default-size replay:\n%s", firstDiff(got, want))
+		}
+	})
 }
 
 // TestRunBatchTrimsTailToLimit pins the cap when a finite workload ends
 // between flush boundaries: with maxRefs below the workload's length and
-// the whole stream shorter than one DefaultBatchSize flush, the buffered
-// tail must be trimmed to the cap on both producer legs.
+// the whole stream shorter than one DefaultBatchSize batch, the sink must
+// see exactly the cap.
 func TestRunBatchTrimsTailToLimit(t *testing.T) {
-	var scalarLeg batchCountSink
-	if got := RunBatch(scalarStream{n: 3000}, &scalarLeg, 100); got != 100 {
-		t.Errorf("scalar leg: RunBatch returned %d, want 100", got)
-	}
-	if scalarLeg.n != 100 {
-		t.Errorf("scalar leg: sink saw %d refs, want 100", scalarLeg.n)
-	}
-	var batchLeg batchCountSink
-	if got := RunBatch(streamWorkload{n: 3000}, &batchLeg, 100); got != 100 {
-		t.Errorf("batch leg: RunBatch returned %d, want 100", got)
-	}
-	if batchLeg.n != 100 {
-		t.Errorf("batch leg: sink saw %d refs, want 100", batchLeg.n)
+	var capped batchCountSink
+	if got := RunBatch(streamWorkload{n: 3000}, &capped, 100); got != 100 || capped.n != 100 {
+		t.Errorf("capped: RunBatch returned %d, sink saw %d, want 100", got, capped.n)
 	}
 	// A workload shorter than the cap delivers everything.
 	var under batchCountSink
-	if got := RunBatch(scalarStream{n: 50}, &under, 100); got != 50 || under.n != 50 {
+	if got := RunBatch(streamWorkload{n: 50}, &under, 100); got != 50 || under.n != 50 {
 		t.Errorf("short workload: n=%d sink=%d, want 50", got, under.n)
 	}
 	// A cap exactly at the workload length delivers exactly the workload.
 	var exact batchCountSink
-	if got := RunBatch(scalarStream{n: 100}, &exact, 100); got != 100 || exact.n != 100 {
+	if got := RunBatch(streamWorkload{n: 100}, &exact, 100); got != 100 || exact.n != 100 {
 		t.Errorf("exact cap: n=%d sink=%d, want 100", got, exact.n)
 	}
 }
 
-// dualCountSink counts on both the scalar and batch interfaces, so
-// RunLimited routes it through RunBatch the way it routes the Simulator.
-type dualCountSink struct{ n uint64 }
-
-func (s *dualCountSink) Access(uint64, bool)        { s.n++ }
-func (s *dualCountSink) ProcessBatch(b trace.Batch) { s.n += uint64(len(b)) }
-
-// TestRunLimitedCapsBatchSinks reproduces the over-delivery bug at the
-// RunLimited boundary: a BatchSink fed a finite workload longer than the
-// cap but shorter than a flush boundary must see exactly maxRefs.
-func TestRunLimitedCapsBatchSinks(t *testing.T) {
-	var s dualCountSink
-	if got := RunLimited(scalarStream{n: 3000}, &s, 100); got != 100 {
-		t.Errorf("RunLimited returned %d, want 100", got)
-	}
-	if s.n != 100 {
-		t.Errorf("sink saw %d refs, want 100", s.n)
-	}
-}
-
-// mixedStream produces through both legs in one run — a whole batch, then
-// scalar Access calls, then another batch — which a strict
-// either-Access-or-ProcessBatch harness would reject with an index panic
-// on the nil Access buffer.
-type mixedStream struct{}
-
-func (mixedStream) Name() string           { return "mixed" }
-func (mixedStream) FootprintBytes() uint64 { return 30 * 64 }
-func (mixedStream) Run(sink Sink) {
-	for i := uint64(0); i < 30; i++ {
-		sink.Access(i*64, false)
-	}
-}
-
-func (mixedStream) RunBatches(sink trace.BatchSink) {
-	b := make(trace.Batch, 10)
-	fill := func(base uint64) trace.Batch {
-		for j := range b {
-			b[j] = trace.MakeRef((base+uint64(j))*64, false)
-		}
-		return b
-	}
-	sink.ProcessBatch(fill(0))
-	s := sink.(Sink) // the harness's limit sink has a scalar leg too
-	for i := uint64(10); i < 20; i++ {
-		s.Access(i*64, false)
-	}
-	sink.ProcessBatch(fill(20))
-}
-
-// batchRecorder retains every delivered ref in order.
-type batchRecorder struct{ refs trace.Batch }
-
-func (r *batchRecorder) ProcessBatch(b trace.Batch) { r.refs = append(r.refs, b...) }
-
-// TestRunBatchMixedModeProducer: a producer that interleaves Access calls
-// with whole batches keeps stream order and the limit.
-func TestRunBatchMixedModeProducer(t *testing.T) {
-	var rec batchRecorder
-	if got := RunBatch(mixedStream{}, &rec, 0); got != 30 {
-		t.Fatalf("RunBatch returned %d, want 30", got)
-	}
-	if len(rec.refs) != 30 {
-		t.Fatalf("sink saw %d refs, want 30", len(rec.refs))
-	}
-	for i, r := range rec.refs {
-		if r.VA() != uint64(i)*64 {
-			t.Fatalf("ref %d out of order: VA %#x, want %#x", i, r.VA(), uint64(i)*64)
-		}
-	}
-	// The cap lands mid-buffered-Access-run: the drain before the second
-	// batch must trim to the limit.
-	var capped batchRecorder
-	if got := RunBatch(mixedStream{}, &capped, 15); got != 15 {
-		t.Fatalf("capped RunBatch returned %d, want 15", got)
-	}
-	if len(capped.refs) != 15 {
-		t.Fatalf("capped sink saw %d refs, want 15", len(capped.refs))
-	}
-	for i, r := range capped.refs {
-		if r.VA() != uint64(i)*64 {
-			t.Fatalf("capped ref %d out of order: VA %#x, want %#x", i, r.VA(), uint64(i)*64)
-		}
+// TestRunBatchCapIsPrefix: a capped run of every workload delivers exactly
+// the first maxRefs references of the uncapped stream — the budget trims
+// the stream and never perturbs it.
+func TestRunBatchCapIsPrefix(t *testing.T) {
+	const footprint, maxRefs = 1 << 20, 10_000
+	for _, name := range []string{"graph500", "btree", "gups", "xsbench", "kvstore"} {
+		t.Run(name, func(t *testing.T) {
+			full := captureStream(t, name, footprint, 0)
+			if len(full) <= maxRefs {
+				t.Fatalf("uncapped stream has only %d refs", len(full))
+			}
+			capped := captureStream(t, name, footprint, maxRefs)
+			if len(capped) != maxRefs {
+				t.Fatalf("capped run delivered %d refs, want %d", len(capped), maxRefs)
+			}
+			for i, r := range capped {
+				if r != full[i] {
+					t.Fatalf("ref %d = %#x, uncapped stream has %#x", i, r, full[i])
+				}
+			}
+		})
 	}
 }
 
@@ -329,7 +255,7 @@ func firstDiff(a, b []byte) string {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d: scalar %s vs batch %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d: %s vs %s", i+1, al[i], bl[i])
 		}
 	}
 	return "length mismatch"

@@ -67,14 +67,6 @@ func BenchmarkFigure6XSBench(b *testing.B)  { benchFigure6(b, "xsbench") }
 func BenchmarkFigure6Sequential(b *testing.B) { benchFigure6Workers(b, "gups", 1) }
 func BenchmarkFigure6Parallel(b *testing.B)   { benchFigure6Workers(b, "gups", 4) }
 
-// BenchmarkFigure6Batch pins the end-to-end batch-native pipeline: every
-// worker's capture leg runs the generator's RunBatches straight into the
-// simulator's ProcessBatch, with no per-reference interface call between
-// workload and TLB. Identical configuration to BenchmarkFigure6Parallel, so
-// the committed BENCH_parallel.json baseline from the scalar-generation era
-// is directly comparable.
-func BenchmarkFigure6Batch(b *testing.B) { benchFigure6Workers(b, "gups", 4) }
-
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := Table3(Table3Options{
@@ -220,95 +212,26 @@ func BenchmarkMultiprogram(b *testing.B) {
 }
 
 // streamWorkload emits a fixed number of sequential references — the
-// cheapest possible workload, so the RunLimited benchmarks measure the
-// harness's per-reference dispatch cost rather than workload logic.
+// cheapest possible workload, so BenchmarkRunBatch measures the harness's
+// dispatch cost rather than workload logic.
 type streamWorkload struct{ n uint64 }
 
 func (s streamWorkload) Name() string           { return "stream" }
 func (s streamWorkload) FootprintBytes() uint64 { return s.n * 64 }
-func (s streamWorkload) Run(sink Sink) {
-	for i := uint64(0); i < s.n; i++ {
-		sink.Access(i*64, false)
+func (s streamWorkload) Run(b *trace.Batcher) {
+	for i := uint64(0); i < s.n && !b.Done(); i++ {
+		b.Access(i*64, false)
 	}
 }
 
-// RunBatches emits the identical stream as Run in whole batches
-// (trace.BatchRunner), so BenchmarkRunBatch measures the fully batched
-// engine — batch-native producer through batch consumer, no per-reference
-// dynamic call anywhere.
-func (s streamWorkload) RunBatches(sink trace.BatchSink) {
-	buf := make(trace.Batch, trace.DefaultBatchSize)
-	for i := uint64(0); i < s.n; {
-		b := buf
-		if left := s.n - i; left < uint64(len(b)) {
-			b = b[:left]
-		}
-		for j := range b {
-			b[j] = trace.MakeRef((i+uint64(j))*64, false)
-		}
-		i += uint64(len(b))
-		sink.ProcessBatch(b)
-	}
-}
-
-// countSink is the minimal terminal sink: one field update per reference.
-type countSink struct{ n uint64 }
-
-func (s *countSink) Access(uint64, bool) { s.n++ }
-
-// runLimitedClosure is the pre-limitSink implementation of RunLimited: a
-// per-call closure capturing the counter by reference, which escapes to
-// the heap and adds a closure-environment load to every reference. Kept
-// only as the baseline for BenchmarkRunLimitedClosure.
-func runLimitedClosure(w Workload, sink Sink, maxRefs uint64) (n uint64) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	w.Run(trace.SinkFunc(func(va uint64, write bool) {
-		sink.Access(va, write)
-		n++
-		if n >= maxRefs {
-			panic(limitReached{})
-		}
-	}))
-	return n
-}
-
-func BenchmarkRunLimited(b *testing.B) {
-	w := streamWorkload{n: 1 << 21}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunLimited(w, &s, 1<<20); got != 1<<20 {
-			b.Fatalf("delivered %d refs, want %d", got, 1<<20)
-		}
-	}
-	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-func BenchmarkRunLimitedClosure(b *testing.B) {
-	w := streamWorkload{n: 1 << 21}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := runLimitedClosure(w, &s, 1<<20); got != 1<<20 {
-			b.Fatalf("delivered %d refs, want %d", got, 1<<20)
-		}
-	}
-	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-// batchCountSink is countSink's batch twin: one interface call and one
-// length add per batch, so BenchmarkRunBatch measures the batched harness's
-// dispatch cost against BenchmarkRunLimited's scalar path.
+// batchCountSink is the minimal terminal sink: one interface call and one
+// length add per batch.
 type batchCountSink struct{ n uint64 }
 
 func (s *batchCountSink) ProcessBatch(b trace.Batch) { s.n += uint64(len(b)) }
 
+// BenchmarkRunBatch is dispatch-only: the cheapest producer into a
+// counting sink. It measures the harness, not simulator throughput.
 func BenchmarkRunBatch(b *testing.B) {
 	w := streamWorkload{n: 1 << 21}
 	var s batchCountSink
@@ -321,13 +244,9 @@ func BenchmarkRunBatch(b *testing.B) {
 	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
-// The generate pair measures workload generation alone — GUPS emitting into
-// a counting sink, with the simulator out of the picture — on the
-// batch-native leg (whole trace.Batch delivery) versus the scalar interface
-// leg (one dynamic Access call per reference). scripts/bench.sh records the
-// batch number into BENCH_parallel.json and mosaicstat bench lines it up
-// against the replay throughput, answering whether generation or simulation
-// bounds a sweep.
+// BenchmarkGenerateGUPSBatch measures workload generation alone — GUPS
+// emitting into a counting sink, with the simulator out of the picture —
+// answering whether generation or simulation bounds a sweep.
 const genBenchRefs = 1 << 20
 
 func BenchmarkGenerateGUPSBatch(b *testing.B) {
@@ -339,21 +258,6 @@ func BenchmarkGenerateGUPSBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := RunBatch(w, &s, genBenchRefs); got != genBenchRefs {
-			b.Fatalf("delivered %d refs, want %d", got, genBenchRefs)
-		}
-	}
-	b.ReportMetric(float64(genBenchRefs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-func BenchmarkGenerateGUPSScalar(b *testing.B) {
-	w, err := NewWorkload("gups", 8<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunLimited(w, &s, genBenchRefs); got != genBenchRefs {
 			b.Fatalf("delivered %d refs, want %d", got, genBenchRefs)
 		}
 	}

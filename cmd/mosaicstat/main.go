@@ -156,12 +156,6 @@ func bench(args []string) error {
 			customMetrics(r))
 	}
 	fmt.Println(tb.String())
-	if line := replayThroughput(f.Benchmarks); line != "" {
-		fmt.Println(line)
-	}
-	if line := generationThroughput(f.Benchmarks); line != "" {
-		fmt.Println(line)
-	}
 	return nil
 }
 
@@ -180,50 +174,4 @@ func customMetrics(r results.BenchResult) string {
 		parts = append(parts, fmt.Sprintf("%.1f %s", r.Metrics[u], u))
 	}
 	return strings.Join(parts, ", ")
-}
-
-// benchRate finds a benchmark by name (exact, or carrying a -cpu suffix)
-// and returns its Mrefs/s metric.
-func benchRate(benches []results.BenchResult, name string) (float64, bool) {
-	for _, r := range benches {
-		if r.Name == name || strings.HasPrefix(r.Name, name+"-") {
-			return r.Metric("Mrefs/s")
-		}
-	}
-	return 0, false
-}
-
-// replayThroughput summarizes the batched-vs-scalar replay engine headline
-// when both harness benchmarks are present.
-func replayThroughput(benches []results.BenchResult) string {
-	scalar, ok1 := benchRate(benches, "BenchmarkRunLimited")
-	batch, ok2 := benchRate(benches, "BenchmarkRunBatch")
-	if !ok1 || !ok2 || scalar <= 0 {
-		return ""
-	}
-	line := fmt.Sprintf("replay engine: batch %.0f Mrefs/s vs scalar %.0f Mrefs/s (%.1f×)",
-		batch, scalar, batch/scalar)
-	if decode, ok := benchRate(benches, "BenchmarkBatchDecode"); ok {
-		line += fmt.Sprintf(", v2 decode %.0f Mrefs/s", decode)
-	}
-	return line
-}
-
-// generationThroughput lines the batch-native generator up against the
-// batched replay harness: when generation (GUPS on the batch leg) keeps pace
-// with replay dispatch, a sweep's wall clock is bound by the simulator, not
-// by producing references.
-func generationThroughput(benches []results.BenchResult) string {
-	gen, ok := benchRate(benches, "BenchmarkGenerateGUPSBatch")
-	if !ok {
-		return ""
-	}
-	line := fmt.Sprintf("generation: gups batch %.0f Mrefs/s", gen)
-	if scalar, ok := benchRate(benches, "BenchmarkGenerateGUPSScalar"); ok && scalar > 0 {
-		line += fmt.Sprintf(" vs scalar %.0f Mrefs/s (%.1f×)", scalar, gen/scalar)
-	}
-	if replay, ok := benchRate(benches, "BenchmarkRunBatch"); ok && replay > 0 {
-		line += fmt.Sprintf("; replay dispatch %.0f Mrefs/s (gen/replay %.2f)", replay, gen/replay)
-	}
-	return line
 }

@@ -3,8 +3,9 @@
 // the memory-system simulator. Traces let a reference stream be simulated
 // many times (or inspected) without re-running the workload.
 //
-// Captures default to the delta-encoded v2 format (-format v1 keeps the
-// fixed-record v1 encoding); replay sniffs the magic and accepts both.
+// Captures are written in the delta-encoded, block-framed v2 format; replay
+// sniffs the magic and also accepts v1 traces, which -convert re-encodes
+// as v2.
 //
 // Usage:
 //
@@ -40,7 +41,6 @@ func main() {
 	out := flag.String("out", "", "output trace file (capture mode)")
 	replay := flag.String("replay", "", "trace file to replay through the simulator")
 	convert := flag.String("convert", "", "v1 trace file to re-encode as v2 into -out")
-	format := flag.String("format", "v2", "capture format: v2 (delta-encoded) or v1 (fixed records)")
 	entries := flag.Int("entries", 256, "TLB entries for replay")
 	arity := flag.Int("arity", 4, "mosaic arity for replay")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -77,7 +77,7 @@ func main() {
 			fail(err)
 		}
 	case *workload != "" && (*out != "" || *statsOnly):
-		if err := capture(*workload, *footprint<<20, *maxRefs, *seed, *out, *format, *statsOnly); err != nil {
+		if err := capture(*workload, *footprint<<20, *maxRefs, *seed, *out, *statsOnly); err != nil {
 			fail(err)
 		}
 	default:
@@ -89,20 +89,13 @@ func main() {
 // captureSink consumes a capture whole-batch: it tallies reads and writes,
 // tracks touched pages (when pages is non-nil), reports progress at every
 // 1M-reference boundary, and hands the batch to the encoder (nil when only
-// summarizing). The scalar leg wraps one reference and reuses the batch leg,
-// so both dispatch paths tally identically.
+// summarizing).
 type captureSink struct {
 	name                 string
 	verb                 string          // "captured" or "streamed", for the progress line
 	enc                  trace.BatchSink // nil in -stats mode
 	pages                map[core.VPN]bool
 	reads, writes, total uint64
-}
-
-func (s *captureSink) Access(va uint64, write bool) {
-	var one [1]trace.Ref
-	one[0] = trace.MakeRef(va, write)
-	s.ProcessBatch(one[:])
 }
 
 func (s *captureSink) ProcessBatch(b trace.Batch) {
@@ -126,62 +119,39 @@ func (s *captureSink) ProcessBatch(b trace.Batch) {
 	}
 }
 
-func capture(name string, footprint, maxRefs, seed uint64, out, format string, statsOnly bool) error {
+func capture(name string, footprint, maxRefs, seed uint64, out string, statsOnly bool) error {
 	w, err := mosaic.NewWorkload(name, footprint, seed)
 	if err != nil {
 		return err
 	}
 	cs := &captureSink{name: name, verb: "captured", pages: map[core.VPN]bool{}}
-
-	// Both encoders hide behind BatchSink so the stats pass stays
-	// format-blind; the v1 path unrolls each batch into the fixed-record
-	// writer, the v2 frame encoder takes batches natively.
-	var (
-		flush func() error
-		count func() uint64
-	)
+	var bw *trace.BatchWriter
 	if !statsOnly {
 		f, err := os.Create(out)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		switch format {
-		case "v2":
-			bw, err := trace.NewBatchWriter(f)
-			if err != nil {
-				return err
-			}
-			cs.enc = bw
-			flush = bw.Flush
-			count = bw.Count
-		case "v1":
-			tw, err := trace.NewWriter(f)
-			if err != nil {
-				return err
-			}
-			cs.enc = trace.BatchSinkOf(tw)
-			flush = tw.Flush
-			count = tw.Count
-		default:
-			return fmt.Errorf("unknown -format %q (want v1 or v2)", format)
+		if bw, err = trace.NewBatchWriter(f); err != nil {
+			return err
 		}
+		cs.enc = bw
 	}
 
 	mosaic.RunBatch(w, cs, maxRefs)
 	progress.Done()
 	fmt.Printf("%s: %d refs (%d reads, %d writes), %d pages touched, footprint %d MiB\n",
 		name, cs.total, cs.reads, cs.writes, len(cs.pages), w.FootprintBytes()>>20)
-	if flush != nil {
-		if err := flush(); err != nil {
+	if bw != nil {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
 		info, err := os.Stat(out)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%s): %d records, %d bytes (%.2f bytes/record)\n",
-			out, format, count(), info.Size(), float64(info.Size())/float64(count()))
+		fmt.Printf("wrote %s (v2): %d records, %d bytes (%.2f bytes/record)\n",
+			out, bw.Count(), info.Size(), float64(info.Size())/float64(bw.Count()))
 	}
 	return nil
 }
@@ -273,8 +243,7 @@ func postSession(base, name string, footprint, maxRefs, seed uint64, entries, ar
 	werr := make(chan error, 1)
 	go func() {
 		// Stream the capture in the v2 format; the daemon sniffs the magic.
-		// Batches flow from the generator straight into the frame encoder —
-		// no scalar re-batching between the workload and the wire.
+		// Batches flow from the generator straight into the frame encoder.
 		bw, err := trace.NewBatchWriter(pw)
 		if err != nil {
 			werr <- err

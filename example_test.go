@@ -93,16 +93,19 @@ func ExampleTable5() {
 }
 
 // Running one of the paper's workloads with a reference cap.
-func ExampleRunLimited() {
+// refCounter is a BatchSink that counts the references it receives.
+type refCounter struct{ n uint64 }
+
+func (c *refCounter) ProcessBatch(b mosaic.Batch) { c.n += uint64(len(b)) }
+
+func ExampleRunBatch() {
 	w, err := mosaic.NewWorkload("gups", 1<<20, 1)
 	if err != nil {
 		panic(err)
 	}
-	count := uint64(0)
-	n := mosaic.RunLimited(w, mosaic.SinkFunc(func(va uint64, write bool) {
-		count++
-	}), 10000)
-	fmt.Println("delivered:", n, "counted:", count)
+	var count refCounter
+	n := mosaic.RunBatch(w, &count, 10000)
+	fmt.Println("delivered:", n, "counted:", count.n)
 	// Output:
 	// delivered: 10000 counted: 10000
 }

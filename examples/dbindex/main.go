@@ -39,7 +39,7 @@ func main() {
 
 	fmt.Printf("B+ tree index (%d MiB of 4 KiB nodes), bulk load + random point lookups\n", footprint>>20)
 	fmt.Printf("TLB: %s\n\n", geom)
-	refs := mosaic.RunLimited(idx, sim, 16_000_000)
+	refs := mosaic.RunBatch(idx, sim, 16_000_000)
 
 	fmt.Printf("%-9s %12s %16s %16s\n", "Design", "TLB misses", "entry misses", "sub-page misses")
 	for _, r := range sim.Results() {

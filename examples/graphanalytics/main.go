@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Printf("Graph500 (Kronecker graph, %d MiB CSR + BFS state) on a %s TLB\n\n",
 		g.FootprintBytes()>>20, geom)
-	refs := mosaic.RunLimited(g, sim, 12_000_000)
+	refs := mosaic.RunBatch(g, sim, 12_000_000)
 	fmt.Printf("%-10s %12s %10s %14s %14s\n", "Design", "TLB misses", "MPKR", "walk accesses", "memory cycles")
 	var vanillaMisses uint64
 	for _, r := range sim.Results() {

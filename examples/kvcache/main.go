@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Printf("Zipfian KV store (%d MiB: buckets, chain nodes, 256 B values)\n", footprint>>20)
 	fmt.Printf("TLB: %s — misses per design:\n\n", geom)
-	refs := mosaic.RunLimited(kv, sim, 12_000_000)
+	refs := mosaic.RunBatch(kv, sim, 12_000_000)
 	var vanilla uint64
 	for _, r := range sim.Results() {
 		if r.Spec.Arity == 0 && r.Spec.Coalesce == 0 {

@@ -43,6 +43,22 @@ func main() {
 	fmt.Println("let Horizon LRU keep memory ~fully utilized while evicting cold pages.")
 }
 
+// onsetSink touches every reference from address space 1 and records the
+// utilization at the first page-out.
+type onsetSink struct {
+	sys   *mosaic.System
+	onset float64
+}
+
+func (s *onsetSink) ProcessBatch(b mosaic.Batch) {
+	for _, r := range b {
+		s.sys.TouchVA(1, r.VA(), r.Write())
+		if s.onset < 0 && s.sys.Device().PageOuts() > 0 {
+			s.onset = s.sys.Utilization()
+		}
+	}
+}
+
 func run(cfg mosaic.SystemConfig, label string) {
 	cfg.Frames = memoryMiB << 20 / mosaic.PageSize
 	cfg.Seed = seed
@@ -54,13 +70,9 @@ func run(cfg mosaic.SystemConfig, label string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	onset := -1.0
-	mosaic.RunLimited(w, mosaic.SinkFunc(func(va uint64, write bool) {
-		sys.TouchVA(1, va, write)
-		if onset < 0 && sys.Device().PageOuts() > 0 {
-			onset = sys.Utilization()
-		}
-	}), maxRefs)
+	sink := &onsetSink{sys: sys, onset: -1}
+	mosaic.RunBatch(w, sink, maxRefs)
+	onset := sink.onset
 	onsetStr := "never"
 	if onset >= 0 {
 		onsetStr = fmt.Sprintf("%.2f%%", 100*onset)

@@ -10,167 +10,17 @@ import (
 	"mosaic/internal/trace"
 )
 
-// limitReached aborts a workload once the simulator has seen enough
-// references.
-type limitReached struct{}
-
-// limitSink counts references into an underlying sink and aborts the
-// workload with panic(limitReached{}) once the cap is hit. It is a
-// preallocated concrete struct rather than a per-call closure so the
-// per-reference path is one interface dispatch plus two field updates —
-// no closure environment, no heap-escaping counter (the difference is
-// measured by BenchmarkRunLimited vs BenchmarkRunLimitedClosure).
-type limitSink struct {
-	sink Sink
-	n    uint64
-	max  uint64
-}
-
-func (s *limitSink) Access(va uint64, write bool) {
-	s.sink.Access(va, write)
-	s.n++
-	if s.n >= s.max {
-		panic(limitReached{})
-	}
-}
-
-// RunLimited drives a workload into sink, stopping after maxRefs
-// references (0 means unlimited). It returns the number of references
-// delivered. A sink with a batch path (trace.BatchSink — the Simulator
-// among them) is driven through RunBatch instead, which delivers the
-// identical reference stream while amortizing per-reference dispatch.
-func RunLimited(w Workload, sink Sink, maxRefs uint64) (n uint64) {
-	if bs, ok := sink.(trace.BatchSink); ok {
-		return RunBatch(w, bs, maxRefs)
-	}
-	if maxRefs == 0 {
-		var c trace.Counter
-		w.Run(trace.Tee(&c, sink))
-		return c.Total()
-	}
-	ls := limitSink{sink: sink, max: maxRefs}
-	defer func() {
-		n = ls.n
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	w.Run(&ls)
-	return ls.n
-}
-
-// batchLimitSink is RunBatch's step: references accumulate into a
-// preallocated batch, and both the limit check and the downstream dispatch
-// happen once per batch rather than once per reference. The delivered
-// stream is exactly the first max references — the final batch is trimmed
-// before delivery, then the workload is aborted — so any BatchSink that
-// observes references in order sees the same stream RunLimited's scalar
-// path would deliver.
-type batchLimitSink struct {
-	next trace.BatchSink
-	buf  trace.Batch
-	i    int
-	n    uint64 // delivered references
-	max  uint64
-}
-
-func (s *batchLimitSink) Access(va uint64, write bool) {
-	if s.buf == nil {
-		s.lazyBuf()
-	}
-	s.buf[s.i] = trace.MakeRef(va, write)
-	s.i++
-	if s.i == len(s.buf) {
-		s.flush()
-	}
-}
-
-// lazyBuf allocates the Access-leg buffer on first use. RunBatch
-// preallocates it for scalar workloads; a BatchRunner that also calls
-// Access (a mixed-mode producer) lands here instead of hitting an index
-// panic on the nil buffer.
-func (s *batchLimitSink) lazyBuf() {
-	s.buf = make(trace.Batch, trace.DefaultBatchSize)
-}
-
-// flush delivers the buffered batch, trimming it to the limit and aborting
-// the workload once max references are out.
-func (s *batchLimitSink) flush() {
-	if s.n+uint64(s.i) >= s.max {
-		s.next.ProcessBatch(s.buf[:s.max-s.n])
-		s.n = s.max
-		panic(limitReached{})
-	}
-	s.next.ProcessBatch(s.buf[:s.i])
-	s.n += uint64(s.i)
-	s.i = 0
-}
-
-// tail delivers whatever references are still buffered when the producer
-// ends between flush boundaries. The workload can finish with more
-// buffered references than the cap allows (a finite stream shorter than
-// the next flush boundary past the limit), so the tail is trimmed to the
-// limit before delivery.
-func (s *batchLimitSink) tail() {
-	if s.i == 0 {
-		return
-	}
-	k := uint64(s.i)
-	if s.n+k > s.max {
-		k = s.max - s.n
-	}
-	s.next.ProcessBatch(s.buf[:k])
-	s.n += k
-	s.i = 0
-}
-
-// ProcessBatch is the batch-producer leg: whole batches from a
-// trace.BatchRunner pass straight through, trimmed at the limit. The two
-// legs share the counters; a mixed-mode producer that interleaves Access
-// calls gets its own lazily-allocated buffer on the Access leg.
-func (s *batchLimitSink) ProcessBatch(b trace.Batch) {
-	if s.i > 0 {
-		s.flush() // drain buffered Access refs so the stream stays ordered
-	}
-	if s.n+uint64(len(b)) >= s.max {
-		s.next.ProcessBatch(b[:s.max-s.n])
-		s.n = s.max
-		panic(limitReached{})
-	}
-	s.next.ProcessBatch(b)
-	s.n += uint64(len(b))
-}
-
 // RunBatch drives a workload into a batch sink, stopping after maxRefs
 // references (0 means unlimited), and returns the number delivered. The
-// sink observes the identical reference stream as RunLimited's scalar
-// path — same references, same order, same cutoff — batched into
-// trace.DefaultBatchSize runs. A workload that can produce batches
-// natively (trace.BatchRunner) skips per-reference packing entirely: its
-// batches flow through with only the limit trim in between.
-func RunBatch(w Workload, sink trace.BatchSink, maxRefs uint64) (n uint64) {
-	if maxRefs == 0 {
-		maxRefs = 1<<64 - 1
-	}
-	ls := batchLimitSink{next: sink, max: maxRefs}
-	defer func() {
-		n = ls.n
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	if br, ok := w.(trace.BatchRunner); ok {
-		br.RunBatches(&ls)
-	} else {
-		ls.buf = make(trace.Batch, trace.DefaultBatchSize)
-		w.Run(&ls)
-	}
-	ls.tail()
-	return ls.n
+// budget lives in the workload's trace.Batcher: the sink receives exactly
+// the first maxRefs references of the workload's stream, in
+// trace.DefaultBatchSize batches, and the workload returns once the budget
+// is spent.
+func RunBatch(w Workload, sink BatchSink, maxRefs uint64) uint64 {
+	b := trace.NewBatcher(sink, maxRefs)
+	w.Run(b)
+	b.Flush()
+	return b.Delivered()
 }
 
 // Figure6Options parameterizes the Figure 6 reproduction (TLB misses vs
@@ -330,7 +180,7 @@ func Figure6(opt Figure6Options) (Figure6Result, error) {
 			if err != nil {
 				return fig6Point{}, err
 			}
-			p := fig6Point{refs: RunLimited(w, sim, opt.MaxRefs)}
+			p := fig6Point{refs: RunBatch(w, sim, opt.MaxRefs)}
 			for _, r := range sim.Results() {
 				p.cells = append(p.cells, Figure6Cell{
 					Ways:  ways,

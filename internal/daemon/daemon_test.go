@@ -22,12 +22,16 @@ import (
 func traceBytes(t *testing.T, refs, pages int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
+	tw, err := trace.NewBatchWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < refs; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%pages)*core.PageSize, i%7 == 0)
+	b := make(trace.Batch, refs)
+	for i := range b {
+		b[i] = trace.MakeRef(uint64(workloads.DefaultHeapBase)+uint64(i%pages)*core.PageSize, i%7 == 0)
+	}
+	if err := tw.WriteBatch(b); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
@@ -220,12 +224,16 @@ func TestLiveScrapeMidRun(t *testing.T) {
 		}
 	}()
 
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 250; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%16)*core.PageSize, false)
+	b := make(trace.Batch, 250)
+	for i := range b {
+		b[i] = trace.MakeRef(uint64(workloads.DefaultHeapBase)+uint64(i%16)*core.PageSize, false)
+	}
+	if err := tw.WriteBatch(b); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
@@ -277,7 +285,7 @@ func TestBackpressure(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +296,9 @@ func TestBackpressure(t *testing.T) {
 		}
 	}()
 	// Wedge the single worker: stream half a window and stall.
-	tw.Access(uint64(workloads.DefaultHeapBase), false)
+	if err := tw.WriteBatch(trace.Batch{trace.MakeRef(uint64(workloads.DefaultHeapBase), false)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +347,7 @@ func TestDrain(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +355,9 @@ func TestDrain(t *testing.T) {
 	go func() {
 		finished <- postSession(t, ts.URL, "", pr)
 	}()
-	tw.Access(uint64(workloads.DefaultHeapBase), false)
+	if err := tw.WriteBatch(trace.Batch{trace.MakeRef(uint64(workloads.DefaultHeapBase), false)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +385,12 @@ func TestDrain(t *testing.T) {
 			raced++
 		}
 	}
-	for i := 0; i < 99; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%8)*core.PageSize, false)
+	rest := make(trace.Batch, 99)
+	for i := range rest {
+		rest[i] = trace.MakeRef(uint64(workloads.DefaultHeapBase)+uint64(i%8)*core.PageSize, false)
+	}
+	if err := tw.WriteBatch(rest); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)

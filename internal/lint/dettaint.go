@@ -3,10 +3,11 @@ package lint
 // DetTaint tracks nondeterminism interprocedurally from its sources — the
 // wall clock (time.Now/Since), the process environment, the global
 // math/rand stream, select/goroutine interleaving, and map iteration
-// order — to the module's determinism sinks: results.File metrics, trace
-// writers and sinks, and obs registry instruments. Those surfaces back the
-// repo's reproducibility gates (workers=1≡N byte-identity, scalar≡batch
-// equality, seed-stable results files); a tainted value reaching one is a
+// order — to the module's determinism sinks: results.File metrics, the
+// reference stream's batcher, trace writers and batch sinks, and obs
+// registry instruments. Those surfaces back the repo's reproducibility
+// gates (workers=1≡N byte-identity, batch-boundary invariance, seed-stable
+// results files); a tainted value reaching one is a
 // diverging run waiting to happen, no matter how many calls or struct
 // fields it travelled through on the way.
 //

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mosaic/internal/sweep"
 )
@@ -49,33 +48,6 @@ const maxTaintRounds = 8
 // sccIterCap bounds fixpoint iterations inside one SCC of n members.
 func sccIterCap(n int) int { return 3 + 2*n }
 
-// A batchUse summarises how a function treats one trace.Batch parameter.
-type batchUse struct {
-	// used: the parameter is referenced at all.
-	used bool
-	// ranged: the function iterates the batch element by element.
-	ranged bool
-	// forwarded: the batch is handed on whole — to a ProcessBatch /
-	// WriteBatch method, to Batch.Replay, or to a module function that
-	// itself forwards or ranges it.
-	forwarded bool
-	// perRef is the sorted set of module function IDs called once per
-	// batch element (inside a loop over the batch).
-	perRef []string
-}
-
-func (u batchUse) equal(o batchUse) bool {
-	if u.used != o.used || u.ranged != o.ranged || u.forwarded != o.forwarded || len(u.perRef) != len(o.perRef) {
-		return false
-	}
-	for i := range u.perRef {
-		if u.perRef[i] != o.perRef[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // A funcSummary is the caller-visible behaviour of one declared function,
 // computed to fixpoint over the whole module.
 type funcSummary struct {
@@ -106,8 +78,6 @@ type funcSummary struct {
 	// spins: the function contains an unconditional for-loop with no exit
 	// and no done edge, at any call depth.
 	spins bool
-	// batchParams describes each trace.Batch-typed parameter by slot.
-	batchParams map[int]batchUse
 	// retTaint is the nondeterminism taint carried by the return values.
 	retTaint taintMask
 	// paramsToRet has bit s set when parameter slot s flows into a return
@@ -155,18 +125,10 @@ func effectsEqual(a, b []lockEffect) bool {
 
 // coreEqual compares the phase-1 lattice fields of two summaries.
 func coreEqual(a, b *funcSummary) bool {
-	if !effectsEqual(a.effects, b.effects) || a.saturated != b.saturated ||
-		a.lockHelper != b.lockHelper || a.bounded != b.bounded ||
-		a.returnsFreshCtx != b.returnsFreshCtx || a.consultsCancel != b.consultsCancel ||
-		a.spins != b.spins || len(a.batchParams) != len(b.batchParams) {
-		return false
-	}
-	for slot, u := range a.batchParams {
-		if !u.equal(b.batchParams[slot]) {
-			return false
-		}
-	}
-	return true
+	return effectsEqual(a.effects, b.effects) && a.saturated == b.saturated &&
+		a.lockHelper == b.lockHelper && a.bounded == b.bounded &&
+		a.returnsFreshCtx == b.returnsFreshCtx && a.consultsCancel == b.consultsCancel &&
+		a.spins == b.spins
 }
 
 // taintEqual compares the phase-2 lattice fields of two summaries.
@@ -314,7 +276,7 @@ func (pr *Program) coreSCC(comp []*progFunc) []*funcSummary {
 		return []*funcSummary{summarizeCore(c, comp[0])}
 	}
 	for _, pf := range comp {
-		c.overlay[pf] = &funcSummary{batchParams: map[int]batchUse{}}
+		c.overlay[pf] = &funcSummary{}
 	}
 	for iter := 0; iter < sccIterCap(len(comp)); iter++ {
 		changed := false
@@ -338,13 +300,12 @@ func (pr *Program) coreSCC(comp []*progFunc) []*funcSummary {
 
 // summarizeCore computes every phase-1 lattice for one function.
 func summarizeCore(c *sumCtx, pf *progFunc) *funcSummary {
-	s := &funcSummary{batchParams: map[int]batchUse{}}
+	s := &funcSummary{}
 	summarizeLocks(c, pf, s)
 	s.bounded = returnsBounded(c, pf.pass, pf.decl)
 	s.returnsFreshCtx = returnsFreshCtx(c, pf.pass, pf.decl)
 	s.consultsCancel = consultsCancel(c, pf.pass, pf.decl)
 	s.spins = bodySpins(c, pf.pass, pf.decl.Body)
-	summarizeBatch(c, pf, s)
 	return s
 }
 
@@ -669,184 +630,4 @@ func loopEscapes(c *sumCtx, p *Pass, body *ast.BlockStmt) bool {
 		return !esc
 	})
 	return esc
-}
-
-// summarizeBatch computes a batchUse for every trace.Batch-typed parameter.
-func summarizeBatch(c *sumCtx, pf *progFunc, s *funcSummary) {
-	p, fd := pf.pass, pf.decl
-	if fd.Type.Params == nil {
-		return
-	}
-	slot := 1
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			if tv, ok := p.Info.Types[field.Type]; ok && namedFrom(tv.Type, "mosaic/internal/trace", "Batch") {
-				// An unnamed batch parameter is by definition unused.
-				s.batchParams[slot] = batchUse{}
-			}
-			slot++
-			continue
-		}
-		for _, name := range field.Names {
-			obj := p.Info.Defs[name]
-			if obj != nil && name.Name != "_" && namedFrom(obj.Type(), "mosaic/internal/trace", "Batch") {
-				s.batchParams[slot] = batchParamUse(c, p, fd.Body, obj)
-			} else if obj != nil && name.Name == "_" && namedFrom(obj.Type(), "mosaic/internal/trace", "Batch") {
-				s.batchParams[slot] = batchUse{}
-			}
-			slot++
-		}
-	}
-}
-
-// rootObj resolves an expression to the object of its root identifier, or
-// nil.
-func rootObj(p *Pass, e ast.Expr) types.Object {
-	id, _ := selChain(e)
-	if id == nil {
-		return nil
-	}
-	if obj := p.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Info.Defs[id]
-}
-
-// batchRoot resolves an expression to its root object, seeing through
-// re-slicing: b[:n] still denotes batch b.
-func batchRoot(p *Pass, e ast.Expr) types.Object {
-	for {
-		if sl, ok := ast.Unparen(e).(*ast.SliceExpr); ok {
-			e = sl.X
-			continue
-		}
-		return rootObj(p, ast.Unparen(e))
-	}
-}
-
-// batchParamUse walks a body classifying every use of one batch parameter.
-func batchParamUse(c *sumCtx, p *Pass, body *ast.BlockStmt, obj types.Object) batchUse {
-	u := batchUse{}
-	perRef := map[string]bool{}
-	// perRefCalls collects module callees invoked once per element.
-	perRefCalls := func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn, ok := callee(p.Info, call).(*types.Func); ok {
-				if node := c.pr.node(fn); node != nil {
-					perRef[node.id] = true
-				}
-			}
-			return true
-		})
-	}
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		switch x := n.(type) {
-		case *ast.Ident:
-			if p.Info.Uses[x] == obj {
-				u.used = true
-			}
-		case *ast.RangeStmt:
-			if batchRoot(p, x.X) == obj {
-				u.used = true
-				u.ranged = true
-				perRefCalls(x.Body)
-			}
-		case *ast.IndexExpr:
-			if batchRoot(p, x.X) == obj {
-				u.used = true
-				// An indexed access inside a loop is the for-i iteration
-				// idiom; credit the innermost enclosing loop's calls as
-				// per-ref.
-				for i := len(stack) - 2; i >= 0; i-- {
-					if l, ok := stack[i].(*ast.ForStmt); ok {
-						u.ranged = true
-						perRefCalls(l.Body)
-						break
-					}
-					if l, ok := stack[i].(*ast.RangeStmt); ok {
-						u.ranged = true
-						perRefCalls(l.Body)
-						break
-					}
-				}
-			}
-		case *ast.CallExpr:
-			u.merge(c, p, x, obj)
-		}
-		return true
-	})
-	ids := make([]string, 0, len(perRef))
-	for id := range perRef {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	u.perRef = ids
-	return u
-}
-
-// merge folds one call expression's treatment of the batch parameter into
-// the use summary.
-func (u *batchUse) merge(c *sumCtx, p *Pass, call *ast.CallExpr, obj types.Object) {
-	// b.Replay(sink) / b.Method(...): method called on the batch itself.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if batchRoot(p, sel.X) == obj {
-			u.used = true
-			if sel.Sel.Name == "Replay" {
-				u.forwarded = true
-			}
-		}
-	}
-	fn, _ := callee(p.Info, call).(*types.Func)
-	for i, arg := range call.Args {
-		if batchRoot(p, arg) != obj {
-			continue
-		}
-		u.used = true
-		if fn == nil {
-			continue
-		}
-		// Whole-batch hand-off to any ProcessBatch/WriteBatch — concrete,
-		// interface, or out-of-module — counts as forwarding.
-		if fn.Name() == "ProcessBatch" || fn.Name() == "WriteBatch" {
-			u.forwarded = true
-			continue
-		}
-		if sum := c.forFunc(fn); sum != nil {
-			if cu, ok := sum.batchParams[i+1]; ok {
-				u.ranged = u.ranged || cu.ranged
-				u.forwarded = u.forwarded || cu.forwarded
-				u.perRef = mergeSorted(u.perRef, cu.perRef)
-			}
-		}
-	}
-}
-
-// mergeSorted unions two sorted string slices.
-func mergeSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	seen := map[string]bool{}
-	for _, s := range a {
-		seen[s] = true
-	}
-	for _, s := range b {
-		seen[s] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -12,12 +12,6 @@ func TestDetTaint(t *testing.T) {
 	checkFixture(t, DetTaint, "dettaint", "mosaic/internal/fixture")
 }
 
-// TestBatchParity pins the scalar≡batch shape analyzer over dual
-// Sink+BatchSink implementors and per-ref replay loops.
-func TestBatchParity(t *testing.T) {
-	checkFixture(t, BatchParity, "batchparity", "mosaic/internal/fixture")
-}
-
 // TestGoLeak pins the goroutine-cancellation analyzer, including spins
 // reached through named calls at depth.
 func TestGoLeak(t *testing.T) {
@@ -108,6 +102,23 @@ func TestFixpointInterfaceCycle(t *testing.T) {
 	}
 	if !hasDispatch {
 		t.Error("(*alpha).step has no dispatch edge; interface fanout missing")
+	}
+}
+
+// TestFixpointTaintCycle: the taint phase iterates a cyclic SCC to a joint
+// fixpoint — the metric sink reached directly by relayEven becomes a
+// parameter sink of relayOdd, which only reaches it around the cycle.
+func TestFixpointTaintCycle(t *testing.T) {
+	p := loadFixture(t, "dettaint", "mosaic/internal/fixture")
+	pr := p.flow()
+	even, odd := nodeByName(t, pr, ".relayEven"), nodeByName(t, pr, ".relayOdd")
+	if even.scc != odd.scc {
+		t.Fatalf("relayEven (scc %d) and relayOdd (scc %d) not condensed together", even.scc, odd.scc)
+	}
+	for _, pf := range []*progFunc{even, odd} {
+		if len(pf.sum.paramSinks) == 0 {
+			t.Errorf("%s: no parameter sink summarised; the carrier fact did not cross the cycle", pf.id)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // diffs them against the checked-in baseline
 // (internal/lint/escapes.baseline). A site that is new — or a site whose
 // count grew — fails the run: that is a fresh heap allocation on a path
-// the simulator executes once per memory reference, the exact class of
-// regression the limitSink rewrite removed by hand.
+// the simulator executes once per memory reference, such as a per-call
+// closure capturing a counter that escapes to the heap.
 //
 // Sites are keyed as "file: message" with line numbers stripped, so
 // vertical refactors do not churn the baseline; the per-site count still

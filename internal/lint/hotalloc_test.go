@@ -33,9 +33,9 @@ func escapeFixture(t *testing.T, variant string) (dir string, sites gate.Sites) 
 }
 
 // TestHotAllocGateCatchesClosure pins the gate's reason for existing:
-// against a baseline captured from the preallocated-sink implementation of
-// RunLimited, re-introducing the per-call closure (the code PR 3 removed)
-// must fail with new heap-escape sites.
+// against a baseline captured from the concrete-sink variant of a counting
+// hot path, switching to a per-call closure must fail with new heap-escape
+// sites.
 func TestHotAllocGateCatchesClosure(t *testing.T) {
 	_, sinkSites := escapeFixture(t, "sink")
 	closureDir, closureSites := escapeFixture(t, "closure")

@@ -15,7 +15,7 @@ import (
 // InlineGate is the inlining-verdict gate: it parses the inliner's decisions
 // (`go build -gcflags=-m=2`) for a declared set of pinned hot functions —
 // the TLB probe, the iceberg single-slot wrappers, and the per-reference
-// Access steps RunLimited drives — and fails when any pin's budget verdict
+// emit and unpack steps of the batch pipeline — and fails when any pin's budget verdict
 // flips from "can inline" to "cannot inline". The pins are the functions the
 // batch-replay engine calls once per memory reference; a missed inline there
 // is a call in the innermost loop, the regression that is invisible to every
@@ -65,23 +65,16 @@ var InlinePins = []InlinePin{
 	{"internal/iceberg/iceberg.go", "(*Table).Put", "iceberg insert wrapper around PutSlot"},
 	{"internal/iceberg/iceberg.go", "(*Table).Contains", "iceberg membership wrapper around Get"},
 	{"internal/memsim/memsim.go", "(*Simulator).Access", "per-reference entry point: delegates to AccessFrom"},
-	{"figure6.go", "(*limitSink).Access", "RunLimited's step: the reference-counting shim every figure driver replays through"},
 	{"internal/trace/batch.go", "Ref.VA", "batch consumers unpack the VA in their inner loop"},
 	{"internal/trace/batch.go", "Ref.Write", "batch consumers unpack the write bit in their inner loop"},
 	{"internal/trace/batch.go", "MakeRef", "batch producers pack references in their inner loop"},
-	{"internal/workloads/arena.go", "(*U64Array).GetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/workloads/arena.go", "(*U64Array).SetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/workloads/arena.go", "(*F64Array).GetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/workloads/arena.go", "(*F64Array).SetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/workloads/arena.go", "(*U32Array).GetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/workloads/arena.go", "(*U32Array).SetB", "batch-native emit: packed store straight into the batcher buffer"},
-	{"internal/trace/batch.go", "GetBatcher", "pooled batcher checkout at the head of every batch-native run"},
-}
-
-// InlineGatePatterns are the build patterns the gate compiles: the hot-path
-// packages plus the root package (RunLimited and its sinks live there).
-func InlineGatePatterns() []string {
-	return append(append([]string{}, HotPathPackages...), ".")
+	{"internal/trace/batch.go", "(*Batcher).Done", "budget check at the head of every generator's outer loop"},
+	{"internal/workloads/arena.go", "(*U64Array).Get", "workload emit: packed store straight into the batcher buffer"},
+	{"internal/workloads/arena.go", "(*U64Array).Set", "workload emit: packed store straight into the batcher buffer"},
+	{"internal/workloads/arena.go", "(*F64Array).Get", "workload emit: packed store straight into the batcher buffer"},
+	{"internal/workloads/arena.go", "(*F64Array).Set", "workload emit: packed store straight into the batcher buffer"},
+	{"internal/workloads/arena.go", "(*U32Array).Get", "workload emit: packed store straight into the batcher buffer"},
+	{"internal/workloads/arena.go", "(*U32Array).Set", "workload emit: packed store straight into the batcher buffer"},
 }
 
 var (
@@ -212,7 +205,7 @@ func inlineGateFor(pins []InlinePin, patterns []string) gate.Config {
 }
 
 func inlineGate() gate.Config {
-	return inlineGateFor(InlinePins, InlineGatePatterns())
+	return inlineGateFor(InlinePins, HotPathPackages)
 }
 
 // InlineSites compiles the gate patterns in dir and returns the pinned

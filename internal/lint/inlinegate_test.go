@@ -109,7 +109,7 @@ func TestCanonicalFuncName(t *testing.T) {
 		"(*set[go.shape.uint64]).lookup":                     "(*set).lookup",
 		"(*Table[uint64,uint64]).Put":                        "(*Table).Put",
 		"(*set[go.shape.struct { a [4]uint64; b int }]).get": "(*set).get",
-		"(*limitSink).Access":                                "(*limitSink).Access",
+		"(*Batcher).Access":                                  "(*Batcher).Access",
 		"AblateTimestamps.func1":                             "AblateTimestamps.func1",
 	}
 	for in, want := range cases {

@@ -37,10 +37,6 @@
 //     global math/rand stream, select ordering, map iteration order) must
 //     not flow — through any chain of calls, returns, or struct fields —
 //     into results files, traces, or non-wall.* metrics.
-//   - batchparity: a type implementing both trace.Sink and trace.BatchSink
-//     must keep ProcessBatch and per-ref Access in the same side-effect
-//     shape, and a trace.Batch must not be replayed per-ref through
-//     Sink.Access when a batch-level delivery exists.
 //   - goleak:     spawned goroutines must have a reachable cancellation or
 //     done edge at some call depth.
 //   - hotalloc:   a tree-level escape-analysis budget gate — heap-escape
@@ -54,7 +50,7 @@
 //     internal/lint/inline.baseline is reported.
 //
 // The interprocedural analyzers (lockflow, ctxflow, narrowconv, dettaint,
-// batchparity, goleak) share a whole-program engine: callgraph.go builds a
+// goleak) share a whole-program engine: callgraph.go builds a
 // module-wide call graph (static and interface-dispatch edges) and its
 // Tarjan SCC condensation, and fixpoint.go computes bottom-up function
 // summaries over it, iterating to fixpoint inside cycles over bounded
@@ -62,7 +58,8 @@
 // precision and termination contracts.
 //
 // Every analyzer has a stable diagnostic ID (ML001…), used as the rule ID
-// in the machine-readable -json and -sarif output modes.
+// in the machine-readable -json and -sarif output modes. IDs are never
+// reused: ML015 belonged to a retired analyzer.
 //
 // A finding can be suppressed with a directive comment on the same line or
 // the line above:
@@ -102,7 +99,7 @@ type Analyzer struct {
 
 // All returns the per-package analyzer suite in output order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, NoPanic, CPFNBounds, ErrDrop, ObsNames, MapOrder, SweepSafe, LockFlow, CtxFlow, NarrowConv, DetTaint, BatchParity, GoLeak}
+	return []*Analyzer{DetRand, NoPanic, CPFNBounds, ErrDrop, ObsNames, MapOrder, SweepSafe, LockFlow, CtxFlow, NarrowConv, DetTaint, GoLeak}
 }
 
 // Catalog returns every analyzer mosaiclint can report under, including

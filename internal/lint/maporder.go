@@ -95,11 +95,6 @@ func orderedCall(p *Pass, call *ast.CallExpr) string {
 	case fn.Name() == "Access" && strings.Contains(recvName, "Sink"):
 		return "emits references through " + recvName + ".Access"
 	}
-	// Interface methods have no named receiver; classify Sink-shaped
-	// interfaces by the interface's declaring package or name.
-	if named == nil && fn.Name() == "Access" && pkg == "mosaic" {
-		return "emits references through a Sink"
-	}
 	return ""
 }
 

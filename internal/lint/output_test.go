@@ -24,7 +24,6 @@ func goldenDiags(t *testing.T) []Diagnostic {
 		loadFixture(t, "sweepsafe", "mosaic/internal/sweepsafe"),
 		loadFixture(t, "fixapply", "mosaic/internal/fixapply"),
 		loadFixture(t, "dettaint", "mosaic/internal/dettaint"),
-		loadFixture(t, "batchparity", "mosaic/internal/batchparity"),
 		loadFixture(t, "goleak", "mosaic/internal/goleak"),
 	}
 	diags := RunAll(passes, All())

@@ -13,9 +13,9 @@ import (
 // ordering) differs between two runs of the same seed: the wall clock, the
 // process environment, the global math/rand stream, select/goroutine
 // interleaving, and map iteration order. Sinks are the module's
-// determinism surfaces — results.File metrics, trace writers and sinks,
-// and obs registry instruments — which the workers=1≡N and scalar≡batch
-// gates compare byte for byte. A tainted value reaching a sink is a
+// determinism surfaces — results.File metrics, the reference stream's
+// batcher, writers and sinks, and obs registry instruments — which the
+// workers=1≡N and batch-boundary gates compare byte for byte. A tainted value reaching a sink is a
 // reproducibility bug by construction.
 //
 // The flow is tracked per function (flow-insensitively, iterated to a
@@ -526,8 +526,7 @@ func sinkDesc(p *Pass, call *ast.CallExpr) (string, []ast.Expr, bool) {
 			return "", nil, false
 		}
 		return "an obs registry instrument", call.Args, true
-	case full == "mosaic/internal/trace.Writer" && fn.Name() == "Access",
-		full == "mosaic/internal/trace.Sink" && fn.Name() == "Access":
+	case full == "mosaic/internal/trace.Batcher" && fn.Name() == "Access":
 		return "a trace sink", call.Args, true
 	case full == "mosaic/internal/trace.BatchWriter" && (fn.Name() == "WriteBatch" || fn.Name() == "ProcessBatch"),
 		full == "mosaic/internal/trace.BatchSink" && fn.Name() == "ProcessBatch":

@@ -1,8 +1,7 @@
-// Package hot is the hotalloc fixture, a miniature of the repository's
-// RunLimited hot path. This variant re-introduces the per-call closure the
-// limitSink rewrite removed: the counter is captured by a func literal, so
-// both the literal and the counter escape to the heap — the regression the
-// gate exists to catch.
+// Package hot is the hotalloc fixture, a miniature per-reference hot path.
+// This variant counts through a per-call closure: the counter is captured
+// by a func literal, so both the literal and the counter escape to the
+// heap — the regression the gate exists to catch.
 package hot
 
 // Sink consumes one memory reference per call.
@@ -15,22 +14,8 @@ type SinkFunc func(va uint64, write bool)
 
 func (f SinkFunc) Access(va uint64, write bool) { f(va, write) }
 
-type limitReached struct{}
-
-// RunLimited drives the workload into a counting closure and stops at max.
-func RunLimited(run func(Sink), max uint64) (n uint64) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	run(SinkFunc(func(va uint64, write bool) {
-		n++
-		if n >= max {
-			panic(limitReached{})
-		}
-	}))
+// Count drives the workload into a counting closure.
+func Count(run func(Sink)) (n uint64) {
+	run(SinkFunc(func(va uint64, write bool) { n++ }))
 	return n
 }

@@ -1,6 +1,6 @@
-// Package hot is the hotalloc fixture, a miniature of the repository's
-// RunLimited hot path. This variant uses the preallocated concrete sink —
-// the shape the escape baseline blesses.
+// Package hot is the hotalloc fixture, a miniature per-reference hot path.
+// This variant counts into a concrete struct — the shape the escape
+// baseline blesses.
 package hot
 
 // Sink consumes one memory reference per call.
@@ -8,33 +8,14 @@ type Sink interface {
 	Access(va uint64, write bool)
 }
 
-type limitReached struct{}
+// counter is the concrete counting sink: no closure environment.
+type counter struct{ n uint64 }
 
-// limitSink is the preallocated counting sink: no closure environment, so
-// the per-call state lives in a stack-constructed struct.
-type limitSink struct {
-	n   uint64
-	max uint64
-}
+func (c *counter) Access(va uint64, write bool) { c.n++ }
 
-func (s *limitSink) Access(va uint64, write bool) {
-	s.n++
-	if s.n >= s.max {
-		panic(limitReached{})
-	}
-}
-
-// RunLimited drives the workload into a counting sink and stops at max.
-func RunLimited(run func(Sink), max uint64) (n uint64) {
-	ls := limitSink{max: max}
-	defer func() {
-		n = ls.n
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	run(&ls)
-	return ls.n
+// Count drives the workload into a counting sink.
+func Count(run func(Sink)) uint64 {
+	var c counter
+	run(&c)
+	return c.n
 }

@@ -31,6 +31,27 @@ func indirect(f *results.File) {
 	publish(f, secs) // want "wall-clock-tainted value reaches a results.File metric through mosaic/internal/fixture.publish"
 }
 
+// relayEven and relayOdd form a call cycle that carries v to a metric from
+// either member: the carrier fact must be iterated around the cycle to a
+// joint fixpoint before it reaches relayOdd.
+func relayEven(f *results.File, v float64, n int) {
+	if n == 0 {
+		f.SetMetric("relayed", v)
+		return
+	}
+	relayOdd(f, v, n-1)
+}
+
+func relayOdd(f *results.File, v float64, n int) {
+	relayEven(f, v, n-1)
+}
+
+// cyclic: taint entering the cycle at the member without the sink is still
+// found.
+func cyclic(f *results.File) {
+	relayOdd(f, float64(time.Now().UnixNano()), 3) // want "wall-clock-tainted value reaches a results.File metric through mosaic/internal/fixture.relayOdd"
+}
+
 // span carries a wall-clock reading across functions through a field.
 type span struct {
 	start float64
@@ -98,8 +119,8 @@ func sched(f *results.File, a, b chan float64) {
 
 // traceTaint: a tainted address entering the reference stream forks the
 // trace byte-for-byte.
-func traceTaint(w *trace.Writer) {
-	w.Access(uint64(time.Now().UnixNano()), false) // want "wall-clock-tainted value flows into a trace sink"
+func traceTaint(b *trace.Batcher) {
+	b.Access(uint64(time.Now().UnixNano()), false) // want "wall-clock-tainted value flows into a trace sink"
 }
 
 // seeded randomness through a value-carrying conversion chain is clean: the

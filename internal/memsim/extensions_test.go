@@ -66,7 +66,7 @@ func TestWalkCacheShortensWalks(t *testing.T) {
 	without := newSim(t, Config{Frames: 1 << 16, Specs: []TLBSpec{{Geometry: g}}})
 	run := func(s *Simulator) Result {
 		w := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 14, Seed: 4})
-		s.Run(w)
+		runWorkload(s, w, 0)
 		return s.Results()[0]
 	}
 	rw, ro := run(with), run(without)
@@ -149,7 +149,7 @@ func TestWalkOverheadAccounting(t *testing.T) {
 		MemLatency:   100,
 	})
 	// A working set far beyond TLB reach, so walks are frequent.
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 20, Updates: 1 << 16, Seed: 6}))
+	runWorkload(s, workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 20, Updates: 1 << 16, Seed: 6}), 0)
 	rv, rm := s.Results()[0], s.Results()[1]
 	for _, r := range []Result{rv, rm} {
 		if r.WalkCycles == 0 || r.WalkCycles >= r.TotalCycles {

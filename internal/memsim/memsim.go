@@ -18,6 +18,8 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"mosaic/internal/cache"
@@ -28,7 +30,6 @@ import (
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
 	"mosaic/internal/vm"
-	"mosaic/internal/workloads"
 )
 
 // TLBSpec names one TLB design point.
@@ -141,8 +142,8 @@ type ptKey struct {
 	arity int // 0 = vanilla
 }
 
-// Simulator drives the memory system. It implements trace.Sink, so
-// workloads can emit straight into it. It is not safe for concurrent use.
+// Simulator drives the memory system. It implements trace.BatchSink, so
+// workloads run straight into it. It is not safe for concurrent use.
 type Simulator struct {
 	cfg   Config
 	os    *vm.System
@@ -152,9 +153,13 @@ type Simulator struct {
 	// walks them independently).
 	vanillaPTs map[core.ASID]*pagetable.Vanilla
 	mosaicPTs  map[ptKey]*pagetable.Mosaic
-	arities    map[int]bool
-	paAlloc    pagetable.PAAllocator
-	path       []uint64
+	// arities lists the distinct mosaic arities in ascending order. Faults
+	// and evictions visit the per-arity page tables in this order, so
+	// page-table nodes come off the shared bump allocator in the same
+	// order every run and walk addresses are deterministic.
+	arities []int
+	paAlloc pagetable.PAAllocator
+	path    []uint64
 
 	// Observability: instrument handles on the hot paths, plus the
 	// optional sampler (nil = one pointer compare per reference) and
@@ -214,7 +219,6 @@ func New(cfg Config) (*Simulator, error) {
 	ptBase := uint64(cfg.Frames) * core.PageSize
 	s.paAlloc = pagetable.BumpAllocator(ptBase)
 	s.vanillaPTs = make(map[core.ASID]*pagetable.Vanilla)
-	s.arities = make(map[int]bool)
 	for _, spec := range cfg.Specs {
 		if err := spec.Geometry.Validate(); err != nil {
 			return nil, err
@@ -230,7 +234,9 @@ func New(cfg Config) (*Simulator, error) {
 			u.vanilla = tlb.NewVanilla(spec.Geometry)
 		default:
 			u.mosaic = tlb.NewMosaic(spec.Geometry, spec.Arity)
-			s.arities[spec.Arity] = true
+			if !slices.Contains(s.arities, spec.Arity) {
+				s.arities = append(s.arities, spec.Arity)
+			}
 		}
 		if cfg.EnableWalkCache {
 			n := cfg.WalkCacheEntries
@@ -248,6 +254,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.units = append(s.units, u)
 	}
+	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
 	if s.sampler != nil {
 		s.registerProbes()
@@ -410,7 +417,7 @@ func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	if pt, ok := s.vanillaPTs[asid]; ok {
 		pt.Unset(vpn)
 	}
-	for arity := range s.arities {
+	for _, arity := range s.arities {
 		if pt, ok := s.mosaicPTs[ptKey{asid: asid, arity: arity}]; ok {
 			pt.ClearCPFN(vpn)
 		}
@@ -450,8 +457,9 @@ func (s *Simulator) FlushTLBs() {
 	}
 }
 
-// Access implements trace.Sink: one data reference through the whole
-// simulated memory system, from the configured default address space.
+// Access is a one-reference convenience: one data reference through the
+// whole simulated memory system, from the configured default address space.
+// Streams go through ProcessBatch.
 func (s *Simulator) Access(va uint64, write bool) {
 	s.AccessFrom(s.cfg.ASID, va, write)
 }
@@ -473,7 +481,7 @@ func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
 	}
 }
 
-// step is the per-reference core shared by the scalar and batch paths:
+// step is the per-reference core of every path:
 // touch the OS, translate, and drive every TLB unit. The per-reference
 // sampler tick and invariant cadence live in the callers, so the batch
 // path can hoist their checks out of its inner loop.
@@ -511,17 +519,16 @@ func (s *Simulator) fault(asid core.ASID, vpn core.VPN) core.PFN {
 		panic("memsim: CPFN absent immediately after fault")
 	}
 	s.vanillaPT(asid).Set(vpn, pfn)
-	for arity := range s.arities {
+	for _, arity := range s.arities {
 		s.mosaicPT(asid, arity).SetCPFN(vpn, cpfn)
 	}
 	return pfn
 }
 
 // ProcessBatch implements trace.BatchSink: a whole batch of references
-// from the configured default address space, observing exactly the same
-// logical reference order — and therefore byte-identical counters,
-// histograms, sampler windows, and event ref-indices — as the equivalent
-// Access calls.
+// from the configured default address space. Results — counters,
+// histograms, sampler windows, event ref-indices — do not depend on where
+// batch boundaries fall.
 func (s *Simulator) ProcessBatch(b trace.Batch) {
 	s.ProcessBatchFrom(s.cfg.ASID, b)
 }
@@ -529,8 +536,8 @@ func (s *Simulator) ProcessBatch(b trace.Batch) {
 // ProcessBatchFrom is the batched AccessFrom. When neither the sampler
 // nor the invariant cadence needs a per-reference tick, the fault check,
 // translate, and unit dispatch run in a tight loop with the observer
-// branches hoisted out; otherwise each reference takes the full scalar
-// path so window boundaries land on identical reference indices.
+// branches hoisted out; otherwise each reference takes the AccessFrom path
+// so window boundaries land on the same reference indices at any batching.
 func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
 	if s.sampler != nil || s.cfg.CheckEvery > 0 {
 		for _, r := range b {
@@ -709,15 +716,6 @@ func (s *Simulator) walkTraffic(u *unit, path []uint64) {
 	}
 }
 
-// Run executes a workload through the simulator.
-func (s *Simulator) Run(w workloads.Workload) { w.Run(s) }
-
-// RunLimited executes a workload, stopping after maxRefs references.
-func (s *Simulator) RunLimited(w workloads.Workload, maxRefs uint64) {
-	lim := &trace.Limiter{Next: s, N: maxRefs}
-	w.Run(lim)
-}
-
 // Results snapshots the per-design-point outcomes.
 func (s *Simulator) Results() []Result {
 	out := make([]Result, 0, len(s.units))
@@ -764,7 +762,4 @@ func (s *Simulator) ResultFor(label string) (Result, bool) {
 	return Result{}, false
 }
 
-var (
-	_ trace.Sink      = (*Simulator)(nil)
-	_ trace.BatchSink = (*Simulator)(nil)
-)
+var _ trace.BatchSink = (*Simulator)(nil)

@@ -1,10 +1,12 @@
 package memsim
 
 import (
+	"reflect"
 	"testing"
 
 	"mosaic/internal/core"
 	"mosaic/internal/tlb"
+	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
 )
 
@@ -15,6 +17,14 @@ func newSim(t testing.TB, cfg Config) *Simulator {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// runWorkload drives w into s, stopping after maxRefs references (0 runs
+// the workload to completion).
+func runWorkload(s *Simulator, w workloads.Workload, maxRefs uint64) {
+	b := trace.NewBatcher(s, maxRefs)
+	w.Run(b)
+	b.Flush()
 }
 
 func specs(entries, ways int, arities ...int) []TLBSpec {
@@ -66,7 +76,7 @@ func TestSequentialScanMosaicWins(t *testing.T) {
 func TestWalksEqualMisses(t *testing.T) {
 	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4, 8)})
 	g := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 14, Seed: 1})
-	s.Run(g)
+	runWorkload(s, g, 0)
 	for _, r := range s.Results() {
 		if r.Walks != r.TLB.Misses {
 			t.Errorf("%s: walks %d != misses %d", r.Spec.Label(), r.Walks, r.TLB.Misses)
@@ -84,7 +94,7 @@ func TestGraph500MosaicReduction(t *testing.T) {
 	// The paper's headline (Figure 6a): Mosaic-4 substantially reduces
 	// Graph500 TLB misses at equal entry count.
 	s := newSim(t, Config{Frames: 1 << 18, Specs: specs(256, 8, 4, 16)})
-	s.Run(workloads.NewGraph500(workloads.Graph500Config{Scale: 13, Seed: 1}))
+	runWorkload(s, workloads.NewGraph500(workloads.Graph500Config{Scale: 13, Seed: 1}), 0)
 	rv, _ := s.ResultFor("Vanilla")
 	r4, _ := s.ResultFor("Mosaic-4")
 	r16, _ := s.ResultFor("Mosaic-16")
@@ -104,7 +114,7 @@ func TestAssociativityMonotonicityVanilla(t *testing.T) {
 	g := tlb.Geometry{Entries: 128, Ways: 1}
 	gFull := tlb.Geometry{Entries: 128, Ways: 128}
 	s := newSim(t, Config{Frames: 1 << 16, Specs: []TLBSpec{{Geometry: g}, {Geometry: gFull}}})
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 15, Updates: 1 << 15, Seed: 3}))
+	runWorkload(s, workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 15, Updates: 1 << 15, Seed: 3}), 0)
 	rs := s.Results()
 	direct, full := rs[0], rs[1]
 	if full.TLB.Misses > direct.TLB.Misses {
@@ -141,7 +151,7 @@ func TestCachesAccounting(t *testing.T) {
 		EnableCaches: true,
 		MemLatency:   100,
 	})
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 13, Updates: 1 << 13, Seed: 1}))
+	runWorkload(s, workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 13, Updates: 1 << 13, Seed: 1}), 0)
 	for _, r := range s.Results() {
 		if r.AMAT <= 0 {
 			t.Errorf("%s: AMAT = %f", r.Spec.Label(), r.AMAT)
@@ -161,10 +171,38 @@ func TestCachesAccounting(t *testing.T) {
 func TestRunLimited(t *testing.T) {
 	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8)})
 	g := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 20, Seed: 1})
-	s.RunLimited(g, 5000)
+	runWorkload(s, g, 5000)
 	r := s.Results()[0]
 	if r.TLB.Lookups() != 5000 {
 		t.Errorf("limited run saw %d lookups, want 5000", r.TLB.Lookups())
+	}
+}
+
+// TestArityOrderDeterministic: with caches on and several mosaic arities,
+// faults and evictions allocate page-table nodes for each arity from one
+// shared bump allocator, so the walk addresses — and with them the cache
+// cycle counts — depend on the order arities are visited. That order is
+// fixed (ascending), so repeated runs must agree exactly.
+func TestArityOrderDeterministic(t *testing.T) {
+	var first []Result
+	for i := 0; i < 4; i++ {
+		s := newSim(t, Config{
+			Frames:          1 << 12,
+			Specs:           specs(64, 8, 16, 4),
+			EnableCaches:    true,
+			EnableWalkCache: true,
+			MemLatency:      100,
+			Seed:            1,
+		})
+		runWorkload(s, workloads.NewXSBench(workloads.XSBenchConfig{TargetBytes: 2 << 20, Seed: 1}), 100_000)
+		got := s.Results()
+		if i == 0 {
+			first = got
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d diverged from run 0:\n%+v\nvs\n%+v", i, got, first)
+		}
 	}
 }
 

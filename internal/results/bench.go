@@ -15,8 +15,8 @@ type BenchResult struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds the b.ReportMetric custom columns (Mrefs/s, MB/s,
-	// reduction-%, …) keyed by unit, so throughput comparisons like
-	// batch-vs-scalar replay survive into BENCH_*.json.
+	// reduction-%, …) keyed by unit, so throughput comparisons survive
+	// into BENCH_*.json.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

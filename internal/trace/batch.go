@@ -1,13 +1,9 @@
 package trace
 
-import "sync"
-
-// Batched replay: the scalar Sink interface costs one dynamic dispatch per
-// reference, which caps replay throughput long before the simulator's own
-// work does. A Batch packs many references into one contiguous []Ref so the
-// stream crosses interface boundaries once per few thousand references, the
-// consumer's inner loop runs over cache-resident words, and decoders can
-// reuse one buffer for the life of a replay.
+// Batched delivery: a Batch packs many references into one contiguous []Ref
+// so the stream crosses interface boundaries once per few thousand
+// references, the consumer's inner loop runs over cache-resident words, and
+// decoders can reuse one buffer for the life of a replay.
 
 // Ref packs one reference into a single word: VA<<1 | writeBit. The VA must
 // be canonical (below 2^62, as the binary trace formats already require), so
@@ -32,77 +28,48 @@ func (r Ref) Write() bool { return r&1 != 0 }
 // Batch is a run of packed references in stream order.
 type Batch []Ref
 
-// DefaultBatchSize is the batch granularity the replay engine uses when the
-// caller does not choose one: 4096 refs = 32 KiB of packed words, small
-// enough to stay L1/L2-resident while amortizing per-batch dispatch to
-// nothing.
+// DefaultBatchSize is the batch granularity of a Batcher and of trace
+// replay: 4096 refs = 32 KiB of packed words, small enough to stay
+// L1/L2-resident while amortizing per-batch dispatch to nothing.
 const DefaultBatchSize = 4096
 
-// BatchSink consumes whole batches. The references in a batch are in stream
-// order and must be observed exactly as if delivered one Access at a time:
-// a BatchSink implementation may amortize dispatch and per-reference
-// branching, but not reorder or drop.
+// BatchSink consumes the reference stream in whole batches. The references
+// in a batch are in stream order, and a consumer's results must not depend
+// on where the batch boundaries fall: an implementation may amortize
+// dispatch and per-reference branching, but not reorder or drop.
 type BatchSink interface {
 	ProcessBatch(b Batch)
 }
 
-// BatchRunner is implemented by reference producers that can emit whole
-// batches natively — trace decoders and generators whose inner loop can
-// fill a []Ref directly. A BatchRunner must deliver the identical reference
-// stream its scalar Run would, batched at whatever granularity suits the
-// producer; the replay harness prefers this path because it removes the
-// last per-reference dynamic call from the pipeline.
-type BatchRunner interface {
-	RunBatches(sink BatchSink)
-}
-
-// Replay delivers the batch to a scalar sink in order.
-func (b Batch) Replay(sink Sink) {
-	for _, r := range b {
-		sink.Access(r.VA(), r.Write())
-	}
-}
-
-// sinkBatcher adapts a scalar Sink to BatchSink by unrolling batches.
-type sinkBatcher struct{ sink Sink }
-
-func (a sinkBatcher) ProcessBatch(b Batch) { b.Replay(a.sink) }
-
-// BatchSinkOf returns the sink's native batch path when it has one, and a
-// scalar-unrolling adapter otherwise, so replay loops can always be written
-// against BatchSink.
-func BatchSinkOf(s Sink) BatchSink {
-	if bs, ok := s.(BatchSink); ok {
-		return bs
-	}
-	return sinkBatcher{sink: s}
-}
-
-// Batcher is a Sink that accumulates references into a fixed-capacity batch
-// and hands full batches to Next. The per-reference cost is one packed store
-// and a boundary compare — no dynamic dispatch until a batch fills. Call
-// Flush after the stream ends to deliver the partial tail.
+// Batcher is the producer side of the reference stream: generators call
+// Access once per reference, and the Batcher packs references into a
+// DefaultBatchSize buffer and hands full batches to the sink. It also
+// carries the run's reference budget: it delivers exactly the first max
+// references, after which Done reports true and further Access calls are
+// dropped, so a capped producer stops by returning rather than by being
+// aborted. Call Flush after the stream ends to deliver the partial tail.
 type Batcher struct {
-	// Next receives each full batch and the flushed tail.
-	Next BatchSink
+	next BatchSink
 	buf  Batch
 	i    int
+	n    uint64 // references delivered
+	max  uint64 // budget; ^0 when unlimited
 }
 
-// NewBatcher builds a Batcher delivering batches of the given size
-// (DefaultBatchSize when size <= 0) to next.
-func NewBatcher(next BatchSink, size int) *Batcher {
-	if size <= 0 {
-		size = DefaultBatchSize
+// NewBatcher builds a Batcher delivering to next at most max references
+// (0 means unlimited).
+func NewBatcher(next BatchSink, max uint64) *Batcher {
+	if max == 0 {
+		max = ^uint64(0)
 	}
-	return &Batcher{Next: next, buf: make(Batch, size)}
+	return &Batcher{next: next, buf: make(Batch, min(max, DefaultBatchSize)), max: max}
 }
 
-// Access implements Sink. The body is MakeRef flattened by hand and the
-// batch-boundary store lives out of line in deliver: what remains — pack,
-// store, increment, one compare — sits under the compiler's inlining budget,
-// so producers that call Access on the concrete *Batcher get the whole fast
-// path inlined into their innermost loop.
+// Access emits one reference. The body is MakeRef flattened by hand and
+// both batch delivery and the budget live out of line in deliver: what
+// remains — pack, store, increment, one compare — sits under the compiler's
+// inlining budget, so producers calling Access on the concrete *Batcher get
+// the whole fast path inlined into their innermost loop.
 func (b *Batcher) Access(va uint64, write bool) {
 	r := Ref(va << 1)
 	if write {
@@ -116,7 +83,7 @@ func (b *Batcher) Access(va uint64, write bool) {
 	b.i++
 }
 
-// deliver stores the batch's final reference and hands the full buffer
+// deliver stores the buffer's final reference and hands the full buffer
 // downstream. It must stay out of line: inlined into Access, its dynamic
 // ProcessBatch call would push Access past the inlining budget, putting a
 // call back into every producer's innermost loop.
@@ -124,47 +91,38 @@ func (b *Batcher) Access(va uint64, write bool) {
 //go:noinline
 func (b *Batcher) deliver(r Ref) {
 	b.buf[b.i] = r
-	b.Next.ProcessBatch(b.buf)
-	b.i = 0
+	b.emit(b.i + 1)
 }
 
-// Flush delivers the buffered tail, if any. A stream ending mid-buffer hands
-// its partial batch downstream exactly once: delivery resets the fill index,
-// so a second Flush (or one right after a full-batch boundary) is a no-op.
-func (b *Batcher) Flush() {
-	if b.i > 0 {
-		b.Next.ProcessBatch(b.buf[:b.i])
-		b.i = 0
+// emit delivers the first k buffered references unless the budget is spent.
+// The buffer never holds more than the remaining budget — it is shortened
+// once fewer than a full batch remain — so the budget's final reference
+// lands exactly on a delivery and Done turns true right after it. Past the
+// budget the buffer keeps cycling and its contents are dropped.
+func (b *Batcher) emit(k int) {
+	b.i = 0
+	if b.Done() {
+		return
+	}
+	b.next.ProcessBatch(b.buf[:k])
+	b.n += uint64(k)
+	if left := b.max - b.n; left > 0 && left < uint64(len(b.buf)) {
+		b.buf = b.buf[:left]
 	}
 }
 
-// batcherPool recycles Batcher buffers across workload runs so a generator's
-// whole batch leg costs no per-run allocation beyond the pool hit.
-var batcherPool = sync.Pool{
-	New: func() any { return &Batcher{buf: make(Batch, DefaultBatchSize)} },
+// Flush delivers the buffered tail, if any. Delivery resets the fill index,
+// so a second Flush (or one right after a full-batch boundary, or once the
+// budget is spent) delivers nothing.
+func (b *Batcher) Flush() {
+	if b.i > 0 {
+		b.emit(b.i)
+	}
 }
 
-// GetBatcher returns a pooled Batcher (DefaultBatchSize) delivering to next.
-// Return it with PutBatcher when the run ends; the caller still flushes the
-// tail itself, on the normal path only, so an aborted run delivers nothing
-// past its abort point.
-func GetBatcher(next BatchSink) *Batcher {
-	b := batcherPool.Get().(*Batcher)
-	b.Next = next
-	b.i = 0
-	return b
-}
+// Done reports whether the budget is spent: every reference from here on is
+// dropped, so a producer may return.
+func (b *Batcher) Done() bool { return b.n == b.max }
 
-// PutBatcher recycles b. Safe to call with undelivered references buffered
-// (an aborted run): they are discarded, never delivered. The sink reference
-// is dropped so the pool does not pin it.
-func PutBatcher(b *Batcher) {
-	b.Next = nil
-	b.i = 0
-	batcherPool.Put(b)
-}
-
-var (
-	_ Sink      = (*Batcher)(nil)
-	_ BatchSink = sinkBatcher{}
-)
+// Delivered is the number of references handed to the sink so far.
+func (b *Batcher) Delivered() uint64 { return b.n }

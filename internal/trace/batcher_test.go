@@ -24,30 +24,55 @@ func (r *batchRecorder) refs() []Ref {
 	return out
 }
 
+func (r *batchRecorder) accesses() []Access {
+	var out []Access
+	for _, ref := range r.refs() {
+		out = append(out, Access{VA: ref.VA(), Write: ref.Write()})
+	}
+	return out
+}
+
+// emitStream drives n references into b, stopping early once the budget is
+// spent, the way a generator does, and returns how many it emitted.
+func emitStream(b *Batcher, n int) int {
+	for i := 0; i < n; i++ {
+		if b.Done() {
+			return i
+		}
+		b.Access(uint64(i)<<12, i%3 == 0)
+	}
+	return n
+}
+
+// checkPrefix requires the recorded stream to be exactly the first n
+// references emitStream produces.
+func checkPrefix(t *testing.T, rec *batchRecorder, n int) {
+	t.Helper()
+	refs := rec.refs()
+	if len(refs) != n {
+		t.Fatalf("delivered %d refs, want %d", len(refs), n)
+	}
+	for i, r := range refs {
+		if r.VA() != uint64(i)<<12 || r.Write() != (i%3 == 0) {
+			t.Fatalf("ref %d = (%#x, %v), want (%#x, %v)",
+				i, r.VA(), r.Write(), uint64(i)<<12, i%3 == 0)
+		}
+	}
+}
+
 // TestBatcherTailFlushedExactlyOnce is the tail-handling contract: a stream
 // whose length is not a multiple of the batch size delivers its partial tail
 // exactly once, and a second Flush delivers nothing more.
 func TestBatcherTailFlushedExactlyOnce(t *testing.T) {
-	const size = 8
+	const size = DefaultBatchSize
 	for _, n := range []int{1, size - 1, size, size + 1, 3*size - 5, 3 * size} {
 		var rec batchRecorder
-		b := NewBatcher(&rec, size)
-		for i := 0; i < n; i++ {
-			b.Access(uint64(i)<<12, i%3 == 0)
-		}
+		b := NewBatcher(&rec, 0)
+		emitStream(b, n)
 		b.Flush()
 		b.Flush() // must be a no-op: the tail was already delivered
 
-		refs := rec.refs()
-		if len(refs) != n {
-			t.Fatalf("n=%d: delivered %d refs, want %d", n, len(refs), n)
-		}
-		for i, r := range refs {
-			if r.VA() != uint64(i)<<12 || r.Write() != (i%3 == 0) {
-				t.Fatalf("n=%d: ref %d = (%#x, %v), want (%#x, %v)",
-					n, i, r.VA(), r.Write(), uint64(i)<<12, i%3 == 0)
-			}
-		}
+		checkPrefix(t, &rec, n)
 		// Every batch but the last must be exactly full; the last carries
 		// the remainder (or a full batch when n divides evenly).
 		for bi, batch := range rec.batches {
@@ -61,6 +86,9 @@ func TestBatcherTailFlushedExactlyOnce(t *testing.T) {
 				t.Fatalf("n=%d: batch %d has %d refs, want %d", n, bi, len(batch), want)
 			}
 		}
+		if b.Delivered() != uint64(n) || b.Done() {
+			t.Fatalf("n=%d: Delivered=%d Done=%v, want %d and false", n, b.Delivered(), b.Done(), n)
+		}
 	}
 }
 
@@ -69,14 +97,12 @@ func TestBatcherTailFlushedExactlyOnce(t *testing.T) {
 // boundary. Neither may deliver an empty batch.
 func TestBatcherFlushOnEmptyDeliversNothing(t *testing.T) {
 	var rec batchRecorder
-	b := NewBatcher(&rec, 4)
+	b := NewBatcher(&rec, 0)
 	b.Flush()
 	if len(rec.batches) != 0 {
 		t.Fatalf("Flush on fresh Batcher delivered %d batches, want 0", len(rec.batches))
 	}
-	for i := 0; i < 4; i++ {
-		b.Access(uint64(i), false)
-	}
+	emitStream(b, DefaultBatchSize)
 	if len(rec.batches) != 1 {
 		t.Fatalf("full buffer delivered %d batches, want 1", len(rec.batches))
 	}
@@ -86,29 +112,52 @@ func TestBatcherFlushOnEmptyDeliversNothing(t *testing.T) {
 	}
 }
 
-// TestGetBatcherReusesCleanState exercises the pool round-trip: a Batcher
-// returned with buffered (aborted) references must come back empty, deliver
-// to the new sink only, and use the default batch size.
-func TestGetBatcherReusesCleanState(t *testing.T) {
-	var abandoned batchRecorder
-	b := GetBatcher(&abandoned)
-	for i := 0; i < 100; i++ {
-		b.Access(uint64(i), false) // buffered, never flushed — an aborted run
+// TestBatcherBudget pins the run budget: a Batcher capped at max delivers
+// exactly the first max references, Done turns true on the very reference
+// that spends the budget (so a producer checking Done stops there), and
+// nothing — further Access calls or a Flush — delivers past it.
+func TestBatcherBudget(t *testing.T) {
+	const size = DefaultBatchSize
+	const stream = 5 * size
+	for _, max := range []int{1, size - 1, size, size + 1, 3 * size, 0, stream + 7} {
+		var rec batchRecorder
+		b := NewBatcher(&rec, uint64(max))
+		want := max
+		if max == 0 || max > stream {
+			want = stream
+		}
+		for i := 0; i < stream; i++ {
+			if done := b.Done(); done != (max != 0 && i >= max) {
+				t.Fatalf("max=%d: Done()=%v after %d refs emitted (%d delivered)", max, done, i, b.Delivered())
+			}
+			if b.Done() {
+				break
+			}
+			b.Access(uint64(i)<<12, i%3 == 0)
+			if max != 0 && i+1 == max && b.Delivered() != uint64(max) {
+				t.Fatalf("max=%d: the budget's last ref left %d delivered", max, b.Delivered())
+			}
+		}
+		// Emitting past a spent budget — enough to cycle the buffer more
+		// than once — is harmless: the refs are dropped, and the Flush
+		// after Done delivers none of them.
+		if b.Done() {
+			for i := 0; i < 2*size+3; i++ {
+				b.Access(0xdead000, true)
+			}
+		}
+		b.Flush()
+		checkPrefix(t, &rec, want)
+		if b.Delivered() != uint64(want) {
+			t.Fatalf("max=%d: Delivered()=%d, want %d", max, b.Delivered(), want)
+		}
+		if b.Done() != (max != 0 && max <= stream) {
+			t.Fatalf("max=%d: Done()=%v at end of stream", max, b.Done())
+		}
+		for _, batch := range rec.batches {
+			if len(batch) == 0 || len(batch) > size {
+				t.Fatalf("max=%d: delivered a batch of %d refs", max, len(batch))
+			}
+		}
 	}
-	PutBatcher(b)
-	if len(abandoned.batches) != 0 {
-		t.Fatalf("aborted refs were delivered: %d batches", len(abandoned.batches))
-	}
-
-	var rec batchRecorder
-	b2 := GetBatcher(&rec)
-	b2.Access(0x1000, true)
-	b2.Flush()
-	if got := rec.refs(); len(got) != 1 || got[0].VA() != 0x1000 || !got[0].Write() {
-		t.Fatalf("pooled Batcher delivered %v, want exactly [(0x1000, write)]", got)
-	}
-	if len(rec.batches[0]) != 1 {
-		t.Fatalf("pooled Batcher tail had %d refs, want 1 (stale fill index?)", len(rec.batches[0]))
-	}
-	PutBatcher(b2)
 }

@@ -1,6 +1,7 @@
 // Package trace defines the memory-reference stream flowing from workloads
-// into the memory-system simulator, with capture, replay, and a compact
-// binary encoding for storing traces on disk.
+// into the memory-system simulator: packed references delivered in whole
+// batches (Batcher on the producer side, BatchSink on the consumer side),
+// plus the compact binary encodings for storing traces on disk.
 package trace
 
 import (
@@ -19,90 +20,10 @@ type Access struct {
 	Write bool
 }
 
-// Sink consumes a reference stream. Workloads emit every data reference
-// they perform into a Sink; the simulator, recorders, and counters all
-// implement it.
-type Sink interface {
-	Access(va uint64, write bool)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(va uint64, write bool)
-
-// Access implements Sink.
-func (f SinkFunc) Access(va uint64, write bool) { f(va, write) }
-
-// Discard is a Sink that drops all references (for dry runs).
-var Discard Sink = SinkFunc(func(uint64, bool) {})
-
-// Tee duplicates a stream to several sinks in order.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(va uint64, write bool) {
-		for _, s := range sinks {
-			s.Access(va, write)
-		}
-	})
-}
-
-// Counter is a Sink that counts references.
-type Counter struct {
-	Reads, Writes uint64
-}
-
-// Access implements Sink.
-func (c *Counter) Access(va uint64, write bool) {
-	if write {
-		c.Writes++
-	} else {
-		c.Reads++
-	}
-}
-
-// Total is Reads + Writes.
-func (c *Counter) Total() uint64 { return c.Reads + c.Writes }
-
-// Limiter forwards at most N references to Next, then ignores the rest
-// (and reports saturation). It lets experiments cap very long workloads.
-type Limiter struct {
-	Next Sink
-	N    uint64
-	seen uint64
-}
-
-// Access implements Sink.
-func (l *Limiter) Access(va uint64, write bool) {
-	if l.seen >= l.N {
-		return
-	}
-	l.seen++
-	l.Next.Access(va, write)
-}
-
-// Saturated reports whether the limit was reached.
-func (l *Limiter) Saturated() bool { return l.seen >= l.N }
-
-// Seen is the number of forwarded references.
-func (l *Limiter) Seen() uint64 { return l.seen }
-
-// Recorder is a Sink that retains the stream in memory.
-type Recorder struct {
-	Accesses []Access
-}
-
-// Access implements Sink.
-func (r *Recorder) Access(va uint64, write bool) {
-	r.Accesses = append(r.Accesses, Access{VA: va, Write: write})
-}
-
-// Replay feeds the recorded stream into sink.
-func (r *Recorder) Replay(sink Sink) {
-	for _, a := range r.Accesses {
-		sink.Access(a.VA, a.Write)
-	}
-}
-
-// Binary format: magic, version, then per record a varint holding
+// Binary format v1: magic, then per record a varint holding
 // (zigzag(VA delta) << 1 | write). Deltas keep sequential patterns tiny.
+// v1 is read-only: captures are written in the framed v2 format
+// (tracev2.go), and ConvertV1 transcodes old v1 files.
 var magic = [4]byte{'M', 'T', 'R', '1'}
 
 // ErrBadTrace reports a malformed trace stream.
@@ -116,71 +37,10 @@ var ErrBadTrace = errors.New("trace: malformed trace")
 // beyond the canonical range.
 var ErrNonCanonical = errors.New("trace: stream outside the canonical encoding")
 
-// Writer streams accesses to an io.Writer in the binary format.
-type Writer struct {
-	w      *bufio.Writer
-	prevVA uint64
-	n      uint64
-	err    error
-	buf    [binary.MaxVarintLen64 + 1]byte
-}
-
-// NewWriter creates a Writer and emits the header.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Access implements Sink. va must be a canonical virtual address (below
-// 2^62, comfortably above any architecture's VA width) so that the
-// zigzagged delta fits the 63 bits the record format allots it. A
-// non-canonical address sets a sticky ErrNonCanonical and drops the record
-// (and all subsequent ones): Sink has no error return, so — like encoding
-// errors — the failure is reported by Err and Flush rather than by
-// panicking in the middle of a long-running capture.
-func (w *Writer) Access(va uint64, write bool) {
-	if w.err != nil {
-		return
-	}
-	if va >= 1<<62 {
-		w.err = fmt.Errorf("%w: %#x in record %d", ErrNonCanonical, va, w.n)
-		return
-	}
-	d := zigzag(int64(va - w.prevVA))
-	w.prevVA = va
-	v := d << 1
-	if write {
-		v |= 1
-	}
-	n := binary.PutUvarint(w.buf[:], v)
-	_, _ = w.w.Write(w.buf[:n])
-	w.n++
-}
-
-// Count is the number of records written.
-func (w *Writer) Count() uint64 { return w.n }
-
-// Err reports the first error the Writer encountered (ErrNonCanonical
-// input, for now), or nil. Once set, the Writer drops further records.
-func (w *Writer) Err() error { return w.err }
-
-// Flush commits buffered records. It returns the Writer's sticky error, if
-// any, so capture pipelines that only check Flush still see encoding
-// failures.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Reader decodes a binary trace.
+// Reader decodes a v1 binary trace.
 type Reader struct {
 	r      *bufio.Reader
 	prevVA uint64
@@ -211,20 +71,4 @@ func (r *Reader) Next() (Access, error) {
 	write := v&1 != 0
 	r.prevVA += uint64(unzigzag(v >> 1))
 	return Access{VA: r.prevVA, Write: write}, nil
-}
-
-// ReplayAll streams every record into sink, returning the record count.
-func (r *Reader) ReplayAll(sink Sink) (uint64, error) {
-	var n uint64
-	for {
-		a, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		sink.Access(a.VA, a.Write)
-		n++
-	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -9,99 +10,24 @@ import (
 	"testing/quick"
 )
 
-func TestSinkHelpers(t *testing.T) {
-	var c Counter
-	Tee(&c, Discard).Access(100, false)
-	Tee(&c, Discard).Access(200, true)
-	if c.Reads != 1 || c.Writes != 1 || c.Total() != 2 {
-		t.Errorf("counter = %+v", c)
-	}
-}
-
-func TestTeeFanOutOrder(t *testing.T) {
-	// Every sink sees every reference, in sink order per reference — the
-	// property memsim's dual-TLB methodology and tracegen's capture path
-	// both depend on.
-	var got []int
-	mk := func(id int) Sink {
-		return SinkFunc(func(va uint64, write bool) {
-			got = append(got, id)
-			if va != 42 || !write {
-				t.Errorf("sink %d saw (%d, %v)", id, va, write)
-			}
-		})
-	}
-	tee := Tee(mk(0), mk(1), mk(2))
-	tee.Access(42, true)
-	tee.Access(42, true)
-	want := []int{0, 1, 2, 0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("deliveries = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deliveries = %v, want %v", got, want)
+// encodeV1 is a test-only v1 encoder: the magic followed by one varint of
+// (zigzag(VA delta) << 1 | write) per record. Captures are written as v2;
+// v1 bytes exist only to exercise the read-only v1 path.
+func encodeV1(accesses []Access) []byte {
+	out := append([]byte(nil), magic[:]...)
+	prevVA := uint64(0)
+	for _, a := range accesses {
+		v := zigzag(int64(a.VA-prevVA)) << 1
+		prevVA = a.VA
+		if a.Write {
+			v |= 1
 		}
+		out = binary.AppendUvarint(out, v)
 	}
-}
-
-func TestTeeEmpty(t *testing.T) {
-	// A tee with no sinks is a valid discard.
-	Tee().Access(7, false)
-}
-
-func TestCounterClassifiesReadsAndWrites(t *testing.T) {
-	var c Counter
-	rng := rand.New(rand.NewSource(3))
-	var reads, writes uint64
-	for i := 0; i < 1000; i++ {
-		w := rng.Intn(2) == 1
-		if w {
-			writes++
-		} else {
-			reads++
-		}
-		c.Access(rng.Uint64(), w)
-	}
-	if c.Reads != reads || c.Writes != writes {
-		t.Errorf("counter = %+v, want reads=%d writes=%d", c, reads, writes)
-	}
-	if c.Total() != reads+writes {
-		t.Errorf("Total() = %d, want %d", c.Total(), reads+writes)
-	}
-}
-
-func TestLimiter(t *testing.T) {
-	var c Counter
-	l := &Limiter{Next: &c, N: 3}
-	for i := 0; i < 10; i++ {
-		l.Access(uint64(i), false)
-	}
-	if c.Total() != 3 || !l.Saturated() || l.Seen() != 3 {
-		t.Errorf("limiter forwarded %d (saturated=%v)", c.Total(), l.Saturated())
-	}
-}
-
-func TestRecorderReplay(t *testing.T) {
-	var r Recorder
-	r.Access(10, false)
-	r.Access(20, true)
-	var c Counter
-	r.Replay(&c)
-	if c.Reads != 1 || c.Writes != 1 {
-		t.Errorf("replay = %+v", c)
-	}
-	if len(r.Accesses) != 2 || r.Accesses[1] != (Access{VA: 20, Write: true}) {
-		t.Errorf("recorded = %+v", r.Accesses)
-	}
+	return out
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	var want []Access
 	va := uint64(0x10000000)
@@ -116,16 +42,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		}
 		a := Access{VA: va, Write: rng.Intn(4) == 0}
 		want = append(want, a)
-		w.Access(a.VA, a.Write)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(want)) {
-		t.Fatalf("Count = %d", w.Count())
-	}
-
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(encodeV1(want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,31 +61,34 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayAll replays a whole v1 trace into a batch sink.
 func TestReplayAll(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var want []Access
 	for i := 0; i < 100; i++ {
-		w.Access(uint64(i)*4096, i%2 == 0)
+		want = append(want, Access{VA: uint64(i) * 4096, Write: i%2 == 0})
 	}
-	_ = w.Flush()
-	r, _ := NewReader(&buf)
-	var c Counter
-	n, err := r.ReplayAll(&c)
+	r, _ := NewReader(bytes.NewReader(encodeV1(want)))
+	var rec batchRecorder
+	n, err := r.ReplayBatches(&rec)
 	if err != nil || n != 100 {
-		t.Fatalf("ReplayAll = %d, %v", n, err)
+		t.Fatalf("ReplayBatches = %d, %v", n, err)
 	}
-	if c.Reads != 50 || c.Writes != 50 {
-		t.Errorf("counter = %+v", c)
+	for i, a := range rec.accesses() {
+		if a != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, a, want[i])
+		}
 	}
 }
 
 func TestSequentialTraceIsCompact(t *testing.T) {
 	// Delta encoding: a sequential scan must cost ~1 byte per record.
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := 0; i < 10000; i++ {
-		w.Access(0x10000000+uint64(i)*8, false)
+	w, _ := NewBatchWriter(&buf)
+	b := make(Batch, 10000)
+	for i := range b {
+		b[i] = MakeRef(0x10000000+uint64(i)*8, false)
 	}
+	_ = w.WriteBatch(b)
 	_ = w.Flush()
 	if perRec := float64(buf.Len()) / 10000; perRec > 1.5 {
 		t.Errorf("sequential trace costs %.2f bytes/record", perRec)
@@ -195,15 +116,11 @@ func TestVARoundTripProperty(t *testing.T) {
 		for i := range vas {
 			vas[i] &= 1<<57 - 1 // canonical VA range
 		}
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for _, va := range vas {
-			w.Access(va, va%3 == 0)
+		accesses := make([]Access, len(vas))
+		for i, va := range vas {
+			accesses[i] = Access{VA: va, Write: va%3 == 0}
 		}
-		if w.Flush() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
+		r, err := NewReader(bytes.NewReader(encodeV1(accesses)))
 		if err != nil {
 			return false
 		}
@@ -221,19 +138,21 @@ func TestVARoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestWriterNonCanonicalAddress verifies the steady-state failure mode: a
-// non-canonical VA must not panic (the writer may sit under a long-running
-// capture); it sets a sticky error surfaced by both Err and Flush, and the
-// writer drops all subsequent records.
+// TestWriterNonCanonicalAddress verifies the steady-state failure mode of
+// a capture pipeline: a non-canonical VA delivered through ProcessBatch
+// (which has no error return) must not panic; it sets a sticky error
+// surfaced by both Err and Flush, and the writer drops all subsequent
+// records.
 func TestWriterNonCanonicalAddress(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewBatchWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Access(0x1000, false)
-	w.Access(1<<62, true) // non-canonical
-	w.Access(0x2000, false)
+	var sink BatchSink = w
+	sink.ProcessBatch(Batch{MakeRef(0x1000, false)})
+	sink.ProcessBatch(Batch{Ref(uint64(1) << 63)}) // VA 2^62: non-canonical
+	sink.ProcessBatch(Batch{MakeRef(0x2000, false)})
 	if w.Count() != 1 {
 		t.Errorf("Count = %d, want 1 (records after the error must be dropped)", w.Count())
 	}
@@ -248,23 +167,21 @@ func TestWriterNonCanonicalAddress(t *testing.T) {
 // TestWriterCanonicalBoundary pins the boundary: 2^62-1 encodes, 2^62 fails.
 func TestWriterCanonicalBoundary(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewBatchWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Access(1<<62-1, false)
-	if w.Err() != nil {
-		t.Fatalf("2^62-1 must be canonical, got %v", w.Err())
+	if err := w.WriteBatch(Batch{MakeRef(1<<62-1, false)}); err != nil {
+		t.Fatalf("2^62-1 must be canonical, got %v", err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got := readAllV2(t, buf.Bytes())
+	if len(got) != 1 || got[0].VA != 1<<62-1 {
+		t.Fatalf("round trip of boundary VA: %+v", got)
 	}
-	a, err := r.Next()
-	if err != nil || a.VA != 1<<62-1 {
-		t.Fatalf("round trip of boundary VA: %+v, %v", a, err)
+	if err := w.WriteBatch(Batch{Ref(uint64(1) << 63)}); !errors.Is(err, ErrNonCanonical) {
+		t.Fatalf("2^62 must be non-canonical, got %v", err)
 	}
 }

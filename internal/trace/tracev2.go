@@ -33,7 +33,7 @@ const MaxFrameRecords = 1 << 20
 const maxRecordBytes = binary.MaxVarintLen64
 
 // BatchWriter streams batches to an io.Writer in the v2 format, one frame
-// per WriteBatch call. Like Writer, errors are sticky: a non-canonical VA
+// per WriteBatch call. Errors are sticky: a non-canonical VA
 // or an underlying write failure drops all further frames and is reported
 // by Err and Flush.
 type BatchWriter struct {
@@ -218,12 +218,6 @@ func (r *BatchReader) ReplayBatches(sink BatchSink) (uint64, error) {
 	}
 }
 
-// ReplayAll streams every record into a scalar sink, returning the record
-// count. Prefer ReplayBatches when the sink has a batch path.
-func (r *BatchReader) ReplayAll(sink Sink) (uint64, error) {
-	return r.ReplayBatches(BatchSinkOf(sink))
-}
-
 // ReadBatch decodes up to cap(buf) records (DefaultBatchSize when buf has
 // no capacity) from a v1 trace into buf's backing storage, so v1 streams
 // replay through the batched path too; io.EOF signals a clean end. Only the
@@ -232,8 +226,8 @@ func (r *BatchReader) ReplayAll(sink Sink) (uint64, error) {
 // waiting for more bytes, so a live stream (a session fed through a pipe)
 // observes every record with bounded delay instead of stalling until a
 // full batch accumulates. A mid-batch decode error returns the records
-// decoded before it alongside the error; callers that want scalar-ReplayAll
-// semantics must consume that partial batch before handling the error.
+// decoded before it alongside the error; callers must consume that partial
+// batch before handling the error.
 func (r *Reader) ReadBatch(buf Batch) (Batch, error) {
 	max := cap(buf)
 	if max == 0 {
@@ -259,8 +253,7 @@ func (r *Reader) ReadBatch(buf Batch) (Batch, error) {
 // ReplayBatches streams the v1 trace into sink in DefaultBatchSize batches,
 // returning the record count. A malformed stream delivers every record
 // decoded before the error — ReadBatch can return records alongside a
-// non-EOF error — so the delivered stream and count match what the scalar
-// ReplayAll produces on the same bytes.
+// non-EOF error — so a truncated capture still replays its intact prefix.
 func (r *Reader) ReplayBatches(sink BatchSink) (uint64, error) {
 	var n uint64
 	buf := make(Batch, 0, DefaultBatchSize)
@@ -282,8 +275,6 @@ func (r *Reader) ReplayBatches(sink BatchSink) (uint64, error) {
 
 // Source is a replayable trace stream of either binary format.
 type Source interface {
-	// ReplayAll streams every record into a scalar sink.
-	ReplayAll(sink Sink) (uint64, error)
 	// ReplayBatches streams every record into a batch sink.
 	ReplayBatches(sink BatchSink) (uint64, error)
 }

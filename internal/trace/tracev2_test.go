@@ -64,13 +64,11 @@ func readAllV2(t *testing.T, data []byte) []Access {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Access
-	var rec Recorder
-	if _, err := r.ReplayAll(&rec); err != nil {
+	var rec batchRecorder
+	if _, err := r.ReplayBatches(&rec); err != nil {
 		t.Fatal(err)
 	}
-	out = rec.Accesses
-	return out
+	return rec.accesses()
 }
 
 func TestBatchRefPacking(t *testing.T) {
@@ -211,19 +209,8 @@ func TestBatchReaderRejectsLyingHeaders(t *testing.T) {
 
 func TestConvertV1(t *testing.T) {
 	accesses := mkAccesses(20_000, 7)
-	var v1 bytes.Buffer
-	w, err := NewWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range accesses {
-		w.Access(a.VA, a.Write)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var v2 bytes.Buffer
-	n, err := ConvertV1(&v2, bytes.NewReader(v1.Bytes()))
+	n, err := ConvertV1(&v2, bytes.NewReader(encodeV1(accesses)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,31 +227,23 @@ func TestConvertV1(t *testing.T) {
 
 func TestOpenSniffsBothFormats(t *testing.T) {
 	accesses := mkAccesses(3_000, 3)
-	var v1 bytes.Buffer
-	w, _ := NewWriter(&v1)
-	for _, a := range accesses {
-		w.Access(a.VA, a.Write)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	v2 := writeV2(t, accesses, 1000)
 
-	for name, data := range map[string][]byte{"v1": v1.Bytes(), "v2": v2} {
+	for name, data := range map[string][]byte{"v1": encodeV1(accesses), "v2": v2} {
 		src, err := Open(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: Open: %v", name, err)
 		}
-		var rec Recorder
-		n, err := src.ReplayBatches(BatchSinkOf(&rec))
+		var rec batchRecorder
+		n, err := src.ReplayBatches(&rec)
 		if err != nil {
 			t.Fatalf("%s: ReplayBatches: %v", name, err)
 		}
 		if n != uint64(len(accesses)) {
 			t.Fatalf("%s: replayed %d, want %d", name, n, len(accesses))
 		}
-		for i := range rec.Accesses {
-			if rec.Accesses[i] != accesses[i] {
+		for i, a := range rec.accesses() {
+			if a != accesses[i] {
 				t.Fatalf("%s: record %d diverged", name, i)
 			}
 		}
@@ -276,15 +255,7 @@ func TestOpenSniffsBothFormats(t *testing.T) {
 
 func TestV1ReaderReadBatch(t *testing.T) {
 	accesses := mkAccesses(10_000, 11)
-	var v1 bytes.Buffer
-	w, _ := NewWriter(&v1)
-	for _, a := range accesses {
-		w.Access(a.VA, a.Write)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(v1.Bytes()))
+	r, err := NewReader(bytes.NewReader(encodeV1(accesses)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,56 +282,35 @@ func TestV1ReaderReadBatch(t *testing.T) {
 	}
 }
 
-// TestV1ReplayBatchesDeliversPartialOnError pins batched-vs-scalar parity
-// on a malformed v1 stream: the scalar ReplayAll delivers every record up
-// to the decode error, so ReplayBatches must deliver the same records and
-// report the same count rather than discarding the partial batch the
+// TestV1ReplayBatchesDeliversPartialOnError pins the error path on a
+// malformed v1 stream: every record decoded before the error must be
+// delivered and counted, rather than discarding the partial batch the
 // error arrived with.
 func TestV1ReplayBatchesDeliversPartialOnError(t *testing.T) {
 	accesses := mkAccesses(1_000, 5)
-	var v1 bytes.Buffer
-	w, _ := NewWriter(&v1)
-	for _, a := range accesses {
-		w.Access(a.VA, a.Write)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	// An unterminated varint after the valid records makes decoding fail
 	// mid-stream.
-	data := append(v1.Bytes(), 0x80)
+	data := append(encodeV1(accesses), 0x80)
 
-	rScalar, err := NewReader(bytes.NewReader(data))
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recScalar Recorder
-	nScalar, errScalar := rScalar.ReplayAll(&recScalar)
-	if errScalar == nil {
-		t.Fatal("corrupt stream replayed cleanly through ReplayAll")
-	}
-	if nScalar != uint64(len(accesses)) {
-		t.Fatalf("ReplayAll delivered %d records before the error, want %d", nScalar, len(accesses))
-	}
-
-	rBatch, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recBatch Recorder
-	nBatch, errBatch := rBatch.ReplayBatches(BatchSinkOf(&recBatch))
-	if errBatch == nil {
+	var rec batchRecorder
+	n, err := r.ReplayBatches(&rec)
+	if err == nil {
 		t.Fatal("corrupt stream replayed cleanly through ReplayBatches")
 	}
-	if nBatch != nScalar {
-		t.Fatalf("ReplayBatches delivered %d records, scalar path delivered %d", nBatch, nScalar)
+	if n != uint64(len(accesses)) {
+		t.Fatalf("ReplayBatches delivered %d records before the error, want %d", n, len(accesses))
 	}
-	if len(recBatch.Accesses) != len(recScalar.Accesses) {
-		t.Fatalf("batched sink saw %d records, scalar sink saw %d", len(recBatch.Accesses), len(recScalar.Accesses))
+	got := rec.accesses()
+	if len(got) != len(accesses) {
+		t.Fatalf("sink saw %d records, want %d", len(got), len(accesses))
 	}
-	for i := range recBatch.Accesses {
-		if recBatch.Accesses[i] != recScalar.Accesses[i] {
-			t.Fatalf("record %d diverged between the batched and scalar error paths", i)
+	for i := range got {
+		if got[i] != accesses[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], accesses[i])
 		}
 	}
 }

@@ -59,27 +59,15 @@ func NewU64Array(a *Arena, n int) *U64Array {
 // Addr is the address of element i.
 func (arr *U64Array) Addr(i int) uint64 { return arr.VA + uint64(i)*8 }
 
-// Get reads element i, emitting the reference.
-func (arr *U64Array) Get(sink trace.Sink, i int) uint64 {
-	sink.Access(arr.Addr(i), false)
-	return arr.Data[i]
-}
-
-// Set writes element i, emitting the reference.
-func (arr *U64Array) Set(sink trace.Sink, i int, v uint64) {
-	sink.Access(arr.Addr(i), true)
-	arr.Data[i] = v
-}
-
-// GetB is Get's batch leg: the reference is packed straight into the
-// batcher's buffer, no interface dispatch until a batch fills.
-func (arr *U64Array) GetB(b *trace.Batcher, i int) uint64 {
+// Get reads element i, emitting the reference: it is packed straight into
+// the batcher's buffer, no interface dispatch until a batch fills.
+func (arr *U64Array) Get(b *trace.Batcher, i int) uint64 {
 	b.Access(arr.Addr(i), false)
 	return arr.Data[i]
 }
 
-// SetB is Set's batch leg.
-func (arr *U64Array) SetB(b *trace.Batcher, i int, v uint64) {
+// Set writes element i, emitting the reference.
+func (arr *U64Array) Set(b *trace.Batcher, i int, v uint64) {
 	b.Access(arr.Addr(i), true)
 	arr.Data[i] = v
 }
@@ -102,25 +90,13 @@ func NewF64Array(a *Arena, n int) *F64Array {
 func (arr *F64Array) Addr(i int) uint64 { return arr.VA + uint64(i)*8 }
 
 // Get reads element i, emitting the reference.
-func (arr *F64Array) Get(sink trace.Sink, i int) float64 {
-	sink.Access(arr.Addr(i), false)
-	return arr.Data[i]
-}
-
-// Set writes element i, emitting the reference.
-func (arr *F64Array) Set(sink trace.Sink, i int, v float64) {
-	sink.Access(arr.Addr(i), true)
-	arr.Data[i] = v
-}
-
-// GetB is Get's batch leg.
-func (arr *F64Array) GetB(b *trace.Batcher, i int) float64 {
+func (arr *F64Array) Get(b *trace.Batcher, i int) float64 {
 	b.Access(arr.Addr(i), false)
 	return arr.Data[i]
 }
 
-// SetB is Set's batch leg.
-func (arr *F64Array) SetB(b *trace.Batcher, i int, v float64) {
+// Set writes element i, emitting the reference.
+func (arr *F64Array) Set(b *trace.Batcher, i int, v float64) {
 	b.Access(arr.Addr(i), true)
 	arr.Data[i] = v
 }
@@ -143,25 +119,13 @@ func NewU32Array(a *Arena, n int) *U32Array {
 func (arr *U32Array) Addr(i int) uint64 { return arr.VA + uint64(i)*4 }
 
 // Get reads element i, emitting the reference.
-func (arr *U32Array) Get(sink trace.Sink, i int) uint32 {
-	sink.Access(arr.Addr(i), false)
-	return arr.Data[i]
-}
-
-// Set writes element i, emitting the reference.
-func (arr *U32Array) Set(sink trace.Sink, i int, v uint32) {
-	sink.Access(arr.Addr(i), true)
-	arr.Data[i] = v
-}
-
-// GetB is Get's batch leg.
-func (arr *U32Array) GetB(b *trace.Batcher, i int) uint32 {
+func (arr *U32Array) Get(b *trace.Batcher, i int) uint32 {
 	b.Access(arr.Addr(i), false)
 	return arr.Data[i]
 }
 
-// SetB is Set's batch leg.
-func (arr *U32Array) SetB(b *trace.Batcher, i int, v uint32) {
+// Set writes element i, emitting the reference.
+func (arr *U32Array) Set(b *trace.Batcher, i int, v uint32) {
 	b.Access(arr.Addr(i), true)
 	arr.Data[i] = v
 }

@@ -97,22 +97,18 @@ func (t *BTree) FootprintBytes() uint64 {
 // Depth is the tree height after Run.
 func (t *BTree) Depth() int { return t.depth }
 
-// Run implements Workload. The build and lookup loops live on the batch
-// leg; the scalar path unrolls the same batches through the sink, so both
-// legs emit the identical reference stream by construction.
-func (t *BTree) Run(sink trace.Sink) { t.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: bulk-load the index, then
-// perform random point lookups, emitting whole batches.
-func (t *BTree) RunBatches(sink trace.BatchSink) {
-	b := trace.GetBatcher(sink)
-	defer trace.PutBatcher(b)
+// Run implements Workload: bulk-load the index, then perform random point
+// lookups.
+func (t *BTree) Run(b *trace.Batcher) {
 	rnd := rng.Derive(t.cfg.Seed, 0x6274726565) // "btree"
 	t.build(b, rnd)
 	hits := 0
 	for i := 0; i < t.cfg.Lookups; i++ {
+		if b.Done() {
+			return
+		}
 		key := t.keys[rnd.Intn(len(t.keys))]
-		if _, ok := t.lookup(b, key); ok {
+		if _, ok := t.Lookup(b, key); ok {
 			hits++
 		}
 	}
@@ -120,7 +116,6 @@ func (t *BTree) RunBatches(sink trace.BatchSink) {
 		//lint:ignore nopanic lookups draw from t.keys, all of which were bulk-loaded into the tree
 		panic(fmt.Sprintf("btree: %d/%d lookups found their key", hits, t.cfg.Lookups))
 	}
-	b.Flush()
 }
 
 // build bulk-loads the tree from sorted random keys, writing every slot of
@@ -145,7 +140,7 @@ func (t *BTree) build(sink *trace.Batcher, rng *rand.Rand) {
 	// Leaf level.
 	var level []*bnode
 	var prev *bnode
-	for start := 0; start < len(keys); start += btMaxKeys {
+	for start := 0; start < len(keys) && !sink.Done(); start += btMaxKeys {
 		end := min(start+btMaxKeys, len(keys))
 		n := newNode(true)
 		for i, k := range keys[start:end] {
@@ -164,7 +159,7 @@ func (t *BTree) build(sink *trace.Batcher, rng *rand.Rand) {
 
 	// Internal levels: each parent spans up to btMaxKeys+1 children, keyed
 	// by each child's smallest key (except the first).
-	for len(level) > 1 {
+	for len(level) > 1 && !sink.Done() {
 		var up []*bnode
 		for start := 0; start < len(level); start += btMaxKeys + 1 {
 			end := min(start+btMaxKeys+1, len(level))
@@ -192,21 +187,10 @@ func minKey(n *bnode) uint64 {
 	return n.keys[0]
 }
 
-// Lookup performs one point lookup, emitting every node slot it reads.
-// The probe sequence is generated on the batch leg and unrolled through
-// the sink, so standalone lookups (the database example) emit exactly the
-// references a batched run would.
-func (t *BTree) Lookup(sink trace.Sink, key uint64) (uint64, bool) {
-	b := trace.GetBatcher(trace.BatchSinkOf(sink))
-	defer trace.PutBatcher(b)
-	v, ok := t.lookup(b, key)
-	b.Flush()
-	return v, ok
-}
-
-// lookup is one point lookup on the batch leg: a binary-search probe
-// sequence in each node plus the child-pointer read.
-func (t *BTree) lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
+// Lookup performs one point lookup — a binary-search probe sequence in
+// each node plus the child-pointer read — emitting every node slot it
+// reads. The caller flushes b.
+func (t *BTree) Lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
 	n := t.root
 	for {
 		// Binary search for the upper bound of key among n.keys.
@@ -234,17 +218,9 @@ func (t *BTree) lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
 }
 
 // RangeScan reads count consecutive keys starting at the smallest key ≥
-// from, following the leaf chain (used by the database example).
-func (t *BTree) RangeScan(sink trace.Sink, from uint64, count int) []uint64 {
-	b := trace.GetBatcher(trace.BatchSinkOf(sink))
-	defer trace.PutBatcher(b)
-	out := t.rangeScan(b, from, count)
-	b.Flush()
-	return out
-}
-
-// rangeScan is RangeScan's batch leg.
-func (t *BTree) rangeScan(sink *trace.Batcher, from uint64, count int) []uint64 {
+// from, following the leaf chain (used by the database example). The
+// caller flushes b.
+func (t *BTree) RangeScan(sink *trace.Batcher, from uint64, count int) []uint64 {
 	n := t.root
 	for !n.leaf {
 		lo, hi := 0, len(n.keys)

@@ -111,24 +111,17 @@ func (g *Graph500) FootprintBytes() uint64 { return g.arena.Size() }
 // Vertices is the vertex count (2^Scale).
 func (g *Graph500) Vertices() int { return g.vertices }
 
-// Run implements Workload. The kernels live on the batch leg; the scalar
-// path unrolls the same batches through the sink, so both legs emit the
-// identical reference stream by construction.
-func (g *Graph500) Run(sink trace.Sink) { g.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: edge generation, kernel 1 (CSR
-// construction), then Roots× kernel 2 (BFS), emitted in whole batches.
-func (g *Graph500) RunBatches(sink trace.BatchSink) {
-	b := trace.GetBatcher(sink)
-	defer trace.PutBatcher(b)
+// Run implements Workload: edge generation, kernel 1 (CSR construction),
+// then Roots× kernel 2 (BFS). Every phase stops once the budget is spent,
+// so the later phases fall through without emitting.
+func (g *Graph500) Run(b *trace.Batcher) {
 	rnd := rng.Derive(g.cfg.Seed, 0x6772617068353030) // "graph500"
 	g.generateEdges(b, rnd)
 	g.buildCSR(b)
-	for r := 0; r < g.cfg.Roots; r++ {
+	for r := 0; r < g.cfg.Roots && !b.Done(); r++ {
 		root := rnd.Intn(g.vertices)
 		g.bfs(b, root)
 	}
-	b.Flush()
 }
 
 // rmatParams are the standard Graph500 Kronecker probabilities.
@@ -143,7 +136,7 @@ const (
 // endpoint to the simulated heap. Endpoints ≥ the vertex count (possible
 // when it is not a power of two) are rejected and resampled.
 func (g *Graph500) generateEdges(sink *trace.Batcher, rng *rand.Rand) {
-	for i := 0; i < g.edges; i++ {
+	for i := 0; i < g.edges && !sink.Done(); i++ {
 		var src, dst int
 		for {
 			src, dst = 0, 0
@@ -165,8 +158,8 @@ func (g *Graph500) generateEdges(sink *trace.Batcher, rng *rand.Rand) {
 				break
 			}
 		}
-		g.edgeSrc.SetB(sink, i, uint64(src))
-		g.edgeDst.SetB(sink, i, uint64(dst))
+		g.edgeSrc.Set(sink, i, uint64(src))
+		g.edgeDst.Set(sink, i, uint64(dst))
 	}
 }
 
@@ -175,30 +168,30 @@ func (g *Graph500) generateEdges(sink *trace.Batcher, rng *rand.Rand) {
 // in both directions.
 func (g *Graph500) buildCSR(sink *trace.Batcher) {
 	// Degree count (into xadj[1..V]).
-	for i := 0; i < g.edges; i++ {
-		s := int(g.edgeSrc.GetB(sink, i))
-		d := int(g.edgeDst.GetB(sink, i))
-		g.xadj.SetB(sink, s+1, g.xadj.GetB(sink, s+1)+1)
-		g.xadj.SetB(sink, d+1, g.xadj.GetB(sink, d+1)+1)
+	for i := 0; i < g.edges && !sink.Done(); i++ {
+		s := int(g.edgeSrc.Get(sink, i))
+		d := int(g.edgeDst.Get(sink, i))
+		g.xadj.Set(sink, s+1, g.xadj.Get(sink, s+1)+1)
+		g.xadj.Set(sink, d+1, g.xadj.Get(sink, d+1)+1)
 	}
 	// Prefix sum.
-	for v := 1; v <= g.vertices; v++ {
-		g.xadj.SetB(sink, v, g.xadj.GetB(sink, v)+g.xadj.GetB(sink, v-1))
+	for v := 1; v <= g.vertices && !sink.Done(); v++ {
+		g.xadj.Set(sink, v, g.xadj.Get(sink, v)+g.xadj.Get(sink, v-1))
 	}
 	// Scatter, using parent[] as a temporary cursor array (as seq-csr does
 	// with a scratch array).
-	for v := 0; v < g.vertices; v++ {
-		g.parent.SetB(sink, v, g.xadj.GetB(sink, v))
+	for v := 0; v < g.vertices && !sink.Done(); v++ {
+		g.parent.Set(sink, v, g.xadj.Get(sink, v))
 	}
-	for i := 0; i < g.edges; i++ {
-		s := int(g.edgeSrc.GetB(sink, i))
-		d := int(g.edgeDst.GetB(sink, i))
-		cs := g.parent.GetB(sink, s)
-		g.adjncy.SetB(sink, g.adjOff(cs), uint64(d))
-		g.parent.SetB(sink, s, cs+1)
-		cd := g.parent.GetB(sink, d)
-		g.adjncy.SetB(sink, g.adjOff(cd), uint64(s))
-		g.parent.SetB(sink, d, cd+1)
+	for i := 0; i < g.edges && !sink.Done(); i++ {
+		s := int(g.edgeSrc.Get(sink, i))
+		d := int(g.edgeDst.Get(sink, i))
+		cs := g.parent.Get(sink, s)
+		g.adjncy.Set(sink, g.adjOff(cs), uint64(d))
+		g.parent.Set(sink, s, cs+1)
+		cd := g.parent.Get(sink, d)
+		g.adjncy.Set(sink, g.adjOff(cd), uint64(s))
+		g.parent.Set(sink, d, cd+1)
 	}
 }
 
@@ -218,22 +211,22 @@ const noParent = ^uint64(0)
 
 // bfs is Graph500 kernel 2: queue-based breadth-first search from root.
 func (g *Graph500) bfs(sink *trace.Batcher, root int) {
-	for v := 0; v < g.vertices; v++ {
-		g.parent.SetB(sink, v, noParent)
+	for v := 0; v < g.vertices && !sink.Done(); v++ {
+		g.parent.Set(sink, v, noParent)
 	}
-	g.parent.SetB(sink, root, uint64(root))
-	g.queue.SetB(sink, 0, uint64(root))
+	g.parent.Set(sink, root, uint64(root))
+	g.queue.Set(sink, 0, uint64(root))
 	head, tail := 0, 1
-	for head < tail {
-		u := int(g.queue.GetB(sink, head))
+	for head < tail && !sink.Done() {
+		u := int(g.queue.Get(sink, head))
 		head++
-		start := g.adjOff(g.xadj.GetB(sink, u))
-		end := g.adjOff(g.xadj.GetB(sink, u+1))
+		start := g.adjOff(g.xadj.Get(sink, u))
+		end := g.adjOff(g.xadj.Get(sink, u+1))
 		for k := start; k < end; k++ {
-			v := int(g.adjncy.GetB(sink, k))
-			if g.parent.GetB(sink, v) == noParent {
-				g.parent.SetB(sink, v, uint64(u))
-				g.queue.SetB(sink, tail, uint64(v))
+			v := int(g.adjncy.Get(sink, k))
+			if g.parent.Get(sink, v) == noParent {
+				g.parent.Set(sink, v, uint64(u))
+				g.queue.Set(sink, tail, uint64(v))
 				tail++
 			}
 		}

@@ -62,26 +62,17 @@ func (g *GUPS) FootprintBytes() uint64 { return g.arena.Size() }
 // TableWords is the (power-of-two) table length.
 func (g *GUPS) TableWords() int { return g.cfg.TableWords }
 
-// Run implements Workload. The update loop lives on the batch leg; the
-// scalar path unrolls the same batches through the sink, so both legs emit
-// the identical reference stream by construction.
-func (g *GUPS) Run(sink trace.Sink) { g.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: the HPCC update loop. Each
-// update is one load and one store of the same word (two TLB references,
-// as the hardware would issue), packed into whole batches at generation
-// time.
-func (g *GUPS) RunBatches(sink trace.BatchSink) {
-	b := trace.GetBatcher(sink)
-	defer trace.PutBatcher(b)
+// Run implements Workload: the HPCC update loop. Each update is one load
+// and one store of the same word (two TLB references, as the hardware
+// would issue).
+func (g *GUPS) Run(b *trace.Batcher) {
 	rnd := rng.Derive(g.cfg.Seed, 0x67757073) // "gups"
-	for i := 0; i < g.cfg.Updates; i++ {
+	for i := 0; i < g.cfg.Updates && !b.Done(); i++ {
 		r := rnd.Uint64()
 		idx := int(r & g.mask)
-		v := g.table.GetB(b, idx)
-		g.table.SetB(b, idx, v^r)
+		v := g.table.Get(b, idx)
+		g.table.Set(b, idx, v^r)
 	}
-	b.Flush()
 }
 
 // Checksum XORs the whole table (test hook; does not emit references).

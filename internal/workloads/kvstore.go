@@ -135,19 +135,11 @@ func (kv *KVStore) FootprintBytes() uint64 { return kv.arena.Size() }
 // Keys is the number of stored keys.
 func (kv *KVStore) Keys() int { return kv.cfg.Keys }
 
-// Run implements Workload. The request loop lives on the batch leg; the
-// scalar path unrolls the same batches through the sink, so both legs emit
-// the identical reference stream by construction.
-func (kv *KVStore) Run(sink trace.Sink) { kv.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: a Zipf-distributed GET/SET
-// stream, emitted in whole batches.
-func (kv *KVStore) RunBatches(sink trace.BatchSink) {
-	b := trace.GetBatcher(sink)
-	defer trace.PutBatcher(b)
+// Run implements Workload: a Zipf-distributed GET/SET stream.
+func (kv *KVStore) Run(b *trace.Batcher) {
 	rnd := rng.Derive(kv.cfg.Seed, 0x72657175657374) // "request"
 	z := newZipf(rnd, kv.cfg.ZipfS, kv.cfg.Keys)
-	for op := 0; op < kv.cfg.Ops; op++ {
+	for op := 0; op < kv.cfg.Ops && !b.Done(); op++ {
 		key := z.next()
 		if rnd.Float64() < kv.cfg.ReadFraction {
 			kv.get(b, key)
@@ -155,7 +147,6 @@ func (kv *KVStore) RunBatches(sink trace.BatchSink) {
 			kv.set(b, key)
 		}
 	}
-	b.Flush()
 }
 
 // get walks the key's bucket chain and reads the value.

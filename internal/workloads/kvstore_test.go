@@ -16,17 +16,16 @@ func TestKVStoreBasics(t *testing.T) {
 	if kv.Keys() != 10000 {
 		t.Fatalf("Keys = %d", kv.Keys())
 	}
-	var c trace.Counter
-	kv.Run(&c)
-	if c.Total() == 0 {
+	reads, writes := countRW(kv)
+	if reads+writes == 0 {
 		t.Fatal("no accesses emitted")
 	}
 	// ~10% of ops are SETs; each writes ValueSize/64 lines.
-	if c.Writes == 0 {
+	if writes == 0 {
 		t.Error("no writes despite SET fraction")
 	}
-	if c.Writes > c.Reads {
-		t.Errorf("writes (%d) exceed reads (%d) at 90%% read fraction", c.Writes, c.Reads)
+	if writes > reads {
+		t.Errorf("writes (%d) exceed reads (%d) at 90%% read fraction", writes, reads)
 	}
 }
 
@@ -50,9 +49,7 @@ func TestKVStoreByName(t *testing.T) {
 func TestKVStoreDeterministic(t *testing.T) {
 	run := func() []trace.Access {
 		kv := NewKVStore(KVStoreConfig{Keys: 2000, Ops: 2000, Seed: 42})
-		var rec trace.Recorder
-		kv.Run(&rec)
-		return rec.Accesses
+		return record(kv)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -69,7 +66,7 @@ func TestKVStoreAccessesWithinHeap(t *testing.T) {
 	kv := NewKVStore(KVStoreConfig{Keys: 5000, Ops: 5000, Seed: 3})
 	lo := uint64(DefaultHeapBase)
 	hi := lo + kv.FootprintBytes()
-	kv.Run(trace.SinkFunc(func(va uint64, _ bool) {
+	runAll(kv, visit(func(va uint64, _ bool) {
 		if va < lo || va >= hi {
 			t.Fatalf("access %#x outside heap [%#x,%#x)", va, lo, hi)
 		}
@@ -80,7 +77,7 @@ func TestKVStoreZipfSkew(t *testing.T) {
 	// The hot key must be dramatically more popular than the median key.
 	kv := NewKVStore(KVStoreConfig{Keys: 10000, Ops: 50000, Seed: 4})
 	counts := map[core.VPN]int{}
-	kv.Run(trace.SinkFunc(func(va uint64, _ bool) {
+	runAll(kv, visit(func(va uint64, _ bool) {
 		counts[core.VPNOf(va)] = counts[core.VPNOf(va)] + 1
 	}))
 	// Zipf: a few pages should dominate the access counts.

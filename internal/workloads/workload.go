@@ -1,7 +1,7 @@
 // Package workloads reimplements the paper's four evaluation workloads
 // (Table 2) — Graph500, BTree, GUPS, and XSBench — as real algorithms over
 // real data structures laid out in a simulated virtual address space. Every
-// data reference the algorithm performs is emitted into a trace.Sink, so
+// data reference the algorithm performs is emitted into a trace.Batcher, so
 // the memory-system simulator sees the genuine access pattern of each
 // workload (CSR graph traversal, B+-tree descent, uniform random updates,
 // unionized-energy-grid search) at a footprint scaled to simulator speeds.
@@ -14,32 +14,16 @@ import (
 )
 
 // Workload is a runnable benchmark emitting its reference stream.
-//
-// Every workload in this package also implements trace.BatchRunner: the
-// access-pattern loops emit through a pooled trace.Batcher, so whole
-// trace.Batches — write bit packed at generation time — cross the sink
-// boundary instead of one interface call per reference. The scalar Run is a
-// thin delegate that unrolls those same batches through the sink
-// (trace.BatchSinkOf), which makes the two legs emit the identical
-// reference stream by construction: there is only one generation source.
 type Workload interface {
 	// Name is the workload's short name ("graph500", "btree", …).
 	Name() string
 	// FootprintBytes is the total simulated-heap footprint.
 	FootprintBytes() uint64
-	// Run executes the workload, emitting every data reference into sink.
-	Run(sink trace.Sink)
+	// Run executes the workload, emitting every data reference into b.
+	// It checks b.Done once per outer-loop iteration and returns early
+	// once the run's reference budget is spent. The caller flushes b.
+	Run(b *trace.Batcher)
 }
-
-// Every workload generates batch-natively; the replay harness dispatches on
-// this capability.
-var (
-	_ trace.BatchRunner = (*Graph500)(nil)
-	_ trace.BatchRunner = (*BTree)(nil)
-	_ trace.BatchRunner = (*GUPS)(nil)
-	_ trace.BatchRunner = (*XSBench)(nil)
-	_ trace.BatchRunner = (*KVStore)(nil)
-)
 
 // Registry constructs the paper's four workloads at a common scale.
 // footprintBytes is a target heap size; each constructor picks its natural

@@ -7,6 +7,46 @@ import (
 	"mosaic/internal/trace"
 )
 
+// visit is a BatchSink calling fn once per reference, in stream order.
+type visit func(va uint64, write bool)
+
+func (f visit) ProcessBatch(b trace.Batch) {
+	for _, r := range b {
+		f(r.VA(), r.Write())
+	}
+}
+
+// discard drops every reference.
+var discard = visit(func(uint64, bool) {})
+
+// runAll drives w to completion into sink.
+func runAll(w Workload, sink trace.BatchSink) {
+	b := trace.NewBatcher(sink, 0)
+	w.Run(b)
+	b.Flush()
+}
+
+// record runs w to completion and returns its whole stream.
+func record(w Workload) []trace.Access {
+	var out []trace.Access
+	runAll(w, visit(func(va uint64, write bool) {
+		out = append(out, trace.Access{VA: va, Write: write})
+	}))
+	return out
+}
+
+// countRW runs w to completion and counts its reads and writes.
+func countRW(w Workload) (reads, writes uint64) {
+	runAll(w, visit(func(_ uint64, write bool) {
+		if write {
+			writes++
+		} else {
+			reads++
+		}
+	}))
+	return reads, writes
+}
+
 func TestArenaAlloc(t *testing.T) {
 	a := NewArena(0)
 	v1 := a.Alloc(100, 0)
@@ -38,20 +78,24 @@ func TestArenaBadAlignPanics(t *testing.T) {
 func TestU64ArrayEmitsAccesses(t *testing.T) {
 	a := NewArena(0)
 	arr := NewU64Array(a, 10)
-	var rec trace.Recorder
-	arr.Set(&rec, 3, 42)
-	if got := arr.Get(&rec, 3); got != 42 {
-		t.Fatalf("Get = %d", got)
+	var got []trace.Access
+	b := trace.NewBatcher(visit(func(va uint64, write bool) {
+		got = append(got, trace.Access{VA: va, Write: write})
+	}), 0)
+	arr.Set(b, 3, 42)
+	if v := arr.Get(b, 3); v != 42 {
+		t.Fatalf("Get = %d", v)
 	}
-	if len(rec.Accesses) != 2 {
-		t.Fatalf("%d accesses", len(rec.Accesses))
+	b.Flush()
+	if len(got) != 2 {
+		t.Fatalf("%d accesses", len(got))
 	}
 	want := arr.VA + 24
-	if rec.Accesses[0] != (trace.Access{VA: want, Write: true}) {
-		t.Errorf("write access = %+v", rec.Accesses[0])
+	if got[0] != (trace.Access{VA: want, Write: true}) {
+		t.Errorf("write access = %+v", got[0])
 	}
-	if rec.Accesses[1] != (trace.Access{VA: want, Write: false}) {
-		t.Errorf("read access = %+v", rec.Accesses[1])
+	if got[1] != (trace.Access{VA: want, Write: false}) {
+		t.Errorf("read access = %+v", got[1])
 	}
 }
 
@@ -98,9 +142,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var rec trace.Recorder
-				w.Run(&rec)
-				return rec.Accesses
+				return record(w)
 			}
 			a, b := run(), run()
 			if len(a) != len(b) {
@@ -124,7 +166,7 @@ func TestAccessesWithinFootprint(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			lo := uint64(DefaultHeapBase)
 			maxVA := uint64(0)
-			w.Run(trace.SinkFunc(func(va uint64, write bool) {
+			runAll(w, visit(func(va uint64, write bool) {
 				if va < lo {
 					t.Fatalf("access %#x below heap base", va)
 				}
@@ -143,7 +185,7 @@ func TestAccessesWithinFootprint(t *testing.T) {
 
 func TestGraph500BFSCorrect(t *testing.T) {
 	g := NewGraph500(Graph500Config{Scale: 10, Seed: 5})
-	g.Run(trace.Discard)
+	runAll(g, discard)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +197,7 @@ func TestGraph500BFSCorrect(t *testing.T) {
 func TestGraph500TouchesManyPages(t *testing.T) {
 	g := NewGraph500(Graph500Config{Scale: 12, Seed: 5})
 	pages := map[core.VPN]bool{}
-	g.Run(trace.SinkFunc(func(va uint64, _ bool) { pages[core.VPNOf(va)] = true }))
+	runAll(g, visit(func(va uint64, _ bool) { pages[core.VPNOf(va)] = true }))
 	// The CSR arrays alone span hundreds of pages at scale 12.
 	if len(pages) < 256 {
 		t.Errorf("graph500 touched only %d pages", len(pages))
@@ -164,12 +206,12 @@ func TestGraph500TouchesManyPages(t *testing.T) {
 
 func TestBTreeLookupsFindKeys(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 10000, Lookups: 100, Seed: 3})
-	bt.Run(trace.Discard) // panics internally if any lookup misses
+	runAll(bt, discard) // panics internally if any lookup misses
 	if bt.Depth() < 2 {
 		t.Errorf("depth = %d, want a multi-level tree", bt.Depth())
 	}
 	// A lookup of an absent key must miss.
-	if _, ok := bt.Lookup(trace.Discard, 0xDEADBEEF00000001); ok {
+	if _, ok := bt.Lookup(trace.NewBatcher(discard, 0), 0xDEADBEEF00000001); ok {
 		// Astronomically unlikely to be a real key with seed 3.
 		t.Error("lookup of absent key succeeded")
 	}
@@ -177,8 +219,9 @@ func TestBTreeLookupsFindKeys(t *testing.T) {
 
 func TestBTreeRangeScan(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	bt.Run(trace.Discard)
-	got := bt.RangeScan(trace.Discard, 0, 1000)
+	runAll(bt, discard)
+	b := trace.NewBatcher(discard, 0)
+	got := bt.RangeScan(b, 0, 1000)
 	if len(got) != 1000 {
 		t.Fatalf("RangeScan returned %d values", len(got))
 	}
@@ -190,7 +233,7 @@ func TestBTreeRangeScan(t *testing.T) {
 	}
 	// Scan from the middle.
 	mid := bt.keys[2500]
-	got = bt.RangeScan(trace.Discard, mid, 10)
+	got = bt.RangeScan(b, mid, 10)
 	if len(got) != 10 || got[0] != mid^0xABCD {
 		t.Fatalf("mid scan = %v", got[:min(len(got), 3)])
 	}
@@ -198,7 +241,7 @@ func TestBTreeRangeScan(t *testing.T) {
 
 func TestBTreeNodesPageAligned(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	bt.Run(trace.Discard)
+	runAll(bt, discard)
 	var walk func(n *bnode)
 	walk = func(n *bnode) {
 		if n.va%core.PageSize != 0 {
@@ -216,10 +259,8 @@ func TestGUPSUpdatesLand(t *testing.T) {
 	if g.TableWords() != 1<<12 {
 		t.Fatalf("TableWords = %d", g.TableWords())
 	}
-	var c trace.Counter
-	g.Run(&c)
-	if c.Reads != 1<<14 || c.Writes != 1<<14 {
-		t.Errorf("reads=%d writes=%d, want %d each", c.Reads, c.Writes, 1<<14)
+	if reads, writes := countRW(g); reads != 1<<14 || writes != 1<<14 {
+		t.Errorf("reads=%d writes=%d, want %d each", reads, writes, 1<<14)
 	}
 	if g.Checksum() == 0 {
 		t.Error("table unchanged after updates")
@@ -235,19 +276,18 @@ func TestGUPSPowerOfTwoRounding(t *testing.T) {
 
 func TestXSBenchEmitsGatherPattern(t *testing.T) {
 	x := NewXSBench(XSBenchConfig{GridPoints: 200, Nuclides: 16, Lookups: 50, Seed: 2})
-	var rec trace.Recorder
-	x.Run(&rec)
-	if len(rec.Accesses) == 0 {
+	accesses := record(x)
+	if len(accesses) == 0 {
 		t.Fatal("no accesses")
 	}
 	// Every access is a read (the lookup kernel is read-only).
-	for _, a := range rec.Accesses {
+	for _, a := range accesses {
 		if a.Write {
 			t.Fatal("XSBench lookup kernel should not write")
 		}
 	}
 	// Each lookup costs at least log2(unionized) probes + per-nuclide reads.
-	perLookup := float64(len(rec.Accesses)) / 50
+	perLookup := float64(len(accesses)) / 50
 	if perLookup < 20 {
 		t.Errorf("only %.1f accesses per lookup", perLookup)
 	}
@@ -271,15 +311,16 @@ func TestXSBenchEnergyGridSorted(t *testing.T) {
 func BenchmarkGraph500Run(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := NewGraph500(Graph500Config{Scale: 12, Seed: uint64(i)})
-		g.Run(trace.Discard)
+		runAll(g, discard)
 	}
 }
 
 func BenchmarkBTreeLookup(b *testing.B) {
 	bt := NewBTree(BTreeConfig{Keys: 100000, Lookups: 1, Seed: 1})
-	bt.Run(trace.Discard)
+	runAll(bt, discard)
+	sink := trace.NewBatcher(discard, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bt.Lookup(trace.Discard, bt.keys[i%len(bt.keys)])
+		bt.Lookup(sink, bt.keys[i%len(bt.keys)])
 	}
 }

@@ -170,26 +170,17 @@ func (x *XSBench) FootprintBytes() uint64 { return x.arena.Size() }
 // GridPoints is the per-nuclide gridpoint count.
 func (x *XSBench) GridPoints() int { return x.cfg.GridPoints }
 
-// Run implements Workload. The lookup kernel lives on the batch leg; the
-// scalar path unrolls the same batches through the sink, so both legs emit
-// the identical reference stream by construction.
-func (x *XSBench) Run(sink trace.Sink) { x.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: the XSBench lookup kernel. Each
-// lookup samples an energy and a material, binary-searches the unionized
-// grid, and gathers the bracketing cross-section data of every nuclide in
-// the material, emitted in whole batches.
-func (x *XSBench) RunBatches(sink trace.BatchSink) {
-	b := trace.GetBatcher(sink)
-	defer trace.PutBatcher(b)
+// Run implements Workload: the XSBench lookup kernel. Each lookup samples
+// an energy and a material, binary-searches the unionized grid, and gathers
+// the bracketing cross-section data of every nuclide in the material.
+func (x *XSBench) Run(b *trace.Batcher) {
 	rnd := rng.Derive(x.cfg.Seed, xsbenchLookupSalt)
 	macro := make([]float64, xsValues-1)
-	for i := 0; i < x.cfg.Lookups; i++ {
+	for i := 0; i < x.cfg.Lookups && !b.Done(); i++ {
 		e := rnd.Float64()
 		mat := rnd.Intn(numMaterials)
 		x.lookup(b, e, mat, macro)
 	}
-	b.Flush()
 }
 
 // lookup computes the macroscopic cross section for (energy, material).
@@ -202,7 +193,7 @@ func (x *XSBench) lookup(sink *trace.Batcher, e float64, mat int, macro []float6
 	lo, hi := 0, x.unionized
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if x.egrid.GetB(sink, mid) < e {
+		if x.egrid.Get(sink, mid) < e {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -214,23 +205,23 @@ func (x *XSBench) lookup(sink *trace.Batcher, e float64, mat int, macro []float6
 	}
 	for _, nuc := range x.materials[mat] {
 		// One index-grid read locates this nuclide's bracketing gridpoint.
-		j := int(x.index.GetB(sink, u*n+nuc))
+		j := int(x.index.Get(sink, u*n+nuc))
 		j2 := j + 1
 		if j2 >= gp {
 			j2 = gp - 1
 		}
 		base1 := (nuc*gp + j) * xsValues
 		base2 := (nuc*gp + j2) * xsValues
-		e1 := x.grids.GetB(sink, base1)
-		e2 := x.grids.GetB(sink, base2)
+		e1 := x.grids.Get(sink, base1)
+		e2 := x.grids.Get(sink, base2)
 		f := 0.5
 		if e2 != e1 {
 			f = (e - e1) / (e2 - e1)
 		}
 		// Gather and interpolate all five cross-section channels.
 		for k := 1; k < xsValues; k++ {
-			lo := x.grids.GetB(sink, base1+k)
-			hi := x.grids.GetB(sink, base2+k)
+			lo := x.grids.Get(sink, base1+k)
+			hi := x.grids.Get(sink, base2+k)
 			macro[k-1] += lo + f*(hi-lo)
 		}
 	}

@@ -91,7 +91,8 @@ func NewSystem(cfg SystemConfig) (*System, error) { return vm.New(cfg) }
 // Hardware-simulation types (internal/memsim, internal/tlb).
 type (
 	// Simulator is the dual-TLB memory-system simulator (the repo's gem5
-	// substitute). It implements Sink, so workloads run straight into it.
+	// substitute). It implements BatchSink, so workloads run straight into
+	// it.
 	Simulator = memsim.Simulator
 	// SimConfig parameterizes a Simulator.
 	SimConfig = memsim.Config
@@ -108,18 +109,18 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) { return memsim.New(cfg) }
 
 // Workload and trace types (internal/workloads, internal/trace).
 type (
-	// Workload is a runnable benchmark emitting its reference stream.
+	// Workload is a runnable benchmark emitting its reference stream into
+	// a Batcher.
 	Workload = workloads.Workload
-	// Sink consumes a reference stream.
-	Sink = trace.Sink
-	// SinkFunc adapts a function to Sink.
-	SinkFunc = trace.SinkFunc
+	// Batcher packs a workload's references into batches and carries the
+	// run's reference budget (see RunBatch).
+	Batcher = trace.Batcher
 	// Ref is one packed reference (VA<<1 | writeBit).
 	Ref = trace.Ref
 	// Batch is a run of packed references in stream order.
 	Batch = trace.Batch
-	// BatchSink consumes whole batches; the Simulator implements it, and
-	// RunLimited routes through the batched engine for any sink that does.
+	// BatchSink consumes the reference stream in whole batches; the
+	// Simulator implements it.
 	BatchSink = trace.BatchSink
 )
 

@@ -6,34 +6,42 @@ import (
 	"mosaic/internal/trace"
 )
 
-func TestRunLimited(t *testing.T) {
+// TestRunBatchCounts: a capped run delivers exactly the cap, and an
+// uncapped run reports the workload's own total.
+func TestRunBatchCounts(t *testing.T) {
 	w, err := NewWorkload("gups", 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c trace.Counter
-	if got := RunLimited(w, &c, 1000); got != 1000 {
-		t.Fatalf("RunLimited returned %d", got)
+	var c batchCountSink
+	if got := RunBatch(w, &c, 1000); got != 1000 {
+		t.Fatalf("RunBatch returned %d", got)
 	}
-	if c.Total() != 1000 {
-		t.Fatalf("sink saw %d refs", c.Total())
+	if c.n != 1000 {
+		t.Fatalf("sink saw %d refs", c.n)
 	}
-	// Unlimited run reports the workload's own total.
-	var c2 trace.Counter
-	n := RunLimited(w, &c2, 0)
-	if n == 0 || n != c2.Total() {
-		t.Fatalf("unlimited run: n=%d sink=%d", n, c2.Total())
+	var c2 batchCountSink
+	n := RunBatch(w, &c2, 0)
+	if n == 0 || n != c2.n {
+		t.Fatalf("unlimited run: n=%d sink=%d", n, c2.n)
 	}
 }
 
-func TestRunLimitedPropagatesPanics(t *testing.T) {
+// panicSink fails on its first batch.
+type panicSink struct{}
+
+func (panicSink) ProcessBatch(trace.Batch) { panic("boom") }
+
+// TestRunBatchPropagatesPanics: RunBatch recovers nothing, so a panic from
+// the sink reaches the caller.
+func TestRunBatchPropagatesPanics(t *testing.T) {
 	w, _ := NewWorkload("gups", 1<<20, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("foreign panic swallowed")
+			t.Fatal("sink panic swallowed")
 		}
 	}()
-	RunLimited(w, SinkFunc(func(uint64, bool) { panic("boom") }), 100)
+	RunBatch(w, panicSink{}, 100)
 }
 
 func TestWorkloadNames(t *testing.T) {

@@ -260,8 +260,7 @@ func replayStream(data []byte, sim *Simulator, asid ASID) error {
 // quantumStream slices a v2 capture into scheduling quanta: decoded frames
 // are carried across quantum boundaries and delivered in sub-batches, so a
 // 50k-ref quantum costs ~12 ProcessBatchFrom calls rather than 50k
-// AccessFrom calls while preserving the exact per-record cutover points of
-// the scalar replay.
+// AccessFrom calls while keeping the exact per-record cutover points.
 type quantumStream struct {
 	r   *trace.BatchReader
 	buf trace.Batch // decoded frame being drained

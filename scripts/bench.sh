@@ -24,15 +24,11 @@ go test -run '^$' -bench 'BenchmarkAccess|BenchmarkSampler|BenchmarkPublisherSna
 
 # Sweep-engine wall clock: the same fig6 sweep at workers=1 vs workers=4
 # (bit-identical results; the ns/op ratio is the parallel speedup — ≥2×
-# expected on a 4-core machine), plus Figure6Batch, the end-to-end
-# batch-native pipeline pin (generator RunBatches straight into the
-# simulator's ProcessBatch), the replay-harness trio: the scalar RunLimited
-# pair (preallocated sink vs the old per-call closure), the batched RunBatch
-# path, and the v2 trace frame decoder, and the GenerateGUPS pair — raw
-# generator throughput (Mrefs/s) on the batch and scalar legs. mosaicstat
-# bench prints the batch-vs-scalar and generation-vs-replay ratios from
-# this file.
-go test -run '^$' -bench 'BenchmarkFigure6(Sequential|Parallel|Batch)|BenchmarkRunLimited|BenchmarkRunBatch|BenchmarkBatchDecode|BenchmarkGenerateGUPS' \
+# expected on a 4-core machine), plus raw generator throughput
+# (GenerateGUPSBatch, Mrefs/s), the v2 trace frame decoder, and the
+# dispatch-only RunBatch harness (cheapest producer into a counting sink:
+# harness cost, not simulator speed).
+go test -run '^$' -bench 'BenchmarkFigure6(Sequential|Parallel)|BenchmarkRunBatch|BenchmarkBatchDecode|BenchmarkGenerateGUPSBatch' \
 	-benchmem -benchtime "${BENCHTIME:-1s}" . |
 	tee /dev/stderr |
 	go run ./cmd/mosaicstat bench -parse -o BENCH_parallel.json

@@ -38,8 +38,8 @@ cmp "$cg/w1.json" "$cg/w8.json"
 cmp "$cg/a.json" "$cg/w1.json"
 rm -rf "$cg"
 # -diff mode must load cleanly with the whole-program analyzers attached:
-# a package-scoped run still builds a (partial) call graph, so dettaint,
-# batchparity, and goleak run at whatever depth the diff scope gives them.
+# a package-scoped run still builds a (partial) call graph, so dettaint and
+# goleak run at whatever depth the diff scope gives them.
 go run ./cmd/mosaiclint -diff HEAD
 # The sweep engine and the progress line are the only concurrency in the
 # repo; hammer them under the race detector first so an engine race fails
@@ -50,16 +50,12 @@ go test -race -timeout 120s ./internal/sweep/... ./internal/obs/...
 go test -race -timeout 300s ./...
 go test -run='^$' -fuzz=Fuzz -fuzztime=3s ./internal/iceberg
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
-# Scalar ≡ batch equivalence gate: the batched replay engine must produce a
-# byte-identical results file (counters, series, event ref-indices) to the
-# scalar Access path, for a fig6-style replay and a multiprogram
-# quantum-sliced replay.
-go test -run 'TestBatchReplayMatchesScalar' -count=1 .
-# Generator batch ≡ scalar gate: batch-native generation (RunBatches into
-# the simulator's ProcessBatch) must yield byte-identical results files to
-# the scalar Run leg for every workload, plus one fig6 cell (sampled and
-# unsampled) and one table3 cell.
-go test -run 'TestGeneratorBatchMatchesScalarAllWorkloads|TestFigure6CellGeneratorBatchMatchesScalar|TestTable3CellGeneratorBatchMatchesScalar' -count=1 .
+# Batch-boundary gate: replaying one captured stream into the simulator at
+# any batching — single references, odd sizes around DefaultBatchSize, the
+# whole stream at once, sampler off and on, and the multiprogram
+# quantum-sliced replay — must produce a byte-identical results file
+# (counters, series, event ref-indices) to the default-size replay.
+go test -run 'TestBatchBoundaryInvariance' -count=1 .
 
 # Smoke-test the machine-readable results path: a tiny fig6 run must
 # produce JSON that parses and carries the current schema version

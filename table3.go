@@ -72,16 +72,11 @@ type Table3Row struct {
 	SteadySD        float64
 }
 
-// vmSink adapts a vm.System to trace.Sink for one ASID. The batch leg walks
-// each batch through the same per-reference touch, so batch-native workloads
-// (all of them) drive the allocator sweeps without a scalar adapter in
-// between.
+// vmSink feeds a vm.System from one ASID, one touch per reference.
 type vmSink struct {
 	sys  *vm.System
 	asid ASID
 }
-
-func (s vmSink) Access(va uint64, write bool) { s.sys.TouchVA(s.asid, va, write) }
 
 func (s vmSink) ProcessBatch(b trace.Batch) {
 	for _, r := range b {
@@ -91,47 +86,38 @@ func (s vmSink) ProcessBatch(b trace.Batch) {
 
 // table3Sink drives one Table 3 cell: every reference touches the mosaic VM
 // system, and utilization is sampled every 4096 references once the first
-// associativity conflict has occurred (the steady state). Both legs share
-// the per-reference core, so a batched run samples on exactly the clock
-// ticks the scalar run would.
+// associativity conflict has occurred (the steady state). The sampling
+// clock is the system's own reference clock, so it ticks the same at any
+// batching.
 type table3Sink struct {
 	sys    *vm.System
 	steady *stats.Running
 }
 
-func (s *table3Sink) Access(va uint64, write bool) {
-	s.sys.TouchVA(1, va, write)
-	if s.sys.Clock()%4096 == 0 {
-		if _, saw := s.sys.FirstConflictUtilization(); saw {
-			s.steady.Observe(s.sys.Utilization())
+func (s *table3Sink) ProcessBatch(b trace.Batch) {
+	for _, r := range b {
+		s.sys.TouchVA(1, r.VA(), r.Write())
+		if s.sys.Clock()%4096 == 0 {
+			if _, saw := s.sys.FirstConflictUtilization(); saw {
+				s.steady.Observe(s.sys.Utilization())
+			}
 		}
 	}
 }
 
-func (s *table3Sink) ProcessBatch(b trace.Batch) {
-	for _, r := range b {
-		s.Access(r.VA(), r.Write())
-	}
-}
-
 // onsetSink drives LinuxSwapOnset: each reference touches the vanilla VM
-// system and records utilization at the first page-out. The batch leg shares
-// the scalar core.
+// system and records utilization at the first page-out.
 type onsetSink struct {
 	sys   *vm.System
 	onset *float64
 }
 
-func (s onsetSink) Access(va uint64, write bool) {
-	s.sys.TouchVA(1, va, write)
-	if *s.onset < 0 && s.sys.Device().PageOuts() > 0 {
-		*s.onset = s.sys.Utilization()
-	}
-}
-
 func (s onsetSink) ProcessBatch(b trace.Batch) {
 	for _, r := range b {
-		s.Access(r.VA(), r.Write())
+		s.sys.TouchVA(1, r.VA(), r.Write())
+		if *s.onset < 0 && s.sys.Device().PageOuts() > 0 {
+			*s.onset = s.sys.Utilization()
+		}
 	}
 }
 
@@ -180,7 +166,7 @@ func Table3(opt Table3Options) ([]Table3Row, error) {
 				return table3Sample{}, err
 			}
 			var steady stats.Running
-			RunLimited(w, &table3Sink{sys: sys, steady: &steady}, opt.MaxRefs)
+			RunBatch(w, &table3Sink{sys: sys, steady: &steady}, opt.MaxRefs)
 			u, saw := sys.FirstConflictUtilization()
 			if !saw {
 				return table3Sample{}, fmt.Errorf("mosaic: %s at %.0f MiB never conflicted — footprint too small for the pool", c.workload, float64(c.footprint)/(1<<20))
@@ -227,7 +213,7 @@ func LinuxSwapOnset(memoryMiB int, workload string, seed uint64) (float64, error
 		return 0, err
 	}
 	onset := -1.0
-	RunLimited(w, onsetSink{sys: sys, onset: &onset}, 30_000_000)
+	RunBatch(w, onsetSink{sys: sys, onset: &onset}, 30_000_000)
 	if onset < 0 {
 		return 0, fmt.Errorf("mosaic: vanilla system never swapped")
 	}

@@ -137,6 +137,6 @@ func swapIO(mode Mode, frames int, workload string, footprint, seed, maxRefs uin
 	if err != nil {
 		return 0, err
 	}
-	RunLimited(w, vmSink{sys, 1}, maxRefs)
+	RunBatch(w, vmSink{sys, 1}, maxRefs)
 	return sys.Device().TotalIO(), nil
 }
