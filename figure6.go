@@ -58,9 +58,14 @@ type Figure6Options struct {
 	// time series every SampleEvery references into Result.Series/Events.
 	// Only one point is sampled so the sweep itself stays unperturbed.
 	SampleEvery uint64
-	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS, 1 = the
-	// exact sequential path). Points are independent simulations, so any
-	// worker count produces bit-identical results.
+	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS). The
+	// associativity points are split into min(Workers, len(Ways))
+	// contiguous groups, and each group is one simulation: one workload
+	// pass feeding every TLB unit of its points. Workers 1 is therefore a
+	// single pass for the whole sweep. With SampleEvery set, the sampled
+	// point is a group of its own. Every TLB sees the identical reference
+	// stream in any grouping, so any worker count produces bit-identical
+	// results.
 	Workers int
 	// Progress, when non-nil, receives a live status line per sweep point.
 	Progress *obs.Progress
@@ -127,8 +132,54 @@ func (r Figure6Result) MissesFor(ways int, label string) (uint64, bool) {
 	return 0, false
 }
 
-// fig6Point is one associativity point's outcome, carried back through the
-// sweep engine for the index-ordered fold into Figure6Result.
+// fig6Group is a contiguous run of associativity points simulated in one
+// pass; sampled marks the fully-associative point when it carries the
+// observer.
+type fig6Group struct {
+	ways    []int
+	sampled bool
+}
+
+// groups splits the associativity points into the sweep's simulations:
+// min(Workers, len(Ways)) contiguous groups, with a sampled point kept as
+// a group of its own so its series and metric names stay per-point.
+func (o Figure6Options) groups() []fig6Group {
+	ways := o.Ways
+	n := sweep.Options{Workers: o.Workers}.PoolSize(len(ways))
+	var sampled []fig6Group
+	if o.SampleEvery > 0 {
+		sampled = []fig6Group{{ways: ways[len(ways)-1:], sampled: true}}
+		ways = ways[:len(ways)-1]
+		n = max(n-1, 1)
+	}
+	n = min(n, len(ways))
+	var gs []fig6Group
+	for i := 0; i < n; i++ {
+		gs = append(gs, fig6Group{ways: ways[i*len(ways)/n : (i+1)*len(ways)/n]})
+	}
+	return append(gs, sampled...)
+}
+
+// specs lists the TLB units of one group's simulation, ways-major: at each
+// associativity a vanilla TLB, then the CoLT baselines, then one mosaic
+// TLB per arity — the order of Figure6Result.Cells.
+func (o Figure6Options) specs(ways []int) []TLBSpec {
+	var specs []TLBSpec
+	for _, w := range ways {
+		geom := TLBGeometry{Entries: o.TLBEntries, Ways: w}
+		specs = append(specs, TLBSpec{Geometry: geom})
+		for _, c := range o.Coalesce {
+			specs = append(specs, TLBSpec{Geometry: geom, Coalesce: c})
+		}
+		for _, a := range o.Arities {
+			specs = append(specs, TLBSpec{Geometry: geom, Arity: a})
+		}
+	}
+	return specs
+}
+
+// fig6Point is one group's outcome, carried back through the sweep engine
+// for the index-ordered fold into Figure6Result.
 type fig6Point struct {
 	refs    uint64
 	cells   []Figure6Cell
@@ -141,41 +192,31 @@ type fig6Point struct {
 // Figure6 reproduces one sub-figure of Figure 6: for each TLB
 // associativity, it feeds an identical workload reference stream through a
 // vanilla TLB and a mosaic TLB per arity (the paper's dual-TLB
-// methodology) and reports the miss counts. Associativity points are
-// independent simulations — a fresh workload with the same seed replays the
-// identical reference stream at every point — so they fan out across
-// Options.Workers goroutines with bit-identical results.
+// methodology) and reports the miss counts. As in the paper, one pass
+// feeds every TLB at once: a group of associativity points is one
+// simulator carrying all of their TLB units, so the workload generator and
+// the OS layer run once per reference for the whole group. Groups (see
+// Options.Workers) are independent simulations of the same seeded stream,
+// so they fan out across Options.Workers goroutines with bit-identical
+// results.
 func Figure6(opt Figure6Options) (Figure6Result, error) {
 	if err := opt.applyDefaults(); err != nil {
 		return Figure6Result{}, err
 	}
-	points, err := sweep.Run(context.Background(), opt.Ways,
-		func(_ context.Context, wi int, ways int) (fig6Point, error) {
-			specs := []TLBSpec{{Geometry: TLBGeometry{Entries: opt.TLBEntries, Ways: ways}}}
-			for _, c := range opt.Coalesce {
-				specs = append(specs, TLBSpec{
-					Geometry: TLBGeometry{Entries: opt.TLBEntries, Ways: ways},
-					Coalesce: c,
-				})
-			}
-			for _, a := range opt.Arities {
-				specs = append(specs, TLBSpec{
-					Geometry: TLBGeometry{Entries: opt.TLBEntries, Ways: ways},
-					Arity:    a,
-				})
-			}
-			// Only the fully-associative point carries an observer, so
-			// sampling one point cannot perturb any other.
+	points, err := sweep.Run(context.Background(), opt.groups(),
+		func(_ context.Context, _ int, g fig6Group) (fig6Point, error) {
+			// Only the sampled group carries an observer, so sampling one
+			// point cannot perturb any other.
 			var ob *obs.Observer
-			if opt.SampleEvery > 0 && wi == len(opt.Ways)-1 {
+			if g.sampled {
 				ob = obs.NewObserver(opt.SampleEvery)
 			}
-			sim, err := NewSimulator(SimConfig{Frames: opt.Frames, Specs: specs, Seed: opt.Seed, Obs: ob})
+			sim, err := NewSimulator(SimConfig{Frames: opt.Frames, Specs: opt.specs(g.ways), Seed: opt.Seed, Obs: ob})
 			if err != nil {
 				return fig6Point{}, err
 			}
 			// A fresh workload with the same seed replays the identical
-			// reference stream at every associativity point.
+			// reference stream in every group.
 			w, err := NewWorkload(opt.Workload, opt.FootprintBytes, opt.Seed)
 			if err != nil {
 				return fig6Point{}, err
@@ -183,7 +224,7 @@ func Figure6(opt Figure6Options) (Figure6Result, error) {
 			p := fig6Point{refs: RunBatch(w, sim, opt.MaxRefs)}
 			for _, r := range sim.Results() {
 				p.cells = append(p.cells, Figure6Cell{
-					Ways:  ways,
+					Ways:  r.Spec.Geometry.Ways,
 					Label: r.Spec.Label(),
 					Stats: r.TLB,
 				})
@@ -196,7 +237,8 @@ func Figure6(opt Figure6Options) (Figure6Result, error) {
 			}
 			return p, nil
 		},
-		sweep.Options{Workers: opt.Workers, Progress: opt.Progress, Name: "fig6 " + opt.Workload})
+		sweep.Options{Workers: opt.Workers, Progress: opt.Progress,
+			Name: "fig6 " + opt.Workload + " (one pass per group of ways)"})
 	if err != nil {
 		return Figure6Result{}, err
 	}

@@ -60,7 +60,7 @@ type InlinePin struct {
 // pin requires its verdict to already be "can inline" (RunInlineGate fails
 // otherwise); removing one is a reviewed edit here plus -update-inline.
 var InlinePins = []InlinePin{
-	{"internal/tlb/set.go", "(*set).lookup", "TLB probe: tag→slot map access, flattened into every Lookup"},
+	{"internal/tlb/set.go", "(*set).lookup", "TLB probe: tag scan (narrow sets) or tag→slot map access (wide sets), flattened into every Lookup"},
 	{"internal/tlb/set.go", "(*set).touch", "TLB probe: MRU fast path; only a genuine reorder pays the promote call"},
 	{"internal/iceberg/iceberg.go", "(*Table).Put", "iceberg insert wrapper around PutSlot"},
 	{"internal/iceberg/iceberg.go", "(*Table).Contains", "iceberg membership wrapper around Get"},

@@ -96,3 +96,47 @@ func hasCoherenceViolation(r *invariant.Report, label string) bool {
 	}
 	return false
 }
+
+// TestCheckInvariantsReportDeterministic corrupts two entries in each of a
+// map-indexed (fully-associative) vanilla TLB and a scanned mosaic TLB and
+// checks that the violation report reads identically on every run: TLB
+// contents are audited in slot order, not map order.
+func TestCheckInvariantsReportDeterministic(t *testing.T) {
+	var first string
+	for run := 0; run < 5; run++ {
+		s, err := New(Config{
+			Frames: 1 << 12,
+			Specs: []TLBSpec{
+				{Geometry: tlb.Geometry{Entries: 64, Ways: 64}},
+				{Geometry: tlb.Geometry{Entries: 64, Ways: 4}, Arity: 4},
+			},
+			Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := uint64(0); p < 40; p++ {
+			s.Access(p*core.PageSize, false)
+		}
+		for _, vpn := range []core.VPN{3, 17} {
+			pfn, _ := s.vanillaPT(s.cfg.ASID).Get(vpn)
+			s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), pfn.Add(1))
+		}
+		for _, vpn := range []core.VPN{1 << 20, 1<<20 + 64} {
+			toc := s.units[1].mosaic.InvalidToC()
+			toc[0] = 0
+			s.units[1].mosaic.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
+		}
+		var r invariant.Report
+		s.CheckInvariants(&r)
+		err = r.Err()
+		if err == nil {
+			t.Fatal("corrupted TLBs audited clean")
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if got := err.Error(); got != first {
+			t.Fatalf("run %d report differs:\n%s\nfirst run:\n%s", run, got, first)
+		}
+	}
+}

@@ -133,6 +133,17 @@ type unit struct {
 	walkRefs   uint64
 	pwcHits    uint64
 	walkCycles uint64
+
+	// The page table of the last ASID this unit walked (vpt for vanilla
+	// and CoLT units, mpt for mosaic ones), so a miss from the same
+	// address space skips the per-ASID map lookup. Page tables are never
+	// replaced, so the cache never goes stale.
+	ptASID core.ASID
+	vpt    *pagetable.Vanilla
+	mpt    *pagetable.Mosaic
+	// neighbours is the CoLT fill buffer, reused on every miss
+	// (Coalesced.Insert does not retain it).
+	neighbours []tlb.NeighbourPFN
 }
 
 // ptKey identifies a per-process page table: each address space has its
@@ -230,6 +241,7 @@ func New(cfg Config) (*Simulator, error) {
 		switch {
 		case spec.Coalesce != 0:
 			u.coalesced = tlb.NewCoalesced(spec.Geometry, spec.Coalesce)
+			u.neighbours = make([]tlb.NeighbourPFN, spec.Coalesce)
 		case spec.Arity == 0:
 			u.vanilla = tlb.NewVanilla(spec.Geometry)
 		default:
@@ -407,6 +419,22 @@ func (s *Simulator) mosaicPT(asid core.ASID, arity int) *pagetable.Mosaic {
 		s.mosaicPTs[k] = pt
 	}
 	return pt
+}
+
+// unitVanillaPT is vanillaPT through u's last-ASID cache.
+func (s *Simulator) unitVanillaPT(u *unit, asid core.ASID) *pagetable.Vanilla {
+	if u.vpt == nil || u.ptASID != asid {
+		u.vpt, u.ptASID = s.vanillaPT(asid), asid
+	}
+	return u.vpt
+}
+
+// unitMosaicPT is mosaicPT at u's arity through u's last-ASID cache.
+func (s *Simulator) unitMosaicPT(u *unit, asid core.ASID) *pagetable.Mosaic {
+	if u.mpt == nil || u.ptASID != asid {
+		u.mpt, u.ptASID = s.mosaicPT(asid, u.spec.Arity), asid
+	}
+	return u.mpt
 }
 
 // onEvict keeps page tables and TLBs coherent with the OS: the evicted
@@ -646,7 +674,7 @@ func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
 		if _, hit := u.vanilla.Lookup(tagged); hit {
 			return
 		}
-		pfn, ok, path := s.vanillaPT(asid).Walk(vpn, s.path[:0])
+		pfn, ok, path := s.unitVanillaPT(u, asid).Walk(vpn, s.path[:0])
 		s.walkTraffic(u, path)
 		if !ok {
 			//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
@@ -657,7 +685,7 @@ func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
 		if _, hit := u.coalesced.Lookup(tagged); hit {
 			return
 		}
-		pt := s.vanillaPT(asid)
+		pt := s.unitVanillaPT(u, asid)
 		pfn, ok, path := pt.Walk(vpn, s.path[:0])
 		s.walkTraffic(u, path)
 		if !ok {
@@ -669,19 +697,18 @@ func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
 		// coalescing costs no extra memory traffic. The ASID tag is
 		// group-aligned (it lives far above the run bits), so tagging does
 		// not split runs.
-		run := u.coalesced.MaxRun()
-		base := core.VPN(uint64(vpn) &^ uint64(run-1))
-		neighbours := make([]tlb.NeighbourPFN, run)
-		for i := 0; i < run; i++ {
+		nb := u.neighbours
+		base := core.VPN(uint64(vpn) &^ uint64(len(nb)-1))
+		for i := range nb {
 			npfn, nok := pt.Get(base + core.VPN(i))
-			neighbours[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
+			nb[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
 		}
-		u.coalesced.Insert(tagged, pfn, neighbours)
+		u.coalesced.Insert(tagged, pfn, nb)
 	default:
 		if _, hit := u.mosaic.Lookup(tagged); hit {
 			return
 		}
-		toc, ok, path := s.mosaicPT(asid, u.spec.Arity).WalkToC(vpn, s.path[:0])
+		toc, ok, path := s.unitMosaicPT(u, asid).WalkToC(vpn, s.path[:0])
 		s.walkTraffic(u, path)
 		if !ok {
 			//lint:ignore nopanic the mosaic page table was updated on fault before any TLB lookup, so a resident VPN always walks

@@ -50,8 +50,9 @@ type Options struct {
 	Obs *Merger
 }
 
-// workers resolves the pool size for n points.
-func (o Options) workers(n int) int {
+// PoolSize resolves the worker pool size Run uses for n points: Workers,
+// with 0 meaning runtime.GOMAXPROCS(0), clamped to n.
+func (o Options) PoolSize(n int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -77,7 +78,7 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	}
 	counter := opt.Progress.StartCount(opt.Name, n)
 
-	if opt.workers(n) == 1 {
+	if opt.PoolSize(n) == 1 {
 		for i, p := range points {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -98,7 +99,7 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(n); w++ {
+	for w := 0; w < opt.PoolSize(n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

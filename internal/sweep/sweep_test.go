@@ -247,13 +247,13 @@ func TestOptionsWorkerResolution(t *testing.T) {
 		{Options{Workers: 4}, 2, "clamped to point count"},
 		{Options{Workers: 1}, 8, "one"},
 	}
-	if w := cases[0].opt.workers(cases[0].n); w != 2 {
+	if w := cases[0].opt.PoolSize(cases[0].n); w != 2 {
 		t.Errorf("workers(2) with Workers=4 = %d, want 2 (%s)", w, cases[0].want)
 	}
-	if w := cases[1].opt.workers(cases[1].n); w != 1 {
+	if w := cases[1].opt.PoolSize(cases[1].n); w != 1 {
 		t.Errorf("workers(8) with Workers=1 = %d, want 1 (%s)", w, cases[1].want)
 	}
-	if w := (Options{}).workers(1 << 20); w < 1 {
+	if w := (Options{}).PoolSize(1 << 20); w < 1 {
 		t.Errorf("default workers = %d, want >= 1", w)
 	}
 }

@@ -125,7 +125,9 @@ func (t *Coalesced) Insert(vpn core.VPN, pfn core.PFN, neighbours []NeighbourPFN
 	if covered > 1 {
 		t.coalescedFills++
 	}
-	if _, evicted := t.set(base).insert(uint64(base), e); evicted {
+	p, evicted := t.set(base).claim(uint64(base))
+	*p = e
+	if evicted {
 		t.stats.Evictions++
 	}
 }
@@ -154,8 +156,9 @@ func (t *Coalesced) Invalidate(vpn core.VPN) bool {
 
 // Flush invalidates every entry.
 func (t *Coalesced) Flush() {
-	for _, s := range t.sets {
-		s.clear()
+	// Index, not range: clear must reset the set itself, not a copy.
+	for i := range t.sets {
+		t.sets[i].clear()
 	}
 }
 

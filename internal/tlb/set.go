@@ -7,12 +7,22 @@ package tlb
 
 import "fmt"
 
-// set is one associativity set with O(1) lookup and true-LRU replacement,
-// generic over the entry payload. Slot 0..ways-1 are chained into an LRU
-// list; a map provides tag lookup so fully-associative configurations stay
-// O(1).
+// scanWays is the widest set that finds a tag by scanning its contiguous
+// tags slice; wider sets keep a tag→slot map. BenchmarkVanillaLookupHit
+// puts the crossover here: on an x86-64 host (Go 1.24) the scan beats the
+// map at 8 and 16 ways and loses from 32 ways up. At the default
+// geometries only the fully-associative point keeps a map.
+const scanWays = 16
+
+// set is one associativity set with true-LRU replacement, generic over the
+// entry payload. Slots 0..ways-1 are chained into an LRU list. A set of at
+// most scanWays ways finds a tag by scanning tags, with valid marking the
+// occupied slots; a wider set keeps index, a tag→slot map, so
+// fully-associative configurations stay O(1). A free slot's tag and
+// payload are stale and never read.
 type set[P any] struct {
-	index   map[uint64]int32
+	index   map[uint64]int32 // wider than scanWays only; nil otherwise
+	valid   uint64           // bit i: slot i is occupied (scan sets only; scanWays ≤ 64)
 	tags    []uint64
 	payload []P
 	prev    []int32
@@ -32,9 +42,10 @@ func newSet[P any](ways int) *set[P] {
 // struct-of-arrays and contiguous across sets — tags with tags, payloads
 // with payloads — so a probe touches a handful of adjacent cache lines
 // instead of chasing a heap pointer per set, and a whole TLB costs five
-// slice allocations (plus the per-set tag indexes) rather than six per
-// set. Each set's slices are full-capacity subslices (three-index), so the
-// in-place append in invalidate/clear can never write into a neighbour.
+// slice allocations (plus a tag index per set wider than scanWays) rather
+// than six per set. Each set's slices are full-capacity subslices
+// (three-index), so the in-place append in invalidate/clear can never
+// write into a neighbour.
 func newSets[P any](numSets, ways int) []set[P] {
 	n := numSets * ways
 	var (
@@ -48,7 +59,9 @@ func newSets[P any](numSets, ways int) []set[P] {
 	for i := range sets {
 		lo, hi := i*ways, (i+1)*ways
 		s := &sets[i]
-		s.index = make(map[uint64]int32, ways)
+		if ways > scanWays {
+			s.index = make(map[uint64]int32, ways)
+		}
 		s.tags = tags[lo:hi:hi]
 		s.payload = payload[lo:hi:hi]
 		s.prev = prev[lo:hi:hi]
@@ -63,11 +76,21 @@ func newSets[P any](numSets, ways int) []set[P] {
 }
 
 // lookup returns the slot holding tag without touching recency. It is the
-// probe half of get, kept to a bare map access so the inliner flattens it
-// (and therefore the whole TLB probe) into Lookup — inlinegate pins this.
+// probe half of get: a narrow set scans its tags (a free slot's stale tag
+// fails the valid test), a wide set reads its map. It stays under the
+// inlining budget so the whole TLB probe flattens into Lookup —
+// inlinegate pins this.
 func (s *set[P]) lookup(tag uint64) (int32, bool) {
-	i, ok := s.index[tag]
-	return i, ok
+	if s.index != nil {
+		i, ok := s.index[tag]
+		return i, ok
+	}
+	for i, t := range s.tags {
+		if t == tag && s.valid&(1<<uint(i)) != 0 {
+			return int32(i), true
+		}
+	}
+	return -1, false
 }
 
 // touch promotes slot i to MRU. The head comparison is the hit fast path
@@ -92,7 +115,7 @@ func (s *set[P]) get(tag uint64) (*P, bool) {
 
 // peek returns the payload without touching recency.
 func (s *set[P]) peek(tag uint64) (*P, bool) {
-	i, ok := s.index[tag]
+	i, ok := s.lookup(tag)
 	if !ok {
 		return nil, false
 	}
@@ -132,43 +155,50 @@ func (s *set[P]) promote(i int32) {
 	s.pushFront(i)
 }
 
-// insert adds tag with payload, evicting the LRU entry if the set is full.
-// It returns the evicted tag and whether an eviction happened. Inserting an
-// existing tag replaces its payload and promotes it.
-func (s *set[P]) insert(tag uint64, p P) (evictedTag uint64, evicted bool) {
-	if i, ok := s.index[tag]; ok {
-		s.payload[i] = p
+// claim makes tag the set's MRU entry and returns its payload slot for the
+// caller to fill in place: tag's own slot if present, else a free slot,
+// else the LRU entry's, which is evicted. It reports whether an eviction
+// happened. claim is the one fill path of every TLB kind.
+func (s *set[P]) claim(tag uint64) (p *P, evicted bool) {
+	if i, ok := s.lookup(tag); ok {
 		s.promote(i)
-		return 0, false
+		return &s.payload[i], false
 	}
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		slot = s.tail
-		evictedTag, evicted = s.tags[slot], true
-		delete(s.index, evictedTag)
+		slot, evicted = s.tail, true
+		if s.index != nil {
+			delete(s.index, s.tags[slot])
+		}
 		s.unlink(slot)
 	}
 	s.tags[slot] = tag
-	s.payload[slot] = p
-	s.index[tag] = slot
+	if s.index != nil {
+		s.index[tag] = slot
+	} else {
+		s.valid |= 1 << uint(slot)
+	}
 	s.pushFront(slot)
-	return evictedTag, evicted
+	return &s.payload[slot], evicted
 }
 
 // invalidate removes tag from the set, reporting whether it was present.
-// The recency order of the remaining entries is unaffected.
+// The recency order of the remaining entries is unaffected. The freed
+// slot's payload is left as it is: claim hands it back for overwriting.
 func (s *set[P]) invalidate(tag uint64) bool {
-	i, ok := s.index[tag]
+	i, ok := s.lookup(tag)
 	if !ok {
 		return false
 	}
-	delete(s.index, tag)
+	if s.index != nil {
+		delete(s.index, tag)
+	} else {
+		s.valid &^= 1 << uint(i)
+	}
 	s.unlink(i)
-	var zero P
-	s.payload[i] = zero
 	s.free = append(s.free, i)
 	return true
 }
@@ -176,23 +206,30 @@ func (s *set[P]) invalidate(tag uint64) bool {
 // len is the number of valid entries in the set.
 func (s *set[P]) len() int { return len(s.tags) - len(s.free) }
 
-// each calls fn for every valid entry, in unspecified order, without
-// touching recency.
+// occupied reports whether slot i holds a valid entry.
+func (s *set[P]) occupied(i int32) bool {
+	if s.index == nil {
+		return s.valid&(1<<uint(i)) != 0
+	}
+	j, ok := s.index[s.tags[i]]
+	return ok && j == i
+}
+
+// each calls fn for every valid entry in slot order, without touching
+// recency. Slot order depends only on the set's operation history, so two
+// identical runs visit entries identically.
 func (s *set[P]) each(fn func(tag uint64, p *P)) {
-	for tag, i := range s.index {
-		fn(tag, &s.payload[i])
+	for i := range s.tags {
+		if s.occupied(int32(i)) {
+			fn(s.tags[i], &s.payload[i])
+		}
 	}
 }
 
 // clear invalidates every entry in the set.
 func (s *set[P]) clear() {
-	for tag := range s.index {
-		delete(s.index, tag)
-	}
-	var zero P
-	for i := range s.payload {
-		s.payload[i] = zero
-	}
+	clear(s.index)
+	s.valid = 0
 	s.free = s.free[:0]
 	for i := len(s.tags) - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))

@@ -49,7 +49,9 @@ func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
 // Insert fills the translation after a page-table walk, evicting LRU within
 // the set if needed.
 func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
-	if _, evicted := t.set(vpn).insert(uint64(vpn), pfn); evicted {
+	p, evicted := t.set(vpn).claim(uint64(vpn))
+	*p = pfn
+	if evicted {
 		t.stats.Evictions++
 	}
 }
@@ -72,7 +74,7 @@ func (t *Vanilla) Len() int {
 // Reach is the memory covered by a full TLB, in bytes.
 func (t *Vanilla) Reach() uint64 { return uint64(t.geom.Entries) * core.PageSize }
 
-// Range calls fn for every valid entry, in unspecified order, without
+// Range calls fn for every valid entry, set by set in slot order, without
 // affecting recency or the hit/miss counters. The key is the value Insert
 // was called with (in memsim, the ASID-tagged VPN). Range exists for the
 // invariant checkers, which audit TLB contents against the page tables.
@@ -85,8 +87,9 @@ func (t *Vanilla) Range(fn func(key uint64, pfn core.PFN)) {
 // Flush invalidates every entry (a full TLB flush, as on a non-PCID
 // context switch).
 func (t *Vanilla) Flush() {
-	for _, s := range t.sets {
-		s.clear()
+	// Index, not range: clear must reset the set itself, not a copy.
+	for i := range t.sets {
+		t.sets[i].clear()
 	}
 }
 
@@ -119,6 +122,17 @@ func NewMosaic(geom Geometry, arity int) *Mosaic {
 	}
 	t := &Mosaic{geom: geom, arity: arity, mask: uint64(geom.Sets() - 1)}
 	t.sets = newSets[ToC](geom.Sets(), geom.Ways)
+	// Every slot owns a fixed arity-long window of one arena, so a fill
+	// copies into place and never allocates. The windows are full-capacity
+	// subslices: no ToC can reach into its neighbour's.
+	arena := make([]core.CPFN, geom.Entries*arity)
+	n := 0
+	for i := range t.sets {
+		for j := range t.sets[i].payload {
+			t.sets[i].payload[j] = arena[n : n+arity : n+arity]
+			n += arity
+		}
+	}
 	return t
 }
 
@@ -157,16 +171,16 @@ func (t *Mosaic) Lookup(vpn core.VPN) (core.CPFN, bool) {
 
 // Insert fills the whole ToC for vpn's mosaic page after a walk. The walker
 // obtains the full leaf ToC, so all currently-mapped sub-pages become
-// valid at once. The ToC is copied. Insert panics if the ToC length does
-// not match the arity.
+// valid at once. The ToC is copied into the slot's own storage. Insert
+// panics if the ToC length does not match the arity.
 func (t *Mosaic) Insert(vpn core.VPN, toc ToC) {
 	if len(toc) != t.arity {
 		panic(fmt.Sprintf("tlb: ToC length %d, want arity %d", len(toc), t.arity))
 	}
 	mvpn, _ := core.MosaicPage(vpn, t.arity)
-	cp := make(ToC, t.arity)
-	copy(cp, toc)
-	if _, evicted := t.set(mvpn).insert(uint64(mvpn), cp); evicted {
+	p, evicted := t.set(mvpn).claim(uint64(mvpn))
+	copy(*p, toc)
+	if evicted {
 		t.stats.Evictions++
 	}
 }
@@ -211,12 +225,13 @@ func (t *Mosaic) Reach() uint64 {
 
 // Flush invalidates every entry.
 func (t *Mosaic) Flush() {
-	for _, s := range t.sets {
-		s.clear()
+	// Index, not range: clear must reset the set itself, not a copy.
+	for i := range t.sets {
+		t.sets[i].clear()
 	}
 }
 
-// Range calls fn for every valid entry, in unspecified order, without
+// Range calls fn for every valid entry, set by set in slot order, without
 // affecting recency or the hit/miss counters. The key is the MVPN the entry
 // was inserted under (in memsim, derived from the ASID-tagged VPN); the ToC
 // is the live payload and must not be mutated. Range exists for the

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -338,7 +339,8 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 			}
 		case 1: // insert
 			v := rng.Int()
-			_, evicted := s.insert(tag, v)
+			p, evicted := s.claim(tag)
+			*p = v
 			j := find(tag)
 			if j >= 0 {
 				if evicted {
@@ -368,14 +370,20 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
+// BenchmarkVanillaLookupHit probes a full 1024-entry TLB at the widths
+// around scanWays, the scan/map crossover it places.
 func BenchmarkVanillaLookupHit(b *testing.B) {
-	tl := NewVanilla(Geometry{Entries: 1024, Ways: 8})
-	for v := core.VPN(0); v < 1024; v++ {
-		tl.Insert(v, core.PFN(v))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(core.VPN(i & 1023))
+	for _, ways := range []int{8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
+			tl := NewVanilla(Geometry{Entries: 1024, Ways: ways})
+			for v := core.VPN(0); v < 1024; v++ {
+				tl.Insert(v, core.PFN(v))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tl.Lookup(core.VPN(i & 1023))
+			}
+		})
 	}
 }
 

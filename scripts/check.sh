@@ -50,6 +50,8 @@ go test -race -timeout 120s ./internal/sweep/... ./internal/obs/...
 go test -race -timeout 300s ./...
 go test -run='^$' -fuzz=Fuzz -fuzztime=3s ./internal/iceberg
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
+# The TLB sets (scanned and map-indexed) against a naive MRU-list model.
+go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
 # Batch-boundary gate: replaying one captured stream into the simulator at
 # any batching — single references, odd sizes around DefaultBatchSize, the
 # whole stream at once, sampler off and on, and the multiprogram
