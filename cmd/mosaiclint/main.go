@@ -11,16 +11,7 @@
 // fingerprints), and -fix applies the suggested fixes of the mechanical
 // analyzers before re-linting. -diff <git-ref> lints only the packages
 // whose files changed since the ref (tracked changes plus untracked
-// files); the compiler gates join such a run only when the change touches
-// what they measure.
-//
-// Three compiler-introspection gates run whenever the whole module is
-// linted: hotalloc (escape-analysis budget), bcegate (surviving bounds
-// checks), and inlinegate (pinned hot functions stay inlined). Each diffs
-// the compiler's report against a checked-in baseline; -update-escapes,
-// -update-bce, and -update-inline regenerate those baselines after a
-// reviewed change (the flags compose — any combination runs in one
-// invocation, then exits).
+// files).
 //
 // The exit status is 1 when there are findings, 2 on a load or usage
 // error, 0 otherwise. The pre-PR gate (scripts/check.sh) runs mosaiclint
@@ -31,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"mosaic/internal/lint"
 	"mosaic/internal/obs"
@@ -51,15 +41,7 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit findings as mosaiclint JSON (schema v1) on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	fix := flag.Bool("fix", false, "apply suggested fixes, then re-lint and report what remains")
-	hotalloc := flag.Bool("hotalloc", true, "run the escape-analysis budget gate when linting the whole module")
-	bcegate := flag.Bool("bcegate", true, "run the bounds-check gate when linting the whole module")
-	inlinegate := flag.Bool("inlinegate", true, "run the inlining gate when linting the whole module")
-	updateEscapes := flag.Bool("update-escapes", false, "regenerate the hotalloc escape baseline from the current tree and exit")
-	updateBCE := flag.Bool("update-bce", false, "regenerate the bcegate bounds-check baseline from the current tree and exit")
-	updateInline := flag.Bool("update-inline", false, "regenerate the inlinegate baseline from the current tree and exit")
 	diffRef := flag.String("diff", "", "lint only packages with files changed since this git ref")
-	callgraph := flag.String("callgraph", "", "export the whole-program call graph as 'json' or 'dot' on stdout and exit")
-	workers := flag.Int("workers", 0, "summary-computation workers (0 = GOMAXPROCS); the output is identical at any count")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
 	if *cpuprofile != "" {
@@ -79,104 +61,31 @@ func run() int {
 		return 0
 	}
 
-	root, err := lint.ModuleRoot()
-	if err != nil {
-		return fail(err)
-	}
-
-	// Baseline updates compose: run every requested one, then exit.
-	if *updateEscapes || *updateBCE || *updateInline {
-		type update struct {
-			requested bool
-			file      string
-			write     func() error
-		}
-		updates := []update{
-			{*updateEscapes, lint.EscapeBaselineFile, func() error {
-				return lint.WriteEscapeBaseline(root, filepath.Join(root, lint.EscapeBaselineFile), lint.HotPathPackages)
-			}},
-			{*updateBCE, lint.BCEBaselineFile, func() error {
-				return lint.WriteBCEBaseline(root, filepath.Join(root, lint.BCEBaselineFile), lint.HotPathPackages)
-			}},
-			{*updateInline, lint.InlineBaselineFile, func() error {
-				return lint.WriteInlineBaseline(root, filepath.Join(root, lint.InlineBaselineFile))
-			}},
-		}
-		for _, u := range updates {
-			if !u.requested {
-				continue
-			}
-			if err := u.write(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "mosaiclint: wrote %s\n", u.file)
-		}
-		return 0
-	}
-
 	patterns := flag.Args()
-	wholeModule := len(patterns) == 0
 	if *diffRef != "" {
 		if len(patterns) > 0 {
 			return fail(fmt.Errorf("mosaiclint: -diff and explicit packages are mutually exclusive"))
 		}
-		wholeModule = false
-	}
-	if wholeModule {
-		patterns = []string{"./..."}
-	}
-	for _, p := range patterns {
-		if p == "./..." {
-			wholeModule = true
+		root, err := lint.ModuleRoot()
+		if err != nil {
+			return fail(err)
 		}
-	}
-
-	// runGates: the gates are whole-module properties (they compile fixed
-	// package patterns from the module root), so they join a full run
-	// always and a -diff run only when the change touches what they
-	// measure.
-	runGates := wholeModule
-	if *diffRef != "" {
 		changed, err := lint.ChangedFiles(root, *diffRef)
 		if err != nil {
 			return fail(err)
 		}
 		patterns = lint.PackagePatterns(root, changed)
-		runGates = lint.TouchesGatePaths(changed)
-		if len(patterns) == 0 && !runGates {
+		if len(patterns) == 0 {
 			fmt.Fprintf(os.Stderr, "mosaiclint: no Go packages changed since %s\n", *diffRef)
 			return 0
 		}
+	} else if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 
-	if *callgraph != "" {
-		if *callgraph != "json" && *callgraph != "dot" {
-			return fail(fmt.Errorf("mosaiclint: -callgraph wants 'json' or 'dot', got %q", *callgraph))
-		}
-		passes, err := lint.Load(patterns)
-		if err != nil {
-			return fail(err)
-		}
-		pr := lint.AttachProgram(passes, *workers)
-		if pr == nil {
-			return fail(fmt.Errorf("mosaiclint: no packages matched %v", patterns))
-		}
-		if *callgraph == "dot" {
-			err = pr.WriteDOT(os.Stdout)
-		} else {
-			err = pr.WriteJSON(os.Stdout)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	var diags []lint.Diagnostic
-	if len(patterns) > 0 {
-		if diags, err = lintOnce(patterns, *workers); err != nil {
-			return fail(err)
-		}
+	diags, err := lintOnce(patterns)
+	if err != nil {
+		return fail(err)
 	}
 	if *fix {
 		changed, applied, err := lint.ApplyFixes(diags)
@@ -186,50 +95,10 @@ func run() int {
 		if applied > 0 {
 			fmt.Fprintf(os.Stderr, "mosaiclint: applied %d fix(es) across %d file(s)\n", applied, len(changed))
 			// Re-lint so the report reflects the rewritten tree.
-			if diags, err = lintOnce(patterns, *workers); err != nil {
+			if diags, err = lintOnce(patterns); err != nil {
 				return fail(err)
 			}
 		}
-	}
-
-	if runGates {
-		if *hotalloc {
-			regressions, removed, err := lint.RunHotAlloc(root, filepath.Join(root, lint.EscapeBaselineFile), lint.HotPathPackages)
-			if err != nil {
-				return fail(err)
-			}
-			diags = append(diags, regressions...)
-			if len(removed) > 0 {
-				fmt.Fprintf(os.Stderr,
-					"mosaiclint: %d escape site(s) in the baseline no longer occur; run mosaiclint -update-escapes to bank the improvement\n",
-					len(removed))
-			}
-		}
-		if *bcegate {
-			regressions, removed, err := lint.RunBCEGate(root, filepath.Join(root, lint.BCEBaselineFile), lint.HotPathPackages)
-			if err != nil {
-				return fail(err)
-			}
-			diags = append(diags, regressions...)
-			if len(removed) > 0 {
-				fmt.Fprintf(os.Stderr,
-					"mosaiclint: %d bounds check(s) in the baseline no longer occur; run mosaiclint -update-bce to bank the improvement\n",
-					len(removed))
-			}
-		}
-		if *inlinegate {
-			regressions, removed, err := lint.RunInlineGate(root, filepath.Join(root, lint.InlineBaselineFile))
-			if err != nil {
-				return fail(err)
-			}
-			diags = append(diags, regressions...)
-			if len(removed) > 0 {
-				fmt.Fprintf(os.Stderr,
-					"mosaiclint: %d inlining site(s) in the baseline no longer occur; run mosaiclint -update-inline to bank the improvement\n",
-					len(removed))
-			}
-		}
-		lint.SortDiagnostics(diags)
 	}
 
 	cwd, err := os.Getwd()
@@ -257,13 +126,11 @@ func run() int {
 	return 0
 }
 
-// lintOnce loads the patterns, builds the whole-program call graph with the
-// requested worker bound, and runs the analyzer suite.
-func lintOnce(patterns []string, workers int) ([]lint.Diagnostic, error) {
+// lintOnce loads the patterns and runs the analyzer suite.
+func lintOnce(patterns []string) ([]lint.Diagnostic, error) {
 	passes, err := lint.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
-	lint.AttachProgram(passes, workers)
 	return lint.RunAll(passes, lint.All()), nil
 }

@@ -100,8 +100,7 @@ func NewLevel(cfg Config) (*Level, error) {
 // set returns the ways of the set holding tag as a full-capacity subslice.
 // The three-index form keeps neighbouring sets unreachable and gives the
 // probe loops a slice whose length the compiler knows is exactly ways, so
-// the range loops in lookup and fill run without bounds checks (bcegate
-// pins this).
+// the range loops in lookup and fill run without bounds checks.
 func (l *Level) set(tag uint64) []line {
 	base := int(tag&l.setMask) * l.ways
 	return l.lines[base : base+l.ways : base+l.ways]

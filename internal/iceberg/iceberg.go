@@ -159,8 +159,7 @@ func (t *Table[K, V]) buckets(key K) []int {
 // Bucket-scan loops below slice the flat slot arrays down to the one bin
 // being probed before entering the loop. The three re-slices share the same
 // length expression, so the compiler's prove pass eliminates every bounds
-// check inside the scan itself (bcegate pins this: internal/lint/bce.baseline
-// must show no IsInBounds in these loops).
+// check inside the scan itself.
 
 // Get returns the value stored for key.
 func (t *Table[K, V]) Get(key K) (V, bool) {

@@ -82,27 +82,3 @@ func PackagePatterns(root string, files []string) []string {
 	sort.Strings(patterns)
 	return patterns
 }
-
-// TouchesGatePaths reports whether the changed files affect what the
-// compiler gates measure: a .go file in a hot-path package or at the module
-// root (the inline pins include figure6.go), or anything under
-// internal/lint (the analyzers and the checked-in baselines themselves).
-func TouchesGatePaths(files []string) bool {
-	hot := map[string]bool{}
-	for _, p := range HotPathPackages {
-		hot[strings.TrimPrefix(p, "./")] = true
-	}
-	for _, f := range files {
-		if strings.HasPrefix(f, "internal/lint/") {
-			return true
-		}
-		if !strings.HasSuffix(f, ".go") {
-			continue
-		}
-		dir := filepath.ToSlash(filepath.Dir(f))
-		if dir == "." || hot[dir] {
-			return true
-		}
-	}
-	return false
-}

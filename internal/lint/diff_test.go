@@ -98,26 +98,3 @@ func TestPackagePatterns(t *testing.T) {
 		t.Fatalf("PackagePatterns = %v, want %v", got, want)
 	}
 }
-
-// TestTouchesGatePaths pins when a -diff run must also run the compiler
-// gates: hot-path packages, root-level Go files (inline pins), and anything
-// under internal/lint — including the baselines, which are not .go files.
-func TestTouchesGatePaths(t *testing.T) {
-	cases := []struct {
-		files []string
-		want  bool
-	}{
-		{[]string{"internal/tlb/set.go"}, true},            // hot-path package
-		{[]string{"figure6.go"}, true},                     // root pin
-		{[]string{"internal/lint/bce.baseline"}, true},     // baseline edit
-		{[]string{"internal/lint/lockflow.go"}, true},      // analyzer edit
-		{[]string{"internal/results/results.go"}, false},   // cold package
-		{[]string{"README.md", "scripts/check.sh"}, false}, // no Go at all
-		{nil, false},
-	}
-	for _, c := range cases {
-		if got := TouchesGatePaths(c.files); got != c.want {
-			t.Errorf("TouchesGatePaths(%v) = %v, want %v", c.files, got, c.want)
-		}
-	}
-}

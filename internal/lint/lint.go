@@ -17,56 +17,30 @@
 //     must not be silently discarded.
 //   - obsnames:   constant metric names handed to internal/obs must be
 //     lowercase dotted identifiers (the registry's grammar).
-//   - maporder:   ranging over a map while emitting ordered output (result
-//     slices, trace/obs writes, printing) would make results depend on map
-//     iteration order; iterate a sorted key slice instead.
-//   - sweepsafe:  closures handed to sweep.Run or go statements must not
-//     write shared package- or struct-level state outside a lock set, nor
-//     capture pre-loop variables that later iterations mutate.
-//   - lockflow:   mutex Lock/Unlock balance is tracked through every
-//     function, with helper calls resolved to any depth across the module:
-//     a lock must be released on every return and panic path, never held
-//     across a blocking operation, and never copied by value.
-//   - ctxflow:    a function holding a context must propagate it rather
-//     than minting context.Background(), and worker goroutine loops must
-//     consult cancellation.
 //   - narrowconv: uint64-derived values (PFNs, virtual addresses, refill
 //     indices) must be masked, reduced, or bounds-checked before narrowing
 //     to int/uint32-class types.
-//   - dettaint:   nondeterministic values (wall clock, environment, the
-//     global math/rand stream, select ordering, map iteration order) must
-//     not flow — through any chain of calls, returns, or struct fields —
-//     into results files, traces, or non-wall.* metrics.
-//   - goleak:     spawned goroutines must have a reachable cancellation or
-//     done edge at some call depth.
-//   - hotalloc:   a tree-level escape-analysis budget gate — heap-escape
-//     sites in the hot-path packages are diffed against
-//     internal/lint/escapes.baseline and regressions fail the run.
-//   - bcegate:    a tree-level bounds-check gate — surviving bounds checks
-//     reported by -d=ssa/check_bce in the hot-path packages are diffed
-//     against internal/lint/bce.baseline.
-//   - inlinegate: a tree-level inlining gate — the pinned hot functions in
-//     InlinePins must stay inlinable, and cost growth against
-//     internal/lint/inline.baseline is reported.
 //
-// The interprocedural analyzers (lockflow, ctxflow, narrowconv, dettaint,
-// goleak) share a whole-program engine: callgraph.go builds a
-// module-wide call graph (static and interface-dispatch edges) and its
-// Tarjan SCC condensation, and fixpoint.go computes bottom-up function
-// summaries over it, iterating to fixpoint inside cycles over bounded
-// lattices so termination holds by construction. See those files for the
-// precision and termination contracts.
+// Every analyzer works on one package at a time. Properties that need the
+// whole program or the compiler are checked by running the code instead:
+// TestParallelMatchesSequential pins determinism across worker counts, the
+// goroutine-settle tests in internal/sweep and internal/daemon pin that no
+// goroutine outlives its owner, and TestHotPathZeroAllocs pins the
+// allocation-free miss path.
 //
 // Every analyzer has a stable diagnostic ID (ML001…), used as the rule ID
 // in the machine-readable -json and -sarif output modes. IDs are never
-// reused: ML015 belonged to a retired analyzer.
+// reused. Retired IDs: ML006 maporder, ML007 sweepsafe, ML008 hotalloc,
+// ML009 bcegate, ML010 inlinegate, ML011 lockflow, ML012 ctxflow, ML014
+// dettaint, ML015 batchparity, ML016 goleak.
 //
 // A finding can be suppressed with a directive comment on the same line or
 // the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported.
+// The analyzer must be one mosaiclint knows and the reason is mandatory;
+// a directive that breaks either rule is itself reported.
 package lint
 
 import (
@@ -92,20 +66,20 @@ type Analyzer struct {
 	// Doc is a one-line description.
 	Doc string
 	// Run inspects the pass and returns its findings. Suppression by
-	// directive is applied by the driver, not by Run. Nil for tree-level
-	// checks (hotalloc) that do not operate on a single pass.
+	// directive is applied by the driver, not by Run. Nil for the
+	// directive pseudo-analyzer, whose findings come from scanDirectives.
 	Run func(*Pass) []Diagnostic
 }
 
 // All returns the per-package analyzer suite in output order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, NoPanic, CPFNBounds, ErrDrop, ObsNames, MapOrder, SweepSafe, LockFlow, CtxFlow, NarrowConv, DetTaint, GoLeak}
+	return []*Analyzer{DetRand, NoPanic, CPFNBounds, ErrDrop, ObsNames, NarrowConv}
 }
 
 // Catalog returns every analyzer mosaiclint can report under, including
-// the tree-level compiler gates, for -list output and SARIF rule metadata.
+// the directive pseudo-analyzer, for -list output and SARIF rule metadata.
 func Catalog() []*Analyzer {
-	return append(All(), HotAlloc, BCEGate, InlineGate, directiveInfo)
+	return append(All(), directiveInfo)
 }
 
 // directiveInfo describes the pseudo-analyzer that reports malformed
@@ -113,7 +87,7 @@ func Catalog() []*Analyzer {
 var directiveInfo = &Analyzer{
 	Name: "directive",
 	ID:   "ML000",
-	Doc:  "//lint:ignore directives must name an analyzer and carry a reason",
+	Doc:  "//lint:ignore directives must name a known analyzer and carry a reason",
 }
 
 // A TextEdit is one byte-range replacement in a file, the unit of a
@@ -162,7 +136,6 @@ type Pass struct {
 
 	ignores       map[ignoreKey]bool
 	badDirectives []Diagnostic
-	prog          *Program
 }
 
 type ignoreKey struct {
@@ -174,8 +147,13 @@ type ignoreKey struct {
 var directiveRE = regexp.MustCompile(`^//lint:ignore\s+(\S+)\s*(.*)$`)
 
 // scanDirectives indexes every //lint:ignore comment in the pass and
-// records malformed ones (missing reason) as findings.
+// records malformed ones (unknown analyzer, missing reason) as findings.
+// A malformed directive suppresses nothing.
 func (p *Pass) scanDirectives() {
+	known := make(map[string]bool)
+	for _, an := range Catalog() {
+		known[an.Name] = true
+	}
 	p.ignores = make(map[ignoreKey]bool)
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
@@ -185,12 +163,19 @@ func (p *Pass) scanDirectives() {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				if strings.TrimSpace(m[2]) == "" {
+				var problem string
+				switch {
+				case !known[m[1]]:
+					problem = "names no known analyzer"
+				case strings.TrimSpace(m[2]) == "":
+					problem = "directive needs a reason"
+				}
+				if problem != "" {
 					p.badDirectives = append(p.badDirectives, Diagnostic{
 						Pos:      pos,
 						Analyzer: directiveInfo.Name,
 						ID:       directiveInfo.ID,
-						Message:  fmt.Sprintf("//lint:ignore %s directive needs a reason", m[1]),
+						Message:  fmt.Sprintf("//lint:ignore %s %s", m[1], problem),
 					})
 					continue
 				}
@@ -259,11 +244,8 @@ func SortDiagnostics(out []Diagnostic) {
 }
 
 // RunAll applies every analyzer to every pass, appends malformed-directive
-// findings, and returns the result sorted by position. The module call
-// graph and its fixpoint summaries are built once, over all passes, before
-// any analyzer runs.
+// findings, and returns the result sorted by position.
 func RunAll(passes []*Pass, analyzers []*Analyzer) []Diagnostic {
-	AttachProgram(passes, 0)
 	var out []Diagnostic
 	for _, p := range passes {
 		out = append(out, p.badDirectives...)

@@ -72,9 +72,8 @@ func goList(patterns []string) ([]listedPkg, error) {
 	return pkgs, nil
 }
 
-// ModuleRoot returns the main module's directory: the working directory
-// for the hotalloc compiler run and the base against which the output
-// modes relativize file paths.
+// ModuleRoot returns the main module's directory: the base against which
+// -diff resolves changed files.
 func ModuleRoot() (string, error) {
 	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
 	var stderr bytes.Buffer

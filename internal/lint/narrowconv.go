@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 )
 
@@ -17,9 +18,10 @@ import (
 //     iceberg bucket-index idiom int(hash % uint64(numBuckets));
 //   - an enclosing if or for condition compares one of the operand's
 //     variables, a dominating bounds guard;
-//   - the operand is a call to a module function whose every return
-//     expression is range-reduced, at any call depth (the `bounded`
-//     fixpoint summary in fixpoint.go).
+//   - the operand is a call to a function of the same package with one
+//     result whose every return expression carries a masking operation
+//     (one hop: a helper that returns another helper's result does not
+//     count).
 //
 // Constant conversions are the compiler's to check and are skipped.
 var NarrowConv = &Analyzer{
@@ -207,20 +209,65 @@ func indexesWith(p *Pass, n ast.Node, vars map[*types.Var]bool) bool {
 	return found
 }
 
-// boundedCall reports whether e is a call to a module function whose
-// fixpoint summary says every return value is range-reduced — masked
-// directly or produced by a bounded callee, to any depth.
+// hasMaskingOp reports whether the expression tree contains a &, %, or >>
+// binary operation — the range-reduction idioms a bounds guard recognises.
+func hasMaskingOp(e ast.Expr) bool {
+	masked := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			switch b.Op {
+			case token.AND, token.REM, token.SHR:
+				masked = true
+			}
+		}
+		return !masked
+	})
+	return masked
+}
+
+// boundedCall reports whether e is a call to a function declared in this
+// package whose single result is masked on every return path.
 func boundedCall(p *Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fn, ok := callee(p.Info, call).(*types.Func)
-	if !ok {
+	if !ok || fn.Pkg() != p.Pkg {
 		return false
 	}
-	sum := p.flow().summaryOf(fn)
-	return sum != nil && sum.bounded
+	fd := p.funcDecl(fn.Origin())
+	if fd == nil || fd.Body == nil {
+		return false
+	}
+	res := fd.Type.Results
+	if res == nil || res.NumFields() != 1 {
+		return false
+	}
+	found, bounded := false, true
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			found = true
+			bounded = bounded && len(ret.Results) == 1 && hasMaskingOp(ret.Results[0])
+		}
+		return bounded
+	})
+	return found && bounded
+}
+
+// funcDecl returns the declaration of fn among the pass's files, or nil.
+func (p *Pass) funcDecl(fn *types.Func) *ast.FuncDecl {
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && p.Info.Defs[fd.Name] == fn {
+				return fd
+			}
+		}
+	}
+	return nil
 }
 
 func runNarrowConv(p *Pass) []Diagnostic {

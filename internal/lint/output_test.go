@@ -13,18 +13,14 @@ import (
 
 // goldenDiags produces a deterministic diagnostic set covering the output
 // surface: plain findings from the per-package analyzers, fix-carrying
-// findings from detrand and errdrop, and call-graph-derived findings from
-// the whole-program analyzers, all position-sorted by RunAll. Each fixture
-// loads under its own import path so function IDs stay distinct inside the
-// shared program.
+// findings from detrand and errdrop, and malformed-directive findings, all
+// position-sorted by RunAll.
 func goldenDiags(t *testing.T) []Diagnostic {
 	t.Helper()
 	passes := []*Pass{
-		loadFixture(t, "maporder", "mosaic/internal/maporder"),
-		loadFixture(t, "sweepsafe", "mosaic/internal/sweepsafe"),
+		loadFixture(t, "directive", "mosaic/internal/directive"),
 		loadFixture(t, "fixapply", "mosaic/internal/fixapply"),
-		loadFixture(t, "dettaint", "mosaic/internal/dettaint"),
-		loadFixture(t, "goleak", "mosaic/internal/goleak"),
+		loadFixture(t, "narrowconv", "mosaic/internal/narrowconv"),
 	}
 	diags := RunAll(passes, All())
 	if len(diags) == 0 {
@@ -99,9 +95,9 @@ func TestFingerprintLineIndependent(t *testing.T) {
 	mk := func(line, col int) Diagnostic {
 		return Diagnostic{
 			Pos:      token.Position{Filename: "internal/tlb/set.go", Line: line, Column: col},
-			Analyzer: "lockflow",
-			ID:       "ML011",
-			Message:  "s.mu.Lock() is never unlocked on the return path at line 9",
+			Analyzer: "narrowconv",
+			ID:       "ML013",
+			Message:  "uint64 narrowed to int without a bounds guard",
 		}
 	}
 	for _, write := range []struct {
@@ -125,23 +121,8 @@ func TestFingerprintLineIndependent(t *testing.T) {
 	other := mk(17, 2)
 	other.Message = "different"
 	if fingerprint(other.Analyzer, other.Pos.Filename, other.Message) ==
-		fingerprint("lockflow", "internal/tlb/set.go", mk(17, 2).Message) {
+		fingerprint("narrowconv", "internal/tlb/set.go", mk(17, 2).Message) {
 		t.Error("distinct messages collided")
-	}
-
-	// Call-graph-derived findings carry function IDs, not positions, in
-	// their messages, so the same identity property holds for them: the
-	// finding follows the call site across pure line moves, and a change of
-	// carrier function is a different finding.
-	viaMsg := "wall-clock-tainted value reaches a results.File metric through mosaic/internal/daemon.flush"
-	if fingerprint("dettaint", "internal/daemon/session.go", viaMsg) !=
-		fingerprint("dettaint", "internal/daemon/session.go", viaMsg) {
-		t.Error("call-graph-derived fingerprint not stable")
-	}
-	otherVia := "wall-clock-tainted value reaches a results.File metric through mosaic/internal/daemon.drain"
-	if fingerprint("dettaint", "internal/daemon/session.go", viaMsg) ==
-		fingerprint("dettaint", "internal/daemon/session.go", otherVia) {
-		t.Error("distinct carrier functions collided")
 	}
 }
 

@@ -9,3 +9,12 @@ func step(n int) int {
 	}
 	return n - 1
 }
+
+// halt's directive misspells the analyzer name, so it too is reported and
+// suppresses nothing.
+func halt(n int) {
+	if n < 0 {
+		//lint:ignore nopanik the name does not match any analyzer
+		panic("fixture: halt") // want "steady-state panic in halt"
+	}
+}

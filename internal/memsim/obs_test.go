@@ -1,10 +1,13 @@
 package memsim
 
 import (
+	"fmt"
 	"testing"
 
 	"mosaic/internal/core"
 	"mosaic/internal/obs"
+	"mosaic/internal/tlb"
+	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
 )
 
@@ -146,18 +149,64 @@ func TestFinalizeMetricsIdempotent(t *testing.T) {
 // per-reference path allocates nothing once the working set is faulted
 // in and no sampler/event log is attached (the default for library use).
 func TestHotPathZeroAllocs(t *testing.T) {
-	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4)})
-	const pages = 64
-	for p := 0; p < pages; p++ {
-		s.Access(uint64(workloads.DefaultHeapBase)+uint64(p)*core.PageSize, false)
-	}
-	var p int
-	avg := testing.AllocsPerRun(1000, func() {
-		s.Access(uint64(workloads.DefaultHeapBase)+uint64(p%pages)*core.PageSize, false)
-		p++
+	t.Run("access", func(t *testing.T) {
+		s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4)})
+		const pages = 64
+		for p := 0; p < pages; p++ {
+			s.Access(uint64(workloads.DefaultHeapBase)+uint64(p)*core.PageSize, false)
+		}
+		var p int
+		avg := testing.AllocsPerRun(1000, func() {
+			s.Access(uint64(workloads.DefaultHeapBase)+uint64(p%pages)*core.PageSize, false)
+			p++
+		})
+		if avg != 0 {
+			t.Errorf("steady-state Access allocates %v objects/op, want 0", avg)
+		}
 	})
-	if avg != 0 {
-		t.Errorf("steady-state Access allocates %v objects/op, want 0", avg)
+
+	// The miss path: TLB fills, page-table walks, the walk cache and the
+	// cache hierarchy. Pages sit 16 apart, so each one has its own
+	// Mosaic-16, Mosaic-4 and CoLT-4 entry, and cycling through 4,096 of
+	// them misses every unit at every associativity.
+	const pages, stride, batch = 4096, 16, 512
+	refs := make(trace.Batch, pages)
+	for i := range refs {
+		refs[i] = trace.MakeRef(uint64(workloads.DefaultHeapBase)+uint64(i*stride)*core.PageSize, false)
+	}
+	for _, ways := range []int{1, 8, 256} {
+		for _, extras := range []bool{false, true} {
+			t.Run(fmt.Sprintf("miss/ways=%d/caches=%v", ways, extras), func(t *testing.T) {
+				g := tlb.Geometry{Entries: 256, Ways: ways}
+				s := newSim(t, Config{
+					Frames:          1 << 16,
+					EnableCaches:    extras,
+					EnableWalkCache: extras,
+					Specs: []TLBSpec{
+						{Geometry: g},
+						{Geometry: g, Coalesce: 4},
+						{Geometry: g, Arity: 4},
+						{Geometry: g, Arity: 16},
+					},
+				})
+				s.ProcessBatch(refs) // fault the working set in
+				before := s.Results()
+				next := 0
+				avg := testing.AllocsPerRun(16, func() {
+					s.ProcessBatch(refs[next : next+batch])
+					next = (next + batch) % pages
+				})
+				if avg != 0 {
+					t.Errorf("ProcessBatch of %d missing refs allocates %v objects/op, want 0", batch, avg)
+				}
+				for i, r := range s.Results() {
+					lookups := r.TLB.Lookups() - before[i].TLB.Lookups()
+					if misses := r.TLB.Misses - before[i].TLB.Misses; misses != lookups {
+						t.Errorf("%s: %d of %d lookups hit; every lookup must miss", r.Spec.Label(), lookups-misses, lookups)
+					}
+				}
+			})
+		}
 	}
 }
 

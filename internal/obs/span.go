@@ -38,8 +38,7 @@ func ValidSpanName(name string) bool { return spanNameRE.MatchString(name) }
 // wall-time duration into, in microseconds. It lives in the reserved
 // "wall." namespace: wall-clock observations are telemetry, not results —
 // results.File.AddSnapshot excludes the namespace from deterministic
-// results files, and mosaiclint's dettaint analyzer exempts instruments
-// fetched under it.
+// results files.
 const PhaseDurationMetric = "wall.phase.duration"
 
 // NewSpan starts a phase span at the given reference index, stamping the

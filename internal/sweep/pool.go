@@ -68,7 +68,9 @@ func (p *Pool) TrySubmit(job func()) error {
 	if p.draining {
 		return ErrPoolDraining
 	}
-	//lint:ignore lockflow the select has a default case, so the send never blocks; the mutex only fences the draining flag against a concurrent close
+	// The send happens under the mutex but never blocks: the select has a
+	// default case. The mutex only fences the draining flag against a
+	// concurrent close.
 	select {
 	case p.jobs <- job:
 		return nil

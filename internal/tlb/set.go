@@ -78,8 +78,7 @@ func newSets[P any](numSets, ways int) []set[P] {
 // lookup returns the slot holding tag without touching recency. It is the
 // probe half of get: a narrow set scans its tags (a free slot's stale tag
 // fails the valid test), a wide set reads its map. It stays under the
-// inlining budget so the whole TLB probe flattens into Lookup —
-// inlinegate pins this.
+// inlining budget so the whole TLB probe flattens into Lookup.
 func (s *set[P]) lookup(tag uint64) (int32, bool) {
 	if s.index != nil {
 		i, ok := s.index[tag]
@@ -96,7 +95,7 @@ func (s *set[P]) lookup(tag uint64) (int32, bool) {
 // touch promotes slot i to MRU. The head comparison is the hit fast path
 // (repeated lookups of the same tag do no list surgery); only a genuine
 // reordering pays the promote call. touch stays under the inlining budget
-// precisely because the slow path is a call — inlinegate pins this too.
+// precisely because the slow path is a call.
 func (s *set[P]) touch(i int32) {
 	if s.head != i {
 		s.promote(i)

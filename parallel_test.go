@@ -4,9 +4,10 @@ package mosaic
 // experiment on a worker pool must be indistinguishable from the
 // sequential run — not approximately, but byte for byte in the
 // schema-versioned results.File JSON, including the sampled time series
-// and structured events. It exercises the two richest drivers (Figure 6
-// with sampling enabled, Table 3 with its per-run accumulators) at
-// workers=1 (the exact legacy path) and workers=4.
+// and structured events. It exercises every sweep.Run caller — Figure 6
+// with sampling enabled, Table 3 with its per-run accumulators,
+// fragmentation, multiprogramming, and the choices and eviction ablations
+// — at workers=1 (the exact legacy path) and workers=4.
 
 import (
 	"bytes"
@@ -106,4 +107,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("table3 JSON diverged between workers=1 and workers=4:\nseq: %s\npar: %s", seq, par)
 		}
 	})
+	// The remaining sweep.Run callers return plain row structs; their
+	// %+v rendering carries every field at full float precision.
+	rowCases := []struct {
+		name string
+		run  func(workers int) (any, error)
+	}{
+		{"frag", func(workers int) (any, error) {
+			return Fragmentation(FragmentationOptions{Frames: 1 << 13, Seed: 4, Workers: workers})
+		}},
+		{"multiprog", func(workers int) (any, error) {
+			res, refs, err := Multiprogram(MultiprogramOptions{
+				Workloads:      []string{"gups", "kvstore"},
+				FootprintBytes: 4 << 20,
+				MaxRefsPerProc: 200_000,
+				Seed:           5,
+				Workers:        workers,
+			})
+			return []any{res, refs}, err
+		}},
+		{"ablate-choices", func(workers int) (any, error) {
+			return AblateChoices([]int{1, 2, 6}, 1<<13, 2, 6, workers)
+		}},
+		{"ablate-eviction", func(workers int) (any, error) {
+			return AblateEviction("btree", 8, []float64{1.05, 1.15}, 1_000_000, 7, workers)
+		}},
+	}
+	for _, c := range rowCases {
+		t.Run(c.name, func(t *testing.T) {
+			render := func(workers int) []byte {
+				v, err := c.run(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Appendf(nil, "%+v", v)
+			}
+			seq, par := render(1), render(4)
+			if !bytes.Equal(seq, par) {
+				t.Fatalf("%s rows diverged between workers=1 and workers=4:\nseq: %s\npar: %s", c.name, seq, par)
+			}
+		})
+	}
 }

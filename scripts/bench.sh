@@ -33,12 +33,10 @@ go test -run '^$' -bench 'BenchmarkFigure6(Sequential|Parallel)|BenchmarkRunBatc
 	tee /dev/stderr |
 	go run ./cmd/mosaicstat bench -parse -o BENCH_parallel.json
 
-# Lint cost: a full mosaiclint load-and-analyze pass over the module, the
-# whole-program call-graph build + fixpoint-summary phase in isolation, and
-# the warm-cache wall clock of the three compiler gates. Recorded so new
-# analyzers and gates pay for their wall clock visibly — diff with
+# Lint cost: a full mosaiclint load-and-analyze pass over the module.
+# Recorded so new analyzers pay for their wall clock visibly — diff with
 # `go run ./cmd/mosaicstat bench BENCH_lint.json`.
-go test -run '^$' -bench 'BenchmarkMosaiclintTree|BenchmarkCallGraphBuild|BenchmarkCompilerGates' -benchmem \
+go test -run '^$' -bench 'BenchmarkMosaiclintTree' -benchmem \
 	-benchtime "${BENCHTIME:-1s}" ./internal/lint |
 	tee /dev/stderr |
 	go run ./cmd/mosaicstat bench -parse -o BENCH_lint.json
