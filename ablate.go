@@ -3,6 +3,7 @@ package mosaic
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mosaic/internal/core"
 	"mosaic/internal/stats"
@@ -201,7 +202,8 @@ type TimestampRow struct {
 // sampling). Coarser timestamps degrade Horizon LRU's victim choices, so
 // the margin over Linux shrinks as the scan interval grows — evidence for
 // why the paper argues real hardware should store timestamps. workers
-// bounds the fan-out across the Linux baseline and the scan intervals.
+// bounds the fan-out: the Linux baseline and the scan intervals split into
+// that many groups, each simulated from one pass of the stream.
 func AblateTimestamps(workload string, memoryMiB int, footprintFrac float64, intervals []uint64, maxRefs, seed uint64, workers int) ([]TimestampRow, error) {
 	if workload == "" {
 		workload = "graph500"
@@ -221,42 +223,24 @@ func AblateTimestamps(workload string, memoryMiB int, footprintFrac float64, int
 	frames := memoryMiB << 20 / PageSize
 	footprint := uint64(footprintFrac * float64(memoryMiB) * (1 << 20))
 
-	// Point 0 is the Linux baseline; points 1..n are the scan intervals.
-	// Every point is an independent simulation from the same seed.
-	type tsPoint struct {
-		baseline bool
-		interval uint64
-	}
-	points := make([]tsPoint, 0, len(intervals)+1)
-	points = append(points, tsPoint{baseline: true})
+	// Config 0 is the Linux baseline; configs 1..n are the scan intervals.
+	// The configs split into min(workers, n+1) contiguous groups, each fed
+	// by one pass of the same seeded stream.
+	cfgs := make([]SystemConfig, 0, len(intervals)+1)
+	cfgs = append(cfgs, SystemConfig{Mode: ModeVanilla})
 	for _, iv := range intervals {
-		points = append(points, tsPoint{interval: iv})
+		cfgs = append(cfgs, SystemConfig{Mode: ModeMosaic, ScanInterval: iv})
 	}
-	ios, err := sweep.Run(context.Background(), points,
-		func(_ context.Context, _ int, p tsPoint) (uint64, error) {
-			if p.baseline {
-				return swapIO(ModeVanilla, frames, workload, footprint, seed, maxRefs)
-			}
-			sys, err := NewSystem(SystemConfig{
-				Frames:       frames,
-				Mode:         ModeMosaic,
-				Seed:         seed,
-				ScanInterval: p.interval,
-			})
-			if err != nil {
-				return 0, err
-			}
-			w, err := NewWorkload(workload, footprint, seed)
-			if err != nil {
-				return 0, err
-			}
-			RunBatch(w, vmSink{sys, 1}, maxRefs)
-			return sys.Device().TotalIO(), nil
+	groups := contiguousGroups(cfgs, sweep.Options{Workers: workers}.PoolSize(len(cfgs)))
+	groupIOs, err := sweep.Run(context.Background(), groups,
+		func(_ context.Context, _ int, g []SystemConfig) ([]uint64, error) {
+			return swapIOs(g, frames, workload, footprint, seed, maxRefs)
 		},
 		sweep.Options{Workers: workers, Name: "ablate timestamps"})
 	if err != nil {
 		return nil, err
 	}
+	ios := slices.Concat(groupIOs...)
 	linuxIO := ios[0]
 	rows := make([]TimestampRow, 0, len(intervals))
 	for i, iv := range intervals {
@@ -287,7 +271,8 @@ type EvictionRow struct {
 // AblateEviction quantifies what Horizon LRU's ghost mechanism buys over
 // the naive candidate-LRU scheme the paper argues against (§2.4), using
 // the paper's swapping methodology at a ladder of footprints. workers
-// bounds the fan-out over the footprint × regime grid.
+// bounds the fan-out over footprints; each footprint's stream feeds all
+// three regimes in one pass.
 func AblateEviction(workload string, memoryMiB int, fracs []float64, maxRefs, seed uint64, workers int) ([]EvictionRow, error) {
 	if workload == "" {
 		workload = "graph500"
@@ -302,49 +287,30 @@ func AblateEviction(workload string, memoryMiB int, fracs []float64, maxRefs, se
 		maxRefs = 10_000_000
 	}
 	frames := memoryMiB << 20 / PageSize
-	// Flatten footprint × regime, three regimes per footprint in the
-	// sequential order (horizon, naive, linux); each cell is one simulation.
+	// One point per footprint; its stream feeds the three regimes in the
+	// order horizon, naive, linux.
 	regimes := []SystemConfig{
 		{Mode: ModeMosaic},
 		{Mode: ModeMosaic, DisableHorizon: true},
 		{Mode: ModeVanilla},
 	}
-	type evCell struct {
-		footprint uint64
-		cfg       SystemConfig
+	footprints := make([]uint64, len(fracs))
+	for i, frac := range fracs {
+		footprints[i] = uint64(frac * float64(memoryMiB) * (1 << 20))
 	}
-	cells := make([]evCell, 0, len(fracs)*len(regimes))
-	for _, frac := range fracs {
-		footprint := uint64(frac * float64(memoryMiB) * (1 << 20))
-		for _, cfg := range regimes {
-			cells = append(cells, evCell{footprint: footprint, cfg: cfg})
-		}
-	}
-	ios, err := sweep.Run(context.Background(), cells,
-		func(_ context.Context, _ int, c evCell) (uint64, error) {
-			cfg := c.cfg
-			cfg.Frames = frames
-			cfg.Seed = seed
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				return 0, err
-			}
-			w, err := NewWorkload(workload, c.footprint, seed)
-			if err != nil {
-				return 0, err
-			}
-			RunBatch(w, vmSink{sys, 1}, maxRefs)
-			return sys.Device().TotalIO(), nil
+	ios, err := sweep.Run(context.Background(), footprints,
+		func(_ context.Context, _ int, footprint uint64) ([]uint64, error) {
+			return swapIOs(regimes, frames, workload, footprint, seed, maxRefs)
 		},
 		sweep.Options{Workers: workers, Name: "ablate eviction"})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]EvictionRow, 0, len(fracs))
-	for i := 0; i < len(cells); i += len(regimes) {
-		horizon, naive, linux := ios[i], ios[i+1], ios[i+2]
+	for i, footprint := range footprints {
+		horizon, naive, linux := ios[i][0], ios[i][1], ios[i][2]
 		rows = append(rows, EvictionRow{
-			FootprintMiB:   float64(cells[i].footprint) / (1 << 20),
+			FootprintMiB:   float64(footprint) / (1 << 20),
 			HorizonKIO:     float64(horizon) / 1000,
 			NaiveKIO:       float64(naive) / 1000,
 			LinuxKIO:       float64(linux) / 1000,

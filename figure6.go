@@ -152,12 +152,21 @@ func (o Figure6Options) groups() []fig6Group {
 		ways = ways[:len(ways)-1]
 		n = max(n-1, 1)
 	}
-	n = min(n, len(ways))
 	var gs []fig6Group
-	for i := 0; i < n; i++ {
-		gs = append(gs, fig6Group{ways: ways[i*len(ways)/n : (i+1)*len(ways)/n]})
+	for _, w := range contiguousGroups(ways, min(n, len(ways))) {
+		gs = append(gs, fig6Group{ways: w})
 	}
 	return append(gs, sampled...)
+}
+
+// contiguousGroups splits xs, in order, into n contiguous groups whose
+// sizes differ by at most one.
+func contiguousGroups[T any](xs []T, n int) [][]T {
+	gs := make([][]T, n)
+	for i := range gs {
+		gs[i] = xs[i*len(xs)/n : (i+1)*len(xs)/n]
+	}
+	return gs
 }
 
 // specs lists the TLB units of one group's simulation, ways-major: at each

@@ -448,14 +448,16 @@ func TestBadTrace(t *testing.T) {
 	}
 }
 
-// TestBadQuery: malformed session parameters are rejected up front.
+// TestBadQuery: malformed session parameters are rejected with a 400,
+// either up front or, for a well-formed arity the TLB cannot be built
+// with, by the failed session; the daemon keeps serving afterwards.
 func TestBadQuery(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
 
-	for _, q := range []string{"entries=zero", "arity=-1", "sample=0", "frames=0"} {
+	for _, q := range []string{"entries=zero", "arity=-1", "sample=0", "frames=0", "arity=3"} {
 		resp, err := http.Post(ts.URL+"/sessions?"+q, "application/octet-stream", bytes.NewReader(traceBytes(t, 4, 2)))
 		if err != nil {
 			t.Fatal(err)
@@ -464,6 +466,10 @@ func TestBadQuery(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST ?%s: %d, want 400", q, resp.StatusCode)
 		}
+	}
+	f := postSession(t, ts.URL, "arity=8", bytes.NewReader(traceBytes(t, 1000, 50)))
+	if got := f.Config["arity"]; got != float64(8) {
+		t.Errorf("follow-up session config arity = %v, want 8", got)
 	}
 }
 

@@ -237,6 +237,12 @@ func New(cfg Config) (*Simulator, error) {
 		if spec.Arity != 0 && spec.Coalesce != 0 {
 			return nil, fmt.Errorf("memsim: spec %s sets both Arity and Coalesce", spec.Label())
 		}
+		if spec.Arity < 0 || spec.Arity&(spec.Arity-1) != 0 {
+			return nil, fmt.Errorf("memsim: arity %d is not a positive power of two", spec.Arity)
+		}
+		if spec.Coalesce < 0 || spec.Coalesce > 64 || spec.Coalesce&(spec.Coalesce-1) != 0 {
+			return nil, fmt.Errorf("memsim: coalescing run length %d is not a power of two in [1,64]", spec.Coalesce)
+		}
 		u := &unit{spec: spec}
 		switch {
 		case spec.Coalesce != 0:

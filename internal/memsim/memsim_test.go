@@ -43,6 +43,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Specs: []TLBSpec{{Geometry: tlb.Geometry{Entries: 10, Ways: 3}}}}); err == nil {
 		t.Error("invalid TLB geometry accepted")
 	}
+	// Unit parameters the TLB constructors would panic on are errors.
+	g := tlb.Geometry{Entries: 16, Ways: 4}
+	for _, spec := range []TLBSpec{
+		{Geometry: g, Arity: 3},
+		{Geometry: g, Arity: -4},
+		{Geometry: g, Coalesce: 3},
+		{Geometry: g, Coalesce: 128},
+		{Geometry: g, Coalesce: -2},
+	} {
+		if _, err := New(Config{Frames: 1 << 10, Specs: []TLBSpec{spec}}); err == nil {
+			t.Errorf("spec %+v accepted", spec)
+		}
+	}
 }
 
 func TestSpecLabels(t *testing.T) {

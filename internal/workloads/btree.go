@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mosaic/internal/core"
@@ -121,16 +122,7 @@ func (t *BTree) Run(b *trace.Batcher) {
 // build bulk-loads the tree from sorted random keys, writing every slot of
 // every node to the simulated heap.
 func (t *BTree) build(sink *trace.Batcher, rng *rand.Rand) {
-	keys := make([]uint64, 0, t.cfg.Keys)
-	seen := make(map[uint64]bool, t.cfg.Keys)
-	for len(keys) < t.cfg.Keys {
-		k := rng.Uint64()
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := drawKeys(t.cfg.Keys, rng.Uint64)
 	t.keys = keys
 
 	newNode := func(leaf bool) *bnode {
@@ -178,6 +170,35 @@ func (t *BTree) build(sink *trace.Batcher, rng *rand.Rand) {
 		t.depth++
 	}
 	t.root = level[0]
+}
+
+// drawKeys returns n distinct values from draw, sorted ascending. It takes
+// the first n distinct values draw yields, calling draw exactly as often
+// as a seen-set loop would, so the caller's generator ends in the same
+// state. The common case, no repeat among the first n draws, needs only a
+// sort; a map is built only once a repeat has been drawn.
+func drawKeys(n int, draw func() uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = draw()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	if len(keys) == n {
+		return keys
+	}
+	seen := make(map[uint64]bool, n)
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for len(keys) < n {
+		if k := draw(); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func minKey(n *bnode) uint64 {

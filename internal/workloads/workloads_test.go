@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mosaic/internal/core"
@@ -252,6 +254,63 @@ func TestBTreeNodesPageAligned(t *testing.T) {
 		}
 	}
 	walk(bt.root)
+}
+
+// seenSetKeys is the reference key preparation drawKeys replaces: keep
+// drawing until n distinct values are in hand, then sort.
+func seenSetKeys(n int, draw func() uint64) []uint64 {
+	keys := make([]uint64, 0, n)
+	seen := make(map[uint64]bool, n)
+	for len(keys) < n {
+		k := draw()
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestDrawKeysMatchesSeenSet checks drawKeys against the seen-set loop on
+// the same generator: identical keys and an identical number of draws, so
+// a BTree's lookup stream after the build cannot move.
+func TestDrawKeysMatchesSeenSet(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		mod     uint64 // 0 = full 64-bit draws
+		repeats bool   // the first n draws must repeat, forcing the fallback
+	}{
+		{"uint64", 20000, 0, false},
+		{"mod512", 300, 512, true},
+		{"exhaustive", 256, 256, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gen := func(draws *int) func() uint64 {
+				r := rand.New(rand.NewSource(7))
+				return func() uint64 {
+					*draws++
+					if c.mod == 0 {
+						return r.Uint64()
+					}
+					return r.Uint64() % c.mod
+				}
+			}
+			var gotDraws, wantDraws int
+			got := drawKeys(c.n, gen(&gotDraws))
+			want := seenSetKeys(c.n, gen(&wantDraws))
+			if !slices.Equal(got, want) {
+				t.Fatalf("keys differ:\n got  %v\n want %v", got[:min(len(got), 8)], want[:min(len(want), 8)])
+			}
+			if gotDraws != wantDraws {
+				t.Fatalf("drawKeys drew %d values, the seen-set loop %d", gotDraws, wantDraws)
+			}
+			if repeated := wantDraws > c.n; repeated != c.repeats {
+				t.Fatalf("%d draws for %d keys: repeats = %v, want %v", wantDraws, c.n, repeated, c.repeats)
+			}
+		})
+	}
 }
 
 func TestGUPSUpdatesLand(t *testing.T) {

@@ -255,6 +255,77 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
+// TestTable4EdgeHurtsMosaicFirst is Table 4's part (1): at the very edge of
+// memory (the 1.015× column) mosaic swaps more than Linux on every
+// workload, because Linux uses ~1% more memory before its watermarks fire.
+// The claim holds at the committed settings (16 MiB, 20M refs, 2 runs;
+// results/table4.txt reads −761.7 / −46.2 / −4.0%), not at smaller scale:
+// at 8 MiB, 6M refs and one run, btree and xsbench already favour mosaic.
+func TestTable4EdgeHurtsMosaicFirst(t *testing.T) {
+	rows, err := Table4(Table4Options{
+		MemoryMiB:      16,
+		FootprintFracs: PaperFootprintFracs[:1],
+		MaxRefs:        20_000_000,
+		Runs:           2,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want one per workload", len(rows))
+	}
+	for _, r := range rows {
+		t.Logf("%s at %.0f MiB: %+.2f%%", r.Workload, r.FootprintMiB, r.DiffPercent)
+		if r.DiffPercent >= 0 {
+			t.Errorf("%s: mosaic swaps %.1f%% less than Linux at the edge of memory, want more", r.Workload, r.DiffPercent)
+		}
+	}
+}
+
+// TestSwapIOsMatchesSeparateRuns: feeding several Systems from one stream
+// gives each the swap I/O it has when it runs alone on a fresh stream. The
+// configs are Table 4's two modes, the eviction ablation's naive regime and
+// one scan-interval regime; the cap ends mid-batch.
+func TestSwapIOsMatchesSeparateRuns(t *testing.T) {
+	names := []string{"linux", "horizon", "naive", "scan@1024"}
+	cfgs := []SystemConfig{
+		{Mode: ModeVanilla},
+		{Mode: ModeMosaic},
+		{Mode: ModeMosaic, DisableHorizon: true},
+		{Mode: ModeMosaic, ScanInterval: 1024},
+	}
+	const memoryMiB = 2
+	frames := memoryMiB << 20 / PageSize
+	footprint := uint64(memoryMiB<<20) * 6 / 5
+	maxRefs := uint64(200*trace.DefaultBatchSize + 1234)
+	for _, workload := range []string{"btree", "graph500"} {
+		got, err := swapIOs(cfgs, frames, workload, footprint, 3, maxRefs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			cfg.Frames, cfg.Seed = frames, 3
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorkload(workload, footprint, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			RunBatch(w, vmSink{sys, 1}, maxRefs)
+			want := sys.Device().TotalIO()
+			if want == 0 {
+				t.Errorf("%s %s: no swap I/O, so the check is vacuous", workload, names[i])
+			}
+			if got[i] != want {
+				t.Errorf("%s %s: %d swap I/Os from the shared stream, %d alone", workload, names[i], got[i], want)
+			}
+		}
+	}
+}
+
 func TestTable5Facade(t *testing.T) {
 	rows := Table5()
 	if len(rows) != 4 || rows[3].LUTs != 6208 {

@@ -132,6 +132,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{"ablate-eviction", func(workers int) (any, error) {
 			return AblateEviction("btree", 8, []float64{1.05, 1.15}, 1_000_000, 7, workers)
 		}},
+		// The stream groups depend on the worker count: one pass feeds all
+		// four Systems at workers=1, one pass each at workers=4.
+		{"ablate-timestamps", func(workers int) (any, error) {
+			return AblateTimestamps("btree", 8, 1.15, []uint64{0, 1024, 16384}, 1_000_000, 7, workers)
+		}},
 	}
 	for _, c := range rowCases {
 		t.Run(c.name, func(t *testing.T) {

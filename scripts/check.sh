@@ -33,6 +33,8 @@ go test -run='^$' -fuzz=Fuzz -fuzztime=3s ./internal/iceberg
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
 # The TLB sets (scanned and map-indexed) against a naive MRU-list model.
 go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
+# The cache hierarchy against a naive per-set LRU write-back model.
+go test -run='^$' -fuzz=FuzzCacheOracle -fuzztime=3s ./internal/cache
 # Batch-boundary gate: replaying one captured stream into the simulator at
 # any batching — single references, odd sizes around DefaultBatchSize, the
 # whole stream at once, sampler off and on, and the multiprogram

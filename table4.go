@@ -6,6 +6,7 @@ import (
 	"mosaic/internal/obs"
 	"mosaic/internal/stats"
 	"mosaic/internal/sweep"
+	"mosaic/internal/trace"
 )
 
 // Table4Options parameterizes the swapping experiment (§4.3).
@@ -61,22 +62,18 @@ type Table4Row struct {
 	DiffPercent  float64
 }
 
-// table4Cell addresses one workload × footprint × run pair of simulations.
+// table4Cell addresses one workload × footprint × run pair of simulations,
+// which share one reference stream.
 type table4Cell struct {
 	workload  string
 	footprint uint64
 	run       int
 }
 
-// table4IO is one cell's swap I/O under both systems.
-type table4IO struct {
-	linux, mosaic uint64
-}
-
 // Table4 reproduces Table 4: each workload runs at a ladder of footprints
-// above memory size, once under the Linux-like vanilla system and once
-// under mosaic with Horizon LRU, with identical reference streams; the row
-// reports total swap I/Os. Cells are independent simulations and fan out
+// above memory size under the Linux-like vanilla system and under mosaic
+// with Horizon LRU, both fed from one pass of the workload (swapIOs); the
+// row reports total swap I/Os. Cells are independent simulations and fan out
 // across Options.Workers goroutines; results fold back in submission
 // order, so rows and their run averages match the sequential loop exactly.
 func Table4(opt Table4Options) ([]Table4Row, error) {
@@ -91,18 +88,10 @@ func Table4(opt Table4Options) ([]Table4Row, error) {
 			}
 		}
 	}
+	modes := []SystemConfig{{Mode: ModeVanilla}, {Mode: ModeMosaic}}
 	ios, err := sweep.Run(context.Background(), cells,
-		func(_ context.Context, _ int, c table4Cell) (table4IO, error) {
-			seed := opt.Seed + uint64(c.run)*104729
-			lio, err := swapIO(ModeVanilla, frames, c.workload, c.footprint, seed, opt.MaxRefs)
-			if err != nil {
-				return table4IO{}, err
-			}
-			mio, err := swapIO(ModeMosaic, frames, c.workload, c.footprint, seed, opt.MaxRefs)
-			if err != nil {
-				return table4IO{}, err
-			}
-			return table4IO{linux: lio, mosaic: mio}, nil
+		func(_ context.Context, _ int, c table4Cell) ([]uint64, error) {
+			return swapIOs(modes, frames, c.workload, c.footprint, opt.Seed+uint64(c.run)*104729, opt.MaxRefs)
 		},
 		sweep.Options{Workers: opt.Workers, Progress: opt.Progress, Name: "table4"})
 	if err != nil {
@@ -112,8 +101,8 @@ func Table4(opt Table4Options) ([]Table4Row, error) {
 	for i := 0; i < len(cells); i += opt.Runs {
 		var linux, mosaic stats.Running
 		for r := 0; r < opt.Runs; r++ {
-			linux.Observe(float64(ios[i+r].linux))
-			mosaic.Observe(float64(ios[i+r].mosaic))
+			linux.Observe(float64(ios[i+r][0]))
+			mosaic.Observe(float64(ios[i+r][1]))
 		}
 		rows = append(rows, Table4Row{
 			Workload:     cells[i].workload,
@@ -126,17 +115,40 @@ func Table4(opt Table4Options) ([]Table4Row, error) {
 	return rows, nil
 }
 
-// swapIO runs one (mode, workload, footprint) cell and returns the total
-// swap I/O count.
-func swapIO(mode Mode, frames int, workload string, footprint, seed, maxRefs uint64) (uint64, error) {
-	sys, err := NewSystem(SystemConfig{Frames: frames, Mode: mode, Seed: seed})
-	if err != nil {
-		return 0, err
+// swapIOs runs one workload stream through one System per config and
+// returns each System's total swap I/O, in config order. Every config gets
+// frames and seed. The stream is generated once and each batch is handed
+// to every System in turn: generators are open-loop (they never read
+// simulator state), so each System sees exactly the references, in the
+// same order, that a run of its own would feed it.
+func swapIOs(cfgs []SystemConfig, frames int, workload string, footprint, seed, maxRefs uint64) ([]uint64, error) {
+	sinks := make(fanOut, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Frames = frames
+		cfg.Seed = seed
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			return nil, err
+		}
+		sinks[i] = vmSink{sys, 1}
 	}
 	w, err := NewWorkload(workload, footprint, seed)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	RunBatch(w, vmSink{sys, 1}, maxRefs)
-	return sys.Device().TotalIO(), nil
+	RunBatch(w, sinks, maxRefs)
+	ios := make([]uint64, len(sinks))
+	for i, s := range sinks {
+		ios[i] = s.sys.Device().TotalIO()
+	}
+	return ios, nil
+}
+
+// fanOut hands each batch to every System's sink, in order.
+type fanOut []vmSink
+
+func (f fanOut) ProcessBatch(b trace.Batch) {
+	for _, s := range f {
+		s.ProcessBatch(b)
+	}
 }
