@@ -1,13 +1,11 @@
 package mosaic
 
-// One benchmark per table/figure of the paper's evaluation, at
-// benchmark-friendly scale. The cmd/ binaries regenerate the full tables;
-// these benches keep the whole pipeline exercised under `go test -bench=.`
-// and report the headline quantity of each experiment as a custom metric.
+// Benchmarks of the experiments the repository benchmark (bench/, run with
+// `bash bench/run.sh`) does not cover, at benchmark-friendly scale; each
+// reports the experiment's headline quantity as a custom metric. Figure 6
+// and Table 4 are measured end to end by bench/.
 //
-//	Figure 6  → BenchmarkFigure6* (TLB misses, vanilla vs mosaic)
 //	Table 3   → BenchmarkTable3 (first-conflict utilization)
-//	Table 4   → BenchmarkTable4 (swap I/O, Linux vs mosaic)
 //	Table 5   → BenchmarkTable5 (circuit synthesis model)
 //	§4.2 δ    → BenchmarkIcebergDelta
 //	Ablations → BenchmarkAblate*
@@ -22,50 +20,6 @@ import (
 
 	"mosaic/internal/trace"
 )
-
-func benchFigure6(b *testing.B, workload string) {
-	b.Helper()
-	benchFigure6Workers(b, workload, 0)
-}
-
-func benchFigure6Workers(b *testing.B, workload string, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := Figure6(Figure6Options{
-			Workload:       workload,
-			FootprintBytes: 8 << 20,
-			MaxRefs:        1_000_000,
-			TLBEntries:     256,
-			Ways:           []int{1, 8, 256},
-			Arities:        []int{4, 16, 64},
-			Seed:           1,
-			Workers:        workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			v, _ := res.MissesFor(8, "Vanilla")
-			m, _ := res.MissesFor(8, "Mosaic-4")
-			b.ReportMetric(float64(v), "vanilla-misses")
-			b.ReportMetric(float64(m), "mosaic4-misses")
-			if v > 0 {
-				b.ReportMetric(100*(1-float64(m)/float64(v)), "reduction-%")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure6Graph500(b *testing.B) { benchFigure6(b, "graph500") }
-func BenchmarkFigure6BTree(b *testing.B)    { benchFigure6(b, "btree") }
-func BenchmarkFigure6GUPS(b *testing.B)     { benchFigure6(b, "gups") }
-func BenchmarkFigure6XSBench(b *testing.B)  { benchFigure6(b, "xsbench") }
-
-// The sequential/parallel pair measures the sweep engine's wall-clock win
-// on an identical workload (scripts/bench.sh records the ratio into
-// BENCH_parallel.json); results are bit-identical by construction.
-func BenchmarkFigure6Sequential(b *testing.B) { benchFigure6Workers(b, "gups", 1) }
-func BenchmarkFigure6Parallel(b *testing.B)   { benchFigure6Workers(b, "gups", 4) }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -83,26 +37,6 @@ func BenchmarkTable3(b *testing.B) {
 		if i == b.N-1 {
 			b.ReportMetric(rows[0].FirstConflict*100, "first-conflict-%")
 			b.ReportMetric(rows[0].Steady*100, "steady-%")
-		}
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := Table4(Table4Options{
-			Workloads:      []string{"btree"},
-			MemoryMiB:      8,
-			FootprintFracs: []float64{1.2},
-			MaxRefs:        4_000_000,
-			Runs:           1,
-			Seed:           uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rows[0].LinuxKPages, "linux-kIO")
-			b.ReportMetric(rows[0].MosaicKPages, "mosaic-kIO")
 		}
 	}
 }
@@ -157,25 +91,6 @@ func BenchmarkAblateEviction(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessPipeline measures the simulator's per-reference cost —
-// the number that determines how much workload the harness can replay.
-func BenchmarkAccessPipeline(b *testing.B) {
-	sim, err := NewSimulator(SimConfig{
-		Frames: 1 << 16,
-		Specs: []TLBSpec{
-			{Geometry: TLBGeometry{Entries: 1024, Ways: 8}},
-			{Geometry: TLBGeometry{Entries: 1024, Ways: 8}, Arity: 4},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Access(0x10000000+uint64(i%8_000_000)*64, false)
-	}
-}
-
 func BenchmarkFragmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := Fragmentation(FragmentationOptions{Frames: 1 << 13, Seed: uint64(i)})
@@ -212,8 +127,7 @@ func BenchmarkMultiprogram(b *testing.B) {
 }
 
 // streamWorkload emits a fixed number of sequential references — the
-// cheapest possible workload, so BenchmarkRunBatch measures the harness's
-// dispatch cost rather than workload logic.
+// cheapest possible workload, for tests of the harness's budget handling.
 type streamWorkload struct{ n uint64 }
 
 func (s streamWorkload) Name() string           { return "stream" }
@@ -229,40 +143,6 @@ func (s streamWorkload) Run(b *trace.Batcher) {
 type batchCountSink struct{ n uint64 }
 
 func (s *batchCountSink) ProcessBatch(b trace.Batch) { s.n += uint64(len(b)) }
-
-// BenchmarkRunBatch is dispatch-only: the cheapest producer into a
-// counting sink. It measures the harness, not simulator throughput.
-func BenchmarkRunBatch(b *testing.B) {
-	w := streamWorkload{n: 1 << 21}
-	var s batchCountSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunBatch(w, &s, 1<<20); got != 1<<20 {
-			b.Fatalf("delivered %d refs, want %d", got, 1<<20)
-		}
-	}
-	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-// BenchmarkGenerateGUPSBatch measures workload generation alone — GUPS
-// emitting into a counting sink, with the simulator out of the picture —
-// answering whether generation or simulation bounds a sweep.
-const genBenchRefs = 1 << 20
-
-func BenchmarkGenerateGUPSBatch(b *testing.B) {
-	w, err := NewWorkload("gups", 8<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var s batchCountSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunBatch(w, &s, genBenchRefs); got != genBenchRefs {
-			b.Fatalf("delivered %d refs, want %d", got, genBenchRefs)
-		}
-	}
-	b.ReportMetric(float64(genBenchRefs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
 
 // BenchmarkBatchDecode measures v2 frame decoding alone — the trace-replay
 // bound when the simulator is out of the picture.

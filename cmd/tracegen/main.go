@@ -3,15 +3,13 @@
 // the memory-system simulator. Traces let a reference stream be simulated
 // many times (or inspected) without re-running the workload.
 //
-// Captures are written in the delta-encoded, block-framed v2 format; replay
-// sniffs the magic and also accepts v1 traces, which -convert re-encodes
-// as v2.
+// Captures are written in the delta-encoded, block-framed v2 format
+// (internal/trace), which replay reads back.
 //
 // Usage:
 //
 //	tracegen -workload graph500 -footprint 32 -out graph500.trace
 //	tracegen -replay graph500.trace [-entries 256] [-arity 4]
-//	tracegen -convert old-v1.trace -out new-v2.trace
 //	tracegen -workload gups -stats          # just count/summarize
 //	tracegen -workload gups -post http://127.0.0.1:7077   # stream to mosaicd
 package main
@@ -40,7 +38,6 @@ func main() {
 	maxRefs := flag.Uint64("maxrefs", 0, "cap on captured references (0 = full run)")
 	out := flag.String("out", "", "output trace file (capture mode)")
 	replay := flag.String("replay", "", "trace file to replay through the simulator")
-	convert := flag.String("convert", "", "v1 trace file to re-encode as v2 into -out")
 	entries := flag.Int("entries", 256, "TLB entries for replay")
 	arity := flag.Int("arity", 4, "mosaic arity for replay")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -63,13 +60,6 @@ func main() {
 	switch {
 	case *replay != "":
 		if err := replayTrace(*replay, *entries, *arity); err != nil {
-			fail(err)
-		}
-	case *convert != "":
-		if *out == "" {
-			fail(fmt.Errorf("-convert needs -out"))
-		}
-		if err := convertTrace(*convert, *out); err != nil {
 			fail(err)
 		}
 	case *workload != "" && *post != "":
@@ -156,44 +146,13 @@ func capture(name string, footprint, maxRefs, seed uint64, out string, statsOnly
 	return nil
 }
 
-// convertTrace re-encodes a v1 capture as a v2 delta-encoded trace.
-func convertTrace(in, out string) error {
-	src, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	dst, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer dst.Close()
-	progress.Stepf("tracegen: converting %s → %s", in, out)
-	n, err := trace.ConvertV1(dst, src)
-	if err != nil {
-		return err
-	}
-	progress.Done()
-	si, err := os.Stat(in)
-	if err != nil {
-		return err
-	}
-	so, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %d records: %d → %d bytes (%.1f%% of v1)\n",
-		n, si.Size(), so.Size(), 100*float64(so.Size())/float64(si.Size()))
-	return nil
-}
-
 func replayTrace(path string, entries, arity int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.Open(f)
+	tr, err := trace.NewBatchReader(f)
 	if err != nil {
 		return err
 	}
@@ -242,8 +201,8 @@ func postSession(base, name string, footprint, maxRefs, seed uint64, entries, ar
 	pr, pw := io.Pipe()
 	werr := make(chan error, 1)
 	go func() {
-		// Stream the capture in the v2 format; the daemon sniffs the magic.
-		// Batches flow from the generator straight into the frame encoder.
+		// Stream the capture in the v2 format. Batches flow from the
+		// generator straight into the frame encoder.
 		bw, err := trace.NewBatchWriter(pw)
 		if err != nil {
 			werr <- err

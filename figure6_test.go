@@ -105,3 +105,55 @@ func TestFigure6GridMatchesPerPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure6AcrossWorkloads is the scaled-down Figure 6 claim across
+// workloads: at 256 fully associative entries, Mosaic-4 takes fewer TLB
+// misses than vanilla on every workload, and GUPS, whose uniform random
+// updates leave no locality for a mosaic entry's neighbours, benefits
+// least. btree runs at 32 MiB rather than its committed 80 MiB: at 80 MiB
+// the first ~10M refs only build the tree, where the two TLBs miss alike.
+func TestFigure6AcrossWorkloads(t *testing.T) {
+	workloads := []struct {
+		name      string
+		footprint uint64
+	}{
+		{"graph500", 32 << 20},
+		{"btree", 32 << 20},
+		{"xsbench", 32 << 20},
+		{"gups", 128 << 20},
+	}
+	reduction := make([]float64, len(workloads))
+	t.Run("workloads", func(t *testing.T) {
+		for i, w := range workloads {
+			t.Run(w.name, func(t *testing.T) {
+				t.Parallel()
+				res, err := Figure6(Figure6Options{
+					Workload:       w.name,
+					FootprintBytes: w.footprint,
+					MaxRefs:        5_000_000,
+					TLBEntries:     256,
+					Ways:           []int{256},
+					Arities:        []int{4},
+					Seed:           1,
+					Workers:        1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, _ := res.MissesFor(256, "Vanilla")
+				m, _ := res.MissesFor(256, "Mosaic-4")
+				reduction[i] = 1 - float64(m)/float64(v)
+				t.Logf("vanilla %d, Mosaic-4 %d misses: %.1f%% fewer", v, m, 100*reduction[i])
+				if m >= v {
+					t.Errorf("Mosaic-4 misses %d ≥ vanilla %d", m, v)
+				}
+			})
+		}
+	})
+	gups := reduction[len(workloads)-1]
+	for i, w := range workloads[:len(workloads)-1] {
+		if reduction[i] <= gups {
+			t.Errorf("%s reduction %.1f%% ≤ gups %.1f%%: gups should benefit least", w.name, 100*reduction[i], 100*gups)
+		}
+	}
+}

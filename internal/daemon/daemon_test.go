@@ -19,7 +19,7 @@ import (
 
 // traceBytes builds an in-memory binary trace touching `pages` distinct
 // pages round-robin for `refs` references.
-func traceBytes(t *testing.T, refs, pages int) []byte {
+func traceBytes(t testing.TB, refs, pages int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw, err := trace.NewBatchWriter(&buf)
@@ -423,41 +423,53 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestBadTrace: garbage bytes settle the session as failed — reported on
-// the POST, in the session table, and in the failure counter.
+// TestBadTrace: garbage bytes, or a trace in the retired v1 format, settle
+// the session as failed — reported on the POST, in the session table, and
+// in the failure counter.
 func TestBadTrace(t *testing.T) {
 	srv := New(Config{Workers: 1, SampleEvery: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
 
-	resp, err := http.Post(ts.URL+"/sessions", "application/octet-stream", strings.NewReader("not a trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST garbage: %d, want 400", resp.StatusCode)
+	bodies := []string{"not a trace", "MTR1\x02\x04"}
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/sessions", "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %q: %d, want 400", body, resp.StatusCode)
+		}
 	}
 	code, metrics := get(t, ts.URL+"/metrics")
-	if code != http.StatusOK || !strings.Contains(metrics, "mosaicd_sessions_failed 1") {
-		t.Errorf("/metrics missing mosaicd_sessions_failed 1:\n%s", metrics)
+	want := fmt.Sprintf("mosaicd_sessions_failed %d", len(bodies))
+	if code != http.StatusOK || !strings.Contains(metrics, want) {
+		t.Errorf("/metrics missing %s:\n%s", want, metrics)
 	}
-	if code, _ := get(t, ts.URL+"/sessions/1/results.json"); code != http.StatusConflict {
-		t.Errorf("failed session results.json: %d, want 409", code)
+	for id := range bodies {
+		if code, _ := get(t, fmt.Sprintf("%s/sessions/%d/results.json", ts.URL, id+1)); code != http.StatusConflict {
+			t.Errorf("failed session %d results.json: %d, want 409", id+1, code)
+		}
 	}
 }
 
-// TestBadQuery: malformed session parameters are rejected with a 400,
-// either up front or, for a well-formed arity the TLB cannot be built
-// with, by the failed session; the daemon keeps serving afterwards.
+// TestBadQuery: malformed or out-of-range session parameters are
+// rejected with a 400, either up front or, for a well-formed shape the
+// simulator cannot be built with (an arity that is not a power of two, a
+// memory smaller than one bucket), by the failed session; the daemon keeps
+// serving afterwards.
 func TestBadQuery(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
 
-	for _, q := range []string{"entries=zero", "arity=-1", "sample=0", "frames=0", "arity=3"} {
+	for _, q := range []string{
+		"entries=zero", "arity=-1", "sample=0", "frames=0", "arity=3", "frames=1",
+		fmt.Sprintf("entries=%d", 1<<20), "arity=128", fmt.Sprintf("frames=%d", maxSessionFrames+1),
+	} {
 		resp, err := http.Post(ts.URL+"/sessions?"+q, "application/octet-stream", bytes.NewReader(traceBytes(t, 4, 2)))
 		if err != nil {
 			t.Fatal(err)

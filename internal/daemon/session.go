@@ -22,10 +22,12 @@ import (
 type SessionConfig struct {
 	// Label tags the session in /sessions and in event scopes.
 	Label string
-	// Entries and Arity shape the TLB pair (defaults 256 / 4).
+	// Entries and Arity shape the TLB pair (defaults 256 / 4, at most
+	// maxSessionEntries / maxSessionArity).
 	Entries int
 	Arity   int
-	// Frames is the simulated DRAM size in 4 KiB frames (default 1<<18).
+	// Frames is the simulated DRAM size in 4 KiB frames (default 1<<18, at
+	// most maxSessionFrames).
 	Frames int
 	// Sample is the sampling/publication window in references.
 	Sample uint64
@@ -33,8 +35,17 @@ type SessionConfig struct {
 	Seed uint64
 }
 
+// Upper bounds on a session's simulator shape, so one request cannot make
+// the daemon allocate without limit. At the bounds memsim.New holds about
+// 128 MB of heap for frames and 18 MB for entries × arity.
+const (
+	maxSessionEntries = 1 << 16
+	maxSessionArity   = 64 // the paper's largest
+	maxSessionFrames  = 1 << 22
+)
+
 // sessionConfigFromQuery parses the query string, filling defaults and
-// rejecting malformed numbers.
+// rejecting malformed or out-of-range numbers.
 func sessionConfigFromQuery(q url.Values, defaultSample uint64) (SessionConfig, error) {
 	cfg := SessionConfig{
 		Label:   q.Get("label"),
@@ -45,18 +56,18 @@ func sessionConfigFromQuery(q url.Values, defaultSample uint64) (SessionConfig, 
 		Seed:    1,
 	}
 	for _, p := range []struct {
-		key string
-		dst *int
-		min int
+		key      string
+		dst      *int
+		min, max int
 	}{
-		{"entries", &cfg.Entries, 1},
-		{"arity", &cfg.Arity, 1},
-		{"frames", &cfg.Frames, 1},
+		{"entries", &cfg.Entries, 1, maxSessionEntries},
+		{"arity", &cfg.Arity, 1, maxSessionArity},
+		{"frames", &cfg.Frames, 1, maxSessionFrames},
 	} {
 		if v := q.Get(p.key); v != "" {
 			n, err := strconv.Atoi(v)
-			if err != nil || n < p.min {
-				return cfg, fmt.Errorf("daemon: bad %s=%q (want integer >= %d)", p.key, v, p.min)
+			if err != nil || n < p.min || n > p.max {
+				return cfg, fmt.Errorf("daemon: bad %s=%q (want integer in [%d, %d])", p.key, v, p.min, p.max)
 			}
 			*p.dst = n
 		}
@@ -78,6 +89,20 @@ func sessionConfigFromQuery(q url.Values, defaultSample uint64) (SessionConfig, 
 		}
 	}
 	return cfg, nil
+}
+
+// simConfig is the session's simulator: the vanilla/mosaic TLB pair at
+// the configured geometry, reporting into ob.
+func (c SessionConfig) simConfig(ob *obs.Observer) memsim.Config {
+	return memsim.Config{
+		Frames: c.Frames,
+		Specs: []memsim.TLBSpec{
+			{Geometry: tlb.Geometry{Entries: c.Entries, Ways: 8}},
+			{Geometry: tlb.Geometry{Entries: c.Entries, Ways: 8}, Arity: c.Arity},
+		},
+		Seed: c.Seed,
+		Obs:  ob,
+	}
 }
 
 // Session states, as reported in GET /sessions.
@@ -132,15 +157,7 @@ func (sess *Session) run(body io.Reader) {
 	sess.started = time.Now()
 	sess.mu.Unlock()
 
-	sim, err := memsim.New(memsim.Config{
-		Frames: sess.cfg.Frames,
-		Specs: []memsim.TLBSpec{
-			{Geometry: tlb.Geometry{Entries: sess.cfg.Entries, Ways: 8}},
-			{Geometry: tlb.Geometry{Entries: sess.cfg.Entries, Ways: 8}, Arity: sess.cfg.Arity},
-		},
-		Seed: sess.cfg.Seed,
-		Obs:  sess.ob,
-	})
+	sim, err := memsim.New(sess.cfg.simConfig(sess.ob))
 	if err != nil {
 		sess.fail(err)
 		return
@@ -149,7 +166,7 @@ func (sess *Session) run(body io.Reader) {
 	sess.ob.Sampler.OnWindow(func(refs uint64) { sess.refs.Store(refs) })
 	sess.pub.AttachSampler(sess.ob.Sampler)
 
-	tr, err := trace.Open(body)
+	tr, err := trace.NewBatchReader(body)
 	if err != nil {
 		sess.fail(err)
 		return

@@ -3,8 +3,8 @@ package lint
 import "testing"
 
 // BenchmarkMosaiclintTree measures a full mosaiclint pass over the module —
-// parallel load plus every analyzer. scripts/bench.sh records this into
-// BENCH_lint.json so analyzer additions pay for their cost visibly.
+// parallel load plus every analyzer — so an analyzer's cost can be priced
+// with `go test -bench MosaiclintTree ./internal/lint` before it lands.
 func BenchmarkMosaiclintTree(b *testing.B) {
 	for b.Loop() {
 		passes, err := Load([]string{"mosaic/..."})

@@ -24,14 +24,6 @@ func (r *batchRecorder) refs() []Ref {
 	return out
 }
 
-func (r *batchRecorder) accesses() []Access {
-	var out []Access
-	for _, ref := range r.refs() {
-		out = append(out, Access{VA: ref.VA(), Write: ref.Write()})
-	}
-	return out
-}
-
 // emitStream drives n references into b, stopping early once the budget is
 // spent, the way a generator does, and returns how many it emitted.
 func emitStream(b *Batcher, n int) int {

@@ -2,34 +2,17 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// encodeV1 is a test-only v1 encoder: the magic followed by one varint of
-// (zigzag(VA delta) << 1 | write) per record. Captures are written as v2;
-// v1 bytes exist only to exercise the read-only v1 path.
-func encodeV1(accesses []Access) []byte {
-	out := append([]byte(nil), magic[:]...)
-	prevVA := uint64(0)
-	for _, a := range accesses {
-		v := zigzag(int64(a.VA-prevVA)) << 1
-		prevVA = a.VA
-		if a.Write {
-			v |= 1
-		}
-		out = binary.AppendUvarint(out, v)
-	}
-	return out
-}
-
+// TestBinaryRoundTrip round-trips a stream mixing sequential, backward and
+// far-jump deltas through one v2 frame.
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var want []Access
+	var want []Ref
 	va := uint64(0x10000000)
 	for i := 0; i < 10000; i++ {
 		switch rng.Intn(3) {
@@ -40,42 +23,37 @@ func TestBinaryRoundTrip(t *testing.T) {
 		case 2:
 			va = uint64(rng.Int63()) & (1<<57 - 1) // canonical VA range
 		}
-		a := Access{VA: va, Write: rng.Intn(4) == 0}
-		want = append(want, a)
+		want = append(want, MakeRef(va, rng.Intn(4) == 0))
 	}
-	r, err := NewReader(bytes.NewReader(encodeV1(want)))
-	if err != nil {
-		t.Fatal(err)
+	got := readAllV2(t, writeV2(t, want, len(want)))
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(want))
 	}
-	for i, wa := range want {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %#x, want %#x", i, got[i], want[i])
 		}
-		if got != wa {
-			t.Fatalf("record %d = %+v, want %+v", i, got, wa)
-		}
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
-// TestReplayAll replays a whole v1 trace into a batch sink.
+// TestReplayAll replays a whole v2 trace into a batch sink.
 func TestReplayAll(t *testing.T) {
-	var want []Access
+	var want []Ref
 	for i := 0; i < 100; i++ {
-		want = append(want, Access{VA: uint64(i) * 4096, Write: i%2 == 0})
+		want = append(want, MakeRef(uint64(i)*4096, i%2 == 0))
 	}
-	r, _ := NewReader(bytes.NewReader(encodeV1(want)))
+	r, err := NewBatchReader(bytes.NewReader(writeV2(t, want, 30)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rec batchRecorder
 	n, err := r.ReplayBatches(&rec)
 	if err != nil || n != 100 {
 		t.Fatalf("ReplayBatches = %d, %v", n, err)
 	}
-	for i, a := range rec.accesses() {
-		if a != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, a, want[i])
+	for i, ref := range rec.refs() {
+		if ref != want[i] {
+			t.Fatalf("record %d = %#x, want %#x", i, ref, want[i])
 		}
 	}
 }
@@ -95,12 +73,17 @@ func TestSequentialTraceIsCompact(t *testing.T) {
 	}
 }
 
+// TestBadHeader checks that anything but the v2 magic is rejected up
+// front, including the retired v1 format's "MTR1".
 func TestBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("XXXX123"))); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("bad magic: %v", err)
-	}
-	if _, err := NewReader(bytes.NewReader([]byte("MT"))); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("short header: %v", err)
+	for name, data := range map[string]string{
+		"bad magic":    "XXXX123",
+		"v1 magic":     "MTR1\x02\x04",
+		"short header": "MT",
+	} {
+		if _, err := NewBatchReader(bytes.NewReader([]byte(data))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -116,22 +99,20 @@ func TestVARoundTripProperty(t *testing.T) {
 		for i := range vas {
 			vas[i] &= 1<<57 - 1 // canonical VA range
 		}
-		accesses := make([]Access, len(vas))
+		refs := make([]Ref, len(vas))
 		for i, va := range vas {
-			accesses[i] = Access{VA: va, Write: va%3 == 0}
+			refs[i] = MakeRef(va, va%3 == 0)
 		}
-		r, err := NewReader(bytes.NewReader(encodeV1(accesses)))
-		if err != nil {
+		got := readAllV2(t, writeV2(t, refs, 7))
+		if len(got) != len(vas) {
 			return false
 		}
-		for _, va := range vas {
-			a, err := r.Next()
-			if err != nil || a.VA != va || a.Write != (va%3 == 0) {
+		for i, va := range vas {
+			if got[i].VA() != va || got[i].Write() != (va%3 == 0) {
 				return false
 			}
 		}
-		_, err = r.Next()
-		return errors.Is(err, io.EOF)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -178,8 +159,8 @@ func TestWriterCanonicalBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := readAllV2(t, buf.Bytes())
-	if len(got) != 1 || got[0].VA != 1<<62-1 {
-		t.Fatalf("round trip of boundary VA: %+v", got)
+	if len(got) != 1 || got[0].VA() != 1<<62-1 {
+		t.Fatalf("round trip of boundary VA: %#x", got)
 	}
 	if err := w.WriteBatch(Batch{Ref(uint64(1) << 63)}); !errors.Is(err, ErrNonCanonical) {
 		t.Fatalf("2^62 must be non-canonical, got %v", err)

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// mkAccesses builds a deterministic stream mixing sequential, strided, and
+// mkRefs builds a deterministic stream mixing sequential, strided, and
 // random far-jump patterns, the shapes the delta encoding must cover.
-func mkAccesses(n int, seed int64) []Access {
+func mkRefs(n int, seed int64) []Ref {
 	r := rand.New(rand.NewSource(seed))
-	out := make([]Access, n)
+	out := make([]Ref, n)
 	va := uint64(0x1000_0000)
 	for i := range out {
 		switch r.Intn(4) {
@@ -27,12 +27,12 @@ func mkAccesses(n int, seed int64) []Access {
 				va -= 128
 			}
 		}
-		out[i] = Access{VA: va, Write: r.Intn(3) == 0}
+		out[i] = MakeRef(va, r.Intn(3) == 0)
 	}
 	return out
 }
 
-func writeV2(t *testing.T, accesses []Access, batchSize int) []byte {
+func writeV2(t *testing.T, refs []Ref, batchSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewBatchWriter(&buf)
@@ -40,8 +40,8 @@ func writeV2(t *testing.T, accesses []Access, batchSize int) []byte {
 		t.Fatal(err)
 	}
 	var b Batch
-	for _, a := range accesses {
-		b = append(b, MakeRef(a.VA, a.Write))
+	for _, ref := range refs {
+		b = append(b, ref)
 		if len(b) == batchSize {
 			if err := w.WriteBatch(b); err != nil {
 				t.Fatal(err)
@@ -58,7 +58,7 @@ func writeV2(t *testing.T, accesses []Access, batchSize int) []byte {
 	return buf.Bytes()
 }
 
-func readAllV2(t *testing.T, data []byte) []Access {
+func readAllV2(t *testing.T, data []byte) []Ref {
 	t.Helper()
 	r, err := NewBatchReader(bytes.NewReader(data))
 	if err != nil {
@@ -68,7 +68,7 @@ func readAllV2(t *testing.T, data []byte) []Access {
 	if _, err := r.ReplayBatches(&rec); err != nil {
 		t.Fatal(err)
 	}
-	return rec.accesses()
+	return rec.refs()
 }
 
 func TestBatchRefPacking(t *testing.T) {
@@ -85,15 +85,14 @@ func TestBatchRefPacking(t *testing.T) {
 
 func TestBatchWriterReaderRoundTrip(t *testing.T) {
 	for _, batchSize := range []int{1, 7, 256, 4096} {
-		accesses := mkAccesses(10_000, int64(batchSize))
-		data := writeV2(t, accesses, batchSize)
-		got := readAllV2(t, data)
-		if len(got) != len(accesses) {
-			t.Fatalf("batch %d: decoded %d records, want %d", batchSize, len(got), len(accesses))
+		refs := mkRefs(10_000, int64(batchSize))
+		got := readAllV2(t, writeV2(t, refs, batchSize))
+		if len(got) != len(refs) {
+			t.Fatalf("batch %d: decoded %d records, want %d", batchSize, len(got), len(refs))
 		}
 		for i := range got {
-			if got[i] != accesses[i] {
-				t.Fatalf("batch %d: record %d = %+v, want %+v", batchSize, i, got[i], accesses[i])
+			if got[i] != refs[i] {
+				t.Fatalf("batch %d: record %d = %#x, want %#x", batchSize, i, got[i], refs[i])
 			}
 		}
 	}
@@ -122,9 +121,9 @@ func TestBatchWriterSplitsOversizedBatches(t *testing.T) {
 	if len(got) != len(b) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(b))
 	}
-	for i, a := range got {
-		if a.VA != uint64(i)*64 {
-			t.Fatalf("record %d VA = %#x, want %#x", i, a.VA, uint64(i)*64)
+	for i, ref := range got {
+		if ref.VA() != uint64(i)*64 {
+			t.Fatalf("record %d VA = %#x, want %#x", i, ref.VA(), uint64(i)*64)
 		}
 	}
 }
@@ -150,8 +149,8 @@ func TestBatchWriterNonCanonicalVA(t *testing.T) {
 }
 
 func TestBatchReaderTruncation(t *testing.T) {
-	accesses := mkAccesses(5_000, 42)
-	data := writeV2(t, accesses, 512)
+	refs := mkRefs(5_000, 42)
+	data := writeV2(t, refs, 512)
 	// Every proper prefix must either decode cleanly to a record prefix
 	// (cuts at frame boundaries) or fail with ErrNonCanonical — never
 	// panic, never misdecode.
@@ -174,8 +173,7 @@ func TestBatchReaderTruncation(t *testing.T) {
 				break
 			}
 			for i, ref := range b {
-				want := accesses[n+uint64(i)]
-				if ref.VA() != want.VA || ref.Write() != want.Write {
+				if ref != refs[n+uint64(i)] {
 					t.Fatalf("cut %d: record %d diverged", cut, n+uint64(i))
 				}
 			}
@@ -207,110 +205,34 @@ func TestBatchReaderRejectsLyingHeaders(t *testing.T) {
 	}
 }
 
-func TestConvertV1(t *testing.T) {
-	accesses := mkAccesses(20_000, 7)
-	var v2 bytes.Buffer
-	n, err := ConvertV1(&v2, bytes.NewReader(encodeV1(accesses)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uint64(len(accesses)) {
-		t.Fatalf("converted %d records, want %d", n, len(accesses))
-	}
-	got := readAllV2(t, v2.Bytes())
-	for i := range got {
-		if got[i] != accesses[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], accesses[i])
-		}
-	}
-}
+// TestReplayBatchesDeliversIntactFramesOnError pins the error path on a
+// corrupt v2 stream: every frame decoded before the corrupt one is
+// delivered and counted, so a truncated capture still replays its intact
+// prefix.
+func TestReplayBatchesDeliversIntactFramesOnError(t *testing.T) {
+	refs := mkRefs(1_000, 5)
+	// A frame header declaring one record and no payload bytes is corrupt.
+	data := append(writeV2(t, refs, 100), 0x01, 0x00)
 
-func TestOpenSniffsBothFormats(t *testing.T) {
-	accesses := mkAccesses(3_000, 3)
-	v2 := writeV2(t, accesses, 1000)
-
-	for name, data := range map[string][]byte{"v1": encodeV1(accesses), "v2": v2} {
-		src, err := Open(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: Open: %v", name, err)
-		}
-		var rec batchRecorder
-		n, err := src.ReplayBatches(&rec)
-		if err != nil {
-			t.Fatalf("%s: ReplayBatches: %v", name, err)
-		}
-		if n != uint64(len(accesses)) {
-			t.Fatalf("%s: replayed %d, want %d", name, n, len(accesses))
-		}
-		for i, a := range rec.accesses() {
-			if a != accesses[i] {
-				t.Fatalf("%s: record %d diverged", name, i)
-			}
-		}
-	}
-	if _, err := Open(bytes.NewReader([]byte("NOPE----"))); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("bad magic: err = %v, want ErrBadTrace", err)
-	}
-}
-
-func TestV1ReaderReadBatch(t *testing.T) {
-	accesses := mkAccesses(10_000, 11)
-	r, err := NewReader(bytes.NewReader(encodeV1(accesses)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	buf := make(Batch, 0, 256)
-	for {
-		b, err := r.ReadBatch(buf)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ref := range b {
-			if ref.VA() != accesses[n].VA || ref.Write() != accesses[n].Write {
-				t.Fatalf("record %d diverged", n)
-			}
-			n++
-		}
-		buf = b
-	}
-	if n != len(accesses) {
-		t.Fatalf("decoded %d records, want %d", n, len(accesses))
-	}
-}
-
-// TestV1ReplayBatchesDeliversPartialOnError pins the error path on a
-// malformed v1 stream: every record decoded before the error must be
-// delivered and counted, rather than discarding the partial batch the
-// error arrived with.
-func TestV1ReplayBatchesDeliversPartialOnError(t *testing.T) {
-	accesses := mkAccesses(1_000, 5)
-	// An unterminated varint after the valid records makes decoding fail
-	// mid-stream.
-	data := append(encodeV1(accesses), 0x80)
-
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := NewBatchReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec batchRecorder
 	n, err := r.ReplayBatches(&rec)
-	if err == nil {
-		t.Fatal("corrupt stream replayed cleanly through ReplayBatches")
+	if !errors.Is(err, ErrNonCanonical) {
+		t.Fatalf("ReplayBatches err = %v, want ErrNonCanonical", err)
 	}
-	if n != uint64(len(accesses)) {
-		t.Fatalf("ReplayBatches delivered %d records before the error, want %d", n, len(accesses))
+	if n != uint64(len(refs)) {
+		t.Fatalf("ReplayBatches delivered %d records before the error, want %d", n, len(refs))
 	}
-	got := rec.accesses()
-	if len(got) != len(accesses) {
-		t.Fatalf("sink saw %d records, want %d", len(got), len(accesses))
+	got := rec.refs()
+	if len(got) != len(refs) {
+		t.Fatalf("sink saw %d records, want %d", len(got), len(refs))
 	}
 	for i := range got {
-		if got[i] != accesses[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], accesses[i])
+		if got[i] != refs[i] {
+			t.Fatalf("record %d = %#x, want %#x", i, got[i], refs[i])
 		}
 	}
 }

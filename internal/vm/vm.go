@@ -123,6 +123,9 @@ func (c *Config) applyDefaults() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
+	if c.Mode == ModeMosaic && c.Frames < c.Geometry.BucketSize() {
+		return fmt.Errorf("vm: %d frames is less than one %d-frame bucket", c.Frames, c.Geometry.BucketSize())
+	}
 	if c.Hash == nil {
 		c.Hash = xxhash.NewPlacement(c.Seed)
 	}

@@ -47,7 +47,7 @@ func TestKVStoreByName(t *testing.T) {
 }
 
 func TestKVStoreDeterministic(t *testing.T) {
-	run := func() []trace.Access {
+	run := func() []trace.Ref {
 		kv := NewKVStore(KVStoreConfig{Keys: 2000, Ops: 2000, Seed: 42})
 		return record(kv)
 	}

@@ -29,10 +29,10 @@ func runAll(w Workload, sink trace.BatchSink) {
 }
 
 // record runs w to completion and returns its whole stream.
-func record(w Workload) []trace.Access {
-	var out []trace.Access
+func record(w Workload) []trace.Ref {
+	var out []trace.Ref
 	runAll(w, visit(func(va uint64, write bool) {
-		out = append(out, trace.Access{VA: va, Write: write})
+		out = append(out, trace.MakeRef(va, write))
 	}))
 	return out
 }
@@ -80,9 +80,9 @@ func TestArenaBadAlignPanics(t *testing.T) {
 func TestU64ArrayEmitsAccesses(t *testing.T) {
 	a := NewArena(0)
 	arr := NewU64Array(a, 10)
-	var got []trace.Access
+	var got []trace.Ref
 	b := trace.NewBatcher(visit(func(va uint64, write bool) {
-		got = append(got, trace.Access{VA: va, Write: write})
+		got = append(got, trace.MakeRef(va, write))
 	}), 0)
 	arr.Set(b, 3, 42)
 	if v := arr.Get(b, 3); v != 42 {
@@ -93,11 +93,11 @@ func TestU64ArrayEmitsAccesses(t *testing.T) {
 		t.Fatalf("%d accesses", len(got))
 	}
 	want := arr.VA + 24
-	if got[0] != (trace.Access{VA: want, Write: true}) {
-		t.Errorf("write access = %+v", got[0])
+	if got[0] != trace.MakeRef(want, true) {
+		t.Errorf("write access = (%#x, %v)", got[0].VA(), got[0].Write())
 	}
-	if got[1] != (trace.Access{VA: want, Write: false}) {
-		t.Errorf("read access = %+v", got[1])
+	if got[1] != trace.MakeRef(want, false) {
+		t.Errorf("read access = (%#x, %v)", got[1].VA(), got[1].Write())
 	}
 }
 
@@ -139,7 +139,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			run := func() []trace.Access {
+			run := func() []trace.Ref {
 				w, err := ByName(name, 1<<20, 99)
 				if err != nil {
 					t.Fatal(err)
@@ -152,7 +152,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 			}
 			for i := range a {
 				if a[i] != b[i] {
-					t.Fatalf("access %d differs: %+v vs %+v", i, a[i], b[i])
+					t.Fatalf("access %d differs: %#x vs %#x", i, a[i], b[i])
 				}
 			}
 			if len(a) == 0 {
@@ -341,7 +341,7 @@ func TestXSBenchEmitsGatherPattern(t *testing.T) {
 	}
 	// Every access is a read (the lookup kernel is read-only).
 	for _, a := range accesses {
-		if a.Write {
+		if a.Write() {
 			t.Fatal("XSBench lookup kernel should not write")
 		}
 	}

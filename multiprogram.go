@@ -245,15 +245,13 @@ type asidBatchSink struct {
 
 func (s asidBatchSink) ProcessBatch(b trace.Batch) { s.sim.ProcessBatchFrom(s.asid, b) }
 
-// replayStream replays a whole captured stream into the simulator,
-// sniffing the trace format (solo baselines replay the v2 captures; the
-// helper also accepts v1 streams).
+// replayStream replays a whole captured stream into the simulator.
 func replayStream(data []byte, sim *Simulator, asid ASID) error {
-	src, err := trace.Open(bytes.NewReader(data))
+	r, err := trace.NewBatchReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
-	_, err = src.ReplayBatches(asidBatchSink{sim, asid})
+	_, err = r.ReplayBatches(asidBatchSink{sim, asid})
 	return err
 }
 

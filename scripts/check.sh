@@ -35,6 +35,11 @@ go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
 go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
 # The cache hierarchy against a naive per-set LRU write-back model.
 go test -run='^$' -fuzz=FuzzCacheOracle -fuzztime=3s ./internal/cache
+# No mosaicd session query panics: accepted shapes build and replay.
+go test -run='^$' -fuzz=FuzzSessionQuery -fuzztime=3s ./internal/daemon
+# Nothing records the go-test benchmarks (bench/ is the repository
+# benchmark), so run each once to keep them compiling and passing.
+go test -run='^$' -bench=. -benchtime=1x ./...
 # Batch-boundary gate: replaying one captured stream into the simulator at
 # any batching — single references, odd sizes around DefaultBatchSize, the
 # whole stream at once, sampler off and on, and the multiprogram
