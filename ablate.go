@@ -68,6 +68,9 @@ type geomCase struct {
 // per case in trial order, so means and stddevs match the sequential loop
 // bit for bit.
 func sweepGeometries(cases []geomCase, frames, trials int, seed uint64, workers int) ([]AblateRow, error) {
+	if err := checkRepeats("trials", trials); err != nil {
+		return nil, err
+	}
 	type cell struct{ c, t int }
 	cells := make([]cell, 0, len(cases)*trials)
 	for c := range cases {
@@ -220,6 +223,9 @@ func AblateTimestamps(workload string, memoryMiB int, footprintFrac float64, int
 	if maxRefs == 0 {
 		maxRefs = 15_000_000
 	}
+	if err := checkFootprintFracs(footprintFrac); err != nil {
+		return nil, err
+	}
 	frames := memoryMiB << 20 / PageSize
 	footprint := uint64(footprintFrac * float64(memoryMiB) * (1 << 20))
 
@@ -285,6 +291,9 @@ func AblateEviction(workload string, memoryMiB int, fracs []float64, maxRefs, se
 	}
 	if maxRefs == 0 {
 		maxRefs = 10_000_000
+	}
+	if err := checkFootprintFracs(fracs...); err != nil {
+		return nil, err
 	}
 	frames := memoryMiB << 20 / PageSize
 	// One point per footprint; its stream feeds the three regimes in the

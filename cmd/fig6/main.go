@@ -22,9 +22,9 @@ import (
 
 	"mosaic"
 	"mosaic/internal/core"
+	"mosaic/internal/obs"
 	"mosaic/internal/results"
 	"mosaic/internal/stats"
-	"mosaic/internal/sweep"
 	"mosaic/internal/tlb"
 	"mosaic/internal/workloads"
 )
@@ -83,8 +83,8 @@ func main() {
 	}
 	// Per-workload sampled snapshots merge in workload order, so the
 	// obs.* aggregate below is identical at any -workers setting.
-	merger := sweep.NewMerger()
-	for i, name := range names {
+	var merged obs.Snapshot
+	for _, name := range names {
 		fp := *footprint
 		if fp == 0 {
 			fp = defaultFootprintsMiB[name]
@@ -109,12 +109,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fig6: %v\n", err)
 			os.Exit(1)
 		}
-		merger.Put(i, res.Metrics)
+		merged = merged.Merge(res.Metrics)
 		collect(out, res)
 		render(res, fp, *csv)
 	}
 	if drv.WantJSON() && *sample > 0 {
-		out.AddSnapshot("obs", merger.Merged())
+		out.AddSnapshot("obs", merged)
 	}
 	if err := drv.Finish(out); err != nil {
 		fmt.Fprintf(os.Stderr, "fig6: %v\n", err)

@@ -118,7 +118,7 @@ type Figure6Result struct {
 	Events []obs.Event
 	// Metrics is the finalized metrics snapshot of the sampled point
 	// (zero-valued unless Options.SampleEvery > 0). Drivers running
-	// several workloads merge these via sweep.Merger.
+	// several workloads fold these with Snapshot.Merge in workload order.
 	Metrics obs.Snapshot
 }
 

@@ -238,6 +238,24 @@ func TestFirstConflictUtilization(t *testing.T) {
 	}
 }
 
+func TestBackyardStaysSparse(t *testing.T) {
+	// Iceberg's analysis (§2.3) needs the backyard to hold a vanishing
+	// fraction of pages. At 95% utilization it must sit well under its
+	// 8-of-64 share of the frames.
+	m := newMem(t, 1<<15, 5)
+	target := int(0.95 * float64(m.NumFrames()))
+	for vpn := core.VPN(0); m.Used() < target; vpn++ {
+		if _, err := m.Place(1, vpn, uint64(vpn)+1, 0); err != nil {
+			t.Fatalf("conflict at utilization %.4f before reaching 95%%", m.Utilization())
+		}
+	}
+	frac := float64(m.BackyardUsed()) / float64(m.Used())
+	if frac >= 0.125 {
+		t.Errorf("backyard holds %.1f%% of pages at 95%% utilization", 100*frac)
+	}
+	t.Logf("backyard fraction at 95%% utilization: %.2f%%", 100*frac)
+}
+
 func TestTouchUpdatesRecency(t *testing.T) {
 	m := newMem(t, 64*4, 3)
 	p, err := m.Place(1, 10, 5, 0)

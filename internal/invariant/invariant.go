@@ -1,20 +1,18 @@
 // Package invariant is the runtime half of the repository's correctness
 // tooling (the static half is internal/lint). It provides a tiny reporting
-// API plus reusable trackers for the properties the mosaic stack leans on:
+// API plus one reusable tracker:
 //
 //   - Report collects violations instead of panicking, so one deep check
 //     can surface every broken invariant at once and tests can assert that
 //     a deliberately corrupted structure is in fact caught.
 //   - Monotone checks a sequence never decreases — the Horizon LRU's ghost
 //     threshold and the vm access clock are both monotone by construction.
-//   - Stability checks that keys never relocate between snapshots — the
-//     iceberg property (§2.3) that lets mapped pages stay put for life.
 //
 // The deep checkers themselves (CheckInvariants methods) live inside the
 // data-structure packages, where unexported state is visible: see
-// iceberg.Table, alloc.Memory, buddy.Allocator, vm.System, and
-// memsim.Simulator. Tests call them directly; memsim can also run them
-// periodically during a simulation via Config.CheckEvery.
+// alloc.Memory, buddy.Allocator, vm.System, and memsim.Simulator. Tests
+// call them directly; memsim can also run them periodically during a
+// simulation via Config.CheckEvery.
 package invariant
 
 import (
@@ -25,7 +23,7 @@ import (
 
 // Violation is one broken invariant.
 type Violation struct {
-	// Rule names the invariant, e.g. "iceberg.backyard-occupancy".
+	// Rule names the invariant, e.g. "alloc.occupancy-bitmap".
 	Rule string
 	// Detail describes the observed inconsistency.
 	Detail string
@@ -97,32 +95,4 @@ func (m *Monotone) Observe(r *Report, v uint64) {
 		r.Violatef(m.rule, "value decreased from %d to %d", m.last, v)
 	}
 	m.seen, m.last = true, v
-}
-
-// Stability tracks that keys never change position between snapshots:
-// a key present in two consecutive snapshots must map to the same position
-// in both. Keys may appear and disappear freely (insertions and deletions);
-// only relocation of a surviving key is a violation.
-type Stability[K comparable, P comparable] struct {
-	rule string
-	prev map[K]P
-}
-
-// NewStability creates a tracker reporting under the given rule name.
-func NewStability[K comparable, P comparable](rule string) *Stability[K, P] {
-	return &Stability[K, P]{rule: rule}
-}
-
-// Observe compares cur against the previous snapshot and retains a copy of
-// cur for the next call.
-func (s *Stability[K, P]) Observe(r *Report, cur map[K]P) {
-	for k, p := range cur {
-		if old, ok := s.prev[k]; ok && old != p {
-			r.Violatef(s.rule, "key %v relocated from %v to %v", k, old, p)
-		}
-	}
-	s.prev = make(map[K]P, len(cur))
-	for k, p := range cur {
-		s.prev[k] = p
-	}
 }

@@ -52,34 +52,3 @@ func TestMonotone(t *testing.T) {
 		t.Fatalf("violation = %v", v)
 	}
 }
-
-func TestStability(t *testing.T) {
-	var r Report
-	s := NewStability[string, int]("slots")
-	s.Observe(&r, map[string]int{"a": 1, "b": 2})
-	// b deleted, c inserted: both fine.
-	s.Observe(&r, map[string]int{"a": 1, "c": 3})
-	if !r.OK() {
-		t.Fatalf("insert/delete flagged as relocation: %v", r.Err())
-	}
-	// a relocates: violation.
-	s.Observe(&r, map[string]int{"a": 4, "c": 3})
-	if r.OK() {
-		t.Fatal("relocation not flagged")
-	}
-	if d := r.Violations()[0].Detail; !strings.Contains(d, "relocated from 1 to 4") {
-		t.Fatalf("detail = %q", d)
-	}
-}
-
-func TestStabilityRetainsCopy(t *testing.T) {
-	var r Report
-	s := NewStability[int, int]("slots")
-	snap := map[int]int{1: 1}
-	s.Observe(&r, snap)
-	snap[1] = 99 // mutating the caller's map must not corrupt the baseline
-	s.Observe(&r, map[int]int{1: 1})
-	if !r.OK() {
-		t.Fatalf("tracker aliased the caller's snapshot: %v", r.Err())
-	}
-}

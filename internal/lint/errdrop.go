@@ -7,9 +7,9 @@ import (
 )
 
 // ErrDrop flags call statements that silently discard an error returned by
-// the allocation, iceberg, or swap APIs — the three layers whose errors
-// encode placement conflicts and capacity exhaustion, exactly the
-// conditions the simulator exists to measure. A dropped alloc.ErrConflict
+// the allocation or swap APIs — the layers whose errors encode placement
+// conflicts and capacity exhaustion, exactly the conditions the simulator
+// exists to measure. A dropped alloc.ErrConflict
 // turns a measurable eviction into silent corruption.
 //
 // Only the implicit discard (a call used as a statement) is flagged; an
@@ -17,15 +17,14 @@ import (
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	ID:   "ML004",
-	Doc:  "error returns from the alloc, iceberg, and swap APIs must not be silently discarded",
+	Doc:  "error returns from the alloc and swap APIs must not be silently discarded",
 	Run:  runErrDrop,
 }
 
 // errDropPkgs are the API layers whose errors must be handled.
 var errDropPkgs = map[string]bool{
-	"mosaic/internal/alloc":   true,
-	"mosaic/internal/iceberg": true,
-	"mosaic/internal/swap":    true,
+	"mosaic/internal/alloc": true,
+	"mosaic/internal/swap":  true,
 }
 
 var errorType = types.Universe.Lookup("error").Type()

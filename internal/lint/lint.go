@@ -13,8 +13,8 @@
 //     validation, never on steady-state paths.
 //   - cpfnbounds: raw integer→CPFN conversions and PFN arithmetic are
 //     confined to internal/core and internal/alloc.
-//   - errdrop:    error returns from the alloc, iceberg, and swap APIs
-//     must not be silently discarded.
+//   - errdrop:    error returns from the alloc and swap APIs must not be
+//     silently discarded.
 //   - obsnames:   constant metric names handed to internal/obs must be
 //     lowercase dotted identifiers (the registry's grammar).
 //   - narrowconv: uint64-derived values (PFNs, virtual addresses, refill

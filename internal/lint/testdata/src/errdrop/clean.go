@@ -1,13 +1,10 @@
 package fixture
 
-import (
-	"mosaic/internal/alloc"
-	"mosaic/internal/iceberg"
-)
+import "mosaic/internal/alloc"
 
 // handled checks the errors — the required pattern.
-func handled(t *iceberg.Table[uint64, int], m *alloc.Memory) error {
-	if err := t.Put(3, 4); err != nil {
+func handled(u *alloc.Unconstrained, m *alloc.Memory) error {
+	if _, err := u.Place(1, 2, 3); err != nil {
 		return err
 	}
 	p, err := m.Place(1, 2, 3, 4)
@@ -16,12 +13,12 @@ func handled(t *iceberg.Table[uint64, int], m *alloc.Memory) error {
 }
 
 // explicit discards are a reviewable decision and stay legal.
-func explicit(t *iceberg.Table[uint64, int]) {
-	_ = t.Put(5, 6)
+func explicit(u *alloc.Unconstrained) {
+	_, _ = u.Place(5, 6, 7)
 }
 
 // nonError calls results that carry no error.
-func nonError(t *iceberg.Table[uint64, int], m *alloc.Memory) {
-	t.Delete(9)
+func nonError(u *alloc.Unconstrained, m *alloc.Memory) {
+	u.Free(9)
 	m.Touch(0, 1, false)
 }

@@ -1,13 +1,11 @@
 package fixture
 
-import (
-	"mosaic/internal/alloc"
-	"mosaic/internal/iceberg"
-)
+import "mosaic/internal/alloc"
 
-// dropPut loses a placement failure from the iceberg table.
-func dropPut(t *iceberg.Table[uint64, int]) {
-	t.Put(1, 2) // want "result of iceberg.Put discarded"
+// dropUnconstrained loses an out-of-frames failure from the baseline
+// allocator.
+func dropUnconstrained(u *alloc.Unconstrained) {
+	u.Place(1, 2, 3) // want "result of alloc.Place discarded"
 }
 
 // dropPlace loses an alloc conflict.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"mosaic/internal/alloc"
-	"mosaic/internal/iceberg"
 )
 
 // shuffle builds an ad-hoc generator — the one detrand pattern with a
@@ -16,8 +15,8 @@ func shuffle(seed int64, xs []int) {
 	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// drop discards errors from both guarded APIs.
-func drop(t *iceberg.Table[uint64, int], m *alloc.Memory) {
-	t.Put(1, 2)
+// drop discards errors from both allocators.
+func drop(u *alloc.Unconstrained, m *alloc.Memory) {
+	u.Place(1, 2, 3)
 	m.Place(1, 2, 3, 4)
 }

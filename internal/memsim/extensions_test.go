@@ -146,7 +146,6 @@ func TestWalkOverheadAccounting(t *testing.T) {
 		Frames:       1 << 16,
 		Specs:        []TLBSpec{{Geometry: g}, {Geometry: g, Arity: 4}},
 		EnableCaches: true,
-		MemLatency:   100,
 	})
 	// A working set far beyond TLB reach, so walks are frequent.
 	runWorkload(s, workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 20, Updates: 1 << 16, Seed: 6}), 0)

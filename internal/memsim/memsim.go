@@ -57,6 +57,13 @@ func (s TLBSpec) Label() string {
 	}
 }
 
+const (
+	// memLatency is the DRAM latency in cycles behind the cache model.
+	memLatency = 100
+	// walkCacheEntries sizes each unit's page-walk cache.
+	walkCacheEntries = 32
+)
+
 // Config parameterizes a Simulator.
 type Config struct {
 	// Frames is the simulated DRAM size in 4 KiB frames. It must
@@ -65,19 +72,17 @@ type Config struct {
 	Frames int
 	// Specs are the TLB design points to drive simultaneously.
 	Specs []TLBSpec
-	// EnableCaches attaches a Table 1a cache hierarchy per TLB unit.
+	// EnableCaches attaches a Table 1a cache hierarchy per TLB unit, with
+	// a memLatency-cycle DRAM behind it.
 	EnableCaches bool
-	// MemLatency is the DRAM latency in cycles for the cache model.
-	MemLatency int
 	// Seed seeds the placement hash.
 	Seed uint64
 	// ASID is the address space the workload runs in (default 1).
 	ASID core.ASID
-	// EnableWalkCache attaches a per-unit MMU page-walk cache (§5.4) that
-	// caches upper-level page-table entries, shortening walks.
+	// EnableWalkCache attaches a per-unit MMU page-walk cache (§5.4) of
+	// walkCacheEntries entries that caches upper-level page-table entries,
+	// shortening walks.
 	EnableWalkCache bool
-	// WalkCacheEntries sizes the walk cache (default 32).
-	WalkCacheEntries int
 	// CheckEvery, when positive, runs the deep invariant checkers (see
 	// Simulator.CheckInvariants) every CheckEvery data references — a
 	// debug mode for long simulations. Any violation panics with the full
@@ -257,14 +262,10 @@ func New(cfg Config) (*Simulator, error) {
 			}
 		}
 		if cfg.EnableWalkCache {
-			n := cfg.WalkCacheEntries
-			if n == 0 {
-				n = 32
-			}
-			u.pwc = newWalkCache(n)
+			u.pwc = newWalkCache(walkCacheEntries)
 		}
 		if cfg.EnableCaches {
-			h, err := cache.NewHierarchy(cfg.MemLatency, cache.Table1a()...)
+			h, err := cache.NewHierarchy(memLatency, cache.Table1a()...)
 			if err != nil {
 				return nil, err
 			}

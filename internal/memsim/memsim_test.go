@@ -162,7 +162,6 @@ func TestCachesAccounting(t *testing.T) {
 		Frames:       1 << 16,
 		Specs:        specs(64, 8, 4),
 		EnableCaches: true,
-		MemLatency:   100,
 	})
 	runWorkload(s, workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 13, Updates: 1 << 13, Seed: 1}), 0)
 	for _, r := range s.Results() {
@@ -204,7 +203,6 @@ func TestArityOrderDeterministic(t *testing.T) {
 			Specs:           specs(64, 8, 16, 4),
 			EnableCaches:    true,
 			EnableWalkCache: true,
-			MemLatency:      100,
 			Seed:            1,
 		})
 		runWorkload(s, workloads.NewXSBench(workloads.XSBenchConfig{TargetBytes: 2 << 20, Seed: 1}), 100_000)

@@ -1,5 +1,5 @@
-// Package stats provides the counters, running statistics, and table
-// rendering shared by the experiment harness. Every table and figure in
+// Package stats provides the running statistics and table rendering
+// shared by the experiment harness. Every table and figure in
 // EXPERIMENTS.md is rendered through this package so that outputs are
 // uniform and machine-parsable.
 package stats
@@ -7,62 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counters is a named set of monotonically increasing event counters.
-type Counters struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounters creates an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{values: make(map[string]uint64)}
-}
-
-// Add increments counter name by delta, creating it on first use.
-func (c *Counters) Add(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
-}
-
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the current value of name (zero if never incremented).
-func (c *Counters) Get(name string) uint64 { return c.values[name] }
-
-// Names returns the counter names in first-use order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.values))
-	for k, v := range c.values {
-		out[k] = v
-	}
-	return out
-}
-
-// Reset zeroes all counters but keeps their registration order.
-func (c *Counters) Reset() {
-	for k := range c.values {
-		c.values[k] = 0
-	}
-}
-
-// String renders the counters as "name=value" pairs in first-use order.
-func (c *Counters) String() string {
-	parts := make([]string, 0, len(c.names))
-	for _, n := range c.names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, c.values[n]))
-	}
-	return strings.Join(parts, " ")
-}
 
 // Running accumulates a stream of float64 samples and reports mean and
 // standard deviation, as the paper does for its ten-run averages.
@@ -217,35 +163,6 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Percentiles computes the requested percentiles (0..100) of samples.
-// The input slice is not modified.
-func Percentiles(samples []float64, ps ...float64) []float64 {
-	if len(samples) == 0 {
-		return make([]float64, len(ps))
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p <= 0 {
-			out[i] = sorted[0]
-			continue
-		}
-		if p >= 100 {
-			out[i] = sorted[len(sorted)-1]
-			continue
-		}
-		rank := p / 100 * float64(len(sorted)-1)
-		lo := int(math.Floor(rank))
-		frac := rank - float64(lo)
-		out[i] = sorted[lo]
-		if lo+1 < len(sorted) {
-			out[i] += frac * (sorted[lo+1] - sorted[lo])
-		}
-	}
-	return out
 }
 
 // PercentChange returns the percent reduction from base to x, matching the

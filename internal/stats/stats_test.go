@@ -6,38 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	if c.Get("misses") != 0 {
-		t.Error("unregistered counter should read zero")
-	}
-	c.Inc("misses")
-	c.Add("misses", 4)
-	c.Inc("hits")
-	if c.Get("misses") != 5 || c.Get("hits") != 1 {
-		t.Errorf("misses=%d hits=%d", c.Get("misses"), c.Get("hits"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "misses" || names[1] != "hits" {
-		t.Errorf("Names = %v", names)
-	}
-	snap := c.Snapshot()
-	c.Inc("misses")
-	if snap["misses"] != 5 {
-		t.Error("Snapshot aliases live state")
-	}
-	if got := c.String(); got != "misses=6 hits=1" {
-		t.Errorf("String = %q", got)
-	}
-	c.Reset()
-	if c.Get("misses") != 0 {
-		t.Error("Reset did not zero counters")
-	}
-	if len(c.Names()) != 2 {
-		t.Error("Reset dropped registration order")
-	}
-}
-
 func TestRunning(t *testing.T) {
 	var r Running
 	if r.Mean() != 0 || r.Stddev() != 0 || r.N() != 0 {
@@ -106,31 +74,6 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n"
 	if csv != want {
 		t.Errorf("CSV = %q, want %q", csv, want)
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := Percentiles(samples, 0, 50, 100)
-	if got[0] != 1 || got[2] != 10 {
-		t.Errorf("extremes = %v", got)
-	}
-	if math.Abs(got[1]-5.5) > 1e-12 {
-		t.Errorf("median = %v, want 5.5", got[1])
-	}
-	// Out-of-range percentiles clamp.
-	got = Percentiles(samples, -5, 150)
-	if got[0] != 1 || got[1] != 10 {
-		t.Errorf("clamped = %v", got)
-	}
-	// Input must not be mutated.
-	shuffled := []float64{3, 1, 2}
-	Percentiles(shuffled, 50)
-	if shuffled[0] != 3 {
-		t.Error("Percentiles mutated its input")
-	}
-	if got := Percentiles(nil, 50); got[0] != 0 {
-		t.Errorf("empty input = %v", got)
 	}
 }
 

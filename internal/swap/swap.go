@@ -1,7 +1,7 @@
 // Package swap implements the page-eviction policies and the swap-device
 // model used by the OS layer.
 //
-// Four policies are provided:
+// Two policies are provided:
 //
 //   - HorizonLRU (§2.4 of the paper): mosaic's eviction algorithm. It keeps
 //     a horizon — the high-water mark of the access times of all pages it
@@ -16,10 +16,6 @@
 //     used as the baseline ("Linux" columns of Tables 3 and 4). It inherits
 //     the well-known LRU-approximation weaknesses (e.g. cyclic access
 //     patterns) that §4.3 credits for some of mosaic's wins.
-//
-//   - TrueLRU: exact global LRU, for ablation.
-//
-//   - Clock (clock.go): classic second-chance replacement, for ablation.
 //
 // A Device counts swap I/Os the way sysstat does: one page-out per page
 // written to swap, one page-in per page read back.
@@ -149,29 +145,11 @@ func (h *HorizonLRU) NoteEviction(lastAccess uint64) {
 	}
 }
 
-// Policy is the interface the baseline (fully-associative) OS layer uses to
-// pick reclaim victims. Implementations track residency via OnFault/OnRemove
-// and recency via OnAccess.
-type Policy interface {
-	// OnFault records that pfn became resident.
-	OnFault(pfn core.PFN)
-	// OnAccess records a reference to resident pfn.
-	OnAccess(pfn core.PFN)
-	// OnRemove records that pfn left memory.
-	OnRemove(pfn core.PFN)
-	// Victim selects a resident page to reclaim. It panics if none is
-	// tracked.
-	Victim() core.PFN
-	// Len is the number of tracked resident pages.
-	Len() int
-}
-
 // list node states for the intrusive lists below.
 const (
 	onNone = iota
 	onInactive
 	onActive
-	onLRU
 )
 
 type node struct {
@@ -218,64 +196,6 @@ func (l *list) tail(nodes []node) (int, bool) {
 	return nodes[l.head].prev, true
 }
 
-// TrueLRU is an exact global least-recently-used policy.
-type TrueLRU struct {
-	nodes []node
-	lru   list // front = most recent
-	count int
-}
-
-// NewTrueLRU creates a policy for frames [0, numFrames).
-func NewTrueLRU(numFrames int) *TrueLRU {
-	nodes := make([]node, numFrames+1)
-	t := &TrueLRU{nodes: nodes}
-	t.lru = newList(nodes, numFrames)
-	return t
-}
-
-// OnFault implements Policy. It panics if pfn is already tracked.
-func (t *TrueLRU) OnFault(pfn core.PFN) {
-	n := &t.nodes[pfn]
-	if n.where != onNone {
-		panic(fmt.Sprintf("swap: OnFault of tracked frame %d", pfn))
-	}
-	n.where = onLRU
-	t.lru.pushFront(t.nodes, int(pfn))
-	t.count++
-}
-
-// OnAccess implements Policy. It panics if pfn is not resident.
-func (t *TrueLRU) OnAccess(pfn core.PFN) {
-	if t.nodes[pfn].where != onLRU {
-		panic(fmt.Sprintf("swap: OnAccess of untracked frame %d", pfn))
-	}
-	t.lru.remove(t.nodes, int(pfn))
-	t.lru.pushFront(t.nodes, int(pfn))
-}
-
-// OnRemove implements Policy. It panics if pfn is not resident.
-func (t *TrueLRU) OnRemove(pfn core.PFN) {
-	if t.nodes[pfn].where != onLRU {
-		panic(fmt.Sprintf("swap: OnRemove of untracked frame %d", pfn))
-	}
-	t.lru.remove(t.nodes, int(pfn))
-	t.nodes[pfn].where = onNone
-	t.count--
-}
-
-// Victim implements Policy: the globally least-recently-used page. It
-// panics if no pages are resident.
-func (t *TrueLRU) Victim() core.PFN {
-	i, ok := t.lru.tail(t.nodes)
-	if !ok {
-		panic("swap: Victim with no resident pages")
-	}
-	return core.PFN(i)
-}
-
-// Len implements Policy.
-func (t *TrueLRU) Len() int { return t.count }
-
 // TwoListLRU approximates Linux's split LRU: pages enter the inactive list
 // on fault; a second reference while inactive promotes them to the active
 // list. Reclaim scans the inactive tail with second chances and demotes
@@ -297,10 +217,10 @@ func NewTwoListLRU(numFrames int) *TwoListLRU {
 	return p
 }
 
-// OnFault implements Policy: new pages start on the inactive list, not yet
-// referenced (matching Linux's treatment of freshly faulted anon pages,
-// which start inactive when there is reclaim pressure). It panics if pfn
-// is already tracked.
+// OnFault records that pfn became resident. New pages start on the
+// inactive list, not yet referenced (matching Linux's treatment of freshly
+// faulted anon pages, which start inactive when there is reclaim
+// pressure). It panics if pfn is already tracked.
 func (p *TwoListLRU) OnFault(pfn core.PFN) {
 	n := &p.nodes[pfn]
 	if n.where != onNone {
@@ -312,9 +232,10 @@ func (p *TwoListLRU) OnFault(pfn core.PFN) {
 	p.count++
 }
 
-// OnAccess implements Policy: the first reference sets the referenced bit
-// (hardware access bit); a reference to an already-referenced inactive page
-// promotes it to the active list. It panics if pfn is not resident.
+// OnAccess records a reference to resident pfn. The first reference sets
+// the referenced bit (hardware access bit); a reference to an
+// already-referenced inactive page promotes it to the active list. It
+// panics if pfn is not resident.
 func (p *TwoListLRU) OnAccess(pfn core.PFN) {
 	n := &p.nodes[pfn]
 	switch n.where {
@@ -334,7 +255,7 @@ func (p *TwoListLRU) OnAccess(pfn core.PFN) {
 	}
 }
 
-// OnRemove implements Policy. It panics if pfn is not resident.
+// OnRemove records that pfn left memory. It panics if pfn is not resident.
 func (p *TwoListLRU) OnRemove(pfn core.PFN) {
 	n := &p.nodes[pfn]
 	switch n.where {
@@ -350,11 +271,11 @@ func (p *TwoListLRU) OnRemove(pfn core.PFN) {
 	p.count--
 }
 
-// Victim implements Policy. It first rebalances (demoting active-tail pages
-// while the active list outnumbers the inactive list), then scans the
-// inactive tail: referenced pages get a second chance (promotion), the
-// first unreferenced page is the victim. Victim panics if no pages are
-// resident.
+// Victim selects a resident page to reclaim. It first rebalances
+// (demoting active-tail pages while the active list outnumbers the
+// inactive list), then scans the inactive tail: referenced pages get a
+// second chance (promotion), the first unreferenced page is the victim.
+// Victim panics if no pages are resident.
 func (p *TwoListLRU) Victim() core.PFN {
 	if p.count == 0 {
 		panic("swap: Victim with no resident pages")
@@ -398,7 +319,7 @@ func (p *TwoListLRU) Victim() core.PFN {
 	}
 }
 
-// Len implements Policy.
+// Len is the number of tracked resident pages.
 func (p *TwoListLRU) Len() int { return p.count }
 
 // ActiveLen reports the active-list length (diagnostic).
@@ -406,8 +327,3 @@ func (p *TwoListLRU) ActiveLen() int { return p.active.len }
 
 // InactiveLen reports the inactive-list length (diagnostic).
 func (p *TwoListLRU) InactiveLen() int { return p.inactive.len }
-
-var (
-	_ Policy = (*TrueLRU)(nil)
-	_ Policy = (*TwoListLRU)(nil)
-)

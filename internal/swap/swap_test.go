@@ -76,56 +76,6 @@ func TestHorizonPickVictim(t *testing.T) {
 	}
 }
 
-func TestTrueLRUOrder(t *testing.T) {
-	p := NewTrueLRU(16)
-	for i := 0; i < 5; i++ {
-		p.OnFault(core.PFN(i))
-	}
-	if p.Len() != 5 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	// Access 0 and 1; LRU should now be 2.
-	p.OnAccess(0)
-	p.OnAccess(1)
-	if v := p.Victim(); v != 2 {
-		t.Errorf("Victim = %d, want 2", v)
-	}
-	p.OnRemove(2)
-	if v := p.Victim(); v != 3 {
-		t.Errorf("Victim after remove = %d, want 3", v)
-	}
-	// Exhaustive drain respects recency order: 3, 4, 0, 1.
-	want := []core.PFN{3, 4, 0, 1}
-	for _, w := range want {
-		v := p.Victim()
-		if v != w {
-			t.Fatalf("drain Victim = %d, want %d", v, w)
-		}
-		p.OnRemove(v)
-	}
-	if p.Len() != 0 {
-		t.Fatalf("Len after drain = %d", p.Len())
-	}
-}
-
-func TestTrueLRUPanics(t *testing.T) {
-	p := NewTrueLRU(4)
-	assertPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s should panic", name)
-			}
-		}()
-		fn()
-	}
-	assertPanic("Victim empty", func() { p.Victim() })
-	assertPanic("OnAccess untracked", func() { p.OnAccess(0) })
-	assertPanic("OnRemove untracked", func() { p.OnRemove(0) })
-	p.OnFault(1)
-	assertPanic("double OnFault", func() { p.OnFault(1) })
-}
-
 func TestTwoListPromotion(t *testing.T) {
 	p := NewTwoListLRU(16)
 	p.OnFault(0)
@@ -197,51 +147,43 @@ func TestTwoListAllActiveStillFindsVictim(t *testing.T) {
 }
 
 func TestPoliciesTrackLenConsistently(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		p    Policy
-	}{
-		{"true-lru", NewTrueLRU(256)},
-		{"two-list", NewTwoListLRU(256)},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			p := mk.p
-			rng := rand.New(rand.NewSource(1))
-			resident := map[core.PFN]bool{}
-			for i := 0; i < 10000; i++ {
-				pfn := core.PFN(rng.Intn(256))
-				switch {
-				case !resident[pfn]:
-					p.OnFault(pfn)
-					resident[pfn] = true
-				case rng.Intn(4) == 0:
-					p.OnRemove(pfn)
-					delete(resident, pfn)
-				default:
-					p.OnAccess(pfn)
-				}
-				if p.Len() != len(resident) {
-					t.Fatalf("iteration %d: Len = %d, model %d", i, p.Len(), len(resident))
-				}
+	t.Run("two-list", func(t *testing.T) {
+		p := NewTwoListLRU(256)
+		rng := rand.New(rand.NewSource(1))
+		resident := map[core.PFN]bool{}
+		for i := 0; i < 10000; i++ {
+			pfn := core.PFN(rng.Intn(256))
+			switch {
+			case !resident[pfn]:
+				p.OnFault(pfn)
+				resident[pfn] = true
+			case rng.Intn(4) == 0:
+				p.OnRemove(pfn)
+				delete(resident, pfn)
+			default:
+				p.OnAccess(pfn)
 			}
-			// Drain via Victim; every victim must be resident per model.
-			for len(resident) > 0 {
-				v := p.Victim()
-				if !resident[v] {
-					t.Fatalf("victim %d is not resident", v)
-				}
-				p.OnRemove(v)
-				delete(resident, v)
+			if p.Len() != len(resident) {
+				t.Fatalf("iteration %d: Len = %d, model %d", i, p.Len(), len(resident))
 			}
-		})
-	}
+		}
+		// Drain via Victim; every victim must be resident per model.
+		for len(resident) > 0 {
+			v := p.Victim()
+			if !resident[v] {
+				t.Fatalf("victim %d is not resident", v)
+			}
+			p.OnRemove(v)
+			delete(resident, v)
+		}
+	})
 }
 
 func TestTwoListCyclicPatternIsWorstCase(t *testing.T) {
 	// The classic LRU pathology: cycling over N+1 pages with capacity N
 	// makes LRU-family policies evict exactly the page needed next.
 	// This test documents the baseline behaviour that §4.3 credits for
-	// mosaic's swapping wins: the two-list policy (like true LRU) misses
+	// mosaic's swapping wins: the two-list policy (like any LRU) misses
 	// every time on a cyclic scan.
 	const capacity, pages = 64, 65
 	p := NewTwoListLRU(pages)
@@ -268,17 +210,6 @@ func TestTwoListCyclicPatternIsWorstCase(t *testing.T) {
 	// policies: ≥ 9 full rounds of faults.
 	if faults < 9*pages {
 		t.Errorf("faults = %d; expected near-total misses (≥ %d) on cyclic scan", faults, 9*pages)
-	}
-}
-
-func BenchmarkTrueLRUAccess(b *testing.B) {
-	p := NewTrueLRU(1 << 16)
-	for i := 0; i < 1<<16; i++ {
-		p.OnFault(core.PFN(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.OnAccess(core.PFN(i & (1<<16 - 1)))
 	}
 }
 

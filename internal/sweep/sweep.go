@@ -25,7 +25,6 @@ package sweep
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +42,6 @@ type Options struct {
 	Progress *obs.Progress
 	// Name labels the progress line ("fig6 graph500").
 	Name string
-	// Obs, when non-nil, is sealed once every point has completed: workers
-	// contribute per-point snapshots with Put during the run, and sealing
-	// fixes the index-ordered merge so later Merged calls are cheap and
-	// late Puts are caught as programming errors.
-	Obs *Merger
 }
 
 // PoolSize resolves the worker pool size Run uses for n points: Workers,
@@ -73,7 +67,6 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	n := len(points)
 	out := make([]R, n)
 	if n == 0 {
-		opt.Obs.seal()
 		return out, nil
 	}
 	counter := opt.Progress.StartCount(opt.Name, n)
@@ -90,7 +83,6 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 			out[i] = r
 			counter.Step()
 		}
-		opt.Obs.seal()
 		return out, nil
 	}
 
@@ -131,95 +123,5 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opt.Obs.seal()
 	return out, nil
-}
-
-// Merger accumulates per-point obs.Snapshots from concurrent workers and
-// merges them in point-index order. Index ordering matters: counter and
-// histogram merges commute, but gauge merges are last-writer-wins, so only
-// an index-ordered fold reproduces what a sequential sweep's single
-// registry would have held.
-type Merger struct {
-	mu     sync.Mutex
-	snaps  []indexedSnap
-	sealed bool
-	merged obs.Snapshot
-}
-
-type indexedSnap struct {
-	index int
-	snap  obs.Snapshot
-}
-
-// NewMerger creates an empty Merger.
-func NewMerger() *Merger { return &Merger{} }
-
-// Put contributes point i's snapshot. Safe for concurrent use; nil-safe.
-// It panics after the owning Run has completed — a snapshot arriving late
-// would be silently dropped from the merge, which is a programming error.
-func (m *Merger) Put(i int, s obs.Snapshot) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sealed {
-		panic("sweep: Merger.Put after the sweep completed")
-	}
-	m.snaps = append(m.snaps, indexedSnap{index: i, snap: s})
-}
-
-// seal fixes the index-ordered merge; nil-safe, idempotent.
-func (m *Merger) seal() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sealed {
-		return
-	}
-	m.sealed = true
-	m.merged = m.mergeLocked()
-}
-
-// Merged returns the index-ordered merge of every contributed snapshot.
-// Before the sweep completes it merges on the fly; afterwards it returns
-// the sealed result.
-func (m *Merger) Merged() obs.Snapshot {
-	if m == nil {
-		return obs.Snapshot{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sealed {
-		return m.merged
-	}
-	return m.mergeLocked()
-}
-
-// Len is the number of contributed snapshots; nil-safe.
-func (m *Merger) Len() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.snaps)
-}
-
-func (m *Merger) mergeLocked() obs.Snapshot {
-	ordered := make([]indexedSnap, len(m.snaps))
-	copy(ordered, m.snaps)
-	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].index < ordered[b].index })
-	out := obs.Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]obs.HistogramSnapshot{},
-	}
-	for _, is := range ordered {
-		out = out.Merge(is.snap)
-	}
-	return out
 }

@@ -148,64 +148,6 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
 
-// TestMergerIndexOrder pins the determinism argument for merged snapshots:
-// gauges are last-writer-wins, so the fold must follow point-index order,
-// not Put order.
-func TestMergerIndexOrder(t *testing.T) {
-	m := NewMerger()
-	// Contribute out of order, as completion order would under a pool.
-	for _, i := range []int{2, 0, 1} {
-		reg := obs.NewRegistry()
-		reg.Counter("sweep.test_count").Add(uint64(10 + i))
-		reg.Gauge("sweep.test_gauge").Set(float64(i))
-		m.Put(i, reg.Snapshot())
-	}
-	got := m.Merged()
-	if got.Counters["sweep.test_count"] != 33 {
-		t.Errorf("counter merged to %d, want 33 (sum)", got.Counters["sweep.test_count"])
-	}
-	if got.Gauges["sweep.test_gauge"] != 2 {
-		t.Errorf("gauge merged to %v, want 2 (last index wins)", got.Gauges["sweep.test_gauge"])
-	}
-}
-
-func TestMergerSealedByRun(t *testing.T) {
-	m := NewMerger()
-	_, err := Run(context.Background(), make([]int, 4), func(_ context.Context, i, _ int) (int, error) {
-		reg := obs.NewRegistry()
-		reg.Gauge("sweep.test_gauge").Set(float64(i))
-		m.Put(i, reg.Snapshot())
-		return i, nil
-	}, Options{Workers: 4, Obs: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 4 {
-		t.Fatalf("merger holds %d snapshots, want 4", m.Len())
-	}
-	if got := m.Merged().Gauges["sweep.test_gauge"]; got != 3 {
-		t.Errorf("sealed gauge = %v, want 3 (highest index)", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Put after seal should panic")
-		}
-	}()
-	m.Put(9, obs.Snapshot{})
-}
-
-func TestMergerNilSafe(t *testing.T) {
-	var m *Merger
-	m.Put(0, obs.Snapshot{})
-	m.seal()
-	if m.Len() != 0 {
-		t.Error("nil merger should be empty")
-	}
-	if s := m.Merged(); len(s.Counters) != 0 {
-		t.Error("nil merger should merge to the zero snapshot")
-	}
-}
-
 // TestRunDeterministicUnderRace re-runs one sweep at several worker counts
 // and checks the collected results are identical — the engine-level half of
 // the determinism pin (the experiment-level half lives in the root

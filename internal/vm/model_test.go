@@ -179,22 +179,6 @@ func TestDifferentialModelVanillaTwoList(t *testing.T) {
 	}
 }
 
-func TestDifferentialModelVanillaTrueLRU(t *testing.T) {
-	s, err := New(Config{Frames: 512, Mode: ModeVanilla, Policy: PolicyTrueLRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDifferential(t, s, 30000, 6, 800)
-}
-
-func TestDifferentialModelVanillaClock(t *testing.T) {
-	s, err := New(Config{Frames: 512, Mode: ModeVanilla, Policy: PolicyClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDifferential(t, s, 30000, 11, 800)
-}
-
 func TestDifferentialModelUnderubscribed(t *testing.T) {
 	// Fits in memory: no evictions may occur at all.
 	s, err := New(Config{Frames: 2048, Mode: ModeMosaic, Seed: 7})

@@ -13,8 +13,8 @@
 //
 //   - ModeVanilla: allocation is fully associative and reclaim approximates
 //     Linux: a two-list active/inactive LRU plus zone watermarks (reclaim
-//     begins when free memory falls below LowWatermark, and proceeds until
-//     HighWatermark is free), matching the paper's observation that stock
+//     begins when free memory falls below lowWatermark, and proceeds until
+//     highWatermark is free), matching the paper's observation that stock
 //     Linux starts swapping at ≈99.2% utilization.
 //
 // Unlike the paper's Linux prototype — which emulates access timestamps
@@ -57,16 +57,12 @@ func (m Mode) String() string {
 	}
 }
 
-// BaselinePolicy selects the vanilla-mode eviction policy.
-type BaselinePolicy int
-
+// Vanilla-mode zone watermarks, as fractions of all frames: reclaim kicks
+// in when free frames fall to lowWatermark (Linux begins swapping at ≈99.2%
+// utilization, per §4.2) and restores highWatermark free.
 const (
-	// PolicyTwoList approximates Linux's active/inactive reclaim (default).
-	PolicyTwoList BaselinePolicy = iota
-	// PolicyTrueLRU is exact global LRU (for ablation).
-	PolicyTrueLRU
-	// PolicyClock is classic second-chance CLOCK (for ablation).
-	PolicyClock
+	lowWatermark  float64 = 0.008
+	highWatermark         = 1.25 * lowWatermark
 )
 
 // sharedASID is the reserved namespace for pages placed via location IDs
@@ -87,15 +83,6 @@ type Config struct {
 	Hash core.PlacementHash
 	// Seed seeds the default placement hash.
 	Seed uint64
-	// Policy selects the vanilla eviction policy.
-	Policy BaselinePolicy
-	// LowWatermark is the free-frame fraction below which vanilla reclaim
-	// kicks in. Defaults to 0.008 (Linux begins swapping at ≈99.2%
-	// utilization, per §4.2).
-	LowWatermark float64
-	// HighWatermark is the free-frame fraction reclaim restores. Defaults
-	// to 1.25 × LowWatermark.
-	HighWatermark float64
 	// DisableHorizon turns off the Horizon LRU ghost mechanism (mosaic
 	// mode), leaving the naive scheme §2.4 argues against: evict the LRU
 	// page of the conflicting candidates, with no ghosts. For the eviction
@@ -128,18 +115,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Hash == nil {
 		c.Hash = xxhash.NewPlacement(c.Seed)
-	}
-	if c.LowWatermark == 0 {
-		c.LowWatermark = 0.008
-	}
-	if c.LowWatermark < 0 || c.LowWatermark >= 1 {
-		return fmt.Errorf("vm: low watermark %v out of range (0,1)", c.LowWatermark)
-	}
-	if c.HighWatermark == 0 {
-		c.HighWatermark = 1.25 * c.LowWatermark
-	}
-	if c.HighWatermark < c.LowWatermark || c.HighWatermark >= 1 {
-		return fmt.Errorf("vm: high watermark %v must be in [low, 1)", c.HighWatermark)
 	}
 	return nil
 }
@@ -223,7 +198,7 @@ type System struct {
 	umem *alloc.Unconstrained // vanilla mode
 
 	hlru   *swap.HorizonLRU
-	policy swap.Policy
+	policy *swap.TwoListLRU
 	dev    *swap.Device
 
 	spaces  map[core.ASID]*AddressSpace
@@ -304,18 +279,9 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("vm: ScanInterval applies to mosaic mode only")
 		}
 		s.umem = alloc.NewUnconstrained(cfg.Frames)
-		switch cfg.Policy {
-		case PolicyTwoList:
-			s.policy = swap.NewTwoListLRU(cfg.Frames)
-		case PolicyTrueLRU:
-			s.policy = swap.NewTrueLRU(cfg.Frames)
-		case PolicyClock:
-			s.policy = swap.NewClock(cfg.Frames)
-		default:
-			return nil, fmt.Errorf("vm: unknown baseline policy %d", cfg.Policy)
-		}
-		s.lowFrames = int(cfg.LowWatermark * float64(cfg.Frames))
-		s.highFrames = int(cfg.HighWatermark * float64(cfg.Frames))
+		s.policy = swap.NewTwoListLRU(cfg.Frames)
+		s.lowFrames = int(lowWatermark * float64(cfg.Frames))
+		s.highFrames = int(highWatermark * float64(cfg.Frames))
 		if s.lowFrames < 1 {
 			s.lowFrames = 1
 		}

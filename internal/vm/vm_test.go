@@ -29,12 +29,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Frames: 0}); err == nil {
 		t.Error("zero frames accepted")
 	}
-	if _, err := New(Config{Frames: 1024, LowWatermark: 1.5}); err == nil {
-		t.Error("watermark > 1 accepted")
-	}
-	if _, err := New(Config{Frames: 1024, LowWatermark: 0.5, HighWatermark: 0.1}); err == nil {
-		t.Error("high < low watermark accepted")
-	}
 	if _, err := New(Config{Frames: 1024, Mode: Mode(9)}); err == nil {
 		t.Error("bogus mode accepted")
 	}

@@ -1,6 +1,7 @@
 package mosaic
 
 import (
+	"math"
 	"testing"
 
 	"mosaic/internal/trace"
@@ -352,6 +353,40 @@ func TestIcebergDelta(t *testing.T) {
 		t.Errorf("min/mean/max inconsistent: %+v", res)
 	}
 	t.Logf("1−δ = %.4f ± %.4f (paper: ≈0.9803)", res.Mean, res.SD)
+}
+
+// TestNegativeCountsRejected: a negative run or trial count, or a footprint
+// fraction that is not positive, is a configuration error at every entry
+// point — never a panic deep in a sweep, and never an empty table.
+func TestNegativeCountsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"table3 runs", func() error { _, err := Table3(Table3Options{Runs: -1}); return err }},
+		{"table3 footprint", func() error { _, err := Table3(Table3Options{FootprintFracs: []float64{1.1, -1}}); return err }},
+		{"table4 runs", func() error { _, err := Table4(Table4Options{Runs: -1}); return err }},
+		{"table4 footprint", func() error { _, err := Table4(Table4Options{FootprintFracs: []float64{-1}}); return err }},
+		{"table4 zero footprint", func() error { _, err := Table4(Table4Options{FootprintFracs: []float64{0}}); return err }},
+		{"table4 NaN footprint", func() error { _, err := Table4(Table4Options{FootprintFracs: []float64{math.NaN()}}); return err }},
+		{"iceberg delta trials", func() error { _, err := IcebergDelta(IcebergDeltaOptions{Trials: -1}); return err }},
+		{"ablate choices trials", func() error { _, err := AblateChoices(nil, 0, -1, 1, 1); return err }},
+		{"ablate split trials", func() error { _, err := AblateSplit(nil, 0, -1, 1, 1); return err }},
+		{"ablate hash trials", func() error { _, err := AblateHash(0, -1, 1, 1); return err }},
+		{"ablate timestamps footprint", func() error { _, err := AblateTimestamps("", 0, -1, nil, 0, 1, 1); return err }},
+		{"ablate eviction footprint", func() error { _, err := AblateEviction("", 0, []float64{-1}, 0, 1, 1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
 }
 
 func TestAblateChoices(t *testing.T) {

@@ -29,7 +29,9 @@ go run ./cmd/mosaiclint -diff HEAD
 # until the default 10-minute per-package limit compounds across packages.
 go test -race -timeout 120s ./internal/sweep/... ./internal/obs/...
 go test -race -timeout 300s ./...
-go test -run='^$' -fuzz=Fuzz -fuzztime=3s ./internal/iceberg
+# The iceberg allocator against a map oracle: stable frames, CPFNs that
+# decode back, conflicts only when every candidate is live.
+go test -run='^$' -fuzz=FuzzMemoryPlaceFree -fuzztime=3s ./internal/alloc
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
 # The TLB sets (scanned and map-indexed) against a naive MRU-list model.
 go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb

@@ -18,6 +18,26 @@ var PaperFootprintFracs = []float64{
 	5436.0 / 4096, 5691.0 / 4096, 5947.0 / 4096, 6203.0 / 4096, 6459.0 / 4096,
 }
 
+// checkRepeats rejects a negative run or trial count, which would otherwise
+// panic sizing a sweep or render an empty table.
+func checkRepeats(what string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("mosaic: %s must not be negative, got %d", what, n)
+	}
+	return nil
+}
+
+// checkFootprintFracs rejects footprint fractions that are not positive
+// (NaN included): no workload can be built at such a footprint.
+func checkFootprintFracs(fracs ...float64) error {
+	for _, f := range fracs {
+		if !(f > 0) {
+			return fmt.Errorf("mosaic: footprint fraction %v must be positive", f)
+		}
+	}
+	return nil
+}
+
 // Table3Options parameterizes the memory-utilization experiment (§4.2).
 type Table3Options struct {
 	// Workloads defaults to the paper's three (graph500, xsbench, btree —
@@ -43,7 +63,7 @@ type Table3Options struct {
 	Progress *obs.Progress
 }
 
-func (o *Table3Options) applyDefaults() {
+func (o *Table3Options) applyDefaults() error {
 	if len(o.Workloads) == 0 {
 		o.Workloads = []string{"graph500", "xsbench", "btree"}
 	}
@@ -59,6 +79,10 @@ func (o *Table3Options) applyDefaults() {
 	if o.MaxRefs == 0 {
 		o.MaxRefs = 20_000_000
 	}
+	if err := checkRepeats("runs", o.Runs); err != nil {
+		return err
+	}
+	return checkFootprintFracs(o.FootprintFracs...)
 }
 
 // Table3Row is one row of Table 3: utilization at the first associativity
@@ -143,7 +167,9 @@ type table3Sample struct {
 // folds back in submission order — the per-row Running accumulators see
 // runs in exactly the sequential order.
 func Table3(opt Table3Options) ([]Table3Row, error) {
-	opt.applyDefaults()
+	if err := opt.applyDefaults(); err != nil {
+		return nil, err
+	}
 	frames := opt.MemoryMiB << 20 / PageSize
 	var cells []table3Cell
 	for _, frac := range opt.FootprintFracs {
@@ -249,6 +275,9 @@ func IcebergDelta(opt IcebergDeltaOptions) (IcebergDeltaResult, error) {
 	}
 	if opt.Trials == 0 {
 		opt.Trials = 10
+	}
+	if err := checkRepeats("trials", opt.Trials); err != nil {
+		return IcebergDeltaResult{}, err
 	}
 	if opt.Geometry == (Geometry{}) {
 		opt.Geometry = DefaultGeometry

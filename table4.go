@@ -33,7 +33,7 @@ type Table4Options struct {
 	Progress *obs.Progress
 }
 
-func (o *Table4Options) applyDefaults() {
+func (o *Table4Options) applyDefaults() error {
 	if len(o.Workloads) == 0 {
 		o.Workloads = []string{"graph500", "xsbench", "btree"}
 	}
@@ -49,6 +49,10 @@ func (o *Table4Options) applyDefaults() {
 	if o.Runs == 0 {
 		o.Runs = 3
 	}
+	if err := checkRepeats("runs", o.Runs); err != nil {
+		return err
+	}
+	return checkFootprintFracs(o.FootprintFracs...)
 }
 
 // Table4Row is one row of Table 4: swap I/O (in thousands of pages, as the
@@ -77,7 +81,9 @@ type table4Cell struct {
 // across Options.Workers goroutines; results fold back in submission
 // order, so rows and their run averages match the sequential loop exactly.
 func Table4(opt Table4Options) ([]Table4Row, error) {
-	opt.applyDefaults()
+	if err := opt.applyDefaults(); err != nil {
+		return nil, err
+	}
 	frames := opt.MemoryMiB << 20 / PageSize
 	var cells []table4Cell
 	for _, name := range opt.Workloads {
