@@ -12,7 +12,10 @@
 // (f=56, b=8, d=6, h=104).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Base page parameters (4 KiB pages, as in the paper).
 const (
@@ -256,13 +259,13 @@ func (g Geometry) FrameFor(c CPFN, buckets []uint64) PFN {
 }
 
 // MosaicPage computes the mosaic virtual page number and the sub-page
-// offset of vpn for a power-of-two arity. It panics if arity is not a
-// positive power of two.
+// offset of vpn for a power-of-two arity: a shift by log2(arity) and a
+// mask. It panics if arity is not a positive power of two.
 func MosaicPage(vpn VPN, arity int) (MVPN, int) {
 	if arity&(arity-1) != 0 || arity <= 0 {
 		panic(fmt.Sprintf("core: arity %d is not a positive power of two", arity))
 	}
-	return MVPN(uint64(vpn) / uint64(arity)), int(uint64(vpn) % uint64(arity))
+	return MVPN(uint64(vpn) >> bits.TrailingZeros(uint(arity))), int(uint64(vpn) & uint64(arity-1))
 }
 
 // BaseVPN is the inverse of MosaicPage: the VPN of sub-page off within m.

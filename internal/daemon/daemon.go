@@ -153,6 +153,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.cRejected.Inc()
 		sess.fail(fmt.Errorf("daemon: %w", err))
 		s.mu.Unlock()
+		close(sess.done)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -183,7 +184,9 @@ func (s *Server) admit(cfg SessionConfig) (*Session, error) {
 }
 
 // runSession executes one session on a pool worker and settles the
-// daemon-level admission metrics around it.
+// daemon-level admission metrics around it. The session's done channel
+// closes only after the completed/failed and refs counters count it, so a
+// client answered on done that scrapes /metrics at once sees its session.
 func (s *Server) runSession(sess *Session, body io.Reader) {
 	s.mu.Lock()
 	s.gActive.Add(1)
@@ -200,6 +203,7 @@ func (s *Server) runSession(sess *Session, body io.Reader) {
 		s.cRefs.Add(sess.Refs())
 	}
 	s.mu.Unlock()
+	close(sess.done)
 }
 
 // handleMetrics serves the merged Prometheus view: daemon admission

@@ -150,7 +150,9 @@ func newSession(id int, cfg SessionConfig) *Session {
 }
 
 // run executes the whole session on a pool worker: build the simulator,
-// replay the streamed trace into it, finalize, and publish the result.
+// replay the streamed trace into it, finalize, and publish the result. It
+// settles the session's state but leaves done open: the daemon closes it
+// once its own counters account for the session.
 func (sess *Session) run(body io.Reader) {
 	sess.mu.Lock()
 	sess.state = stateRunning
@@ -207,7 +209,6 @@ func (sess *Session) run(body io.Reader) {
 	sess.final = f
 	sess.ended = time.Now()
 	sess.mu.Unlock()
-	close(sess.done)
 }
 
 // fail settles the session in the failed state. Called at most once, by
@@ -218,7 +219,6 @@ func (sess *Session) fail(err error) {
 	sess.err = err
 	sess.ended = time.Now()
 	sess.mu.Unlock()
-	close(sess.done)
 }
 
 // Result returns the final results file once the session is done, or the

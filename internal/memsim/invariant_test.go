@@ -58,14 +58,14 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 		if !ok {
 			t.Fatal("VPN 3 should be mapped")
 		}
-		s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), want.Add(1))
+		s.units[0].(*vanillaUnit).tlb.Insert(taggedVPN(s.cfg.ASID, vpn), want.Add(1))
 		var r invariant.Report
 		s.CheckInvariants(&r)
 		if !hasCoherenceViolation(&r, "Vanilla") {
 			t.Fatalf("stale vanilla entry not reported: %v", r.Violations())
 		}
 		// Repair by reinserting the truth; the state must audit clean again.
-		s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), want)
+		s.units[0].(*vanillaUnit).tlb.Insert(taggedVPN(s.cfg.ASID, vpn), want)
 		r = invariant.Report{}
 		s.CheckInvariants(&r)
 		if err := r.Err(); err != nil {
@@ -74,12 +74,12 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 	})
 
 	t.Run("mosaic-unmapped-subpage", func(t *testing.T) {
-		u := s.units[1]
+		m := s.units[1].(*mosaicUnit).tlb
 		// A ToC claiming a valid sub-entry for a VPN no page table maps.
 		vpn := core.VPN(1 << 20)
-		toc := u.mosaic.InvalidToC()
+		toc := m.InvalidToC()
 		toc[0] = 0
-		u.mosaic.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
+		m.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
 		var r invariant.Report
 		s.CheckInvariants(&r)
 		if !hasCoherenceViolation(&r, "Mosaic-4") {
@@ -97,10 +97,10 @@ func hasCoherenceViolation(r *invariant.Report, label string) bool {
 	return false
 }
 
-// TestCheckInvariantsReportDeterministic corrupts two entries in each of a
-// map-indexed (fully-associative) vanilla TLB and a scanned mosaic TLB and
+// TestCheckInvariantsReportDeterministic corrupts two entries in each of an
+// index-probed (fully-associative) vanilla TLB and a scanned mosaic TLB and
 // checks that the violation report reads identically on every run: TLB
-// contents are audited in slot order, not map order.
+// contents are audited in slot order, not index order.
 func TestCheckInvariantsReportDeterministic(t *testing.T) {
 	var first string
 	for run := 0; run < 5; run++ {
@@ -120,12 +120,12 @@ func TestCheckInvariantsReportDeterministic(t *testing.T) {
 		}
 		for _, vpn := range []core.VPN{3, 17} {
 			pfn, _ := s.vanillaPT(s.cfg.ASID).Get(vpn)
-			s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), pfn.Add(1))
+			s.units[0].(*vanillaUnit).tlb.Insert(taggedVPN(s.cfg.ASID, vpn), pfn.Add(1))
 		}
 		for _, vpn := range []core.VPN{1 << 20, 1<<20 + 64} {
-			toc := s.units[1].mosaic.InvalidToC()
+			toc := s.units[1].(*mosaicUnit).tlb.InvalidToC()
 			toc[0] = 0
-			s.units[1].mosaic.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
+			s.units[1].(*mosaicUnit).tlb.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
 		}
 		var r invariant.Report
 		s.CheckInvariants(&r)

@@ -1,9 +1,9 @@
 // Package memsim is the repository's gem5 substitute: a trace-driven
 // memory-system simulator that reproduces the paper's dual-TLB methodology
-// (§3.1). Every workload reference is fed simultaneously to a conventional
-// TLB and any number of mosaic TLBs — one per (geometry, arity) point of
-// Figure 6 — each backed by its own page-table walker, so a single workload
-// pass yields the entire associativity × arity grid under an identical
+// (§3.1). Every workload reference is fed to a conventional TLB and any
+// number of mosaic TLBs — one per (geometry, arity) point of Figure 6 —
+// each backed by its own page-table walker, so a single workload pass
+// yields the entire associativity × arity grid under an identical
 // reference stream.
 //
 // The OS underneath is a mosaic-mode vm.System with ample memory (Figure 6
@@ -14,6 +14,14 @@
 // With caches enabled, each TLB unit gets a private cache hierarchy
 // (Table 1a) through which both its page-table walks and the data stream
 // flow, exactly as gem5 attaches a walker per TLB.
+//
+// The simulator runs unit-major. The OS layer resolves each reference
+// once, into the frame it touched, and appends it to a pending segment;
+// each TLB unit then runs the whole segment in its own loop, so its tags,
+// LRU links and ToCs stay hot in the host's cache. A segment ends before
+// any reference that faults and before any eviction, the only events that
+// change a page table, so every unit sees exactly the per-reference
+// sequence of lookups, walks and fills: units share nothing else.
 package memsim
 
 import (
@@ -125,32 +133,6 @@ type Result struct {
 	CoalescingFactor float64
 }
 
-// unit is one TLB design point with its TLB and caches; the page table it
-// walks is selected per access by the faulting ASID.
-type unit struct {
-	spec       TLBSpec
-	vanilla    *tlb.Vanilla
-	mosaic     *tlb.Mosaic
-	coalesced  *tlb.Coalesced
-	caches     *cache.Hierarchy
-	pwc        *walkCache
-	walks      uint64
-	walkRefs   uint64
-	pwcHits    uint64
-	walkCycles uint64
-
-	// The page table of the last ASID this unit walked (vpt for vanilla
-	// and CoLT units, mpt for mosaic ones), so a miss from the same
-	// address space skips the per-ASID map lookup. Page tables are never
-	// replaced, so the cache never goes stale.
-	ptASID core.ASID
-	vpt    *pagetable.Vanilla
-	mpt    *pagetable.Mosaic
-	// neighbours is the CoLT fill buffer, reused on every miss
-	// (Coalesced.Insert does not retain it).
-	neighbours []tlb.NeighbourPFN
-}
-
 // ptKey identifies a per-process page table: each address space has its
 // own radix tree (its own CR3), per arity for the mosaic variants.
 type ptKey struct {
@@ -163,7 +145,10 @@ type ptKey struct {
 type Simulator struct {
 	cfg   Config
 	os    *vm.System
-	units []*unit
+	units []unit
+	// seg is the pending segment: references the OS layer has resolved
+	// and no unit has run yet.
+	seg segment
 	// Page tables are per (ASID, arity): mosaic PTs are shared among units
 	// with equal arity (their contents are identical; each unit still
 	// walks them independently).
@@ -248,30 +233,26 @@ func New(cfg Config) (*Simulator, error) {
 		if spec.Coalesce < 0 || spec.Coalesce > 64 || spec.Coalesce&(spec.Coalesce-1) != 0 {
 			return nil, fmt.Errorf("memsim: coalescing run length %d is not a power of two in [1,64]", spec.Coalesce)
 		}
-		u := &unit{spec: spec}
-		switch {
-		case spec.Coalesce != 0:
-			u.coalesced = tlb.NewCoalesced(spec.Geometry, spec.Coalesce)
-			u.neighbours = make([]tlb.NeighbourPFN, spec.Coalesce)
-		case spec.Arity == 0:
-			u.vanilla = tlb.NewVanilla(spec.Geometry)
-		default:
-			u.mosaic = tlb.NewMosaic(spec.Geometry, spec.Arity)
-			if !slices.Contains(s.arities, spec.Arity) {
-				s.arities = append(s.arities, spec.Arity)
-			}
-		}
+		b := unitBase{spec: spec}
 		if cfg.EnableWalkCache {
-			u.pwc = newWalkCache(walkCacheEntries)
+			b.pwc = newWalkCache(walkCacheEntries)
 		}
 		if cfg.EnableCaches {
 			h, err := cache.NewHierarchy(memLatency, cache.Table1a()...)
 			if err != nil {
 				return nil, err
 			}
-			u.caches = h
+			b.caches = h
 		}
-		s.units = append(s.units, u)
+		s.units = append(s.units, newUnit(b))
+		if spec.Arity != 0 && !slices.Contains(s.arities, spec.Arity) {
+			s.arities = append(s.arities, spec.Arity)
+		}
+	}
+	s.seg = segment{
+		vpn:   make([]core.VPN, 0, segmentCap),
+		pa:    make([]uint64, 0, segmentCap),
+		write: make([]bool, 0, segmentCap),
 	}
 	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
@@ -295,17 +276,6 @@ func slug(label string) string {
 	return b.String()
 }
 
-func (u *unit) stats() tlb.Stats {
-	switch {
-	case u.vanilla != nil:
-		return u.vanilla.Stats()
-	case u.coalesced != nil:
-		return u.coalesced.Stats()
-	default:
-		return u.mosaic.Stats()
-	}
-}
-
 // registerProbes wires the time-series sampler to live simulator state:
 // per-unit TLB hit rate and walk latency, per-unit per-level cache MPKI,
 // iceberg slot occupancy by level, memory utilization and ghost pressure,
@@ -314,18 +284,17 @@ func (u *unit) stats() tlb.Stats {
 func (s *Simulator) registerProbes() {
 	sp := s.sampler
 	for _, u := range s.units {
-		u := u
-		p := "tlb." + slug(u.spec.Label())
+		b := u.base()
+		p := "tlb." + slug(b.spec.Label())
 		sp.Ratio(p+".hit_rate", 1,
 			func() float64 { return float64(u.stats().Hits) },
 			func() float64 { return float64(u.stats().Lookups()) })
-		if u.caches != nil {
+		if b.caches != nil {
 			sp.Ratio(p+".walk_latency", 1,
-				func() float64 { return float64(u.walkCycles) },
-				func() float64 { return float64(u.walks) })
-			for _, l := range u.caches.Levels() {
-				l := l
-				sp.Ratio("cache."+slug(u.spec.Label())+"."+slug(l.Config().Name)+".mpki", 1000,
+				func() float64 { return float64(b.walkCycles) },
+				func() float64 { return float64(b.walks) })
+			for _, l := range b.caches.Levels() {
+				sp.Ratio("cache."+slug(b.spec.Label())+"."+slug(l.Config().Name)+".mpki", 1000,
 					func() float64 { return float64(l.Stats().Misses) },
 					func() float64 { return float64(s.os.Clock()) })
 			}
@@ -371,8 +340,7 @@ func (s *Simulator) RegisterLive(p *obs.Publisher) {
 	p.Gauge("sim.refs.total", func() float64 { return float64(s.os.Clock()) })
 	p.Gauge("swap.io.total", func() float64 { return float64(s.os.Device().TotalIO()) })
 	for _, u := range s.units {
-		u := u
-		pfx := "tlb." + slug(u.spec.Label())
+		pfx := "tlb." + slug(u.base().spec.Label())
 		p.Gauge(pfx+".live.hits", func() float64 { return float64(u.stats().Hits) })
 		p.Gauge(pfx+".live.misses", func() float64 { return float64(u.stats().Misses) })
 		p.Gauge(pfx+".live.lookups", func() float64 { return float64(u.stats().Lookups()) })
@@ -389,15 +357,16 @@ func (s *Simulator) FinalizeMetrics() *obs.Registry {
 	}
 	s.finalized = true
 	for _, u := range s.units {
-		p := "tlb." + slug(u.spec.Label())
+		b := u.base()
+		p := "tlb." + slug(b.spec.Label())
 		u.stats().Record(s.metrics, p)
-		s.metrics.Counter(p + ".walk.count").Add(u.walks)
-		s.metrics.Counter(p + ".walk.refs").Add(u.walkRefs)
-		if u.pwc != nil {
-			s.metrics.Counter(p + ".walk.pwc_hits").Add(u.pwcHits)
+		s.metrics.Counter(p + ".walk.count").Add(b.walks)
+		s.metrics.Counter(p + ".walk.refs").Add(b.walkRefs)
+		if b.pwc != nil {
+			s.metrics.Counter(p + ".walk.pwc_hits").Add(b.pwcHits)
 		}
-		if u.caches != nil {
-			s.metrics.Counter(p + ".walk.cycles").Add(u.walkCycles)
+		if b.caches != nil {
+			s.metrics.Counter(p + ".walk.cycles").Add(b.walkCycles)
 		}
 	}
 	if s.sampler != nil {
@@ -428,26 +397,12 @@ func (s *Simulator) mosaicPT(asid core.ASID, arity int) *pagetable.Mosaic {
 	return pt
 }
 
-// unitVanillaPT is vanillaPT through u's last-ASID cache.
-func (s *Simulator) unitVanillaPT(u *unit, asid core.ASID) *pagetable.Vanilla {
-	if u.vpt == nil || u.ptASID != asid {
-		u.vpt, u.ptASID = s.vanillaPT(asid), asid
-	}
-	return u.vpt
-}
-
-// unitMosaicPT is mosaicPT at u's arity through u's last-ASID cache.
-func (s *Simulator) unitMosaicPT(u *unit, asid core.ASID) *pagetable.Mosaic {
-	if u.mpt == nil || u.ptASID != asid {
-		u.mpt, u.ptASID = s.mosaicPT(asid, u.spec.Arity), asid
-	}
-	return u.mpt
-}
-
 // onEvict keeps page tables and TLBs coherent with the OS: the evicted
 // page's leaf entry is cleared and the TLBs shoot down the mapping — for a
-// mosaic TLB only the sub-page entry, per §3.1.
+// mosaic TLB only the sub-page entry, per §3.1. The pending segment runs
+// first: its references precede the eviction.
 func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
+	s.flush()
 	s.cShootdown.Inc()
 	if pt, ok := s.vanillaPTs[asid]; ok {
 		pt.Unset(vpn)
@@ -459,14 +414,7 @@ func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	}
 	tagged := taggedVPN(asid, vpn)
 	for _, u := range s.units {
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Invalidate(tagged)
-		case u.coalesced != nil:
-			u.coalesced.Invalidate(tagged)
-		default:
-			u.mosaic.InvalidateSub(tagged)
-		}
+		u.invalidate(tagged)
 	}
 }
 
@@ -481,14 +429,7 @@ func (s *Simulator) FlushTLBs() {
 		})
 	}
 	for _, u := range s.units {
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Flush()
-		case u.coalesced != nil:
-			u.coalesced.Flush()
-		default:
-			u.mosaic.Flush()
-		}
+		u.flush()
 	}
 }
 
@@ -499,11 +440,14 @@ func (s *Simulator) Access(va uint64, write bool) {
 	s.AccessFrom(s.cfg.ASID, va, write)
 }
 
-// AccessFrom performs one data reference from the given address space.
-// TLB entries are ASID-tagged (PCID-style), so entries from several
-// processes coexist; use FlushTLBs to model untagged context switches.
+// AccessFrom performs one data reference from the given address space: a
+// one-reference segment. TLB entries are ASID-tagged (PCID-style), so
+// entries from several processes coexist; use FlushTLBs to model untagged
+// context switches.
 func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
-	s.step(asid, va, write)
+	s.seg.asid = asid
+	s.resolve(va, write)
+	s.flush()
 	if s.cfg.CheckEvery > 0 {
 		s.sinceCheck++
 		if s.sinceCheck >= s.cfg.CheckEvery {
@@ -516,48 +460,49 @@ func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
 	}
 }
 
-// step is the per-reference core of every path:
-// touch the OS, translate, and drive every TLB unit. The per-reference
-// sampler tick and invariant cadence live in the callers, so the batch
-// path can hoist their checks out of its inner loop.
-func (s *Simulator) step(asid core.ASID, va uint64, write bool) {
+// resolve runs one reference of the segment's ASID through the OS layer
+// and appends it to the pending segment. A reference that faults first
+// ends the segment before it and installs its own page-table entries, so
+// no unit walks a page table ahead of the reference it is running.
+func (s *Simulator) resolve(va uint64, write bool) {
+	seg := &s.seg
 	vpn := core.VPNOf(va)
-	var pfn core.PFN
-	if res := s.os.Touch(asid, vpn, write); res != vm.Hit {
-		pfn = s.fault(asid, vpn)
-	} else {
-		pfn, _ = s.os.Translate(asid, vpn)
+	if s.os.Touch(seg.asid, vpn, write) != vm.Hit {
+		s.fault(vpn)
 	}
-	pa := uint64(pfn)*core.PageSize + core.PageOffset(va)
-
-	for _, u := range s.units {
-		s.lookupAndFill(u, asid, vpn)
-		if u.caches != nil {
-			u.caches.Access(pa, write)
-		}
+	pfn, _ := s.os.Resolved()
+	seg.vpn = append(seg.vpn, vpn)
+	seg.pa = append(seg.pa, uint64(pfn)*core.PageSize+core.PageOffset(va))
+	seg.write = append(seg.write, write)
+	if len(seg.vpn) == segmentCap {
+		s.flush()
 	}
 }
 
-// fault installs a freshly faulted mapping in the page tables. It is the
-// cold half of step, outlined so the hot loop stays compact, and it
-// returns the PFN it already has in hand so the hit path's translate is
-// not repeated after a fault.
-func (s *Simulator) fault(asid core.ASID, vpn core.VPN) core.PFN {
-	pfn, ok := s.os.Translate(asid, vpn)
-	if !ok {
-		//lint:ignore nopanic Touch just returned non-Hit, so the OS faulted the page in; an absent mapping here means vm residency is corrupt
-		panic("memsim: page absent immediately after fault")
-	}
-	cpfn, ok := s.os.CPFNFor(asid, vpn)
-	if !ok {
-		//lint:ignore nopanic same residency guarantee as the Translate above
-		panic("memsim: CPFN absent immediately after fault")
-	}
+// fault installs a freshly faulted mapping in the page tables, after
+// running the segment of references that precede it. It is the cold half
+// of resolve, outlined so the hot loop stays compact.
+func (s *Simulator) fault(vpn core.VPN) {
+	s.flush()
+	asid := s.seg.asid
+	pfn, cpfn := s.os.Resolved()
 	s.vanillaPT(asid).Set(vpn, pfn)
 	for _, arity := range s.arities {
 		s.mosaicPT(asid, arity).SetCPFN(vpn, cpfn)
 	}
-	return pfn
+}
+
+// flush runs the pending segment through every unit, one unit at a time,
+// and empties it.
+func (s *Simulator) flush() {
+	seg := &s.seg
+	if len(seg.vpn) == 0 {
+		return
+	}
+	for _, u := range s.units {
+		u.run(s, seg)
+	}
+	seg.vpn, seg.pa, seg.write = seg.vpn[:0], seg.pa[:0], seg.write[:0]
 }
 
 // ProcessBatch implements trace.BatchSink: a whole batch of references
@@ -569,10 +514,10 @@ func (s *Simulator) ProcessBatch(b trace.Batch) {
 }
 
 // ProcessBatchFrom is the batched AccessFrom. When neither the sampler
-// nor the invariant cadence needs a per-reference tick, the fault check,
-// translate, and unit dispatch run in a tight loop with the observer
-// branches hoisted out; otherwise each reference takes the AccessFrom path
-// so window boundaries land on the same reference indices at any batching.
+// nor the invariant cadence needs a per-reference tick, the batch is
+// resolved into segments that each unit runs whole; otherwise each
+// reference is its own segment through AccessFrom, so window boundaries
+// land on the same reference indices at any batching.
 func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
 	if s.sampler != nil || s.cfg.CheckEvery > 0 {
 		for _, r := range b {
@@ -580,9 +525,11 @@ func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
 		}
 		return
 	}
+	s.seg.asid = asid
 	for _, r := range b {
-		s.step(asid, r.VA(), r.Write())
+		s.resolve(r.VA(), r.Write())
 	}
+	s.flush()
 }
 
 // mustCheck runs CheckInvariants and panics on any violation — the
@@ -625,128 +572,8 @@ func (s *Simulator) CheckInvariants(r *invariant.Report) {
 	s.clockMono.Observe(r, s.os.Clock())
 	s.horizonMono.Observe(r, s.os.Horizon())
 
-	const vpnMask = 1<<asidTagShift - 1
 	for _, u := range s.units {
-		label := u.spec.Label()
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Range(func(key uint64, pfn core.PFN) {
-				asid := core.ASID(key >> asidTagShift)
-				vpn := core.VPN(key & vpnMask)
-				pt, ok := s.vanillaPTs[asid]
-				if !r.Checkf(ok, "memsim.tlb-coherence",
-					"%s: valid entry for ASID %d, which has no page table", label, asid) {
-					return
-				}
-				got, mapped := pt.Get(vpn)
-				if !r.Checkf(mapped, "memsim.tlb-coherence",
-					"%s: valid entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
-					return
-				}
-				r.Checkf(got == pfn, "memsim.tlb-coherence",
-					"%s: entry for ASID %d VPN %#x holds PFN %d, page table says %d", label, asid, vpn, pfn, got)
-			})
-		case u.mosaic != nil:
-			arity := u.spec.Arity
-			u.mosaic.Range(func(key uint64, toc tlb.ToC) {
-				for off, c := range toc {
-					if c == core.CPFNInvalid {
-						continue
-					}
-					tagged := core.BaseVPN(core.MVPN(key), arity, off)
-					asid := core.ASID(uint64(tagged) >> asidTagShift)
-					vpn := core.VPN(uint64(tagged) & vpnMask)
-					pt, ok := s.mosaicPTs[ptKey{asid: asid, arity: arity}]
-					if !r.Checkf(ok, "memsim.tlb-coherence",
-						"%s: valid sub-entry for ASID %d, which has no page table", label, asid) {
-						continue
-					}
-					got, mapped := pt.Get(vpn)
-					if !r.Checkf(mapped, "memsim.tlb-coherence",
-						"%s: valid sub-entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
-						continue
-					}
-					r.Checkf(got == c, "memsim.tlb-coherence",
-						"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, page table says %d", label, asid, vpn, c, got)
-				}
-			})
-		}
-	}
-}
-
-func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
-	tagged := taggedVPN(asid, vpn)
-	switch {
-	case u.vanilla != nil:
-		if _, hit := u.vanilla.Lookup(tagged); hit {
-			return
-		}
-		pfn, ok, path := s.unitVanillaPT(u, asid).Walk(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: vanilla walk failed for resident VPN %#x", vpn))
-		}
-		u.vanilla.Insert(tagged, pfn)
-	case u.coalesced != nil:
-		if _, hit := u.coalesced.Lookup(tagged); hit {
-			return
-		}
-		pt := s.unitVanillaPT(u, asid)
-		pfn, ok, path := pt.Walk(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: coalescing walk failed for resident VPN %#x", vpn))
-		}
-		// CoLT's walker inspects the neighbouring PTEs in the same leaf
-		// cache line it already fetched, so offering the aligned group for
-		// coalescing costs no extra memory traffic. The ASID tag is
-		// group-aligned (it lives far above the run bits), so tagging does
-		// not split runs.
-		nb := u.neighbours
-		base := core.VPN(uint64(vpn) &^ uint64(len(nb)-1))
-		for i := range nb {
-			npfn, nok := pt.Get(base + core.VPN(i))
-			nb[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
-		}
-		u.coalesced.Insert(tagged, pfn, nb)
-	default:
-		if _, hit := u.mosaic.Lookup(tagged); hit {
-			return
-		}
-		toc, ok, path := s.unitMosaicPT(u, asid).WalkToC(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the mosaic page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: mosaic walk failed for resident VPN %#x", vpn))
-		}
-		u.mosaic.Insert(tagged, toc)
-	}
-}
-
-func (s *Simulator) walkTraffic(u *unit, path []uint64) {
-	u.walks++
-	if u.pwc != nil && len(path) > 1 {
-		// The MMU walk cache absorbs upper-level reads; the leaf entry is
-		// always fetched from memory (its PTE changes on every remap).
-		kept := path[:0]
-		for _, pa := range path[:len(path)-1] {
-			if u.pwc.lookupInsert(pa) {
-				u.pwcHits++
-			} else {
-				kept = append(kept, pa)
-			}
-		}
-		kept = append(kept, path[len(path)-1])
-		path = kept
-	}
-	u.walkRefs += uint64(len(path))
-	s.path = path[:0]
-	if u.caches != nil {
-		for _, pa := range path {
-			u.walkCycles += uint64(u.caches.Access(pa, false))
-		}
+		u.audit(s, r)
 	}
 }
 
@@ -754,25 +581,7 @@ func (s *Simulator) walkTraffic(u *unit, path []uint64) {
 func (s *Simulator) Results() []Result {
 	out := make([]Result, 0, len(s.units))
 	for _, u := range s.units {
-		r := Result{Spec: u.spec, Walks: u.walks, WalkAccesses: u.walkRefs, WalkCacheHits: u.pwcHits}
-		switch {
-		case u.vanilla != nil:
-			r.TLB = u.vanilla.Stats()
-		case u.coalesced != nil:
-			r.TLB = u.coalesced.Stats()
-			r.CoalescingFactor = u.coalesced.AvgRunLength()
-		default:
-			r.TLB = u.mosaic.Stats()
-		}
-		if u.caches != nil {
-			r.AMAT = u.caches.AMAT()
-			r.TotalCycles = u.caches.TotalCycles()
-			r.WalkCycles = u.walkCycles
-			for _, l := range u.caches.Levels() {
-				r.CacheStats = append(r.CacheStats, l.Stats())
-			}
-		}
-		out = append(out, r)
+		out = append(out, u.result())
 	}
 	return out
 }

@@ -13,6 +13,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaic/internal/core"
 )
@@ -235,6 +236,7 @@ type ToC struct {
 type Mosaic struct {
 	r     *radix[ToC]
 	arity int
+	shift uint // log2(arity), validated once by NewMosaic
 }
 
 // NewMosaic creates a mosaic page table for the given arity. levelBits
@@ -246,7 +248,13 @@ func NewMosaic(arity int, levelBits []int, allocPA PAAllocator) *Mosaic {
 	if levelBits == nil {
 		levelBits = DefaultLevels
 	}
-	return &Mosaic{r: newRadix[ToC](levelBits, allocPA), arity: arity}
+	return &Mosaic{r: newRadix[ToC](levelBits, allocPA), arity: arity, shift: uint(bits.TrailingZeros(uint(arity)))}
+}
+
+// split is core.MosaicPage at the validated arity: the MVPN by shift and
+// the sub-page offset by mask.
+func (t *Mosaic) split(vpn core.VPN) (mvpn uint64, off int) {
+	return uint64(vpn) >> t.shift, int(uint64(vpn) & uint64(t.arity-1))
 }
 
 // Arity is the number of sub-pages per mosaic page.
@@ -260,10 +268,10 @@ func (t *Mosaic) Len() int { return t.r.leaves }
 
 // SetCPFN maps vpn's sub-page to cpfn, creating the ToC if needed.
 func (t *Mosaic) SetCPFN(vpn core.VPN, cpfn core.CPFN) {
-	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.r.lookup(uint64(mvpn))
+	mvpn, off := t.split(vpn)
+	toc, ok := t.r.lookup(mvpn)
 	if !ok {
-		toc = t.r.set(uint64(mvpn), ToC{CPFNs: newInvalidCPFNs(t.arity)})
+		toc = t.r.set(mvpn, ToC{CPFNs: newInvalidCPFNs(t.arity)})
 	}
 	toc.CPFNs[off] = cpfn
 }
@@ -271,8 +279,8 @@ func (t *Mosaic) SetCPFN(vpn core.VPN, cpfn core.CPFN) {
 // ClearCPFN invalidates vpn's sub-page mapping, reporting whether it was
 // mapped. The ToC itself stays (other sub-pages keep their mappings).
 func (t *Mosaic) ClearCPFN(vpn core.VPN) bool {
-	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.r.lookup(uint64(mvpn))
+	mvpn, off := t.split(vpn)
+	toc, ok := t.r.lookup(mvpn)
 	if !ok || toc.CPFNs[off] == core.CPFNInvalid {
 		return false
 	}
@@ -282,8 +290,8 @@ func (t *Mosaic) ClearCPFN(vpn core.VPN) bool {
 
 // Get returns vpn's CPFN without a walk path.
 func (t *Mosaic) Get(vpn core.VPN) (core.CPFN, bool) {
-	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.r.lookup(uint64(mvpn))
+	mvpn, off := t.split(vpn)
+	toc, ok := t.r.lookup(mvpn)
 	if !ok || toc.CPFNs[off] == core.CPFNInvalid {
 		return core.CPFNInvalid, false
 	}
@@ -294,8 +302,8 @@ func (t *Mosaic) Get(vpn core.VPN) (core.CPFN, bool) {
 // entry addresses to path. The returned slice aliases the leaf; callers
 // must copy it if they retain it (the TLB's Insert copies).
 func (t *Mosaic) WalkToC(vpn core.VPN, path []uint64) ([]core.CPFN, bool, []uint64) {
-	mvpn, _ := core.MosaicPage(vpn, t.arity)
-	toc, ok, path := t.r.walk(uint64(mvpn), path)
+	mvpn, _ := t.split(vpn)
+	toc, ok, path := t.r.walk(mvpn, path)
 	if !ok {
 		return nil, false, path
 	}

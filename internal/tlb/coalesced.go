@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaic/internal/core"
 )
@@ -19,11 +20,12 @@ import (
 // Entries are indexed by the aligned run base (VPN / MaxRun), so a run
 // never spans index groups — the hardware-practical variant of CoLT-SA.
 type Coalesced struct {
-	geom   Geometry
-	maxRun int
-	sets   []set[coalescedEntry]
-	mask   uint64
-	stats  Stats
+	geom     Geometry
+	maxRun   int
+	runShift uint // log2(maxRun): a run base is indexed by base>>runShift
+	tab      table
+	entries  []coalescedEntry // by global slot
+	stats    Stats
 	// CoalescedFills counts fills whose run covered more than one page.
 	coalescedFills uint64
 	fills          uint64
@@ -47,9 +49,13 @@ func NewCoalesced(geom Geometry, maxRun int) *Coalesced {
 	if maxRun <= 0 || maxRun > 64 || maxRun&(maxRun-1) != 0 {
 		panic(fmt.Sprintf("tlb: coalescing run length %d not a power of two in [1,64]", maxRun))
 	}
-	t := &Coalesced{geom: geom, maxRun: maxRun, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[coalescedEntry](geom.Sets(), geom.Ways)
-	return t
+	return &Coalesced{
+		geom:     geom,
+		maxRun:   maxRun,
+		runShift: uint(bits.TrailingZeros(uint(maxRun))),
+		tab:      newTable(geom.Sets(), geom.Ways),
+		entries:  make([]coalescedEntry, geom.Entries),
+	}
 }
 
 // Geometry returns the TLB geometry.
@@ -77,18 +83,23 @@ func (t *Coalesced) group(vpn core.VPN) (base core.VPN, off int) {
 	return core.VPN(uint64(vpn) &^ uint64(t.maxRun-1)), int(uint64(vpn) & uint64(t.maxRun-1))
 }
 
-func (t *Coalesced) set(base core.VPN) *set[coalescedEntry] {
-	return &t.sets[(uint64(base)/uint64(t.maxRun))&t.mask]
+// set is the set index of a run base.
+func (t *Coalesced) set(base core.VPN) int32 {
+	return t.tab.setOf(uint64(base) >> t.runShift)
 }
 
 // Lookup translates vpn: a hit requires an entry for vpn's aligned group
 // whose validity bitmap covers vpn's slot.
 func (t *Coalesced) Lookup(vpn core.VPN) (core.PFN, bool) {
 	base, off := t.group(vpn)
-	e, ok := t.set(base).get(uint64(base))
-	if ok && e.valid&(1<<uint(off)) != 0 {
-		t.stats.Hits++
-		return e.basePFN.Add(uint64(off)), true
+	si := t.set(base)
+	g, ok := t.tab.lookup(si, uint64(base))
+	if ok {
+		t.tab.touch(si, g)
+		if e := &t.entries[g]; e.valid&(1<<uint(off)) != 0 {
+			t.stats.Hits++
+			return e.basePFN.Add(uint64(off)), true
+		}
 	}
 	t.stats.Misses++
 	if ok {
@@ -125,8 +136,8 @@ func (t *Coalesced) Insert(vpn core.VPN, pfn core.PFN, neighbours []NeighbourPFN
 	if covered > 1 {
 		t.coalescedFills++
 	}
-	p, evicted := t.set(base).claim(uint64(base))
-	*p = e
+	g, evicted := t.tab.claim(t.set(base), uint64(base))
+	t.entries[g] = e
 	if evicted {
 		t.stats.Evictions++
 	}
@@ -142,31 +153,21 @@ type NeighbourPFN struct {
 // survives with vpn's bit cleared; a now-empty entry is removed.
 func (t *Coalesced) Invalidate(vpn core.VPN) bool {
 	base, off := t.group(vpn)
-	s := t.set(base)
-	e, ok := s.peek(uint64(base))
-	if !ok || e.valid&(1<<uint(off)) == 0 {
+	si := t.set(base)
+	g, ok := t.tab.lookup(si, uint64(base))
+	if !ok || t.entries[g].valid&(1<<uint(off)) == 0 {
 		return false
 	}
+	e := &t.entries[g]
 	e.valid &^= 1 << uint(off)
 	if e.valid == 0 {
-		s.invalidate(uint64(base))
+		t.tab.remove(si, g)
 	}
 	return true
 }
 
 // Flush invalidates every entry.
-func (t *Coalesced) Flush() {
-	// Index, not range: clear must reset the set itself, not a copy.
-	for i := range t.sets {
-		t.sets[i].clear()
-	}
-}
+func (t *Coalesced) Flush() { t.tab.clear() }
 
 // Len is the number of valid entries.
-func (t *Coalesced) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
-}
+func (t *Coalesced) Len() int { return t.tab.len() }

@@ -12,8 +12,9 @@ import (
 // The differential oracle drives Vanilla, Mosaic and Coalesced with one
 // operation sequence and replays it against a naive model: per set, a
 // slice of entries in MRU-first order, searched linearly. The model shares
-// no code with set, so a slot-reuse, scan or arena bug in the optimized
-// sets shows up as a divergence in hits, misses, evictions or contents.
+// no code with table, so a slot-reuse, scan, index or arena bug in the
+// optimized sets shows up as a divergence in hits, misses, evictions or
+// contents.
 
 // oracleWays spans both sides of the scanWays cut.
 var oracleWays = []int{1, 2, 4, 8, 16, 32, 256}

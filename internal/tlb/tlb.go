@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaic/internal/core"
 )
@@ -10,8 +11,8 @@ import (
 // the paper's baseline x86 configuration.
 type Vanilla struct {
 	geom  Geometry
-	sets  []set[core.PFN]
-	mask  uint64
+	tab   table
+	pfn   []core.PFN // by global slot
 	stats Stats
 }
 
@@ -20,9 +21,11 @@ func NewVanilla(geom Geometry) *Vanilla {
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
-	t := &Vanilla{geom: geom, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[core.PFN](geom.Sets(), geom.Ways)
-	return t
+	return &Vanilla{
+		geom: geom,
+		tab:  newTable(geom.Sets(), geom.Ways),
+		pfn:  make([]core.PFN, geom.Entries),
+	}
 }
 
 // Geometry returns the TLB geometry.
@@ -31,15 +34,13 @@ func (t *Vanilla) Geometry() Geometry { return t.geom }
 // Stats returns the event counters accumulated so far.
 func (t *Vanilla) Stats() Stats { return t.stats }
 
-func (t *Vanilla) set(vpn core.VPN) *set[core.PFN] {
-	return &t.sets[uint64(vpn)&t.mask]
-}
-
 // Lookup translates vpn, counting a hit or a miss.
 func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
-	if p, ok := t.set(vpn).get(uint64(vpn)); ok {
+	si := t.tab.setOf(uint64(vpn))
+	if g, ok := t.tab.lookup(si, uint64(vpn)); ok {
+		t.tab.touch(si, g)
 		t.stats.Hits++
-		return *p, true
+		return t.pfn[g], true
 	}
 	t.stats.Misses++
 	t.stats.EntryMisses++
@@ -49,8 +50,8 @@ func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
 // Insert fills the translation after a page-table walk, evicting LRU within
 // the set if needed.
 func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
-	p, evicted := t.set(vpn).claim(uint64(vpn))
-	*p = pfn
+	g, evicted := t.tab.claim(t.tab.setOf(uint64(vpn)), uint64(vpn))
+	t.pfn[g] = pfn
 	if evicted {
 		t.stats.Evictions++
 	}
@@ -59,17 +60,11 @@ func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
 // Invalidate drops the entry for vpn (TLB shootdown), reporting whether it
 // was present.
 func (t *Vanilla) Invalidate(vpn core.VPN) bool {
-	return t.set(vpn).invalidate(uint64(vpn))
+	return t.tab.invalidate(t.tab.setOf(uint64(vpn)), uint64(vpn))
 }
 
 // Len is the number of valid entries.
-func (t *Vanilla) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
-}
+func (t *Vanilla) Len() int { return t.tab.len() }
 
 // Reach is the memory covered by a full TLB, in bytes.
 func (t *Vanilla) Reach() uint64 { return uint64(t.geom.Entries) * core.PageSize }
@@ -79,19 +74,12 @@ func (t *Vanilla) Reach() uint64 { return uint64(t.geom.Entries) * core.PageSize
 // was called with (in memsim, the ASID-tagged VPN). Range exists for the
 // invariant checkers, which audit TLB contents against the page tables.
 func (t *Vanilla) Range(fn func(key uint64, pfn core.PFN)) {
-	for _, s := range t.sets {
-		s.each(func(tag uint64, p *core.PFN) { fn(tag, *p) })
-	}
+	t.tab.each(func(tag uint64, g int32) { fn(tag, t.pfn[g]) })
 }
 
 // Flush invalidates every entry (a full TLB flush, as on a non-PCID
 // context switch).
-func (t *Vanilla) Flush() {
-	// Index, not range: clear must reset the set itself, not a copy.
-	for i := range t.sets {
-		t.sets[i].clear()
-	}
-}
+func (t *Vanilla) Flush() { t.tab.clear() }
 
 // ToC is a mosaic TLB entry payload: the table of contents of one mosaic
 // page — one CPFN per sub-page (Figure 2).
@@ -105,8 +93,12 @@ type ToC []core.CPFN
 type Mosaic struct {
 	geom  Geometry
 	arity int
-	sets  []set[ToC]
-	mask  uint64
+	shift uint // log2(arity): a VPN splits into MVPN vpn>>shift and offset vpn&(arity-1)
+	tab   table
+	// arena holds every slot's ToC: global slot g owns the arity-long
+	// window starting at g<<shift, so a fill copies into place and never
+	// allocates.
+	arena []core.CPFN
 	stats Stats
 }
 
@@ -120,20 +112,13 @@ func NewMosaic(geom Geometry, arity int) *Mosaic {
 	if arity <= 0 || arity&(arity-1) != 0 {
 		panic(fmt.Sprintf("tlb: arity %d is not a positive power of two", arity))
 	}
-	t := &Mosaic{geom: geom, arity: arity, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[ToC](geom.Sets(), geom.Ways)
-	// Every slot owns a fixed arity-long window of one arena, so a fill
-	// copies into place and never allocates. The windows are full-capacity
-	// subslices: no ToC can reach into its neighbour's.
-	arena := make([]core.CPFN, geom.Entries*arity)
-	n := 0
-	for i := range t.sets {
-		for j := range t.sets[i].payload {
-			t.sets[i].payload[j] = arena[n : n+arity : n+arity]
-			n += arity
-		}
+	return &Mosaic{
+		geom:  geom,
+		arity: arity,
+		shift: uint(bits.TrailingZeros(uint(arity))),
+		tab:   newTable(geom.Sets(), geom.Ways),
+		arena: make([]core.CPFN, geom.Entries*arity),
 	}
-	return t
 }
 
 // Geometry returns the TLB geometry.
@@ -145,22 +130,31 @@ func (t *Mosaic) Arity() int { return t.arity }
 // Stats returns the event counters accumulated so far.
 func (t *Mosaic) Stats() Stats { return t.stats }
 
-func (t *Mosaic) set(m core.MVPN) *set[ToC] {
-	return &t.sets[uint64(m)&t.mask]
+// split is core.MosaicPage at the validated arity: a shift and a mask.
+func (t *Mosaic) split(vpn core.VPN) (mvpn uint64, off int) {
+	return uint64(vpn) >> t.shift, int(uint64(vpn) & uint64(t.arity-1))
+}
+
+// toc is global slot g's ToC window of the arena.
+func (t *Mosaic) toc(g int32) ToC {
+	lo := int(g) << t.shift
+	return t.arena[lo : lo+t.arity : lo+t.arity]
 }
 
 // Lookup translates vpn. A hit requires both the mosaic entry to be present
 // and the sub-page's CPFN to be valid; the two miss flavours are counted
 // separately (Stats.EntryMisses vs Stats.SubMisses).
 func (t *Mosaic) Lookup(vpn core.VPN) (core.CPFN, bool) {
-	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.set(mvpn).get(uint64(mvpn))
+	mvpn, off := t.split(vpn)
+	si := t.tab.setOf(mvpn)
+	g, ok := t.tab.lookup(si, mvpn)
 	if !ok {
 		t.stats.Misses++
 		t.stats.EntryMisses++
 		return core.CPFNInvalid, false
 	}
-	if c := (*toc)[off]; c != core.CPFNInvalid {
+	t.tab.touch(si, g)
+	if c := t.arena[int(g)<<t.shift+off]; c != core.CPFNInvalid {
 		t.stats.Hits++
 		return c, true
 	}
@@ -177,9 +171,9 @@ func (t *Mosaic) Insert(vpn core.VPN, toc ToC) {
 	if len(toc) != t.arity {
 		panic(fmt.Sprintf("tlb: ToC length %d, want arity %d", len(toc), t.arity))
 	}
-	mvpn, _ := core.MosaicPage(vpn, t.arity)
-	p, evicted := t.set(mvpn).claim(uint64(mvpn))
-	copy(*p, toc)
+	mvpn, _ := t.split(vpn)
+	g, evicted := t.tab.claim(t.tab.setOf(mvpn), mvpn)
+	copy(t.toc(g), toc)
 	if evicted {
 		t.stats.Evictions++
 	}
@@ -190,32 +184,27 @@ func (t *Mosaic) Insert(vpn core.VPN, toc ToC) {
 // larger mosaic page's ToC"). It reports whether a valid sub-entry was
 // cleared.
 func (t *Mosaic) InvalidateSub(vpn core.VPN) bool {
-	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.set(mvpn).peek(uint64(mvpn))
+	mvpn, off := t.split(vpn)
+	g, ok := t.tab.lookup(t.tab.setOf(mvpn), mvpn)
 	if !ok {
 		return false
 	}
-	if (*toc)[off] == core.CPFNInvalid {
+	c := &t.arena[int(g)<<t.shift+off]
+	if *c == core.CPFNInvalid {
 		return false
 	}
-	(*toc)[off] = core.CPFNInvalid
+	*c = core.CPFNInvalid
 	return true
 }
 
 // InvalidateEntry drops the whole mosaic entry containing vpn.
 func (t *Mosaic) InvalidateEntry(vpn core.VPN) bool {
-	mvpn, _ := core.MosaicPage(vpn, t.arity)
-	return t.set(mvpn).invalidate(uint64(mvpn))
+	mvpn, _ := t.split(vpn)
+	return t.tab.invalidate(t.tab.setOf(mvpn), mvpn)
 }
 
 // Len is the number of valid entries (whole mosaic pages).
-func (t *Mosaic) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
-}
+func (t *Mosaic) Len() int { return t.tab.len() }
 
 // Reach is the memory covered by a full TLB with fully-populated ToCs: a
 // factor of arity more than a vanilla TLB of equal entry count.
@@ -224,12 +213,7 @@ func (t *Mosaic) Reach() uint64 {
 }
 
 // Flush invalidates every entry.
-func (t *Mosaic) Flush() {
-	// Index, not range: clear must reset the set itself, not a copy.
-	for i := range t.sets {
-		t.sets[i].clear()
-	}
-}
+func (t *Mosaic) Flush() { t.tab.clear() }
 
 // Range calls fn for every valid entry, set by set in slot order, without
 // affecting recency or the hit/miss counters. The key is the MVPN the entry
@@ -237,9 +221,7 @@ func (t *Mosaic) Flush() {
 // is the live payload and must not be mutated. Range exists for the
 // invariant checkers, which audit TLB contents against the page tables.
 func (t *Mosaic) Range(fn func(key uint64, toc ToC)) {
-	for _, s := range t.sets {
-		s.each(func(tag uint64, p *ToC) { fn(tag, *p) })
-	}
+	t.tab.each(func(tag uint64, g int32) { fn(tag, t.toc(g)) })
 }
 
 // InvalidToC returns a fresh all-invalid ToC of the TLB's arity.

@@ -304,8 +304,11 @@ func TestMosaicCoversMoreThanVanillaOnSequentialScan(t *testing.T) {
 }
 
 func TestSetRandomizedAgainstModel(t *testing.T) {
-	// Differential test of the LRU set machinery against a reference model.
-	s := newSet[int](4)
+	// Differential test of the LRU set machinery against a reference model:
+	// one 4-way set, with the payload in a slot-indexed array as the TLBs
+	// keep it.
+	s := newTable(1, 4)
+	payload := make([]int, 4)
 	type entry struct {
 		tag uint64
 		val int
@@ -324,14 +327,15 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 		tag := uint64(rng.Intn(12))
 		switch rng.Intn(3) {
 		case 0: // get
-			p, ok := s.get(tag)
+			g, ok := s.lookup(0, tag)
 			j := find(tag)
 			if ok != (j >= 0) {
 				t.Fatalf("get(%d) presence mismatch", tag)
 			}
 			if ok {
-				if *p != model[j].val {
-					t.Fatalf("get(%d) = %d, model %d", tag, *p, model[j].val)
+				s.touch(0, g)
+				if payload[g] != model[j].val {
+					t.Fatalf("get(%d) = %d, model %d", tag, payload[g], model[j].val)
 				}
 				e := model[j]
 				model = append(model[:j], model[j+1:]...)
@@ -339,8 +343,8 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 			}
 		case 1: // insert
 			v := rng.Int()
-			p, evicted := s.claim(tag)
-			*p = v
+			g, evicted := s.claim(0, tag)
+			payload[g] = v
 			j := find(tag)
 			if j >= 0 {
 				if evicted {
@@ -355,7 +359,7 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 			}
 			model = append([]entry{{tag, v}}, model...)
 		case 2: // invalidate
-			ok := s.invalidate(tag)
+			ok := s.invalidate(0, tag)
 			j := find(tag)
 			if ok != (j >= 0) {
 				t.Fatalf("invalidate(%d) presence mismatch", tag)
@@ -371,7 +375,7 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 }
 
 // BenchmarkVanillaLookupHit probes a full 1024-entry TLB at the widths
-// around scanWays, the scan/map crossover it places.
+// around scanWays, the scan/index crossover it places.
 func BenchmarkVanillaLookupHit(b *testing.B) {
 	for _, ways := range []int{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {

@@ -117,6 +117,7 @@ func (s *System) touchShared(ref sharedRef, write bool) AccessResult {
 	owner := alloc.Owner{ASID: sharedASID, VPN: sharedVPN(ref.region.id, ref.index)}
 	switch pg.state {
 	case pageResident:
+		s.lastPFN, s.lastCPFN = pg.pfn, pg.cpfn
 		s.touchFrame(pg.pfn, write)
 		return Hit
 	case pageSwapped:
@@ -139,6 +140,7 @@ func (s *System) fillSharedPage(owner alloc.Owner, pg *page, write bool) {
 	pg.state = pageResident
 	pg.pfn = pfn
 	pg.cpfn = cpfn
+	s.lastPFN, s.lastCPFN = pfn, cpfn
 	if write {
 		s.touchDirty(pfn)
 	}

@@ -205,7 +205,17 @@ type System struct {
 	regions map[uint32]*SharedRegion
 	nextRID uint32
 
+	// lastSpace is the space Space last returned: a stream touches one
+	// ASID for long runs, and spaces are never deleted.
+	lastSpace *AddressSpace
+
 	clock uint64
+
+	// The frame and CPFN of the page the last Touch resolved, for
+	// Resolved: a Touch already holds them, so a caller needing them
+	// does not look the page up again.
+	lastPFN  core.PFN
+	lastCPFN core.CPFN
 
 	// Observability: a registry of typed instruments plus direct handles
 	// for the hot-path counters (one integer add per event, no lookups),
@@ -362,6 +372,9 @@ func (s *System) Space(asid core.ASID) *AddressSpace {
 	if asid == sharedASID {
 		panic("vm: ASID 0xFFFFFFFF is reserved for shared mappings")
 	}
+	if as := s.lastSpace; as != nil && as.asid == asid {
+		return as
+	}
 	as, ok := s.spaces[asid]
 	if !ok {
 		as = &AddressSpace{
@@ -371,6 +384,7 @@ func (s *System) Space(asid core.ASID) *AddressSpace {
 		}
 		s.spaces[asid] = as
 	}
+	s.lastSpace = as
 	return as
 }
 
@@ -397,6 +411,7 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 	}
 	switch pg.state {
 	case pageResident:
+		s.lastPFN, s.lastCPFN = pg.pfn, pg.cpfn
 		s.touchFrame(pg.pfn, write)
 		return Hit
 	case pageSwapped:
@@ -412,6 +427,12 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 		panic("vm: invalid page state")
 	}
 }
+
+// Resolved returns the frame and CPFN (CPFNInvalid in vanilla mode) of
+// the page the last Touch made resident. A page is resident the moment
+// Touch returns, whatever it had to do, so this is the translation of the
+// page just touched until the next Touch or Unmap.
+func (s *System) Resolved() (core.PFN, core.CPFN) { return s.lastPFN, s.lastCPFN }
 
 // TouchVA is Touch keyed by virtual address rather than VPN.
 func (s *System) TouchVA(asid core.ASID, va uint64, write bool) AccessResult {
@@ -442,6 +463,7 @@ func (s *System) fillPage(asid core.ASID, vpn core.VPN, pg *page, write bool) {
 	pg.state = pageResident
 	pg.pfn = pfn
 	pg.cpfn = cpfn
+	s.lastPFN, s.lastCPFN = pfn, cpfn
 	if write {
 		s.touchDirty(pfn)
 	}

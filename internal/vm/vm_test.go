@@ -321,3 +321,45 @@ func TestReservedASIDPanics(t *testing.T) {
 	}()
 	s.Touch(0xFFFFFFFF, 1, false)
 }
+
+// TestResolvedMatchesTranslate: after every Touch — hit, minor or major
+// fault, private or shared page, in both modes and under enough pressure
+// to evict — Resolved names the same frame and CPFN that Translate and
+// CPFNFor look up afresh.
+func TestResolvedMatchesTranslate(t *testing.T) {
+	for _, s := range []*System{newMosaic(t, 64*4), newVanilla(t, 64*4)} {
+		t.Run(s.Mode().String(), func(t *testing.T) {
+			region, err := s.CreateSharedRegion(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.MapShared(1, 1<<20, region); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			seen := map[AccessResult]int{}
+			for i := 0; i < 20000; i++ {
+				vpn := core.VPN(rng.Intn(400))
+				if rng.Intn(8) == 0 {
+					vpn = 1<<20 + core.VPN(rng.Intn(16))
+				}
+				seen[s.Touch(1, vpn, rng.Intn(2) == 0)]++
+				pfn, cpfn := s.Resolved()
+				wantPFN, ok := s.Translate(1, vpn)
+				if !ok || pfn != wantPFN {
+					t.Fatalf("touch %d of VPN %#x: Resolved PFN %d, Translate %d (ok=%v)", i, vpn, pfn, wantPFN, ok)
+				}
+				wantCPFN, ok := s.CPFNFor(1, vpn)
+				if !ok {
+					wantCPFN = core.CPFNInvalid
+				}
+				if cpfn != wantCPFN {
+					t.Fatalf("touch %d of VPN %#x: Resolved CPFN %d, CPFNFor %d", i, vpn, cpfn, wantCPFN)
+				}
+			}
+			if seen[Hit] == 0 || seen[MinorFault] == 0 || seen[MajorFault] == 0 {
+				t.Fatalf("results %v: want hits, minor and major faults", seen)
+			}
+		})
+	}
+}

@@ -33,8 +33,11 @@ go test -race -timeout 300s ./...
 # decode back, conflicts only when every candidate is live.
 go test -run='^$' -fuzz=FuzzMemoryPlaceFree -fuzztime=3s ./internal/alloc
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
-# The TLB sets (scanned and map-indexed) against a naive MRU-list model.
+# The TLB sets (scanned and index-probed) against a naive MRU-list model.
 go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
+# The wide sets' open-addressed index against a Go map, with keys piled
+# into one probe cluster across the index's wrap-around.
+go test -run='^$' -fuzz=FuzzTableIndex -fuzztime=3s ./internal/tlb
 # The cache hierarchy against a naive per-set LRU write-back model.
 go test -run='^$' -fuzz=FuzzCacheOracle -fuzztime=3s ./internal/cache
 # No mosaicd session query panics: accepted shapes build and replay.
@@ -46,8 +49,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # any batching — single references, odd sizes around DefaultBatchSize, the
 # whole stream at once, sampler off and on, and the multiprogram
 # quantum-sliced replay — must produce a byte-identical results file
-# (counters, series, event ref-indices) to the default-size replay.
-go test -run 'TestBatchBoundaryInvariance' -count=1 .
+# (counters, series, event ref-indices) to the default-size replay. The
+# memsim case evicts in the middle of segments, which the fig6 stream
+# never does, and must match the one-reference-per-batch order.
+go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction' -count=1 . ./internal/memsim
 # Committed results gate: the six fast result tables must regenerate byte
 # for byte at their defaults.
 scripts/regen.sh

@@ -6,7 +6,7 @@
 # or the output stopped being deterministic.
 #
 # Covers the six tables that regenerate in well under a minute. fig6.txt
-# (~90 s) and table4.txt (~40 s) take longer on a 2-vCPU x86-64 host and
+# (~60 s) and table4.txt (~45 s) take longer on a 2-vCPU x86-64 host and
 # are regenerated by hand:
 #
 #	go run ./cmd/fig6 | cmp - results/fig6.txt
