@@ -20,7 +20,7 @@ import (
 
 func main() {
 	memory := flag.Int("memory", 16, "memory pool size in MiB (paper: 4096)")
-	runs := flag.Int("runs", 3, "runs per cell (paper: 5)")
+	runs := flag.Int("runs", 2, "runs per cell (paper: 5)")
 	maxRefs := flag.Uint64("maxrefs", 20_000_000, "reference cap per run (0 = full run)")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")

@@ -167,7 +167,7 @@ func replayTrace(path string, entries, arity int) error {
 		return err
 	}
 	progress.Stepf("tracegen: replaying %s", path)
-	n, err := tr.ReplayBatches(sim)
+	n, err := sim.Replay(tr)
 	if err != nil {
 		return err
 	}

@@ -174,7 +174,7 @@ func (sess *Session) run(body io.Reader) {
 		return
 	}
 	run := obs.NewSpan("run", 0)
-	n, err := tr.ReplayBatches(sim)
+	n, err := sim.Replay(tr)
 	if err != nil {
 		sess.fail(fmt.Errorf("after %d refs: %w", n, err))
 		return

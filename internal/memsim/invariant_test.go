@@ -43,7 +43,7 @@ func TestCheckInvariantsDuringRun(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsDetectsStaleTLB plants entries the page tables
+// TestCheckInvariantsDetectsStaleTLB plants entries the page records
 // disagree with in both TLB flavours and asserts the coherence audit
 // reports them.
 func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
@@ -54,7 +54,7 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 
 	t.Run("vanilla-wrong-pfn", func(t *testing.T) {
 		vpn := core.VPN(3)
-		want, ok := s.vanillaPT(s.cfg.ASID).Get(vpn)
+		want, ok := s.os.Translate(s.cfg.ASID, vpn)
 		if !ok {
 			t.Fatal("VPN 3 should be mapped")
 		}
@@ -75,7 +75,7 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 
 	t.Run("mosaic-unmapped-subpage", func(t *testing.T) {
 		m := s.units[1].(*mosaicUnit).tlb
-		// A ToC claiming a valid sub-entry for a VPN no page table maps.
+		// A ToC claiming a valid sub-entry for a VPN the OS does not map.
 		vpn := core.VPN(1 << 20)
 		toc := m.InvalidToC()
 		toc[0] = 0
@@ -119,7 +119,7 @@ func TestCheckInvariantsReportDeterministic(t *testing.T) {
 			s.Access(p*core.PageSize, false)
 		}
 		for _, vpn := range []core.VPN{3, 17} {
-			pfn, _ := s.vanillaPT(s.cfg.ASID).Get(vpn)
+			pfn, _ := s.os.Translate(s.cfg.ASID, vpn)
 			s.units[0].(*vanillaUnit).tlb.Insert(taggedVPN(s.cfg.ASID, vpn), pfn.Add(1))
 		}
 		for _, vpn := range []core.VPN{1 << 20, 1<<20 + 64} {

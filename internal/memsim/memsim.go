@@ -15,17 +15,28 @@
 // (Table 1a) through which both its page-table walks and the data stream
 // flow, exactly as gem5 attaches a walker per TLB.
 //
+// The page tables the walkers read are views of the OS layer's page
+// records, not copies: memsim keeps only each radix tree's nodes (walker
+// traffic needs their physical addresses), and a walk reads the PFN, the
+// ToC or the CoLT neighbours from the records. Each record carries the
+// access clock at which its page became resident.
+//
 // The simulator runs unit-major. The OS layer resolves each reference
 // once, into the frame it touched, and appends it to a pending segment;
 // each TLB unit then runs the whole segment in its own loop, so its tags,
-// LRU links and ToCs stay hot in the host's cache. A segment ends before
-// any reference that faults and before any eviction, the only events that
-// change a page table, so every unit sees exactly the per-reference
+// LRU links and ToCs stay hot in the host's cache. A unit replaying the
+// reference at clock c reads every record as of c: a page that faulted in
+// later in the segment is absent from the ToC or neighbour group it
+// fills. Faults therefore do not end a segment. Evictions do: the
+// eviction hook runs the pending segment before the record changes and
+// before the shootdown. So every unit sees exactly the per-reference
 // sequence of lookups, walks and fills: units share nothing else.
 package memsim
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -39,6 +50,24 @@ import (
 	"mosaic/internal/trace"
 	"mosaic/internal/vm"
 )
+
+// VALimit is the first virtual address the simulator cannot translate:
+// its page tables index pagetable.DefaultVPNBits-bit VPNs, and TLB tags
+// hold the ASID above them. A stream from outside (a trace file) must be
+// checked with CheckBatch before it runs; a reference at or above the
+// limit panics.
+const VALimit = 1 << (core.PageShift + pagetable.DefaultVPNBits)
+
+// CheckBatch returns an error for the first reference of b at or above
+// VALimit.
+func CheckBatch(b trace.Batch) error {
+	for i, r := range b {
+		if r.VA() >= VALimit {
+			return fmt.Errorf("memsim: reference %d: VA %#x is at or above the simulated address-space limit %#x", i, r.VA(), uint64(VALimit))
+		}
+	}
+	return nil
+}
 
 // TLBSpec names one TLB design point.
 type TLBSpec struct {
@@ -134,7 +163,8 @@ type Result struct {
 }
 
 // ptKey identifies a per-process page table: each address space has its
-// own radix tree (its own CR3), per arity for the mosaic variants.
+// own radix tree (its own CR3), per arity for the mosaic variants. Only the
+// tree's nodes are stored; its entries are the OS layer's page records.
 type ptKey struct {
 	asid  core.ASID
 	arity int // 0 = vanilla
@@ -149,15 +179,15 @@ type Simulator struct {
 	// seg is the pending segment: references the OS layer has resolved
 	// and no unit has run yet.
 	seg segment
-	// Page tables are per (ASID, arity): mosaic PTs are shared among units
-	// with equal arity (their contents are identical; each unit still
-	// walks them independently).
-	vanillaPTs map[core.ASID]*pagetable.Vanilla
-	mosaicPTs  map[ptKey]*pagetable.Mosaic
-	// arities lists the distinct mosaic arities in ascending order. Faults
-	// and evictions visit the per-arity page tables in this order, so
-	// page-table nodes come off the shared bump allocator in the same
-	// order every run and walk addresses are deterministic.
+	// Page tables are per (ASID, arity), arity 0 the vanilla table that
+	// vanilla and CoLT units walk: mosaic PTs are shared among units with
+	// equal arity (each unit still walks them independently).
+	pts map[ptKey]*pagetable.Table
+	// arities lists the distinct mosaic arities in ascending order. A fault
+	// maps the page in the vanilla table and then in the per-arity tables
+	// in this order, so page-table nodes come off the shared bump
+	// allocator in the same order every run and walk addresses are
+	// deterministic.
 	arities []int
 	paAlloc pagetable.PAAllocator
 	path    []uint64
@@ -204,7 +234,7 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:         cfg,
 		os:          osys,
-		mosaicPTs:   make(map[ptKey]*pagetable.Mosaic),
+		pts:         make(map[ptKey]*pagetable.Table),
 		metrics:     osys.Metrics(), // one namespace shared with the OS layer
 		clockMono:   invariant.NewMonotone("memsim.clock-monotone"),
 		horizonMono: invariant.NewMonotone("memsim.horizon-monotone"),
@@ -219,7 +249,6 @@ func New(cfg Config) (*Simulator, error) {
 	// traffic and data traffic never alias in the caches.
 	ptBase := uint64(cfg.Frames) * core.PageSize
 	s.paAlloc = pagetable.BumpAllocator(ptBase)
-	s.vanillaPTs = make(map[core.ASID]*pagetable.Vanilla)
 	for _, spec := range cfg.Specs {
 		if err := spec.Geometry.Validate(); err != nil {
 			return nil, err
@@ -229,6 +258,9 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		if spec.Arity < 0 || spec.Arity&(spec.Arity-1) != 0 {
 			return nil, fmt.Errorf("memsim: arity %d is not a positive power of two", spec.Arity)
+		}
+		if spec.Arity > vm.ChunkPages {
+			return nil, fmt.Errorf("memsim: arity %d exceeds %d, the longest aligned run of page records", spec.Arity, vm.ChunkPages)
 		}
 		if spec.Coalesce < 0 || spec.Coalesce > 64 || spec.Coalesce&(spec.Coalesce-1) != 0 {
 			return nil, fmt.Errorf("memsim: coalescing run length %d is not a power of two in [1,64]", spec.Coalesce)
@@ -375,43 +407,29 @@ func (s *Simulator) FinalizeMetrics() *obs.Registry {
 	return s.metrics
 }
 
-// vanillaPT returns (creating if needed) the ASID's conventional page table.
-func (s *Simulator) vanillaPT(asid core.ASID) *pagetable.Vanilla {
-	pt, ok := s.vanillaPTs[asid]
-	if !ok {
-		pt = pagetable.NewVanilla(nil, s.paAlloc)
-		s.vanillaPTs[asid] = pt
-	}
-	return pt
-}
-
-// mosaicPT returns (creating if needed) the ASID's mosaic page table for
-// the given arity.
-func (s *Simulator) mosaicPT(asid core.ASID, arity int) *pagetable.Mosaic {
+// pt returns (creating if needed) the ASID's page table of the given
+// arity, 0 for the vanilla table.
+func (s *Simulator) pt(asid core.ASID, arity int) *pagetable.Table {
 	k := ptKey{asid: asid, arity: arity}
-	pt, ok := s.mosaicPTs[k]
+	pt, ok := s.pts[k]
 	if !ok {
-		pt = pagetable.NewMosaic(arity, nil, s.paAlloc)
-		s.mosaicPTs[k] = pt
+		if arity == 0 {
+			pt = pagetable.NewVanilla(nil, s.paAlloc)
+		} else {
+			pt = pagetable.NewMosaic(arity, nil, s.paAlloc)
+		}
+		s.pts[k] = pt
 	}
 	return pt
 }
 
-// onEvict keeps page tables and TLBs coherent with the OS: the evicted
-// page's leaf entry is cleared and the TLBs shoot down the mapping — for a
-// mosaic TLB only the sub-page entry, per §3.1. The pending segment runs
-// first: its references precede the eviction.
+// onEvict keeps the TLBs coherent with the OS: they shoot down the
+// mapping — for a mosaic TLB only the sub-page entry, per §3.1. The hook
+// runs before the OS changes the page's record, and the pending segment
+// runs first: its references precede the eviction.
 func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	s.flush()
 	s.cShootdown.Inc()
-	if pt, ok := s.vanillaPTs[asid]; ok {
-		pt.Unset(vpn)
-	}
-	for _, arity := range s.arities {
-		if pt, ok := s.mosaicPTs[ptKey{asid: asid, arity: arity}]; ok {
-			pt.ClearCPFN(vpn)
-		}
-	}
 	tagged := taggedVPN(asid, vpn)
 	for _, u := range s.units {
 		u.invalidate(tagged)
@@ -461,14 +479,21 @@ func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
 }
 
 // resolve runs one reference of the segment's ASID through the OS layer
-// and appends it to the pending segment. A reference that faults first
-// ends the segment before it and installs its own page-table entries, so
-// no unit walks a page table ahead of the reference it is running.
+// and appends it to the pending segment. A reference that faults maps its
+// page-table nodes; the units read its record as of each reference's
+// clock, so none sees the page before the reference that faulted it in.
 func (s *Simulator) resolve(va uint64, write bool) {
+	if va >= VALimit {
+		//lint:ignore nopanic streams from outside the process are checked with CheckBatch; a larger VA would alias another page's entries
+		panic(fmt.Sprintf("memsim: VA %#x is at or above the simulated address-space limit", va))
+	}
 	seg := &s.seg
 	vpn := core.VPNOf(va)
 	if s.os.Touch(seg.asid, vpn, write) != vm.Hit {
 		s.fault(vpn)
+	}
+	if len(seg.vpn) == 0 {
+		seg.clock = s.os.Clock()
 	}
 	pfn, _ := s.os.Resolved()
 	seg.vpn = append(seg.vpn, vpn)
@@ -479,16 +504,14 @@ func (s *Simulator) resolve(va uint64, write bool) {
 	}
 }
 
-// fault installs a freshly faulted mapping in the page tables, after
-// running the segment of references that precede it. It is the cold half
-// of resolve, outlined so the hot loop stays compact.
+// fault maps a freshly faulted page's nodes in every page table of the
+// segment's ASID: the vanilla table first, then the arities ascending. It
+// is the cold half of resolve, outlined so the hot loop stays compact.
 func (s *Simulator) fault(vpn core.VPN) {
-	s.flush()
 	asid := s.seg.asid
-	pfn, cpfn := s.os.Resolved()
-	s.vanillaPT(asid).Set(vpn, pfn)
+	s.pt(asid, 0).Map(vpn)
 	for _, arity := range s.arities {
-		s.mosaicPT(asid, arity).SetCPFN(vpn, cpfn)
+		s.pt(asid, arity).Map(vpn)
 	}
 }
 
@@ -532,6 +555,36 @@ func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
 	s.flush()
 }
 
+// Replay replays a captured stream into the configured default address
+// space; see ReplayFrom.
+func (s *Simulator) Replay(r *trace.BatchReader) (uint64, error) {
+	return s.ReplayFrom(s.cfg.ASID, r)
+}
+
+// ReplayFrom replays a captured stream into asid's address space, one
+// decoded frame per batch, and returns the number of references run. A
+// frame holding a reference at or above VALimit stops the replay with an
+// error before any of the frame's references runs.
+func (s *Simulator) ReplayFrom(asid core.ASID, r *trace.BatchReader) (uint64, error) {
+	var n uint64
+	buf := make(trace.Batch, 0, trace.DefaultBatchSize)
+	for {
+		b, err := r.ReadBatch(buf)
+		if errors.Is(err, io.EOF) {
+			return n, nil
+		}
+		if err == nil {
+			err = CheckBatch(b)
+		}
+		if err != nil {
+			return n, err
+		}
+		s.ProcessBatchFrom(asid, b)
+		n += uint64(len(b))
+		buf = b
+	}
+}
+
 // mustCheck runs CheckInvariants and panics on any violation — the
 // Config.CheckEvery debug mode wants a loud, immediate stop at the first
 // sampling point where the simulated machine's state is inconsistent.
@@ -558,9 +611,9 @@ func (s *Simulator) mustCheck() {
 //     threshold across successive calls;
 //   - TLB ↔ page-table coherence: every valid entry of every vanilla and
 //     mosaic TLB unit must agree with the owning address space's page
-//     table. A stale-invalid sub-entry is fine — it is just a future
-//     miss — but a valid entry naming a frame the page table no longer
-//     maps would let the simulated hardware use a frame the OS gave away.
+//     records. A stale-invalid sub-entry is fine — it is just a future
+//     miss — but a valid entry naming a frame the OS no longer maps
+//     there would let the simulated hardware use a frame the OS gave away.
 //     Because mosaic placement is stable, a resident page never moves;
 //     remaps happen only through evictions, which shoot the entry down.
 //

@@ -48,6 +48,10 @@ func TestConfigValidation(t *testing.T) {
 	for _, spec := range []TLBSpec{
 		{Geometry: g, Arity: 3},
 		{Geometry: g, Arity: -4},
+		// An arity longer than one chunk of page records has no ToC
+		// window; 1<<50 used to reach the TLB's arena allocation.
+		{Geometry: g, Arity: 1024},
+		{Geometry: g, Arity: 1 << 50},
 		{Geometry: g, Coalesce: 3},
 		{Geometry: g, Coalesce: 128},
 		{Geometry: g, Coalesce: -2},
@@ -213,6 +217,47 @@ func TestArityOrderDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d diverged from run 0:\n%+v\nvs\n%+v", i, got, first)
+		}
+	}
+}
+
+// TestWalkAddressesPinned pins committed per-unit cycle and walk-cache
+// counts for a small xsbench run with caches and the walk cache on.
+// Page-table nodes take their physical addresses from one bump allocator
+// in fault order (vanilla first, then the arities ascending), and those
+// addresses decide the walk cache's hits and the cache sets walks land in.
+// TestArityOrderDeterministic compares runs with each other; this test
+// compares them with the numbers the node order produced when it was
+// fixed, so any change to the order of node allocation fails it.
+func TestWalkAddressesPinned(t *testing.T) {
+	s := newSim(t, Config{
+		Frames:          1 << 13,
+		Specs:           specs(16, 4, 4, 8, 16, 64),
+		EnableCaches:    true,
+		EnableWalkCache: true,
+		Seed:            1,
+	})
+	runWorkload(s, workloads.NewXSBench(workloads.XSBenchConfig{TargetBytes: 8 << 20, Seed: 1}), 200_000)
+	want := []struct {
+		label                                  string
+		totalCycles, walkCycles, walkCacheHits uint64
+	}{
+		{"Vanilla", 4193717, 86556, 59160},
+		{"Mosaic-4", 4150090, 45070, 51543},
+		{"Mosaic-8", 4143798, 38153, 41868},
+		{"Mosaic-16", 4123696, 18711, 23757},
+		{"Mosaic-64", 4109094, 3989, 3492},
+	}
+	got := s.Results()
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		r := got[i]
+		if r.Spec.Label() != w.label || r.TotalCycles != w.totalCycles || r.WalkCycles != w.walkCycles || r.WalkCacheHits != w.walkCacheHits {
+			t.Errorf("%s: total %d, walk %d cycles, %d walk-cache hits; want %s: %d, %d, %d",
+				r.Spec.Label(), r.TotalCycles, r.WalkCycles, r.WalkCacheHits,
+				w.label, w.totalCycles, w.walkCycles, w.walkCacheHits)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"mosaic/internal/core"
 	"mosaic/internal/tlb"
+	"mosaic/internal/trace"
 	"mosaic/internal/vm"
 	"mosaic/internal/xxhash"
 )
@@ -99,4 +100,38 @@ func TestHWEncodingSurvivesFullPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVALimit: the page tables index 36-bit VPNs and TLB tags hold the
+// ASID above VPN bit 40, so the highest page below VALimit translates to
+// its own frame alongside a low page, CheckBatch refuses the first VA at
+// the limit, and a reference there panics rather than aliasing another
+// page's entries.
+func TestVALimit(t *testing.T) {
+	const low, high = 0x10000000, VALimit - core.PageSize
+	if err := CheckBatch(trace.Batch{trace.MakeRef(low, false), trace.MakeRef(VALimit-1, true)}); err != nil {
+		t.Fatalf("CheckBatch refused VAs below the limit: %v", err)
+	}
+	if err := CheckBatch(trace.Batch{trace.MakeRef(low, false), trace.MakeRef(VALimit, false)}); err == nil {
+		t.Fatal("CheckBatch accepted a VA at the limit")
+	}
+	s := newSim(t, Config{Frames: 1 << 12, Specs: specs(64, 8, 4), CheckEvery: 1})
+	s.Access(low, false)
+	s.Access(high, false)
+	s.FlushTLBs()
+	s.Access(low, false) // walks again: must fill its own frame
+	s.Access(high, false)
+	for _, va := range []uint64{low, high} {
+		want, _ := s.os.Translate(s.cfg.ASID, core.VPNOf(va))
+		got, hit := s.units[0].(*vanillaUnit).tlb.Lookup(taggedVPN(s.cfg.ASID, core.VPNOf(va)))
+		if !hit || got != want {
+			t.Errorf("VA %#x: TLB holds frame %d (hit %v), the OS maps %d", va, got, hit, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a reference at VALimit ran")
+		}
+	}()
+	s.Access(VALimit, false)
 }

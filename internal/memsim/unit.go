@@ -9,20 +9,23 @@ import (
 	"mosaic/internal/pagetable"
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
+	"mosaic/internal/vm"
 )
 
 // segmentCap bounds the pending segment, so its columns stay a fixed
-// allocation however long a run of OS hits lasts: a default-size batch
-// without faults runs as one segment.
+// allocation however long it grows: a default-size batch without
+// evictions runs as one segment.
 const segmentCap = trace.DefaultBatchSize
 
 // segment is the run of pending references: resolved by the OS layer, not
-// yet run by any unit. Its references share one ASID and none of them
-// faulted, so the page tables stay fixed while the units run it. The
-// columns are parallel: reference i touched vpn[i] at physical address
-// pa[i], a write when write[i].
+// yet run by any unit. Its references share one ASID and no page left
+// memory during it, so each page's record holds, as of each reference's
+// clock, what it held when the reference ran. The columns are parallel:
+// reference i ran at access clock clock+i and touched vpn[i] at physical
+// address pa[i], a write when write[i].
 type segment struct {
 	asid  core.ASID
+	clock uint64
 	vpn   []core.VPN
 	pa    []uint64
 	write []bool
@@ -41,7 +44,7 @@ type unit interface {
 	flush()
 	stats() tlb.Stats
 	result() Result
-	// audit checks every valid entry against the page tables.
+	// audit checks every valid entry against the OS's page records.
 	audit(s *Simulator, r *invariant.Report)
 }
 
@@ -68,7 +71,8 @@ func newUnit(b unitBase) unit {
 	case spec.Arity == 0:
 		return &vanillaUnit{unitBase: b, tlb: tlb.NewVanilla(spec.Geometry)}
 	default:
-		return &mosaicUnit{unitBase: b, tlb: tlb.NewMosaic(spec.Geometry, spec.Arity)}
+		t := tlb.NewMosaic(spec.Geometry, spec.Arity)
+		return &mosaicUnit{unitBase: b, tlb: t, toc: t.InvalidToC()}
 	}
 }
 
@@ -123,6 +127,16 @@ func (b *unitBase) result(st tlb.Stats) Result {
 // vpnMask strips the ASID from a tagged VPN.
 const vpnMask = 1<<asidTagShift - 1
 
+// walk walks pt for vpn and accounts the walk's traffic.
+func (b *unitBase) walk(s *Simulator, pt *pagetable.Table, vpn core.VPN) {
+	path, ok := pt.Walk(vpn, s.path[:0])
+	b.walkTraffic(s, path)
+	if !ok {
+		//lint:ignore nopanic a fault maps the page's nodes in every table before any unit runs its reference, so a resident VPN always walks
+		panic(fmt.Sprintf("memsim: %s walk failed for resident VPN %#x", b.spec.Label(), vpn))
+	}
+}
+
 // vanillaUnit is a conventional TLB walking the ASID's radix page table.
 type vanillaUnit struct {
 	unitBase
@@ -131,28 +145,19 @@ type vanillaUnit struct {
 
 func (u *vanillaUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Vanilla // resolved on the segment's first miss
+	var pt *pagetable.Table // resolved on the segment's first miss
 	for i, vpn := range seg.vpn {
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
-				pt = s.vanillaPT(seg.asid)
+				pt = s.pt(seg.asid, 0)
 			}
-			u.fill(s, pt, vpn|tag, vpn)
+			// The leaf entry is the reference's own record, whose frame
+			// the OS layer resolved into pa.
+			u.walk(s, pt, vpn)
+			u.tlb.Insert(vpn|tag, core.PFN(seg.pa[i]>>core.PageShift))
 		}
 		u.access(seg, i)
 	}
-}
-
-// fill walks the page table for vpn and installs the translation under
-// its ASID-tagged key.
-func (u *vanillaUnit) fill(s *Simulator, pt *pagetable.Vanilla, tagged, vpn core.VPN) {
-	pfn, ok, path := pt.Walk(vpn, s.path[:0])
-	u.walkTraffic(s, path)
-	if !ok {
-		//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-		panic(fmt.Sprintf("memsim: vanilla walk failed for resident VPN %#x", vpn))
-	}
-	u.tlb.Insert(tagged, pfn)
 }
 
 func (u *vanillaUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }
@@ -165,18 +170,13 @@ func (u *vanillaUnit) audit(s *Simulator, r *invariant.Report) {
 	u.tlb.Range(func(key uint64, pfn core.PFN) {
 		asid := core.ASID(key >> asidTagShift)
 		vpn := core.VPN(key & vpnMask)
-		pt, ok := s.vanillaPTs[asid]
-		if !r.Checkf(ok, "memsim.tlb-coherence",
-			"%s: valid entry for ASID %d, which has no page table", label, asid) {
-			return
-		}
-		got, mapped := pt.Get(vpn)
+		got, mapped := s.os.Translate(asid, vpn)
 		if !r.Checkf(mapped, "memsim.tlb-coherence",
-			"%s: valid entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
+			"%s: valid entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn) {
 			return
 		}
 		r.Checkf(got == pfn, "memsim.tlb-coherence",
-			"%s: entry for ASID %d VPN %#x holds PFN %d, page table says %d", label, asid, vpn, pfn, got)
+			"%s: entry for ASID %d VPN %#x holds PFN %d, the OS maps %d", label, asid, vpn, pfn, got)
 	})
 }
 
@@ -185,31 +185,28 @@ func (u *vanillaUnit) audit(s *Simulator, r *invariant.Report) {
 type mosaicUnit struct {
 	unitBase
 	tlb *tlb.Mosaic
+	// toc is the fill buffer for a ToC that needs masking, reused on
+	// every such miss (Mosaic.Insert copies it).
+	toc tlb.ToC
 }
 
 func (u *mosaicUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Mosaic // resolved on the segment's first miss
+	var pt *pagetable.Table // resolved on the segment's first miss
+	var as *vm.AddressSpace
 	for i, vpn := range seg.vpn {
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
-				pt = s.mosaicPT(seg.asid, u.spec.Arity)
+				pt, as = s.pt(seg.asid, u.spec.Arity), s.os.Space(seg.asid)
 			}
-			u.fill(s, pt, vpn|tag, vpn)
+			u.walk(s, pt, vpn)
+			// The leaf is the ToC: the window of records of vpn's mosaic
+			// page, as of this reference.
+			toc := as.Window(vpn, len(u.toc)).CPFNs(seg.clock+uint64(i), u.toc)
+			u.tlb.Insert(vpn|tag, toc)
 		}
 		u.access(seg, i)
 	}
-}
-
-// fill walks the whole ToC of vpn's mosaic page and installs it.
-func (u *mosaicUnit) fill(s *Simulator, pt *pagetable.Mosaic, tagged, vpn core.VPN) {
-	toc, ok, path := pt.WalkToC(vpn, s.path[:0])
-	u.walkTraffic(s, path)
-	if !ok {
-		//lint:ignore nopanic the mosaic page table was updated on fault before any TLB lookup, so a resident VPN always walks
-		panic(fmt.Sprintf("memsim: mosaic walk failed for resident VPN %#x", vpn))
-	}
-	u.tlb.Insert(tagged, toc)
 }
 
 func (u *mosaicUnit) invalidate(tagged core.VPN) { u.tlb.InvalidateSub(tagged) }
@@ -227,18 +224,13 @@ func (u *mosaicUnit) audit(s *Simulator, r *invariant.Report) {
 			tagged := core.BaseVPN(core.MVPN(key), arity, off)
 			asid := core.ASID(uint64(tagged) >> asidTagShift)
 			vpn := core.VPN(uint64(tagged) & vpnMask)
-			pt, ok := s.mosaicPTs[ptKey{asid: asid, arity: arity}]
-			if !r.Checkf(ok, "memsim.tlb-coherence",
-				"%s: valid sub-entry for ASID %d, which has no page table", label, asid) {
-				continue
-			}
-			got, mapped := pt.Get(vpn)
+			got, mapped := s.os.CPFNFor(asid, vpn)
 			if !r.Checkf(mapped, "memsim.tlb-coherence",
-				"%s: valid sub-entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
+				"%s: valid sub-entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn) {
 				continue
 			}
 			r.Checkf(got == c, "memsim.tlb-coherence",
-				"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, page table says %d", label, asid, vpn, c, got)
+				"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, the OS maps %d", label, asid, vpn, c, got)
 		}
 	})
 }
@@ -255,37 +247,30 @@ type coalescedUnit struct {
 
 func (u *coalescedUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Vanilla // resolved on the segment's first miss
+	var pt *pagetable.Table // resolved on the segment's first miss
+	var as *vm.AddressSpace
 	for i, vpn := range seg.vpn {
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
-				pt = s.vanillaPT(seg.asid)
+				pt, as = s.pt(seg.asid, 0), s.os.Space(seg.asid)
 			}
-			u.fill(s, pt, vpn|tag, vpn)
+			u.walk(s, pt, vpn)
+			// CoLT's walker inspects the neighbouring PTEs in the same
+			// leaf cache line it already fetched, so offering the aligned
+			// group for coalescing costs no extra memory traffic. The
+			// neighbours are read as of this reference. The ASID tag is
+			// group-aligned (it lives far above the run bits), so tagging
+			// does not split runs.
+			nb := u.neighbours
+			w, clock := as.Window(vpn, len(nb)), seg.clock+uint64(i)
+			for j := range nb {
+				npfn, ok := w.PFN(j, clock)
+				nb[j] = tlb.NeighbourPFN{PFN: npfn, OK: ok}
+			}
+			u.tlb.Insert(vpn|tag, core.PFN(seg.pa[i]>>core.PageShift), nb)
 		}
 		u.access(seg, i)
 	}
-}
-
-func (u *coalescedUnit) fill(s *Simulator, pt *pagetable.Vanilla, tagged, vpn core.VPN) {
-	pfn, ok, path := pt.Walk(vpn, s.path[:0])
-	u.walkTraffic(s, path)
-	if !ok {
-		//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-		panic(fmt.Sprintf("memsim: coalescing walk failed for resident VPN %#x", vpn))
-	}
-	// CoLT's walker inspects the neighbouring PTEs in the same leaf cache
-	// line it already fetched, so offering the aligned group for
-	// coalescing costs no extra memory traffic. The ASID tag is
-	// group-aligned (it lives far above the run bits), so tagging does not
-	// split runs.
-	nb := u.neighbours
-	base := core.VPN(uint64(vpn) &^ uint64(len(nb)-1))
-	for i := range nb {
-		npfn, nok := pt.Get(base + core.VPN(i))
-		nb[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
-	}
-	u.tlb.Insert(tagged, pfn, nb)
 }
 
 func (u *coalescedUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }

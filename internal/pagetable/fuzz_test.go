@@ -6,55 +6,62 @@ import (
 	"mosaic/internal/core"
 )
 
-// FuzzPageTableMapWalk drives a vanilla radix page table through an
-// arbitrary map/unmap sequence against a Go map oracle, checking after
-// every operation that Get and Walk agree with the oracle, that Walk
-// touches exactly one entry per level, and that the leaf count tracks the
-// oracle size. VPNs span 24 bits so the fuzzer exercises shared interior
-// nodes, node allocation, and node reclamation on unset.
+// FuzzPageTableMapWalk maps an arbitrary VPN sequence into a vanilla and
+// an arity-8 mosaic table, checking after every operation, against a Go
+// map oracle of the leaf nodes mapped so far, that a walk reaches a leaf
+// entry exactly when its leaf node exists, touches one entry per level
+// when it does, keeps every entry address it reported before, and never
+// hands one entry address to two leaf entries. VPNs span 24 bits so the
+// fuzzer exercises shared interior nodes and node allocation.
 func FuzzPageTableMapWalk(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80})
 	f.Add([]byte("map then unmap the same neighbourhood \x00\x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pt := NewVanilla(nil, BumpAllocator(0))
-		oracle := make(map[core.VPN]core.PFN)
+		alloc := BumpAllocator(0)
+		tables := []*Table{NewVanilla(nil, alloc), NewMosaic(8, nil, alloc)}
+		type leafKey struct {
+			table int
+			key   uint64
+		}
+		leafNodes := make(map[leafKey]bool) // leaf-node index of every mapped key
+		entries := make(map[leafKey]uint64) // leaf entry address of every walked key
+		owner := make(map[uint64]leafKey)   // which key each leaf entry address serves
 		var path []uint64
 
-		nextPFN := core.PFN(1)
 		for i := 0; i+3 < len(data); i += 4 {
 			vpn := core.VPN(uint64(data[i+1]) | uint64(data[i+2])<<8 | uint64(data[i+3])<<16)
-			switch data[i] % 3 {
-			case 0:
-				pt.Set(vpn, nextPFN)
-				oracle[vpn] = nextPFN
-				nextPFN++
-			case 1:
-				ok := pt.Unset(vpn)
-				if _, present := oracle[vpn]; ok != present {
-					t.Fatalf("Unset(%#x) = %v, oracle presence %v", vpn, ok, present)
+			if data[i]%2 == 0 {
+				// Probe a key near a previous operand to hit both mapped
+				// and unmapped leaf nodes.
+				vpn ^= core.VPN(data[i])
+			} else {
+				for ti, pt := range tables {
+					pt.Map(vpn)
+					leafNodes[leafKey{ti, uint64(vpn) / uint64(pt.Arity()) >> 9}] = true
 				}
-				delete(oracle, vpn)
-			case 2:
-				// Probe a key near a previous operand to hit both present
-				// and absent leaves in populated nodes.
-				vpn ^= 1
 			}
-
-			want, present := oracle[vpn]
-			if got, ok := pt.Get(vpn); ok != present || (ok && got != want) {
-				t.Fatalf("Get(%#x) = (%d, %v), oracle (%d, %v)", vpn, got, ok, want, present)
-			}
-			var got core.PFN
-			var ok bool
-			got, ok, path = pt.Walk(vpn, path[:0])
-			if ok != present || (ok && got != want) {
-				t.Fatalf("Walk(%#x) = (%d, %v), oracle (%d, %v)", vpn, got, ok, want, present)
-			}
-			if ok && len(path) != pt.Levels() {
-				t.Fatalf("Walk(%#x) touched %d entries, want one per level (%d)", vpn, len(path), pt.Levels())
-			}
-			if pt.Len() != len(oracle) {
-				t.Fatalf("Len() = %d, oracle holds %d", pt.Len(), len(oracle))
+			for ti, pt := range tables {
+				key := uint64(vpn) / uint64(pt.Arity())
+				want := leafNodes[leafKey{ti, key >> 9}]
+				var ok bool
+				path, ok = pt.Walk(vpn, path[:0])
+				if ok != want {
+					t.Fatalf("table %d: Walk(%#x) reached a leaf = %v, oracle %v", ti, vpn, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				if len(path) != pt.Levels() {
+					t.Fatalf("table %d: Walk(%#x) touched %d entries, want one per level (%d)", ti, vpn, len(path), pt.Levels())
+				}
+				k, leaf := leafKey{ti, key}, path[len(path)-1]
+				if old, seen := entries[k]; seen && old != leaf {
+					t.Fatalf("table %d: key %#x leaf entry moved from %#x to %#x", ti, key, old, leaf)
+				}
+				if o, seen := owner[leaf]; seen && o != k {
+					t.Fatalf("table %d: key %#x shares leaf entry %#x with %+v", ti, key, leaf, o)
+				}
+				entries[k], owner[leaf] = leaf, k
 			}
 		}
 	})

@@ -5,10 +5,14 @@
 // the leaves: a vanilla leaf entry stores a PFN, a mosaic leaf entry stores
 // a table of contents (one CPFN per sub-page of a mosaic page).
 //
-// Each table node occupies a (simulated) physical page; Walk reports the
-// physical address of the entry read at every level, so the memory-system
-// simulator can send page-table-walker traffic through the cache hierarchy
-// exactly as gem5 does.
+// A Table holds only the tree's nodes. Each node occupies a (simulated)
+// physical page, and Walk reports the physical address of the entry read at
+// every level, so the memory-system simulator can send page-table-walker
+// traffic through the cache hierarchy exactly as gem5 does. The values the
+// leaf entries hold are not stored here: they are the OS layer's page
+// records (internal/vm), where an aligned window of CPFNs is exactly a
+// mosaic leaf's ToC, so the walker reads the entries' contents from those
+// records and the two can never disagree.
 package pagetable
 
 import (
@@ -36,23 +40,50 @@ func BumpAllocator(base uint64) PAAllocator {
 	}
 }
 
-// radix is the shared multi-level structure; leaves hold T.
-type radix[T any] struct {
+// DefaultLevels is the x86-64-style 4-level split (9 bits per level) used
+// by the paper's prototype, covering DefaultVPNBits-bit VPNs.
+var DefaultLevels = []int{9, 9, 9, 9}
+
+// DefaultVPNBits is the VPN width DefaultLevels index: 36 bits, a 48-bit
+// virtual address space.
+const DefaultVPNBits = 36
+
+// Table is the node structure of one radix page table: a vanilla table is
+// keyed by VPN, a mosaic table by MVPN (the VPN over the arity).
+type Table struct {
 	levelBits []int
 	shifts    []uint
+	keyShift  uint // log2(arity); 0 for a vanilla table
 	allocPA   PAAllocator
-	root      *node[T]
-	leaves    int
+	root      *node
 }
 
-type node[T any] struct {
+// node is one table node. Leaf-level nodes have no children: their
+// entries' contents live in the OS layer's page records.
+type node struct {
 	pa       uint64
-	children []*node[T]
-	values   []T
-	present  []bool
+	children []*node
 }
 
-func newRadix[T any](levelBits []int, allocPA PAAllocator) *radix[T] {
+// NewVanilla creates a vanilla page table. levelBits may be nil for
+// DefaultLevels; allocPA may be nil for a bump allocator at 1<<40.
+func NewVanilla(levelBits []int, allocPA PAAllocator) *Table {
+	return newTable(0, levelBits, allocPA)
+}
+
+// NewMosaic creates a mosaic page table for the given arity. levelBits
+// index the MVPN (not the VPN); nil selects DefaultLevels.
+func NewMosaic(arity int, levelBits []int, allocPA PAAllocator) *Table {
+	if arity <= 0 || arity&(arity-1) != 0 {
+		panic(fmt.Sprintf("pagetable: arity %d is not a positive power of two", arity))
+	}
+	return newTable(uint(bits.TrailingZeros(uint(arity))), levelBits, allocPA)
+}
+
+func newTable(keyShift uint, levelBits []int, allocPA PAAllocator) *Table {
+	if levelBits == nil {
+		levelBits = DefaultLevels
+	}
 	if len(levelBits) < 1 {
 		panic("pagetable: need at least one level")
 	}
@@ -69,251 +100,68 @@ func newRadix[T any](levelBits []int, allocPA PAAllocator) *radix[T] {
 	if allocPA == nil {
 		allocPA = BumpAllocator(1 << 40)
 	}
-	r := &radix[T]{levelBits: levelBits, allocPA: allocPA}
+	t := &Table{levelBits: levelBits, keyShift: keyShift, allocPA: allocPA}
 	// Precompute the right-shift for each level's index field.
-	r.shifts = make([]uint, len(levelBits))
+	t.shifts = make([]uint, len(levelBits))
 	shift := 0
 	for i := len(levelBits) - 1; i >= 0; i-- {
-		r.shifts[i] = uint(shift)
+		t.shifts[i] = uint(shift)
 		shift += levelBits[i]
 	}
-	r.root = r.newNode(0)
-	return r
+	t.root = t.newNode(0)
+	return t
 }
 
-func (r *radix[T]) newNode(level int) *node[T] {
-	fanout := 1 << r.levelBits[level]
-	n := &node[T]{pa: r.allocPA(uint64(fanout * entrySize))}
-	if level == len(r.levelBits)-1 {
-		n.values = make([]T, fanout)
-		n.present = make([]bool, fanout)
-	} else {
-		n.children = make([]*node[T], fanout)
+func (t *Table) newNode(level int) *node {
+	fanout := 1 << t.levelBits[level]
+	n := &node{pa: t.allocPA(uint64(fanout * entrySize))}
+	if level < len(t.levelBits)-1 {
+		n.children = make([]*node, fanout)
 	}
 	return n
 }
 
-func (r *radix[T]) index(key uint64, level int) int {
-	return int(key>>r.shifts[level]) & (1<<r.levelBits[level] - 1)
+func (t *Table) index(key uint64, level int) int {
+	return int(key>>t.shifts[level]) & (1<<t.levelBits[level] - 1)
 }
 
-// set installs value at key, creating intermediate nodes. It returns a
-// pointer to the stored value.
-func (r *radix[T]) set(key uint64, value T) *T {
-	n := r.root
-	for level := 0; level < len(r.levelBits)-1; level++ {
-		idx := r.index(key, level)
+// Arity is the number of sub-pages one leaf entry maps: 1 for a vanilla
+// table.
+func (t *Table) Arity() int { return 1 << t.keyShift }
+
+// Levels is the number of radix levels (walk memory accesses).
+func (t *Table) Levels() int { return len(t.levelBits) }
+
+// Map creates the nodes on vpn's path that do not exist yet, top down —
+// what the kernel does when it installs a mapping. Nodes are never freed
+// (a real kernel frees them lazily), so an entry's address is fixed once
+// mapped.
+func (t *Table) Map(vpn core.VPN) {
+	key := uint64(vpn) >> t.keyShift
+	n := t.root
+	for level := 0; level < len(t.levelBits)-1; level++ {
+		idx := t.index(key, level)
 		if n.children[idx] == nil {
-			n.children[idx] = r.newNode(level + 1)
+			n.children[idx] = t.newNode(level + 1)
 		}
 		n = n.children[idx]
 	}
-	idx := r.index(key, len(r.levelBits)-1)
-	if !n.present[idx] {
-		n.present[idx] = true
-		r.leaves++
-	}
-	n.values[idx] = value
-	return &n.values[idx]
 }
 
-// lookup finds key without recording a walk path.
-func (r *radix[T]) lookup(key uint64) (*T, bool) {
-	n := r.root
-	for level := 0; level < len(r.levelBits)-1; level++ {
-		n = n.children[r.index(key, level)]
-		if n == nil {
-			return nil, false
-		}
-	}
-	idx := r.index(key, len(r.levelBits)-1)
-	if !n.present[idx] {
-		return nil, false
-	}
-	return &n.values[idx], true
-}
-
-// walk finds key, appending the physical address of the entry read at each
-// level to path (even for the levels reached before a translation failure,
-// as a real walker would). It returns the value, presence, and path.
-func (r *radix[T]) walk(key uint64, path []uint64) (*T, bool, []uint64) {
-	n := r.root
-	for level := 0; level < len(r.levelBits)-1; level++ {
-		idx := r.index(key, level)
+// Walk appends the physical address of the entry read at each level for
+// vpn to path (even for the levels reached before a missing node, as a
+// real walker would) and reports whether the walk reached a leaf entry.
+func (t *Table) Walk(vpn core.VPN, path []uint64) ([]uint64, bool) {
+	key := uint64(vpn) >> t.keyShift
+	n := t.root
+	last := len(t.levelBits) - 1
+	for level := 0; level < last; level++ {
+		idx := t.index(key, level)
 		path = append(path, n.pa+uint64(idx*entrySize))
 		n = n.children[idx]
 		if n == nil {
-			return nil, false, path
+			return path, false
 		}
 	}
-	idx := r.index(key, len(r.levelBits)-1)
-	path = append(path, n.pa+uint64(idx*entrySize))
-	if !n.present[idx] {
-		return nil, false, path
-	}
-	return &n.values[idx], true, path
-}
-
-// unset removes key, reporting whether it was present. Empty intermediate
-// nodes are retained (as in a real kernel, which frees them lazily).
-func (r *radix[T]) unset(key uint64) bool {
-	n := r.root
-	for level := 0; level < len(r.levelBits)-1; level++ {
-		n = n.children[r.index(key, level)]
-		if n == nil {
-			return false
-		}
-	}
-	idx := r.index(key, len(r.levelBits)-1)
-	if !n.present[idx] {
-		return false
-	}
-	n.present[idx] = false
-	var zero T
-	n.values[idx] = zero
-	r.leaves--
-	return true
-}
-
-// DefaultLevels is the x86-64-style 4-level split (9 bits per level) used
-// by the paper's prototype, covering 36-bit VPNs.
-var DefaultLevels = []int{9, 9, 9, 9}
-
-// Vanilla is a conventional radix page table mapping VPN → PFN.
-type Vanilla struct {
-	r *radix[core.PFN]
-}
-
-// NewVanilla creates a vanilla page table. levelBits may be nil for
-// DefaultLevels; allocPA may be nil for a bump allocator at 1<<40.
-func NewVanilla(levelBits []int, allocPA PAAllocator) *Vanilla {
-	if levelBits == nil {
-		levelBits = DefaultLevels
-	}
-	return &Vanilla{r: newRadix[core.PFN](levelBits, allocPA)}
-}
-
-// Levels is the number of radix levels (walk memory accesses).
-func (t *Vanilla) Levels() int { return len(t.r.levelBits) }
-
-// Len is the number of mapped pages.
-func (t *Vanilla) Len() int { return t.r.leaves }
-
-// Set maps vpn to pfn.
-func (t *Vanilla) Set(vpn core.VPN, pfn core.PFN) { t.r.set(uint64(vpn), pfn) }
-
-// Unset removes vpn's mapping.
-func (t *Vanilla) Unset(vpn core.VPN) bool { return t.r.unset(uint64(vpn)) }
-
-// Get translates vpn without a walk path.
-func (t *Vanilla) Get(vpn core.VPN) (core.PFN, bool) {
-	p, ok := t.r.lookup(uint64(vpn))
-	if !ok {
-		return 0, false
-	}
-	return *p, true
-}
-
-// Walk translates vpn, appending the per-level entry addresses to path.
-func (t *Vanilla) Walk(vpn core.VPN, path []uint64) (core.PFN, bool, []uint64) {
-	p, ok, path := t.r.walk(uint64(vpn), path)
-	if !ok {
-		return 0, false, path
-	}
-	return *p, true, path
-}
-
-// ToC is a mosaic page-table leaf value: one CPFN per sub-page plus a
-// per-sub-page present bit (the prototype "stores permission, present,
-// accessed, and dirty bits in the page table for each encoded physical
-// page"; only the present bit affects translation, so that is what we
-// model).
-type ToC struct {
-	CPFNs []core.CPFN
-}
-
-// Mosaic is a radix page table whose leaves map MVPN → ToC (Figure 5).
-type Mosaic struct {
-	r     *radix[ToC]
-	arity int
-	shift uint // log2(arity), validated once by NewMosaic
-}
-
-// NewMosaic creates a mosaic page table for the given arity. levelBits
-// index the MVPN (not the VPN); nil selects DefaultLevels.
-func NewMosaic(arity int, levelBits []int, allocPA PAAllocator) *Mosaic {
-	if arity <= 0 || arity&(arity-1) != 0 {
-		panic(fmt.Sprintf("pagetable: arity %d is not a positive power of two", arity))
-	}
-	if levelBits == nil {
-		levelBits = DefaultLevels
-	}
-	return &Mosaic{r: newRadix[ToC](levelBits, allocPA), arity: arity, shift: uint(bits.TrailingZeros(uint(arity)))}
-}
-
-// split is core.MosaicPage at the validated arity: the MVPN by shift and
-// the sub-page offset by mask.
-func (t *Mosaic) split(vpn core.VPN) (mvpn uint64, off int) {
-	return uint64(vpn) >> t.shift, int(uint64(vpn) & uint64(t.arity-1))
-}
-
-// Arity is the number of sub-pages per mosaic page.
-func (t *Mosaic) Arity() int { return t.arity }
-
-// Levels is the number of radix levels.
-func (t *Mosaic) Levels() int { return len(t.r.levelBits) }
-
-// Len is the number of mosaic pages with at least one mapped sub-page.
-func (t *Mosaic) Len() int { return t.r.leaves }
-
-// SetCPFN maps vpn's sub-page to cpfn, creating the ToC if needed.
-func (t *Mosaic) SetCPFN(vpn core.VPN, cpfn core.CPFN) {
-	mvpn, off := t.split(vpn)
-	toc, ok := t.r.lookup(mvpn)
-	if !ok {
-		toc = t.r.set(mvpn, ToC{CPFNs: newInvalidCPFNs(t.arity)})
-	}
-	toc.CPFNs[off] = cpfn
-}
-
-// ClearCPFN invalidates vpn's sub-page mapping, reporting whether it was
-// mapped. The ToC itself stays (other sub-pages keep their mappings).
-func (t *Mosaic) ClearCPFN(vpn core.VPN) bool {
-	mvpn, off := t.split(vpn)
-	toc, ok := t.r.lookup(mvpn)
-	if !ok || toc.CPFNs[off] == core.CPFNInvalid {
-		return false
-	}
-	toc.CPFNs[off] = core.CPFNInvalid
-	return true
-}
-
-// Get returns vpn's CPFN without a walk path.
-func (t *Mosaic) Get(vpn core.VPN) (core.CPFN, bool) {
-	mvpn, off := t.split(vpn)
-	toc, ok := t.r.lookup(mvpn)
-	if !ok || toc.CPFNs[off] == core.CPFNInvalid {
-		return core.CPFNInvalid, false
-	}
-	return toc.CPFNs[off], true
-}
-
-// WalkToC fetches the whole ToC for vpn's mosaic page, appending per-level
-// entry addresses to path. The returned slice aliases the leaf; callers
-// must copy it if they retain it (the TLB's Insert copies).
-func (t *Mosaic) WalkToC(vpn core.VPN, path []uint64) ([]core.CPFN, bool, []uint64) {
-	mvpn, _ := t.split(vpn)
-	toc, ok, path := t.r.walk(mvpn, path)
-	if !ok {
-		return nil, false, path
-	}
-	return toc.CPFNs, true, path
-}
-
-func newInvalidCPFNs(arity int) []core.CPFN {
-	c := make([]core.CPFN, arity)
-	for i := range c {
-		c[i] = core.CPFNInvalid
-	}
-	return c
+	return append(path, n.pa+uint64(t.index(key, last)*entrySize)), true
 }

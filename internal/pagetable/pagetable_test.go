@@ -7,36 +7,40 @@ import (
 	"mosaic/internal/core"
 )
 
-func TestVanillaSetGetUnset(t *testing.T) {
-	pt := NewVanilla(nil, nil)
-	if _, ok := pt.Get(100); ok {
-		t.Fatal("hit in empty table")
+// TestMapWalkNodes is the node lifecycle: a walk reaches a leaf entry
+// exactly once its path is mapped, mapping again allocates nothing, and
+// a neighbour in the same leaf node walks without being mapped itself.
+func TestMapWalkNodes(t *testing.T) {
+	var allocs int
+	bump := BumpAllocator(1 << 40)
+	pt := NewVanilla(nil, func(size uint64) uint64 { allocs++; return bump(size) })
+	if _, ok := pt.Walk(100, nil); ok {
+		t.Fatal("walk reached a leaf in an empty table")
 	}
-	pt.Set(100, 7)
-	if pfn, ok := pt.Get(100); !ok || pfn != 7 {
-		t.Fatalf("Get = %d,%v", pfn, ok)
+	pt.Map(100)
+	if allocs != 4 {
+		t.Fatalf("mapping one page allocated %d nodes, want root + 3", allocs)
 	}
-	pt.Set(100, 8) // remap
-	if pfn, _ := pt.Get(100); pfn != 8 {
-		t.Fatalf("remap lost: %d", pfn)
+	path, ok := pt.Walk(100, nil)
+	if !ok || len(path) != 4 {
+		t.Fatalf("Walk = %d levels, %v", len(path), ok)
 	}
-	if pt.Len() != 1 {
-		t.Fatalf("Len = %d", pt.Len())
+	pt.Map(100)
+	pt.Map(101)
+	if allocs != 4 {
+		t.Fatalf("remapping allocated nodes: %d", allocs)
 	}
-	if !pt.Unset(100) || pt.Unset(100) {
-		t.Fatal("Unset misbehaved")
-	}
-	if pt.Len() != 0 {
-		t.Fatalf("Len after unset = %d", pt.Len())
+	if _, ok := pt.Walk(102, nil); !ok {
+		t.Fatal("a neighbour in a mapped leaf node must walk")
 	}
 }
 
 func TestVanillaWalkPath(t *testing.T) {
 	pt := NewVanilla(nil, BumpAllocator(1<<40))
-	pt.Set(0x123456789, 42)
-	pfn, ok, path := pt.Walk(0x123456789, nil)
-	if !ok || pfn != 42 {
-		t.Fatalf("Walk = %d,%v", pfn, ok)
+	pt.Map(0x123456789)
+	path, ok := pt.Walk(0x123456789, nil)
+	if !ok {
+		t.Fatal("mapped VPN does not walk")
 	}
 	if len(path) != 4 {
 		t.Fatalf("walk touched %d levels, want 4", len(path))
@@ -52,16 +56,12 @@ func TestVanillaWalkPath(t *testing.T) {
 		}
 		seen[pa] = true
 	}
-	// A partial walk (unmapped VPN sharing upper levels) still touches the
-	// levels that exist.
-	_, ok, path2 := pt.Walk(0x123456788, nil)
-	if ok {
-		t.Fatal("unmapped VPN translated")
-	}
-	if len(path2) != 4 {
+	// A sibling VPN sharing the leaf node walks all four levels.
+	if path2, ok := pt.Walk(0x123456788, nil); !ok || len(path2) != 4 {
 		t.Fatalf("sibling VPN walk touched %d levels, want 4 (same leaf node)", len(path2))
 	}
-	_, ok, path3 := pt.Walk(0x523456789, nil)
+	// A walk stops at the first missing node, having read its entry.
+	path3, ok := pt.Walk(0x523456789, nil)
 	if ok || len(path3) != 1 {
 		t.Fatalf("far VPN: ok=%v levels=%d, want miss after 1 level", ok, len(path3))
 	}
@@ -69,10 +69,10 @@ func TestVanillaWalkPath(t *testing.T) {
 
 func TestVanillaSharedUpperLevels(t *testing.T) {
 	pt := NewVanilla(nil, nil)
-	pt.Set(0, 1)
-	pt.Set(1, 2) // same leaf node
-	_, _, p0 := pt.Walk(0, nil)
-	_, _, p1 := pt.Walk(1, nil)
+	pt.Map(0)
+	pt.Map(1) // same leaf node
+	p0, _ := pt.Walk(0, nil)
+	p1, _ := pt.Walk(1, nil)
 	for lvl := 0; lvl < 3; lvl++ {
 		if p0[lvl] != p1[lvl] {
 			t.Fatalf("level %d addresses differ for adjacent VPNs", lvl)
@@ -91,89 +91,65 @@ func TestVanillaCustomLevels(t *testing.T) {
 	if pt.Levels() != 3 {
 		t.Fatalf("Levels = %d", pt.Levels())
 	}
-	pt.Set(0x3FFFFFFF, 5) // max 30-bit key
-	if pfn, ok := pt.Get(0x3FFFFFFF); !ok || pfn != 5 {
-		t.Fatalf("Get = %d,%v", pfn, ok)
-	}
-	_, _, path := pt.Walk(0x3FFFFFFF, nil)
-	if len(path) != 3 {
-		t.Fatalf("walk length %d", len(path))
+	pt.Map(0x3FFFFFFF) // max 30-bit key
+	path, ok := pt.Walk(0x3FFFFFFF, nil)
+	if !ok || len(path) != 3 {
+		t.Fatalf("walk length %d, %v", len(path), ok)
 	}
 }
 
+// TestVanillaAgainstMapModel maps random VPNs and checks every walk
+// against a model of the mapped leaf nodes: a walk reaches a leaf exactly
+// when some VPN of its leaf node was mapped, and its entry addresses
+// never change once mapped.
 func TestVanillaAgainstMapModel(t *testing.T) {
 	pt := NewVanilla(nil, nil)
-	model := map[core.VPN]core.PFN{}
+	leafNodes := map[core.VPN]bool{} // VPN >> 9 of every mapped VPN
+	paths := map[core.VPN][4]uint64{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 30000; i++ {
 		vpn := core.VPN(rng.Intn(1 << 20))
-		switch rng.Intn(3) {
-		case 0:
-			pfn := core.PFN(rng.Intn(1 << 20))
-			pt.Set(vpn, pfn)
-			model[vpn] = pfn
-		case 1:
-			got, ok := pt.Get(vpn)
-			want, wok := model[vpn]
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("Get(%#x) = (%d,%v), model (%d,%v)", vpn, got, ok, want, wok)
-			}
-		case 2:
-			if pt.Unset(vpn) != (func() bool { _, ok := model[vpn]; return ok })() {
-				t.Fatalf("Unset(%#x) disagrees", vpn)
-			}
-			delete(model, vpn)
+		if rng.Intn(2) == 0 {
+			pt.Map(vpn)
+			leafNodes[vpn>>9] = true
 		}
-	}
-	if pt.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", pt.Len(), len(model))
+		path, ok := pt.Walk(vpn, nil)
+		if ok != leafNodes[vpn>>9] {
+			t.Fatalf("Walk(%#x) reached a leaf = %v, model %v", vpn, ok, leafNodes[vpn>>9])
+		}
+		if !ok {
+			continue
+		}
+		if old, seen := paths[vpn]; seen && [4]uint64(path) != old {
+			t.Fatalf("Walk(%#x) path moved from %x to %x", vpn, old, path)
+		}
+		paths[vpn] = [4]uint64(path)
 	}
 }
 
-func TestMosaicToCLifecycle(t *testing.T) {
+// TestMosaicSubpagesShareLeafEntry: a mosaic table is keyed by MVPN, so
+// every sub-page of a mosaic page walks to the same leaf entry — the ToC.
+func TestMosaicSubpagesShareLeafEntry(t *testing.T) {
 	pt := NewMosaic(4, nil, nil)
-	if _, ok := pt.Get(5); ok {
-		t.Fatal("hit in empty table")
+	pt.Map(5) // MVPN 1
+	p5, ok := pt.Walk(5, nil)
+	if !ok || len(p5) != 4 {
+		t.Fatalf("Walk(5) ok=%v levels=%d", ok, len(p5))
 	}
-	pt.SetCPFN(5, 10) // MVPN 1, offset 1
-	pt.SetCPFN(6, 11) // MVPN 1, offset 2
-	if pt.Len() != 1 {
-		t.Fatalf("two sub-pages created %d ToCs", pt.Len())
-	}
-	if c, ok := pt.Get(5); !ok || c != 10 {
-		t.Fatalf("Get(5) = %d,%v", c, ok)
-	}
-	if _, ok := pt.Get(4); ok {
-		t.Fatal("unmapped sub-page translated")
-	}
-	toc, ok, path := pt.WalkToC(5, nil)
-	if !ok || len(path) != 4 {
-		t.Fatalf("WalkToC ok=%v levels=%d", ok, len(path))
-	}
-	if len(toc) != 4 || toc[1] != 10 || toc[2] != 11 || toc[0] != core.CPFNInvalid {
-		t.Fatalf("ToC = %v", toc)
-	}
-	// WalkToC of sibling sub-pages sees the same ToC and path.
-	toc2, _, path2 := pt.WalkToC(7, nil)
-	if &toc[0] != &toc2[0] {
-		t.Fatal("sibling sub-pages resolved to different ToCs")
-	}
-	for i := range path {
-		if path[i] != path2[i] {
-			t.Fatal("sibling walk paths differ")
+	for _, vpn := range []core.VPN{4, 6, 7} {
+		p, ok := pt.Walk(vpn, nil)
+		if !ok {
+			t.Fatalf("sub-page %d of a mapped mosaic page does not walk", vpn)
+		}
+		for i := range p {
+			if p[i] != p5[i] {
+				t.Fatalf("sub-page %d walks level %d at %#x, sub-page 5 at %#x", vpn, i, p[i], p5[i])
+			}
 		}
 	}
-	if !pt.ClearCPFN(5) || pt.ClearCPFN(5) {
-		t.Fatal("ClearCPFN misbehaved")
-	}
-	if _, ok := pt.Get(5); ok {
-		t.Fatal("cleared sub-page still translates")
-	}
-	if c, ok := pt.Get(6); !ok || c != 11 {
-		t.Fatalf("sibling lost after clear: %d,%v", c, ok)
-	}
-	if pt.Len() != 1 {
-		t.Fatalf("ToC dropped by sub-page clear: Len=%d", pt.Len())
+	p8, _ := pt.Walk(8, nil) // MVPN 2: the next leaf entry
+	if p8[3]-p5[3] != entrySize {
+		t.Fatalf("adjacent mosaic pages' entries %d bytes apart, want %d", p8[3]-p5[3], entrySize)
 	}
 }
 
@@ -188,9 +164,11 @@ func TestMosaicArityValidation(t *testing.T) {
 			NewMosaic(arity, nil, nil)
 		}()
 	}
-	pt := NewMosaic(64, nil, nil)
-	if pt.Arity() != 64 {
-		t.Fatalf("Arity = %d", pt.Arity())
+	if got := NewMosaic(64, nil, nil).Arity(); got != 64 {
+		t.Fatalf("Arity = %d", got)
+	}
+	if got := NewVanilla(nil, nil).Arity(); got != 1 {
+		t.Fatalf("vanilla Arity = %d", got)
 	}
 }
 
@@ -229,23 +207,23 @@ func TestRadixValidation(t *testing.T) {
 func BenchmarkVanillaWalk(b *testing.B) {
 	pt := NewVanilla(nil, nil)
 	for v := core.VPN(0); v < 1<<16; v++ {
-		pt.Set(v, core.PFN(v))
+		pt.Map(v)
 	}
 	path := make([]uint64, 0, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, path = pt.Walk(core.VPN(i&(1<<16-1)), path[:0])
+		path, _ = pt.Walk(core.VPN(i&(1<<16-1)), path[:0])
 	}
 }
 
-func BenchmarkMosaicWalkToC(b *testing.B) {
+func BenchmarkMosaicWalk(b *testing.B) {
 	pt := NewMosaic(4, nil, nil)
 	for v := core.VPN(0); v < 1<<16; v++ {
-		pt.SetCPFN(v, core.CPFN(v&0x37))
+		pt.Map(v)
 	}
 	path := make([]uint64, 0, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, path = pt.WalkToC(core.VPN(i&(1<<16-1)), path[:0])
+		path, _ = pt.Walk(core.VPN(i&(1<<16-1)), path[:0])
 	}
 }

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"mosaic/internal/alloc"
 	"mosaic/internal/core"
@@ -46,38 +45,32 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 		return ForkStats{}, fmt.Errorf("vm: parent ASID %d has no address space", parent)
 	}
 	cas := s.Space(child)
-	if len(cas.private) != 0 || len(cas.shared) != 0 {
+	if s.MappedPages(child) != 0 || len(cas.shared) != 0 {
 		return ForkStats{}, fmt.Errorf("vm: child ASID %d is not empty", child)
 	}
 
 	var st ForkStats
-	// Shared mappings: inherit by reference (each inherited mapping holds
-	// its own region reference).
-	regionRefs := map[*SharedRegion]int{}
+	// Shared mappings: inherit by reference (each inherited page holds its
+	// own region reference).
+	if len(pas.shared) != 0 {
+		cas.shared = make(map[core.VPN]sharedRef, len(pas.shared))
+	}
 	for vpn, ref := range pas.shared {
 		cas.shared[vpn] = ref
-		regionRefs[ref.region]++
+		ref.region.maps++
 		st.SharedMappings++
-	}
-	for region := range regionRefs {
-		region.maps++
 	}
 
 	// Private pages: eager copy or swap-slot clone, in VPN order so fork
 	// results are deterministic even when the copies trigger evictions.
-	vpns := make([]core.VPN, 0, len(pas.private))
-	for vpn := range pas.private {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		ppg := pas.private[vpn]
-		switch ppg.state {
+	// Each parent record's state is read when its turn comes: an earlier
+	// copy may have evicted it.
+	pas.each(func(vpn core.VPN, pc *chunk, i int) {
+		c, j := cas.record(vpn)
+		switch pc.state[i] {
 		case pageResident:
 			s.clock++
-			cpg := &page{}
-			cas.private[vpn] = cpg
-			s.fillPage(child, vpn, cpg, true) // the copy dirties the new frame
+			s.fillPage(child, vpn, c, j, true) // the copy dirties the new frame
 			s.cForkCopy.Inc()
 			st.CopiedPages++
 		case pageSwapped:
@@ -85,9 +78,9 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 				alloc.Owner{ASID: parent, VPN: vpn},
 				alloc.Owner{ASID: child, VPN: vpn},
 			)
-			cas.private[vpn] = &page{state: pageSwapped}
+			c.setAbsent(j, pageSwapped)
 			st.ClonedSwapSlots++
 		}
-	}
+	})
 	return st, nil
 }

@@ -113,6 +113,40 @@ func TestForkCopySharedMappings(t *testing.T) {
 	}
 }
 
+// TestForkCopyRegionMappedTwice: a child inherits each of the parent's
+// mappings of a region as its own reference, so the parent's second
+// mapping survives the child unmapping both of its copies.
+func TestForkCopyRegionMappedTwice(t *testing.T) {
+	s := newMosaic(t, 64*16)
+	r, _ := s.CreateSharedRegion(2)
+	for _, base := range []core.VPN{0x10, 0x20} {
+		if err := s.MapShared(1, base, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Touch(1, 0x10, true)
+	if _, err := s.ForkCopy(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		asid core.ASID
+		base core.VPN
+	}{{2, 0x10}, {2, 0x20}, {1, 0x10}} {
+		if err := s.UnmapShared(step.asid, step.base, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Resident(1, 0x20) {
+		t.Fatal("region freed while the parent still maps it")
+	}
+	if err := s.UnmapShared(1, 0x20, r); err != nil {
+		t.Fatal(err)
+	}
+	if s.Used() != 0 {
+		t.Fatalf("Used = %d after the last mapping went", s.Used())
+	}
+}
+
 func TestForkCopyValidation(t *testing.T) {
 	s := newMosaic(t, 64*16)
 	s.Touch(1, 1, true)

@@ -17,6 +17,9 @@ import (
 //   - every occupied frame belongs to some resident page (no leaked
 //     frames), so resident-page count equals allocator Used();
 //   - every swapped-out page has a swap-device slot and vice versa;
+//   - every private record that is not resident holds CPFNInvalid and
+//     the never stamp, so record windows read it as absent, and no
+//     resident record is stamped after the access clock;
 //   - the Horizon LRU's ghost threshold never exceeds the access clock
 //     (a page cannot have been evicted at a time later than "now").
 //
@@ -63,9 +66,17 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 		}
 	}
 	for asid, as := range s.spaces {
-		for vpn, pg := range as.private {
-			checkPage(alloc.Owner{ASID: asid, VPN: vpn}, pg)
-		}
+		as.each(func(vpn core.VPN, c *chunk, i int) {
+			owner := alloc.Owner{ASID: asid, VPN: vpn}
+			checkPage(owner, &page{state: c.state[i], pfn: c.pfn[i], cpfn: c.cpfn[i], stamp: c.stamp[i]})
+			if c.state[i] != pageResident {
+				r.Checkf(c.cpfn[i] == core.CPFNInvalid && c.stamp[i] == never, "vm.record-absent",
+					"page %+v is not resident, but its record holds CPFN %d stamped %d", owner, c.cpfn[i], c.stamp[i])
+			} else {
+				r.Checkf(c.stamp[i] <= s.clock, "vm.record-stamp",
+					"page %+v stamped %d, after the access clock %d", owner, c.stamp[i], s.clock)
+			}
+		})
 	}
 	for _, region := range s.regions {
 		for i := range region.pages {

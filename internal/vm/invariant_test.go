@@ -58,19 +58,34 @@ func TestCheckInvariantsClean(t *testing.T) {
 	}
 }
 
-// residentPages returns the resident private pages of asid in VPN order.
-func residentPages(t *testing.T, s *System, asid core.ASID) []*page {
+// recordRef names one private page record.
+type recordRef struct {
+	vpn core.VPN
+	c   *chunk
+	i   int
+}
+
+// records returns the private records of asid in the given state, in VPN
+// order.
+func records(t *testing.T, s *System, asid core.ASID, state pageState) []recordRef {
 	t.Helper()
 	as, ok := s.spaces[asid]
 	if !ok {
 		t.Fatalf("ASID %d has no space", asid)
 	}
-	var pages []*page
-	for vpn := core.VPN(0); vpn < 300; vpn++ {
-		if pg, ok := as.private[vpn]; ok && pg.state == pageResident {
-			pages = append(pages, pg)
+	var out []recordRef
+	as.each(func(vpn core.VPN, c *chunk, i int) {
+		if c.state[i] == state {
+			out = append(out, recordRef{vpn, c, i})
 		}
-	}
+	})
+	return out
+}
+
+// residentPages returns the resident private records of asid in VPN order.
+func residentPages(t *testing.T, s *System, asid core.ASID) []recordRef {
+	t.Helper()
+	pages := records(t, s, asid, pageResident)
 	if len(pages) < 2 {
 		t.Fatal("need at least two resident pages")
 	}
@@ -89,25 +104,19 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			// other — the relocation iceberg stability forbids.
 			pages := residentPages(t, s, 1)
 			a, b := pages[0], pages[len(pages)-1]
-			a.pfn, b.pfn = b.pfn, a.pfn
-			a.cpfn, b.cpfn = b.cpfn, a.cpfn
+			a.c.pfn[a.i], b.c.pfn[b.i] = b.c.pfn[b.i], a.c.pfn[a.i]
+			a.c.cpfn[a.i], b.c.cpfn[b.i] = b.c.cpfn[b.i], a.c.cpfn[a.i]
 		}, "vm.resident-owner"},
 		{"stale-cpfn", func(t *testing.T, s *System) {
 			// Point a page's compressed frame number at a different
 			// candidate slot: it no longer decodes to the page's frame.
 			pg := residentPages(t, s, 1)[0]
-			pg.cpfn = (pg.cpfn + 1) % core.CPFN(s.mem.Geometry().Associativity())
+			pg.c.cpfn[pg.i] = (pg.c.cpfn[pg.i] + 1) % core.CPFN(s.mem.Geometry().Associativity())
 		}, "vm.cpfn-decode"},
 		{"dropped-mapping", func(t *testing.T, s *System) {
 			// Forget a resident mapping while its frame stays allocated.
-			as := s.spaces[1]
-			for vpn, pg := range as.private {
-				if pg.state == pageResident {
-					delete(as.private, vpn)
-					return
-				}
-			}
-			t.Fatal("no resident page to drop")
+			pg := residentPages(t, s, 1)[0]
+			pg.c.setAbsent(pg.i, pageNone)
 		}, "vm.leaked-frame"},
 		{"phantom-swap-slot", func(t *testing.T, s *System) {
 			// A device slot no page is in swapped state for.
@@ -115,15 +124,27 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}, "vm.swap-count"},
 		{"swapped-without-slot", func(t *testing.T, s *System) {
 			// A page marked swapped whose device slot vanished.
-			as := s.spaces[1]
-			for vpn, pg := range as.private {
-				if pg.state == pageSwapped {
-					s.dev.Drop(alloc.Owner{ASID: 1, VPN: vpn})
-					return
-				}
+			swapped := records(t, s, 1, pageSwapped)
+			if len(swapped) == 0 {
+				t.Fatal("no swapped page to orphan")
 			}
-			t.Fatal("no swapped page to orphan")
+			s.dev.Drop(alloc.Owner{ASID: 1, VPN: swapped[0].vpn})
 		}, "vm.swap-slot"},
+		{"swapped-record-holds-cpfn", func(t *testing.T, s *System) {
+			// A swapped record whose CPFN column still names a slot: a
+			// window over it would read the page as present.
+			swapped := records(t, s, 1, pageSwapped)
+			if len(swapped) == 0 {
+				t.Fatal("no swapped page to corrupt")
+			}
+			swapped[0].c.cpfn[swapped[0].i] = 0
+		}, "vm.record-absent"},
+		{"stamp-after-clock", func(t *testing.T, s *System) {
+			// A resident record stamped in the future: every window would
+			// read it as absent.
+			pg := residentPages(t, s, 1)[0]
+			pg.c.stamp[pg.i] = s.clock + 1
+		}, "vm.record-stamp"},
 		{"horizon-beyond-clock", func(t *testing.T, s *System) {
 			s.hlru.NoteEviction(s.clock + 100)
 		}, "vm.horizon-clock"},

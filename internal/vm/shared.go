@@ -53,17 +53,20 @@ func (s *System) MapShared(asid core.ASID, baseVPN core.VPN, region *SharedRegio
 	as := s.Space(asid)
 	for i := 0; i < region.Len(); i++ {
 		vpn := baseVPN + core.VPN(i)
-		if _, clash := as.private[vpn]; clash {
+		if as.mapped(vpn) {
 			return fmt.Errorf("vm: VPN %#x already privately mapped in ASID %d", vpn, asid)
 		}
 		if _, clash := as.shared[vpn]; clash {
 			return fmt.Errorf("vm: VPN %#x already share-mapped in ASID %d", vpn, asid)
 		}
 	}
+	if as.shared == nil {
+		as.shared = make(map[core.VPN]sharedRef, region.Len())
+	}
 	for i := 0; i < region.Len(); i++ {
 		as.shared[baseVPN+core.VPN(i)] = sharedRef{region: region, index: i}
 	}
-	region.maps++
+	region.maps += region.Len()
 	return nil
 }
 
@@ -83,14 +86,14 @@ func (s *System) UnmapShared(asid core.ASID, baseVPN core.VPN, region *SharedReg
 	for i := 0; i < region.Len(); i++ {
 		delete(as.shared, baseVPN+core.VPN(i))
 	}
-	s.releaseSharedMapping(region)
+	s.releaseShared(region, region.Len())
 	return nil
 }
 
-// releaseSharedMapping drops one mapping reference; when the last mapping
-// goes away the region's pages are freed.
-func (s *System) releaseSharedMapping(region *SharedRegion) {
-	region.maps--
+// releaseShared drops n page references to region; when the last mapped
+// page goes away the region's pages are freed.
+func (s *System) releaseShared(region *SharedRegion, n int) {
+	region.maps -= n
 	if region.maps > 0 {
 		return
 	}
@@ -98,12 +101,7 @@ func (s *System) releaseSharedMapping(region *SharedRegion) {
 		pg := &region.pages[i]
 		switch pg.state {
 		case pageResident:
-			if s.mode == ModeMosaic {
-				s.mem.Free(pg.pfn)
-			} else {
-				s.policy.OnRemove(pg.pfn)
-				s.umem.Free(pg.pfn)
-			}
+			s.freeFrame(pg.pfn)
 		case pageSwapped:
 			s.dev.Drop(alloc.Owner{ASID: sharedASID, VPN: sharedVPN(region.id, i)})
 		}
@@ -136,12 +134,6 @@ func (s *System) touchShared(ref sharedRef, write bool) AccessResult {
 }
 
 func (s *System) fillSharedPage(owner alloc.Owner, pg *page, write bool) {
-	pfn, cpfn := s.allocate(owner.ASID, owner.VPN)
-	pg.state = pageResident
-	pg.pfn = pfn
-	pg.cpfn = cpfn
-	s.lastPFN, s.lastCPFN = pfn, cpfn
-	if write {
-		s.touchDirty(pfn)
-	}
+	pfn, cpfn := s.place(owner.ASID, owner.VPN, write)
+	*pg = page{state: pageResident, pfn: pfn, cpfn: cpfn, stamp: s.clock}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mosaic/internal/core"
+	"mosaic/internal/invariant"
 )
 
 func TestSharedRegionCrossASID(t *testing.T) {
@@ -179,14 +180,36 @@ func TestSharedPageSwapRoundTrip(t *testing.T) {
 }
 
 func TestSingleMappingUnmapViaUnmap(t *testing.T) {
-	// Plain Unmap on a shared VPN releases that whole mapping reference.
+	// Plain Unmap on a shared VPN drops that page's mapping; the region
+	// lives on while another page maps it, and goes with the last one.
 	s := newMosaic(t, 64*16)
 	r, _ := s.CreateSharedRegion(2)
 	if err := s.MapShared(1, 0x10, r); err != nil {
 		t.Fatal(err)
 	}
 	s.Touch(1, 0x10, true)
+	s.Touch(1, 0x11, true)
 	if !s.Unmap(1, 0x10) {
 		t.Fatal("Unmap of shared VPN failed")
+	}
+	if !s.Resident(1, 0x11) {
+		t.Fatal("unmapping one page of a shared mapping freed the rest")
+	}
+	checkClean(t, s)
+	if !s.Unmap(1, 0x11) {
+		t.Fatal("Unmap of the last shared VPN failed")
+	}
+	if s.Used() != 0 {
+		t.Fatalf("Used = %d after the last page was unmapped", s.Used())
+	}
+	checkClean(t, s)
+}
+
+func checkClean(t *testing.T, s *System) {
+	t.Helper()
+	var r invariant.Report
+	s.CheckInvariants(&r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

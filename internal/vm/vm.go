@@ -17,6 +17,13 @@
 //     highWatermark is free), matching the paper's observation that stock
 //     Linux starts swapping at ≈99.2% utilization.
 //
+// Each address space stores its pages as dense records (records.go): state,
+// frame, CPFN and the access clock at which the page became resident, in
+// column chunks indexed by VPN. A non-resident record holds CPFNInvalid, so
+// an aligned window of a chunk's CPFN column is exactly a mosaic
+// page-table leaf; the memory-system simulator reads its page tables'
+// entries from these records through Window instead of keeping a copy.
+//
 // Unlike the paper's Linux prototype — which emulates access timestamps
 // with a scan daemon because x86 only maintains access bits — this layer
 // keeps exact per-frame timestamps from a logical access clock, the design
@@ -148,17 +155,20 @@ func (r AccessResult) String() string {
 type pageState uint8
 
 const (
-	// pageNone: mapped but never faulted in (shared-region pages start
-	// here; private pages are created and filled in the same fault).
+	// pageNone: a private record that maps nothing, or a shared-region
+	// page that was never faulted in.
 	pageNone pageState = iota
 	pageResident
 	pageSwapped
 )
 
+// page is one shared-region page record; private records live in the
+// address space's chunks (records.go).
 type page struct {
 	state pageState
 	pfn   core.PFN
 	cpfn  core.CPFN
+	stamp uint64 // access clock at which the page became resident
 }
 
 type sharedRef struct {
@@ -166,11 +176,19 @@ type sharedRef struct {
 	index  int
 }
 
-// AddressSpace is one process's view of virtual memory.
+// AddressSpace is one process's view of virtual memory: its private page
+// records (records.go) and its shared-region mappings.
 type AddressSpace struct {
-	asid    core.ASID
-	private map[core.VPN]*page
-	shared  map[core.VPN]sharedRef
+	asid core.ASID
+	// dirs holds the private records by the VPN's high bits; lastKey and
+	// lastDir cache the directory the last lookup used.
+	dirs    map[uint64]*directory
+	lastKey uint64
+	lastDir *directory
+	// shared is nil until the space maps a shared region.
+	shared map[core.VPN]sharedRef
+	// scratch backs Window when shared pages overlay private records.
+	scratch *chunk
 }
 
 // SharedRegion is a run of pages shared through the location-ID mechanism
@@ -179,7 +197,9 @@ type AddressSpace struct {
 type SharedRegion struct {
 	id    uint32
 	pages []page
-	maps  int
+	// maps counts the VPNs that map the region, over all address spaces:
+	// the region is freed when the last one is unmapped.
+	maps int
 }
 
 // ID is the region's location ID.
@@ -377,11 +397,7 @@ func (s *System) Space(asid core.ASID) *AddressSpace {
 	}
 	as, ok := s.spaces[asid]
 	if !ok {
-		as = &AddressSpace{
-			asid:    asid,
-			private: make(map[core.VPN]*page),
-			shared:  make(map[core.VPN]sharedRef),
-		}
+		as = &AddressSpace{asid: asid, dirs: make(map[uint64]*directory)}
 		s.spaces[asid] = as
 	}
 	s.lastSpace = as
@@ -397,34 +413,31 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 	}
 	as := s.Space(asid)
 
-	if ref, ok := as.shared[vpn]; ok {
-		return s.touchShared(ref, write)
+	if len(as.shared) != 0 {
+		if ref, ok := as.shared[vpn]; ok {
+			return s.touchShared(ref, write)
+		}
 	}
 
-	pg, ok := as.private[vpn]
-	if !ok {
-		pg = &page{}
-		as.private[vpn] = pg
-		s.cMinorFault.Inc()
-		s.fillPage(asid, vpn, pg, write)
-		return MinorFault
-	}
-	switch pg.state {
+	c, i := as.record(vpn)
+	switch c.state[i] {
 	case pageResident:
-		s.lastPFN, s.lastCPFN = pg.pfn, pg.cpfn
-		s.touchFrame(pg.pfn, write)
+		pfn := c.pfn[i]
+		s.lastPFN, s.lastCPFN = pfn, c.cpfn[i]
+		s.touchFrame(pfn, write)
 		return Hit
-	case pageSwapped:
+	case pageNone:
+		s.cMinorFault.Inc()
+		s.fillPage(asid, vpn, c, i, write)
+		return MinorFault
+	default:
 		s.cMajorFault.Inc()
 		if !s.dev.PageIn(alloc.Owner{ASID: asid, VPN: vpn}) {
 			//lint:ignore nopanic every page marked pageSwapped was handed to the device by recordEviction
 			panic("vm: swapped page missing from swap device")
 		}
-		s.fillPage(asid, vpn, pg, write)
+		s.fillPage(asid, vpn, c, i, write)
 		return MajorFault
-	default:
-		//lint:ignore nopanic the page-state enum has exactly three values; absent pages never reach this switch
-		panic("vm: invalid page state")
 	}
 }
 
@@ -457,16 +470,22 @@ func (s *System) touchFrame(pfn core.PFN, write bool) {
 	s.policy.OnAccess(pfn)
 }
 
-// fillPage allocates a frame for (asid, vpn) and installs it in pg.
-func (s *System) fillPage(asid core.ASID, vpn core.VPN, pg *page, write bool) {
+// fillPage allocates a frame for (asid, vpn) and installs it in record i
+// of c, stamped with the current clock.
+func (s *System) fillPage(asid core.ASID, vpn core.VPN, c *chunk, i int, write bool) {
+	pfn, cpfn := s.place(asid, vpn, write)
+	c.setResident(i, pfn, cpfn, s.clock)
+}
+
+// place allocates a frame for (asid, vpn) as the page the current access
+// resolves to.
+func (s *System) place(asid core.ASID, vpn core.VPN, write bool) (core.PFN, core.CPFN) {
 	pfn, cpfn := s.allocate(asid, vpn)
-	pg.state = pageResident
-	pg.pfn = pfn
-	pg.cpfn = cpfn
 	s.lastPFN, s.lastCPFN = pfn, cpfn
 	if write {
 		s.touchDirty(pfn)
 	}
+	return pfn, cpfn
 }
 
 func (s *System) touchDirty(pfn core.PFN) {
@@ -639,56 +658,48 @@ func (s *System) recordEviction(owner alloc.Owner) {
 		//lint:ignore nopanic frame owners are recorded at placement from existing spaces
 		panic(fmt.Sprintf("vm: evicted page of unknown ASID %d", owner.ASID))
 	}
-	pg, ok := as.private[owner.VPN]
-	if !ok || pg.state != pageResident {
+	c, i := as.lookup(owner.VPN)
+	if c == nil || c.state[i] != pageResident {
 		//lint:ignore nopanic the allocator reported this owner as occupying the frame, so its space must show it resident
 		panic(fmt.Sprintf("vm: evicted page (asid %d, vpn %#x) not resident in its space", owner.ASID, owner.VPN))
 	}
-	pg.state = pageSwapped
+	c.setAbsent(i, pageSwapped)
+}
+
+// resolve returns the frame and CPFN of (asid, vpn) if resident.
+func (s *System) resolve(asid core.ASID, vpn core.VPN) (core.PFN, core.CPFN, bool) {
+	as, ok := s.spaces[asid]
+	if !ok {
+		return 0, core.CPFNInvalid, false
+	}
+	if ref, ok := as.shared[vpn]; ok {
+		pg := &ref.region.pages[ref.index]
+		return pg.pfn, pg.cpfn, pg.state == pageResident
+	}
+	c, i := as.lookup(vpn)
+	if c == nil || c.state[i] != pageResident {
+		return 0, core.CPFNInvalid, false
+	}
+	return c.pfn[i], c.cpfn[i], true
 }
 
 // Translate returns the physical frame of (asid, vpn) if resident.
 func (s *System) Translate(asid core.ASID, vpn core.VPN) (core.PFN, bool) {
-	as, ok := s.spaces[asid]
+	pfn, _, ok := s.resolve(asid, vpn)
 	if !ok {
 		return 0, false
 	}
-	if ref, ok := as.shared[vpn]; ok {
-		pg := &ref.region.pages[ref.index]
-		if pg.state != pageResident {
-			return 0, false
-		}
-		return pg.pfn, true
-	}
-	pg, ok := as.private[vpn]
-	if !ok || pg.state != pageResident {
-		return 0, false
-	}
-	return pg.pfn, true
+	return pfn, true
 }
 
 // CPFNFor returns the compressed frame number of (asid, vpn) if resident
 // (mosaic mode only) — what a mosaic page-table leaf stores.
 func (s *System) CPFNFor(asid core.ASID, vpn core.VPN) (core.CPFN, bool) {
-	if s.mode != ModeMosaic {
+	_, cpfn, ok := s.resolve(asid, vpn)
+	if s.mode != ModeMosaic || !ok {
 		return core.CPFNInvalid, false
 	}
-	as, ok := s.spaces[asid]
-	if !ok {
-		return core.CPFNInvalid, false
-	}
-	if ref, ok := as.shared[vpn]; ok {
-		pg := &ref.region.pages[ref.index]
-		if pg.state != pageResident {
-			return core.CPFNInvalid, false
-		}
-		return pg.cpfn, true
-	}
-	pg, ok := as.private[vpn]
-	if !ok || pg.state != pageResident {
-		return core.CPFNInvalid, false
-	}
-	return pg.cpfn, true
+	return cpfn, true
 }
 
 // Resident reports whether (asid, vpn) is currently in memory.
@@ -706,26 +717,31 @@ func (s *System) Unmap(asid core.ASID, vpn core.VPN) bool {
 	}
 	if ref, ok := as.shared[vpn]; ok {
 		delete(as.shared, vpn)
-		s.releaseSharedMapping(ref.region)
+		s.releaseShared(ref.region, 1)
 		return true
 	}
-	pg, ok := as.private[vpn]
-	if !ok {
+	c, i := as.lookup(vpn)
+	if c == nil || c.state[i] == pageNone {
 		return false
 	}
-	delete(as.private, vpn)
-	switch pg.state {
+	switch c.state[i] {
 	case pageResident:
-		if s.mode == ModeMosaic {
-			s.mem.Free(pg.pfn)
-		} else {
-			s.policy.OnRemove(pg.pfn)
-			s.umem.Free(pg.pfn)
-		}
+		s.freeFrame(c.pfn[i])
 	case pageSwapped:
 		s.dev.Drop(alloc.Owner{ASID: asid, VPN: vpn})
 	}
+	c.setAbsent(i, pageNone)
 	return true
+}
+
+// freeFrame returns a resident page's frame to the allocator.
+func (s *System) freeFrame(pfn core.PFN) {
+	if s.mode == ModeMosaic {
+		s.mem.Free(pfn)
+	} else {
+		s.policy.OnRemove(pfn)
+		s.umem.Free(pfn)
+	}
 }
 
 // MappedPages reports the number of mapped pages (resident or swapped) in
@@ -735,5 +751,7 @@ func (s *System) MappedPages(asid core.ASID) int {
 	if !ok {
 		return 0
 	}
-	return len(as.private)
+	n := 0
+	as.each(func(core.VPN, *chunk, int) { n++ })
+	return n
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"mosaic/internal/memsim"
 	"mosaic/internal/obs"
 	"mosaic/internal/sweep"
 	"mosaic/internal/trace"
@@ -234,24 +235,14 @@ func framesFor(opt MultiprogramOptions) int {
 	return int(4 * opt.FootprintBytes / PageSize * uint64(len(opt.Workloads)))
 }
 
-// asidBatchSink routes whole batches into the simulator under one address
-// space. The simulator sees the identical reference stream AccessFrom would
-// deliver, one ProcessBatchFrom call per decoded frame instead of one
-// interface call per record.
-type asidBatchSink struct {
-	sim  *Simulator
-	asid ASID
-}
-
-func (s asidBatchSink) ProcessBatch(b trace.Batch) { s.sim.ProcessBatchFrom(s.asid, b) }
-
-// replayStream replays a whole captured stream into the simulator.
+// replayStream replays a whole captured stream into the simulator under
+// one address space, one ProcessBatchFrom call per decoded frame.
 func replayStream(data []byte, sim *Simulator, asid ASID) error {
 	r, err := trace.NewBatchReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
-	_, err = r.ReplayBatches(asidBatchSink{sim, asid})
+	_, err = sim.ReplayFrom(asid, r)
 	return err
 }
 
@@ -273,6 +264,9 @@ func (s *quantumStream) replayQuantum(sim *Simulator, asid ASID, n uint64) (done
 			b, err := s.r.ReadBatch(s.buf)
 			if errors.Is(err, io.EOF) {
 				return true, nil
+			}
+			if err == nil {
+				err = memsim.CheckBatch(b)
 			}
 			if err != nil {
 				return false, err

@@ -1,6 +1,11 @@
 package mosaic
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"mosaic/internal/trace"
+)
 
 func TestMultiprogramShape(t *testing.T) {
 	opts := MultiprogramOptions{
@@ -126,5 +131,51 @@ func TestFlushTLBs(t *testing.T) {
 	}
 	if sim.Metrics().CounterValue("tlb.flush") != 1 {
 		t.Errorf("flush counter = %d", sim.Metrics().CounterValue("tlb.flush"))
+	}
+}
+
+// TestReplayRejectsVAsAboveLimit: the simulator's page tables index 36-bit
+// VPNs and its TLB tags hold the ASID above VPN bit 40, so a captured
+// stream with a VA at or above 2^48 used to alias another page's entries
+// (a walk for 0x10000000 returned the frame of 0x10000000|1<<48). Both
+// multiprogram replay paths must refuse such a frame before running any
+// reference of it.
+func TestReplayRejectsVAsAboveLimit(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewBatchWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(trace.Batch{trace.MakeRef(0x10000000, false), trace.MakeRef(0x10000000|1<<48, false)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	newSim := func() *Simulator {
+		sim, err := NewSimulator(SimConfig{Frames: 1 << 12, Specs: []TLBSpec{{Geometry: TLBGeometry{Entries: 64, Ways: 8}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	sim := newSim()
+	if err := replayStream(buf.Bytes(), sim, 1); err == nil {
+		t.Error("whole-stream replay accepted a VA at 2^48")
+	}
+	if n := sim.OS().Clock(); n != 0 {
+		t.Errorf("whole-stream replay ran %d references of the refused frame", n)
+	}
+	r, err := trace.NewBatchReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim = newSim()
+	q := &quantumStream{r: r}
+	if _, err := q.replayQuantum(sim, 1, 1); err == nil {
+		t.Error("quantum replay accepted a VA at 2^48")
+	}
+	if n := sim.OS().Clock(); n != 0 {
+		t.Errorf("quantum replay ran %d references of the refused frame", n)
 	}
 }

@@ -29,6 +29,9 @@ go run ./cmd/mosaiclint -diff HEAD
 # until the default 10-minute per-package limit compounds across packages.
 go test -race -timeout 120s ./internal/sweep/... ./internal/obs/...
 go test -race -timeout 300s ./...
+# The VM's dense page records against a map oracle: faults, evictions,
+# unmaps, forks and shared mappings around chunk and directory edges.
+go test -run='^$' -fuzz=FuzzPageRecords -fuzztime=3s ./internal/vm
 # The iceberg allocator against a map oracle: stable frames, CPFNs that
 # decode back, conflicts only when every candidate is live.
 go test -run='^$' -fuzz=FuzzMemoryPlaceFree -fuzztime=3s ./internal/alloc
@@ -50,9 +53,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # whole stream at once, sampler off and on, and the multiprogram
 # quantum-sliced replay — must produce a byte-identical results file
 # (counters, series, event ref-indices) to the default-size replay. The
-# memsim case evicts in the middle of segments, which the fig6 stream
-# never does, and must match the one-reference-per-batch order.
-go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction' -count=1 . ./internal/memsim
+# memsim cases evict in the middle of segments, which the fig6 stream
+# never does, and fault pages into ToCs and CoLT groups already filled in
+# the same segment; both must match the one-reference-per-batch order.
+go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults' -count=1 . ./internal/memsim
 # Committed results gate: the six fast result tables must regenerate byte
 # for byte at their defaults.
 scripts/regen.sh
