@@ -6,7 +6,6 @@
 //	mosaicstat show results/fig6.json           pretty-print one result
 //	mosaicstat diff old.json new.json           per-metric percent deltas
 //	mosaicstat diff -changed old.json new.json  only metrics that moved
-//	mosaicstat watch http://127.0.0.1:7077      live windowed rates (vmstat-style)
 package main
 
 import (
@@ -31,8 +30,6 @@ func main() {
 		err = show(args[1:])
 	case "diff":
 		err = diff(args[1:])
-	case "watch":
-		err = watch(args[1:])
 	default:
 		// Bare file argument: treat as show for convenience.
 		if _, statErr := os.Stat(args[0]); statErr == nil {
@@ -52,7 +49,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   mosaicstat show <result.json>
   mosaicstat diff [-changed] <a.json> <b.json>
-  mosaicstat watch [-interval 1s] [-count N] <mosaicd URL | results.json>
 `)
 }
 

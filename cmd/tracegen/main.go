@@ -11,22 +11,16 @@
 //	tracegen -workload graph500 -footprint 32 -out graph500.trace
 //	tracegen -replay graph500.trace [-entries 256] [-arity 4]
 //	tracegen -workload gups -stats          # just count/summarize
-//	tracegen -workload gups -post http://127.0.0.1:7077   # stream to mosaicd
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"os"
-	"strconv"
 
 	"mosaic"
 	"mosaic/internal/core"
 	"mosaic/internal/obs"
-	"mosaic/internal/results"
 	"mosaic/internal/trace"
 )
 
@@ -42,8 +36,6 @@ func main() {
 	arity := flag.Int("arity", 4, "mosaic arity for replay")
 	seed := flag.Uint64("seed", 1, "random seed")
 	statsOnly := flag.Bool("stats", false, "summarize the stream without writing a file")
-	post := flag.String("post", "", "stream the captured trace to a mosaicd base URL as one live session")
-	sample := flag.Uint64("sample", 0, "session sampling window when posting (0 = daemon default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
 
@@ -62,10 +54,6 @@ func main() {
 		if err := replayTrace(*replay, *entries, *arity); err != nil {
 			fail(err)
 		}
-	case *workload != "" && *post != "":
-		if err := postSession(*post, *workload, *footprint<<20, *maxRefs, *seed, *entries, *arity, *sample); err != nil {
-			fail(err)
-		}
 	case *workload != "" && (*out != "" || *statsOnly):
 		if err := capture(*workload, *footprint<<20, *maxRefs, *seed, *out, *statsOnly); err != nil {
 			fail(err)
@@ -82,7 +70,6 @@ func main() {
 // summarizing).
 type captureSink struct {
 	name                 string
-	verb                 string          // "captured" or "streamed", for the progress line
 	enc                  trace.BatchSink // nil in -stats mode
 	pages                map[core.VPN]bool
 	reads, writes, total uint64
@@ -105,7 +92,7 @@ func (s *captureSink) ProcessBatch(b trace.Batch) {
 	prev := s.total
 	s.total += uint64(len(b))
 	if s.total>>20 > prev>>20 {
-		progress.Stepf("tracegen %s: %d M refs %s", s.name, s.total>>20, s.verb)
+		progress.Stepf("tracegen %s: %d M refs captured", s.name, s.total>>20)
 	}
 }
 
@@ -114,7 +101,7 @@ func capture(name string, footprint, maxRefs, seed uint64, out string, statsOnly
 	if err != nil {
 		return err
 	}
-	cs := &captureSink{name: name, verb: "captured", pages: map[core.VPN]bool{}}
+	cs := &captureSink{name: name, pages: map[core.VPN]bool{}}
 	var bw *trace.BatchWriter
 	if !statsOnly {
 		f, err := os.Create(out)
@@ -177,65 +164,6 @@ func replayTrace(path string, entries, arity int) error {
 		fmt.Printf("  %-10s misses=%d (%.3f%% miss rate)\n",
 			r.Spec.Label(), r.TLB.Misses, 100*r.TLB.MissRate())
 	}
-	return nil
-}
-
-// postSession captures a workload and streams it — while it is being
-// generated, via a pipe — into a running mosaicd as one live session, then
-// prints the results file the daemon answers with. The session shows up in
-// the daemon's /metrics and in `mosaicstat watch` as it runs.
-func postSession(base, name string, footprint, maxRefs, seed uint64, entries, arity int, sample uint64) error {
-	w, err := mosaic.NewWorkload(name, footprint, seed)
-	if err != nil {
-		return err
-	}
-	q := url.Values{}
-	q.Set("label", name)
-	q.Set("entries", strconv.Itoa(entries))
-	q.Set("arity", strconv.Itoa(arity))
-	q.Set("seed", strconv.FormatUint(seed, 10))
-	if sample != 0 {
-		q.Set("sample", strconv.FormatUint(sample, 10))
-	}
-
-	pr, pw := io.Pipe()
-	werr := make(chan error, 1)
-	go func() {
-		// Stream the capture in the v2 format. Batches flow from the
-		// generator straight into the frame encoder.
-		bw, err := trace.NewBatchWriter(pw)
-		if err != nil {
-			werr <- err
-			pw.CloseWithError(err)
-			return
-		}
-		mosaic.RunBatch(w, &captureSink{name: name, verb: "streamed", enc: bw}, maxRefs)
-		err = bw.Flush()
-		werr <- err
-		pw.CloseWithError(err)
-	}()
-
-	resp, err := http.Post(base+"/sessions?"+q.Encode(), "application/octet-stream", pr)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if err := <-werr; err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s: %s", base, resp.Status, body)
-	}
-	f, err := results.Decode(body, base)
-	if err != nil {
-		return err
-	}
-	progress.Done()
-	fmt.Print(f.Format())
 	return nil
 }
 

@@ -1,12 +1,8 @@
 package lint
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // DetRand enforces the repository's determinism discipline: simulation
@@ -32,213 +28,6 @@ var randPkgs = map[string]bool{
 
 const rngPkgPath = "mosaic/internal/rng"
 
-// exprText renders an expression back to source for use in a fix.
-func exprText(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return ""
-	}
-	return buf.String()
-}
-
-// rngImportName returns the name internal/rng is imported under in f, or ""
-// when it is not imported.
-func rngImportName(f *ast.File) string {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != rngPkgPath {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return "rng"
-	}
-	return ""
-}
-
-// rngImportEdit builds the edit adding internal/rng to f's import block, or
-// nil when the file has no parenthesized import declaration whose closing
-// paren sits on its own line to extend.
-func rngImportEdit(p *Pass, f *ast.File) *TextEdit {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Rparen.IsValid() || len(gd.Specs) == 0 {
-			continue
-		}
-		last := gd.Specs[len(gd.Specs)-1]
-		if p.Fset.Position(gd.Rparen).Line == p.Fset.Position(last.End()).Line {
-			continue // one-line import block; no safe insertion point
-		}
-		e := p.edit(gd.Rparen, gd.Rparen, "\t\""+rngPkgPath+"\"\n")
-		return &e
-	}
-	return nil
-}
-
-// fixableRandCall reports whether call is the rewritable pattern
-// rand.New(rand.NewSource(seed)).
-func fixableRandCall(p *Pass, call *ast.CallExpr) bool {
-	outer, ok := callee(p.Info, call).(*types.Func)
-	if !ok || outer.Name() != "New" || outer.Pkg().Path() != "math/rand" || len(call.Args) != 1 {
-		return false
-	}
-	src, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-	if !ok || len(src.Args) != 1 {
-		return false
-	}
-	inner, ok := callee(p.Info, src).(*types.Func)
-	return ok && inner.Name() == "NewSource" && inner.Pkg().Path() == "math/rand"
-}
-
-// randUsedElsewhere reports whether math/rand is referenced in f outside
-// every fixable rand.New(rand.NewSource(…)) call — if not, the fixes can
-// drop the import too. All fixable calls are excluded, not just the one
-// being rewritten: each fix in the batch rewrites its own call, and the
-// identical import-removal edits they then share are applied once.
-func randUsedElsewhere(p *Pass, f *ast.File) bool {
-	var fixable []*ast.CallExpr
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && fixableRandCall(p, call) {
-			fixable = append(fixable, call)
-		}
-		return true
-	})
-	used := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		if used {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "math/rand" {
-			inside := false
-			for _, call := range fixable {
-				if id.Pos() >= call.Pos() && id.Pos() <= call.End() {
-					inside = true
-					break
-				}
-			}
-			if !inside {
-				used = true
-			}
-		}
-		return true
-	})
-	return used
-}
-
-// removeImportEdit deletes an import spec's entire line, plus a trailing
-// blank separator line when one follows (so grouped import blocks stay
-// gofmt-clean after the deletion).
-func removeImportEdit(p *Pass, f *ast.File, spec *ast.ImportSpec) *TextEdit {
-	tf := p.Fset.File(spec.Pos())
-	line := tf.Line(spec.Pos())
-	if line != tf.Line(spec.End()) || line >= tf.LineCount() {
-		return nil
-	}
-	end := line + 1
-	if end < tf.LineCount() && blankLine(p, f, end) {
-		end++
-	}
-	e := p.edit(tf.LineStart(line), tf.LineStart(end), "")
-	return &e
-}
-
-// blankLine reports whether the given line of f's file holds no tokens —
-// approximated by checking that no import spec, closing paren, or comment
-// starts there.
-func blankLine(p *Pass, f *ast.File, line int) bool {
-	tf := p.Fset.File(f.Pos())
-	for _, imp := range f.Imports {
-		if tf.Line(imp.Pos()) == line {
-			return false
-		}
-	}
-	for _, decl := range f.Decls {
-		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.IMPORT && gd.Rparen.IsValid() && tf.Line(gd.Rparen) == line {
-			return false
-		}
-	}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if tf.Line(c.Pos()) == line {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// detRandFix rewrites the one mechanically fixable pattern —
-// rand.New(rand.NewSource(seed)) — to rng.New(seed), adding the
-// internal/rng import when the file lacks it. Other call forms (rand.Intn
-// on the global source) need a generator threaded through the call chain,
-// which is not a mechanical rewrite.
-func detRandFix(p *Pass, f *ast.File, call *ast.CallExpr) *Fix {
-	if !fixableRandCall(p, call) {
-		return nil
-	}
-	src := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-	seed := exprText(p.Fset, src.Args[0])
-	if seed == "" {
-		return nil
-	}
-	// rng.New takes uint64; wrap unless the seed already is one (or is an
-	// untyped constant, which converts implicitly).
-	if tv, ok := p.Info.Types[src.Args[0]]; ok {
-		basic, isBasic := tv.Type.Underlying().(*types.Basic)
-		if !isBasic || (basic.Kind() != types.Uint64 && basic.Info()&types.IsUntyped == 0) {
-			seed = "uint64(" + seed + ")"
-		}
-	} else {
-		seed = "uint64(" + seed + ")"
-	}
-	name := rngImportName(f)
-	edits := []TextEdit{p.edit(call.Pos(), call.End(), "rng.New("+seed+")")}
-	if name != "" && name != "rng" {
-		edits[0].NewText = name + ".New(" + seed + ")"
-	}
-	// dropRand: after every fixable call is rewritten nothing in the file
-	// uses math/rand, so that import must go or the fixed file won't compile.
-	dropRand := !randUsedElsewhere(p, f)
-	imp := rngImportEdit(p, f)
-	switch {
-	case name != "":
-		// internal/rng already imported; nothing to add.
-	case imp != nil:
-		edits = append(edits, *imp)
-	case dropRand:
-		// No import block to extend (a lone `import "math/rand"`): since
-		// that import is dying anyway, repurpose it in place. Only for the
-		// unnamed form — a named import would bind rng under the old alias.
-		repurposed := false
-		for _, imp := range f.Imports {
-			if imp.Name == nil && strings.Trim(imp.Path.Value, `"`) == "math/rand" {
-				edits = append(edits, p.edit(imp.Path.Pos(), imp.Path.End(), `"`+rngPkgPath+`"`))
-				repurposed = true
-			}
-		}
-		if !repurposed {
-			return nil
-		}
-		return &Fix{Message: "build the generator with internal/rng", Edits: edits}
-	default:
-		return nil
-	}
-	if dropRand {
-		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "math/rand" {
-				if del := removeImportEdit(p, f, imp); del != nil {
-					edits = append(edits, *del)
-				}
-			}
-		}
-	}
-	return &Fix{Message: "build the generator with internal/rng", Edits: edits}
-}
-
 func runDetRand(p *Pass) []Diagnostic {
 	if !p.internalPkg() || p.ImportPath == rngPkgPath {
 		return nil
@@ -257,11 +46,9 @@ func runDetRand(p *Pass) []Diagnostic {
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 				return true // method on an injected generator
 			}
-			d := p.diag("detrand", call.Pos(),
+			out = append(out, p.diag("detrand", call.Pos(),
 				"call to %s.%s: inject a seeded *rand.Rand (see internal/rng) instead of using math/rand package functions",
-				fn.Pkg().Name(), fn.Name())
-			d.Fix = detRandFix(p, f, call)
-			out = append(out, d)
+				fn.Pkg().Name(), fn.Name()))
 			return true
 		})
 	}

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ErrDrop flags call statements that silently discard an error returned by
@@ -61,18 +60,9 @@ func runErrDrop(p *Pass) []Diagnostic {
 			if !ok || !returnsError(sig) {
 				return true
 			}
-			d := p.diag("errdrop", call.Pos(),
+			out = append(out, p.diag("errdrop", call.Pos(),
 				"result of %s.%s discarded: handle the error (or assign to _ to discard explicitly)",
-				fn.Pkg().Name(), fn.Name())
-			// The mechanical remedy makes the discard explicit: one blank
-			// per result value, so the statement survives review as a
-			// deliberate decision.
-			blanks := strings.Repeat("_, ", sig.Results().Len()-1) + "_ = "
-			d.Fix = &Fix{
-				Message: "make the discard explicit with " + blanks,
-				Edits:   []TextEdit{p.edit(stmt.Pos(), stmt.Pos(), blanks)},
-			}
-			out = append(out, d)
+				fn.Pkg().Name(), fn.Name()))
 			return true
 		})
 	}

@@ -24,13 +24,11 @@
 // Every analyzer works on one package at a time. Properties that need the
 // whole program or the compiler are checked by running the code instead:
 // TestParallelMatchesSequential pins determinism across worker counts, the
-// goroutine-settle tests in internal/sweep and internal/daemon pin that no
-// goroutine outlives its owner, and TestHotPathZeroAllocs pins the
-// allocation-free miss path.
+// goroutine-settle test in internal/sweep pins that no goroutine outlives
+// its owner, and TestHotPathZeroAllocs pins the allocation-free miss path.
 //
-// Every analyzer has a stable diagnostic ID (ML001…), used as the rule ID
-// in the machine-readable -json and -sarif output modes. IDs are never
-// reused. Retired IDs: ML006 maporder, ML007 sweepsafe, ML008 hotalloc,
+// Every analyzer has a stable diagnostic ID (ML001…), listed by
+// mosaiclint -list. IDs are never reused. Retired IDs: ML006 maporder, ML007 sweepsafe, ML008 hotalloc,
 // ML009 bcegate, ML010 inlinegate, ML011 lockflow, ML012 ctxflow, ML014
 // dettaint, ML015 batchparity, ML016 goleak.
 //
@@ -59,9 +57,7 @@ type Analyzer struct {
 	// //lint:ignore directives.
 	Name string
 	// ID is the analyzer's stable diagnostic identifier ("ML004"). IDs are
-	// append-only: once published in JSON/SARIF output they are never
-	// renumbered, so downstream suppressions and dashboards keyed on them
-	// survive analyzer additions.
+	// append-only: a retired analyzer's ID is never given to another.
 	ID string
 	// Doc is a one-line description.
 	Doc string
@@ -77,7 +73,7 @@ func All() []*Analyzer {
 }
 
 // Catalog returns every analyzer mosaiclint can report under, including
-// the directive pseudo-analyzer, for -list output and SARIF rule metadata.
+// the directive pseudo-analyzer, for -list output and directive checks.
 func Catalog() []*Analyzer {
 	return append(All(), directiveInfo)
 }
@@ -90,34 +86,11 @@ var directiveInfo = &Analyzer{
 	Doc:  "//lint:ignore directives must name a known analyzer and carry a reason",
 }
 
-// A TextEdit is one byte-range replacement in a file, the unit of a
-// suggested fix. Start and End are byte offsets into the file's current
-// contents.
-type TextEdit struct {
-	Filename string
-	Start    int
-	End      int
-	NewText  string
-}
-
-// A Fix is a mechanical rewrite that resolves a diagnostic. Fixes are
-// advisory in the default text mode and applied by mosaiclint -fix.
-type Fix struct {
-	// Message describes the rewrite ("discard explicitly with _ =").
-	Message string
-	Edits   []TextEdit
-}
-
 // A Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
-	// ID is the stable identifier of the producing analyzer, stamped by the
-	// driver (Pass.Run / RunAll) so individual analyzers never set it.
-	ID      string
-	Message string
-	// Fix, when non-nil, is a mechanical rewrite that resolves the finding.
-	Fix *Fix
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -174,7 +147,6 @@ func (p *Pass) scanDirectives() {
 					p.badDirectives = append(p.badDirectives, Diagnostic{
 						Pos:      pos,
 						Analyzer: directiveInfo.Name,
-						ID:       directiveInfo.ID,
 						Message:  fmt.Sprintf("//lint:ignore %s %s", m[1], problem),
 					})
 					continue
@@ -201,33 +173,21 @@ func (p *Pass) diag(analyzer string, pos token.Pos, format string, args ...any) 
 	}
 }
 
-// edit builds a TextEdit replacing the [pos, end) source range.
-func (p *Pass) edit(pos, end token.Pos, text string) TextEdit {
-	start := p.Fset.Position(pos)
-	return TextEdit{
-		Filename: start.Filename,
-		Start:    start.Offset,
-		End:      p.Fset.Position(end).Offset,
-		NewText:  text,
-	}
-}
-
-// Run applies one analyzer to the pass, stamps the analyzer's stable ID,
-// and filters directive-suppressed findings.
+// Run applies one analyzer to the pass and filters directive-suppressed
+// findings.
 func (p *Pass) Run(an *Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range an.Run(p) {
 		if !p.suppressed(d) {
-			d.ID = an.ID
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// SortDiagnostics orders diagnostics by position, then analyzer — the
-// stable output order shared by every output mode.
-func SortDiagnostics(out []Diagnostic) {
+// sortDiagnostics orders diagnostics by position, then analyzer — the
+// stable output order.
+func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -253,7 +213,7 @@ func RunAll(passes []*Pass, analyzers []*Analyzer) []Diagnostic {
 			out = append(out, p.Run(an)...)
 		}
 	}
-	SortDiagnostics(out)
+	sortDiagnostics(out)
 	return out
 }
 

@@ -72,19 +72,6 @@ func goList(patterns []string) ([]listedPkg, error) {
 	return pkgs, nil
 }
 
-// ModuleRoot returns the main module's directory: the base against which
-// -diff resolves changed files.
-func ModuleRoot() (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("lint: go list -m: %v\n%s", err, stderr.Bytes())
-	}
-	return string(bytes.TrimSpace(out)), nil
-}
-
 // exportLookup builds the importer lookup function over the export-data
 // files `go list` reported.
 func exportLookup(pkgs []listedPkg) func(path string) (io.ReadCloser, error) {

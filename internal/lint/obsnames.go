@@ -25,9 +25,8 @@ var ObsNames = &Analyzer{
 // obsNameMethods maps receiver type → methods whose first argument is a
 // metric name.
 var obsNameMethods = map[string]map[string]bool{
-	"Registry":  {"Counter": true, "Gauge": true, "Histogram": true},
-	"Sampler":   {"Gauge": true, "Rate": true, "Ratio": true},
-	"Publisher": {"Gauge": true},
+	"Registry": {"Counter": true, "Gauge": true, "Histogram": true},
+	"Sampler":  {"Gauge": true, "Rate": true, "Ratio": true},
 }
 
 // obsSpanFuncs are package-level internal/obs functions whose first

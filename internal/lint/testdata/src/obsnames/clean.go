@@ -33,11 +33,8 @@ func (otherCounter) Counter(name string) {}
 
 func unrelated(o otherCounter) { o.Counter("Whatever Goes") }
 
-// publisherAndSpans: publish-time gauge probes follow the metric grammar,
-// span names the single-segment span grammar.
-func publisherAndSpans(p *obs.Publisher) {
-	p.Gauge("sim.refs.total", func() float64 { return 0 })
-	p.Gauge("tlb.vanilla.live.hits", func() float64 { return 0 })
+// spans follow the single-segment span grammar.
+func spans() {
 	sp := obs.NewSpan("warmup", 0)
 	_ = sp
 	_ = obs.NewSpan("run", 100)

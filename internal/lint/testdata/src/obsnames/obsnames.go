@@ -17,12 +17,9 @@ func badNames(r *obs.Registry, s *obs.Sampler) {
 	s.Ratio("9lives.rate", 1, nil, nil)                 // want "not a lowercase dotted identifier"
 }
 
-// badPublisherAndSpans: the same grammars enforced at Publisher.Gauge and
-// obs.NewSpan registration sites.
-func badPublisherAndSpans(p *obs.Publisher) {
-	p.Gauge("Sim.Refs", func() float64 { return 0 }) // want "not a lowercase dotted identifier"
-	p.Gauge("refs", func() float64 { return 0 })     // want "not a lowercase dotted identifier"
-	_ = obs.NewSpan("Warmup", 0)                     // want "not a lowercase span identifier"
-	_ = obs.NewSpan("run.phase", 0)                  // want "not a lowercase span identifier"
-	_ = obs.NewSpan("2fast", 0)                      // want "not a lowercase span identifier"
+// badSpans: the span grammar enforced at obs.NewSpan registration sites.
+func badSpans() {
+	_ = obs.NewSpan("Warmup", 0)    // want "not a lowercase span identifier"
+	_ = obs.NewSpan("run.phase", 0) // want "not a lowercase span identifier"
+	_ = obs.NewSpan("2fast", 0)     // want "not a lowercase span identifier"
 }

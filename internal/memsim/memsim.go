@@ -52,11 +52,11 @@ import (
 )
 
 // VALimit is the first virtual address the simulator cannot translate:
-// its page tables index pagetable.DefaultVPNBits-bit VPNs, and TLB tags
+// its page tables index pagetable.VPNBits-bit VPNs, and TLB tags
 // hold the ASID above them. A stream from outside (a trace file) must be
 // checked with CheckBatch before it runs; a reference at or above the
 // limit panics.
-const VALimit = 1 << (core.PageShift + pagetable.DefaultVPNBits)
+const VALimit = 1 << (core.PageShift + pagetable.VPNBits)
 
 // CheckBatch returns an error for the first reference of b at or above
 // VALimit.
@@ -288,6 +288,7 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
+	osys.OnMap(s.mapNodes)
 	if s.sampler != nil {
 		s.registerProbes()
 	}
@@ -360,25 +361,6 @@ func (s *Simulator) Metrics() *obs.Registry { return s.metrics }
 // Sampler exposes the time-series sampler, nil when sampling is disabled.
 func (s *Simulator) Sampler() *obs.Sampler { return s.sampler }
 
-// RegisterLive wires publish-time gauges for the simulator state that is
-// not already a registry instrument — the reference clock, per-unit TLB
-// counters, swap I/O totals — so every published snapshot carries enough
-// to compute windowed rates (refs/s, hit rate, swap I/O rate) from two
-// scrapes alone. The probes are evaluated only at publication (window
-// boundaries), on the simulator thread; the per-reference path is
-// untouched. Call once, before the run, on the thread that will drive
-// the simulator.
-func (s *Simulator) RegisterLive(p *obs.Publisher) {
-	p.Gauge("sim.refs.total", func() float64 { return float64(s.os.Clock()) })
-	p.Gauge("swap.io.total", func() float64 { return float64(s.os.Device().TotalIO()) })
-	for _, u := range s.units {
-		pfx := "tlb." + slug(u.base().spec.Label())
-		p.Gauge(pfx+".live.hits", func() float64 { return float64(u.stats().Hits) })
-		p.Gauge(pfx+".live.misses", func() float64 { return float64(u.stats().Misses) })
-		p.Gauge(pfx+".live.lookups", func() float64 { return float64(u.stats().Lookups()) })
-	}
-}
-
 // FinalizeMetrics records each unit's end-of-run TLB breakdown and walk
 // totals into the registry (tlb.<design>.hit, .miss, .walk.refs, …) and
 // flushes any partial sampler window. It is idempotent: only the first
@@ -414,9 +396,9 @@ func (s *Simulator) pt(asid core.ASID, arity int) *pagetable.Table {
 	pt, ok := s.pts[k]
 	if !ok {
 		if arity == 0 {
-			pt = pagetable.NewVanilla(nil, s.paAlloc)
+			pt = pagetable.NewVanilla(s.paAlloc)
 		} else {
-			pt = pagetable.NewMosaic(arity, nil, s.paAlloc)
+			pt = pagetable.NewMosaic(arity, s.paAlloc)
 		}
 		s.pts[k] = pt
 	}
@@ -490,7 +472,7 @@ func (s *Simulator) resolve(va uint64, write bool) {
 	seg := &s.seg
 	vpn := core.VPNOf(va)
 	if s.os.Touch(seg.asid, vpn, write) != vm.Hit {
-		s.fault(vpn)
+		s.mapNodes(seg.asid, vpn)
 	}
 	if len(seg.vpn) == 0 {
 		seg.clock = s.os.Clock()
@@ -504,11 +486,13 @@ func (s *Simulator) resolve(va uint64, write bool) {
 	}
 }
 
-// fault maps a freshly faulted page's nodes in every page table of the
-// segment's ASID: the vanilla table first, then the arities ascending. It
-// is the cold half of resolve, outlined so the hot loop stays compact.
-func (s *Simulator) fault(vpn core.VPN) {
-	asid := s.seg.asid
+// mapNodes maps a page's nodes in every page table of the ASID: the
+// vanilla table first, then the arities ascending. resolve calls it for a
+// page the reference faulted in; the OS calls it (OnMap) for a page a
+// shared mapping or a fork made visible without a fault, whose first
+// reference is a hit. It is the cold half of resolve, outlined so the hot
+// loop stays compact.
+func (s *Simulator) mapNodes(asid core.ASID, vpn core.VPN) {
 	s.pt(asid, 0).Map(vpn)
 	for _, arity := range s.arities {
 		s.pt(asid, arity).Map(vpn)

@@ -89,47 +89,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRegisterLivePublishes: a publisher attached to the sampler window
-// carries the live simulator state (reference clock, per-unit TLB
-// counters) in every published snapshot, torn-free at window boundaries.
-func TestRegisterLivePublishes(t *testing.T) {
-	ob := obs.NewObserver(256)
-	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4), Obs: ob})
-	pub := obs.NewPublisher(ob.Metrics)
-	s.RegisterLive(pub)
-	pub.AttachSampler(ob.Sampler)
-
-	const refs = 1000
-	for i := 0; i < refs; i++ {
-		s.Access(uint64(workloads.DefaultHeapBase)+uint64(i%256)*core.PageSize, false)
-	}
-	p, ok := pub.Load()
-	if !ok {
-		t.Fatal("no publication after 1000 refs at window 256")
-	}
-	if p.Refs != 768 {
-		t.Errorf("publication refs = %d, want 768 (last full window)", p.Refs)
-	}
-	if got := p.Snap.Gauges["sim.refs.total"]; got != float64(p.Refs) {
-		t.Errorf("sim.refs.total = %v, want %d (the same boundary)", got, p.Refs)
-	}
-	for _, pfx := range []string{"tlb.vanilla", "tlb.mosaic_4"} {
-		hits, misses := p.Snap.Gauges[pfx+".live.hits"], p.Snap.Gauges[pfx+".live.misses"]
-		if hits+misses != float64(p.Refs) {
-			t.Errorf("%s live hits+misses = %v, want %d", pfx, hits+misses, p.Refs)
-		}
-		if p.Snap.Gauges[pfx+".live.lookups"] != float64(p.Refs) {
-			t.Errorf("%s live lookups = %v, want %d", pfx, p.Snap.Gauges[pfx+".live.lookups"], p.Refs)
-		}
-	}
-	// FinalizeMetrics flushes the partial window, publishing the tail.
-	s.FinalizeMetrics()
-	p, _ = pub.Load()
-	if p.Refs != refs {
-		t.Errorf("post-finalize publication refs = %d, want %d", p.Refs, refs)
-	}
-}
-
 // TestFinalizeMetricsIdempotent guards against double-counting when a
 // driver calls FinalizeMetrics more than once (e.g. once for the JSON
 // result and once for the text table).

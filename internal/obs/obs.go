@@ -212,19 +212,6 @@ func bucketBounds(b int) (lo, hi float64) {
 	return lo, float64(uint64(1) << uint(b))
 }
 
-// bucketUpper returns bucket b's inclusive integer upper bound (samples
-// are integers, so bucket b's largest member is 2^b − 1), used by the
-// Prometheus encoder's cumulative le= bounds.
-func bucketUpper(b int) uint64 {
-	if b == 0 {
-		return 0
-	}
-	if b >= 64 {
-		return math.MaxUint64
-	}
-	return uint64(1)<<uint(b) - 1
-}
-
 // Registry is an ordered, named set of instruments. Lookups by name happen
 // only at registration time; hot paths hold the returned handles. It is
 // not safe for concurrent use (nothing in the simulator is; parallel

@@ -32,8 +32,6 @@ type Sampler struct {
 	probes []probe
 	series [][]float64
 	marks  []uint64 // reference index of each completed window
-
-	onWindow []func(refs uint64) // window-boundary hooks (Publisher)
 }
 
 type probeKind uint8
@@ -154,18 +152,6 @@ func (s *Sampler) samplePartial(window uint64) {
 		}
 		s.series[i] = append(s.series[i], v)
 	}
-	for _, fn := range s.onWindow {
-		fn(s.refs)
-	}
-}
-
-// OnWindow registers a hook called at the end of every sample window
-// (including the partial window Flush closes) with the reference index of
-// the boundary. This is how a Publisher ties publication to the sampling
-// cadence: the hook runs on the simulator thread, once per window — never
-// per tick — so the hot path's cost is unchanged.
-func (s *Sampler) OnWindow(fn func(refs uint64)) {
-	s.onWindow = append(s.onWindow, fn)
 }
 
 // Series is one sampled time series: Refs[i] is the reference index at the

@@ -18,7 +18,7 @@ func FuzzPageTableMapWalk(f *testing.F) {
 	f.Add([]byte("map then unmap the same neighbourhood \x00\x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		alloc := BumpAllocator(0)
-		tables := []*Table{NewVanilla(nil, alloc), NewMosaic(8, nil, alloc)}
+		tables := []*Table{NewVanilla(alloc), NewMosaic(8, alloc)}
 		type leafKey struct {
 			table int
 			key   uint64
@@ -51,8 +51,8 @@ func FuzzPageTableMapWalk(f *testing.F) {
 				if !ok {
 					continue
 				}
-				if len(path) != pt.Levels() {
-					t.Fatalf("table %d: Walk(%#x) touched %d entries, want one per level (%d)", ti, vpn, len(path), pt.Levels())
+				if len(path) != Levels {
+					t.Fatalf("table %d: Walk(%#x) touched %d entries, want one per level (%d)", ti, vpn, len(path), Levels)
 				}
 				k, leaf := leafKey{ti, key}, path[len(path)-1]
 				if old, seen := entries[k]; seen && old != leaf {

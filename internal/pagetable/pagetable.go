@@ -40,97 +40,71 @@ func BumpAllocator(base uint64) PAAllocator {
 	}
 }
 
-// DefaultLevels is the x86-64-style 4-level split (9 bits per level) used
-// by the paper's prototype, covering DefaultVPNBits-bit VPNs.
-var DefaultLevels = []int{9, 9, 9, 9}
-
-// DefaultVPNBits is the VPN width DefaultLevels index: 36 bits, a 48-bit
-// virtual address space.
-const DefaultVPNBits = 36
+// The tree has the x86-64-style shape of the paper's prototype: Levels
+// levels of levelBits index bits each, covering VPNBits-bit keys (a
+// 48-bit virtual address space for a vanilla table).
+const (
+	Levels    = 4
+	levelBits = 9
+	fanout    = 1 << levelBits
+	VPNBits   = Levels * levelBits
+)
 
 // Table is the node structure of one radix page table: a vanilla table is
 // keyed by VPN, a mosaic table by MVPN (the VPN over the arity).
 type Table struct {
-	levelBits []int
-	shifts    []uint
-	keyShift  uint // log2(arity); 0 for a vanilla table
-	allocPA   PAAllocator
-	root      *node
+	keyShift uint // log2(arity); 0 for a vanilla table
+	allocPA  PAAllocator
+	root     *node
 }
 
 // node is one table node. Leaf-level nodes have no children: their
 // entries' contents live in the OS layer's page records.
 type node struct {
 	pa       uint64
-	children []*node
+	children *[fanout]*node
 }
 
-// NewVanilla creates a vanilla page table. levelBits may be nil for
-// DefaultLevels; allocPA may be nil for a bump allocator at 1<<40.
-func NewVanilla(levelBits []int, allocPA PAAllocator) *Table {
-	return newTable(0, levelBits, allocPA)
+// NewVanilla creates a vanilla page table. allocPA may be nil for a bump
+// allocator at 1<<40.
+func NewVanilla(allocPA PAAllocator) *Table {
+	return newTable(0, allocPA)
 }
 
-// NewMosaic creates a mosaic page table for the given arity. levelBits
-// index the MVPN (not the VPN); nil selects DefaultLevels.
-func NewMosaic(arity int, levelBits []int, allocPA PAAllocator) *Table {
+// NewMosaic creates a mosaic page table for the given arity; its levels
+// index the MVPN (not the VPN).
+func NewMosaic(arity int, allocPA PAAllocator) *Table {
 	if arity <= 0 || arity&(arity-1) != 0 {
 		panic(fmt.Sprintf("pagetable: arity %d is not a positive power of two", arity))
 	}
-	return newTable(uint(bits.TrailingZeros(uint(arity))), levelBits, allocPA)
+	return newTable(uint(bits.TrailingZeros(uint(arity))), allocPA)
 }
 
-func newTable(keyShift uint, levelBits []int, allocPA PAAllocator) *Table {
-	if levelBits == nil {
-		levelBits = DefaultLevels
-	}
-	if len(levelBits) < 1 {
-		panic("pagetable: need at least one level")
-	}
-	total := 0
-	for _, b := range levelBits {
-		if b <= 0 || b > 20 {
-			panic(fmt.Sprintf("pagetable: level width %d out of range", b))
-		}
-		total += b
-	}
-	if total > 57 {
-		panic(fmt.Sprintf("pagetable: %d index bits exceed the key space", total))
-	}
+func newTable(keyShift uint, allocPA PAAllocator) *Table {
 	if allocPA == nil {
 		allocPA = BumpAllocator(1 << 40)
 	}
-	t := &Table{levelBits: levelBits, keyShift: keyShift, allocPA: allocPA}
-	// Precompute the right-shift for each level's index field.
-	t.shifts = make([]uint, len(levelBits))
-	shift := 0
-	for i := len(levelBits) - 1; i >= 0; i-- {
-		t.shifts[i] = uint(shift)
-		shift += levelBits[i]
-	}
+	t := &Table{keyShift: keyShift, allocPA: allocPA}
 	t.root = t.newNode(0)
 	return t
 }
 
 func (t *Table) newNode(level int) *node {
-	fanout := 1 << t.levelBits[level]
-	n := &node{pa: t.allocPA(uint64(fanout * entrySize))}
-	if level < len(t.levelBits)-1 {
-		n.children = make([]*node, fanout)
+	n := &node{pa: t.allocPA(fanout * entrySize)}
+	if level < Levels-1 {
+		n.children = new([fanout]*node)
 	}
 	return n
 }
 
-func (t *Table) index(key uint64, level int) int {
-	return int(key>>t.shifts[level]) & (1<<t.levelBits[level] - 1)
+// index is key's entry index in a node at the given level.
+func index(key uint64, level int) int {
+	return int(key>>((Levels-1-level)*levelBits)) & (fanout - 1)
 }
 
 // Arity is the number of sub-pages one leaf entry maps: 1 for a vanilla
 // table.
 func (t *Table) Arity() int { return 1 << t.keyShift }
-
-// Levels is the number of radix levels (walk memory accesses).
-func (t *Table) Levels() int { return len(t.levelBits) }
 
 // Map creates the nodes on vpn's path that do not exist yet, top down —
 // what the kernel does when it installs a mapping. Nodes are never freed
@@ -139,8 +113,8 @@ func (t *Table) Levels() int { return len(t.levelBits) }
 func (t *Table) Map(vpn core.VPN) {
 	key := uint64(vpn) >> t.keyShift
 	n := t.root
-	for level := 0; level < len(t.levelBits)-1; level++ {
-		idx := t.index(key, level)
+	for level := 0; level < Levels-1; level++ {
+		idx := index(key, level)
 		if n.children[idx] == nil {
 			n.children[idx] = t.newNode(level + 1)
 		}
@@ -154,14 +128,13 @@ func (t *Table) Map(vpn core.VPN) {
 func (t *Table) Walk(vpn core.VPN, path []uint64) ([]uint64, bool) {
 	key := uint64(vpn) >> t.keyShift
 	n := t.root
-	last := len(t.levelBits) - 1
-	for level := 0; level < last; level++ {
-		idx := t.index(key, level)
+	for level := 0; level < Levels-1; level++ {
+		idx := index(key, level)
 		path = append(path, n.pa+uint64(idx*entrySize))
 		n = n.children[idx]
 		if n == nil {
 			return path, false
 		}
 	}
-	return append(path, n.pa+uint64(t.index(key, last)*entrySize)), true
+	return append(path, n.pa+uint64(index(key, Levels-1)*entrySize)), true
 }

@@ -13,7 +13,7 @@ import (
 func TestMapWalkNodes(t *testing.T) {
 	var allocs int
 	bump := BumpAllocator(1 << 40)
-	pt := NewVanilla(nil, func(size uint64) uint64 { allocs++; return bump(size) })
+	pt := NewVanilla(func(size uint64) uint64 { allocs++; return bump(size) })
 	if _, ok := pt.Walk(100, nil); ok {
 		t.Fatal("walk reached a leaf in an empty table")
 	}
@@ -36,7 +36,7 @@ func TestMapWalkNodes(t *testing.T) {
 }
 
 func TestVanillaWalkPath(t *testing.T) {
-	pt := NewVanilla(nil, BumpAllocator(1<<40))
+	pt := NewVanilla(BumpAllocator(1 << 40))
 	pt.Map(0x123456789)
 	path, ok := pt.Walk(0x123456789, nil)
 	if !ok {
@@ -68,7 +68,7 @@ func TestVanillaWalkPath(t *testing.T) {
 }
 
 func TestVanillaSharedUpperLevels(t *testing.T) {
-	pt := NewVanilla(nil, nil)
+	pt := NewVanilla(nil)
 	pt.Map(0)
 	pt.Map(1) // same leaf node
 	p0, _ := pt.Walk(0, nil)
@@ -86,24 +86,12 @@ func TestVanillaSharedUpperLevels(t *testing.T) {
 	}
 }
 
-func TestVanillaCustomLevels(t *testing.T) {
-	pt := NewVanilla([]int{10, 10, 10}, nil)
-	if pt.Levels() != 3 {
-		t.Fatalf("Levels = %d", pt.Levels())
-	}
-	pt.Map(0x3FFFFFFF) // max 30-bit key
-	path, ok := pt.Walk(0x3FFFFFFF, nil)
-	if !ok || len(path) != 3 {
-		t.Fatalf("walk length %d, %v", len(path), ok)
-	}
-}
-
 // TestVanillaAgainstMapModel maps random VPNs and checks every walk
 // against a model of the mapped leaf nodes: a walk reaches a leaf exactly
 // when some VPN of its leaf node was mapped, and its entry addresses
 // never change once mapped.
 func TestVanillaAgainstMapModel(t *testing.T) {
-	pt := NewVanilla(nil, nil)
+	pt := NewVanilla(nil)
 	leafNodes := map[core.VPN]bool{} // VPN >> 9 of every mapped VPN
 	paths := map[core.VPN][4]uint64{}
 	rng := rand.New(rand.NewSource(1))
@@ -130,7 +118,7 @@ func TestVanillaAgainstMapModel(t *testing.T) {
 // TestMosaicSubpagesShareLeafEntry: a mosaic table is keyed by MVPN, so
 // every sub-page of a mosaic page walks to the same leaf entry — the ToC.
 func TestMosaicSubpagesShareLeafEntry(t *testing.T) {
-	pt := NewMosaic(4, nil, nil)
+	pt := NewMosaic(4, nil)
 	pt.Map(5) // MVPN 1
 	p5, ok := pt.Walk(5, nil)
 	if !ok || len(p5) != 4 {
@@ -161,13 +149,13 @@ func TestMosaicArityValidation(t *testing.T) {
 					t.Errorf("arity %d should panic", arity)
 				}
 			}()
-			NewMosaic(arity, nil, nil)
+			NewMosaic(arity, nil)
 		}()
 	}
-	if got := NewMosaic(64, nil, nil).Arity(); got != 64 {
+	if got := NewMosaic(64, nil).Arity(); got != 64 {
 		t.Fatalf("Arity = %d", got)
 	}
-	if got := NewVanilla(nil, nil).Arity(); got != 1 {
+	if got := NewVanilla(nil).Arity(); got != 1 {
 		t.Fatalf("vanilla Arity = %d", got)
 	}
 }
@@ -188,24 +176,8 @@ func TestBumpAllocatorPageAligned(t *testing.T) {
 	}
 }
 
-func TestRadixValidation(t *testing.T) {
-	assertPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s should panic", name)
-			}
-		}()
-		fn()
-	}
-	assertPanic("no levels", func() { NewVanilla([]int{}, nil) })
-	assertPanic("zero width", func() { NewVanilla([]int{9, 0}, nil) })
-	assertPanic("too wide", func() { NewVanilla([]int{21}, nil) })
-	assertPanic("too many bits", func() { NewVanilla([]int{15, 15, 15, 15}, nil) })
-}
-
 func BenchmarkVanillaWalk(b *testing.B) {
-	pt := NewVanilla(nil, nil)
+	pt := NewVanilla(nil)
 	for v := core.VPN(0); v < 1<<16; v++ {
 		pt.Map(v)
 	}
@@ -217,7 +189,7 @@ func BenchmarkVanillaWalk(b *testing.B) {
 }
 
 func BenchmarkMosaicWalk(b *testing.B) {
-	pt := NewMosaic(4, nil, nil)
+	pt := NewMosaic(4, nil)
 	for v := core.VPN(0); v < 1<<16; v++ {
 		pt.Map(v)
 	}

@@ -168,23 +168,13 @@ func Read(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	f, err := Decode(data, path)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Decode parses and validates results-file bytes from any source (a file,
-// an HTTP response); src names the source in errors.
-func Decode(data []byte, src string) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("results: parse %s: %w", src, err)
+		return nil, fmt.Errorf("results: parse %s: %w", path, err)
 	}
 	if f.SchemaVersion < 1 || f.SchemaVersion > SchemaVersion {
 		return nil, fmt.Errorf("results: %s has schema version %d, this tool understands 1..%d",
-			src, f.SchemaVersion, SchemaVersion)
+			path, f.SchemaVersion, SchemaVersion)
 	}
 	if f.Metrics == nil {
 		f.Metrics = make(map[string]Number)

@@ -81,17 +81,3 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 		settled(t, before)
 	})
 }
-
-// TestNoGoroutineOutlivesPool: Drain returns only after every pool worker
-// has exited.
-func TestNoGoroutineOutlivesPool(t *testing.T) {
-	before := runtime.NumGoroutine()
-	p := NewPool(4, 8)
-	for i := 0; i < 8; i++ {
-		if err := p.TrySubmit(func() { time.Sleep(time.Millisecond) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Drain()
-	settled(t, before)
-}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"mosaic/internal/alloc"
 	"mosaic/internal/core"
@@ -55,10 +56,16 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 	if len(pas.shared) != 0 {
 		cas.shared = make(map[core.VPN]sharedRef, len(pas.shared))
 	}
+	inherited := make([]core.VPN, 0, len(pas.shared))
 	for vpn, ref := range pas.shared {
 		cas.shared[vpn] = ref
 		ref.region.maps++
-		st.SharedMappings++
+		inherited = append(inherited, vpn)
+	}
+	st.SharedMappings = len(inherited)
+	slices.Sort(inherited)
+	for _, vpn := range inherited {
+		s.notifyMap(child, vpn)
 	}
 
 	// Private pages: eager copy or swap-slot clone, in VPN order so fork
@@ -73,6 +80,7 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 			s.fillPage(child, vpn, c, j, true) // the copy dirties the new frame
 			s.cForkCopy.Inc()
 			st.CopiedPages++
+			s.notifyMap(child, vpn)
 		case pageSwapped:
 			s.dev.Clone(
 				alloc.Owner{ASID: parent, VPN: vpn},

@@ -65,6 +65,7 @@ func (s *System) MapShared(asid core.ASID, baseVPN core.VPN, region *SharedRegio
 	}
 	for i := 0; i < region.Len(); i++ {
 		as.shared[baseVPN+core.VPN(i)] = sharedRef{region: region, index: i}
+		s.notifyMap(asid, baseVPN+core.VPN(i))
 	}
 	region.maps += region.Len()
 	return nil

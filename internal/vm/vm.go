@@ -264,6 +264,7 @@ type System struct {
 	scan                  *scanState
 
 	evictHook func(asid core.ASID, vpn core.VPN)
+	mapHook   func(asid core.ASID, vpn core.VPN)
 }
 
 // New creates a System from cfg.
@@ -593,6 +594,19 @@ func (s *System) reclaimOneVanilla() {
 // and TLB shootdown. Shared-region pages report the reserved shared ASID
 // (0xFFFFFFFF) with a synthetic VPN.
 func (s *System) OnEvict(fn func(asid core.ASID, vpn core.VPN)) { s.evictHook = fn }
+
+// OnMap registers fn to run for every page a mapping makes visible in an
+// address space without a fault there: each page of a MapShared mapping
+// and each page a ForkCopy child inherits, in a deterministic order. Such
+// a page's first Touch in that space can be a Hit, so this is the hook the
+// memory-system simulator uses to build the space's page-table path to it.
+func (s *System) OnMap(fn func(asid core.ASID, vpn core.VPN)) { s.mapHook = fn }
+
+func (s *System) notifyMap(asid core.ASID, vpn core.VPN) {
+	if s.mapHook != nil {
+		s.mapHook(asid, vpn)
+	}
+}
 
 // Eviction-storm detection: stormThreshold evictions within one
 // stormWindow of the access clock is thrashing-grade pressure worth a
