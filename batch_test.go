@@ -54,8 +54,10 @@ func resultsJSON(t *testing.T, sim *Simulator, ob *obs.Observer) []byte {
 	f := results.New("equivalence")
 	f.AddSnapshot("", sim.FinalizeMetrics().Snapshot())
 	if ob != nil {
-		f.AddSampler("", sim.Sampler())
-		f.AddEvents("equiv", ob.Events)
+		if sp := sim.Sampler(); sp != nil {
+			f.AddSampler("", sp.Series())
+		}
+		f.AddEvents("equiv", ob.Events.Events())
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

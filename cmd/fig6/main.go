@@ -133,23 +133,8 @@ func collect(out *results.File, res mosaic.Figure6Result) {
 		key := fmt.Sprintf("fig6.%s.%s.w%d.misses", wl, results.Sanitize(c.Label), c.Ways)
 		out.SetMetric(key, float64(c.Stats.Misses))
 	}
-	for _, s := range res.Series {
-		vals := make([]results.Number, len(s.Values))
-		for i, v := range s.Values {
-			vals[i] = results.Number(v)
-		}
-		out.Series = append(out.Series, results.Series{
-			Name:   wl + "." + s.Name,
-			Refs:   s.Refs,
-			Values: vals,
-		})
-	}
-	for _, e := range res.Events {
-		if e.Scope == "" {
-			e.Scope = res.Workload
-		}
-		out.Events = append(out.Events, e)
-	}
+	out.AddSampler(wl, res.Series)
+	out.AddEvents(res.Workload, res.Events)
 }
 
 func render(res mosaic.Figure6Result, footprintMiB uint64, csv bool) {

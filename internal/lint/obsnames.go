@@ -29,11 +29,6 @@ var obsNameMethods = map[string]map[string]bool{
 	"Sampler":  {"Gauge": true, "Rate": true, "Ratio": true},
 }
 
-// obsSpanFuncs are package-level internal/obs functions whose first
-// argument is a span name — a single lowercase segment (obs.ValidSpanName)
-// rather than the dotted metric grammar.
-var obsSpanFuncs = map[string]bool{"NewSpan": true}
-
 // obsRecvName resolves the receiver's named type (unwrapping the pointer)
 // when it is declared in mosaic/internal/obs, and "" otherwise.
 func obsRecvName(sig *types.Signature) string {
@@ -72,13 +67,9 @@ func runObsNames(p *Pass) []Diagnostic {
 			if !ok {
 				return true
 			}
-			span := sig.Recv() == nil && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "mosaic/internal/obs" && obsSpanFuncs[fn.Name()]
-			if !span {
-				methods := obsNameMethods[obsRecvName(sig)]
-				if methods == nil || !methods[fn.Name()] {
-					return true
-				}
+			methods := obsNameMethods[obsRecvName(sig)]
+			if methods == nil || !methods[fn.Name()] {
+				return true
 			}
 			// Only constant-foldable names are checked statically; the
 			// registry validates the rest when they are registered.
@@ -86,13 +77,7 @@ func runObsNames(p *Pass) []Diagnostic {
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				return true
 			}
-			name := constant.StringVal(tv.Value)
-			switch {
-			case span && !obs.ValidSpanName(name):
-				out = append(out, p.diag("obsnames", call.Args[0].Pos(),
-					"span name %q is not a lowercase span identifier (like %q)",
-					name, "warmup"))
-			case !span && !obs.ValidName(name):
+			if name := constant.StringVal(tv.Value); !obs.ValidName(name) {
 				out = append(out, p.diag("obsnames", call.Args[0].Pos(),
 					"metric name %q is not a lowercase dotted identifier (like %q)",
 					name, "vm.fault.minor"))

@@ -32,10 +32,3 @@ type otherCounter struct{}
 func (otherCounter) Counter(name string) {}
 
 func unrelated(o otherCounter) { o.Counter("Whatever Goes") }
-
-// spans follow the single-segment span grammar.
-func spans() {
-	sp := obs.NewSpan("warmup", 0)
-	_ = sp
-	_ = obs.NewSpan("run", 100)
-}

@@ -16,10 +16,3 @@ func badNames(r *obs.Registry, s *obs.Sampler) {
 	s.Rate("swap io", func() float64 { return 0 })      // want "not a lowercase dotted identifier"
 	s.Ratio("9lives.rate", 1, nil, nil)                 // want "not a lowercase dotted identifier"
 }
-
-// badSpans: the span grammar enforced at obs.NewSpan registration sites.
-func badSpans() {
-	_ = obs.NewSpan("Warmup", 0)    // want "not a lowercase span identifier"
-	_ = obs.NewSpan("run.phase", 0) // want "not a lowercase span identifier"
-	_ = obs.NewSpan("2fast", 0)     // want "not a lowercase span identifier"
-}

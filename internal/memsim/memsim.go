@@ -31,6 +31,14 @@
 // eviction hook runs the pending segment before the record changes and
 // before the shootdown. So every unit sees exactly the per-reference
 // sequence of lookups, walks and fills: units share nothing else.
+//
+// A reference to the page of the one before it in the segment is marked
+// a repeat once, and every unit counts it as a hit without a lookup. That
+// is exact: after the earlier reference each unit's TLB holds the page at
+// the MRU slot of its set, whether it hit or filled (a mosaic ToC as of
+// that reference holds the page, which was resident then), and no
+// shootdown lands inside a segment, so the lookup would hit and change
+// nothing but the hit count.
 package memsim
 
 import (
@@ -282,9 +290,10 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.seg = segment{
-		vpn:   make([]core.VPN, 0, segmentCap),
-		pa:    make([]uint64, 0, segmentCap),
-		write: make([]bool, 0, segmentCap),
+		vpn:    make([]core.VPN, 0, segmentCap),
+		pa:     make([]uint64, 0, segmentCap),
+		write:  make([]bool, 0, segmentCap),
+		repeat: make([]bool, 0, segmentCap),
 	}
 	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
@@ -474,11 +483,17 @@ func (s *Simulator) resolve(va uint64, write bool) {
 	if s.os.Touch(seg.asid, vpn, write) != vm.Hit {
 		s.mapNodes(seg.asid, vpn)
 	}
-	if len(seg.vpn) == 0 {
+	n := len(seg.vpn)
+	if n == 0 {
 		seg.clock = s.os.Clock()
+	}
+	repeat := n > 0 && seg.vpn[n-1] == vpn
+	if repeat {
+		seg.repeats++
 	}
 	pfn, _ := s.os.Resolved()
 	seg.vpn = append(seg.vpn, vpn)
+	seg.repeat = append(seg.repeat, repeat)
 	seg.pa = append(seg.pa, uint64(pfn)*core.PageSize+core.PageOffset(va))
 	seg.write = append(seg.write, write)
 	if len(seg.vpn) == segmentCap {
@@ -509,7 +524,8 @@ func (s *Simulator) flush() {
 	for _, u := range s.units {
 		u.run(s, seg)
 	}
-	seg.vpn, seg.pa, seg.write = seg.vpn[:0], seg.pa[:0], seg.write[:0]
+	seg.vpn, seg.pa, seg.write, seg.repeat = seg.vpn[:0], seg.pa[:0], seg.write[:0], seg.repeat[:0]
+	seg.repeats = 0
 }
 
 // ProcessBatch implements trace.BatchSink: a whole batch of references

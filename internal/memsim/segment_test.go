@@ -125,3 +125,75 @@ func TestSegmentsExactUnderFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestRepeatsExact checks the repeat fast path: a reference to the page of
+// the reference before it in the segment counts as a hit in every unit
+// without a lookup. The stream is runs of one to eight references to one
+// page; the run's page is often the first touch of the next page, which
+// shares a mosaic page or CoLT group with pages units have already
+// filled, so sub-entry misses follow pages that repeat. Memory holds only
+// part of the pages, so evictions end segments and shoot entries down
+// throughout. One reference per batch makes every segment a single
+// reference, which never repeats; 4096 per batch takes the fast path. The
+// two must agree on every result, cache and walk counters included.
+func TestRepeatsExact(t *testing.T) {
+	var unitSpecs []TLBSpec
+	for _, g := range []tlb.Geometry{{Entries: 16, Ways: 2}, {Entries: 64, Ways: 64}} {
+		unitSpecs = append(unitSpecs, TLBSpec{Geometry: g}, TLBSpec{Geometry: g, Arity: 4},
+			TLBSpec{Geometry: g, Arity: 64}, TLBSpec{Geometry: g, Coalesce: 4})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			const pages = 192
+			stream := make(trace.Batch, 0, 20_000)
+			repeats, next, p := 0, 1, 0
+			for len(stream) < cap(stream) {
+				switch r := rng.Intn(4); {
+				case r == 0:
+					// The next page in line: a first touch, or after a
+					// wrap a page that memory has since evicted.
+					p, next = next, (next+1)%pages
+				case r == 1:
+					p = (next + pages - 1 - rng.Intn(16)) % pages
+				}
+				for range min(1+rng.Intn(8), cap(stream)-len(stream)) {
+					va := uint64(workloads.DefaultHeapBase) + uint64(p)*core.PageSize + uint64(rng.Intn(core.PageSize))
+					if n := len(stream); n > 0 && core.VPNOf(stream[n-1].VA()) == core.VPNOf(va) {
+						repeats++
+					}
+					stream = append(stream, trace.MakeRef(va, rng.Intn(4) == 0))
+				}
+			}
+			if repeats < len(stream)/2 {
+				t.Fatalf("only %d of %d references repeat their predecessor's page", repeats, len(stream))
+			}
+			run := func(batch int) *Simulator {
+				s := newSim(t, Config{Frames: 64, Specs: unitSpecs, EnableCaches: true, EnableWalkCache: true, Seed: uint64(seed)})
+				for off := 0; off < len(stream); off += batch {
+					s.ProcessBatch(stream[off:min(off+batch, len(stream))])
+				}
+				var r invariant.Report
+				s.CheckInvariants(&r)
+				if err := r.Err(); err != nil {
+					t.Fatalf("batches of %d: %v", batch, err)
+				}
+				return s
+			}
+			single, segmented := run(1), run(trace.DefaultBatchSize)
+			if n := single.metrics.CounterValue("tlb.shootdown"); n < 500 {
+				t.Fatalf("only %d shootdowns: the stream must evict throughout", n)
+			}
+			want, got := single.Results(), segmented.Results()
+			for i := range want {
+				if want[i].Spec.Arity != 0 && want[i].TLB.SubMisses < 100 {
+					t.Fatalf("%s %s: only %d sub-entry misses", want[i].Spec.Geometry, want[i].Spec.Label(), want[i].TLB.SubMisses)
+				}
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s %s: segmented run with repeats diverged from per-reference order:\n got  %+v\n want %+v",
+						want[i].Spec.Geometry, want[i].Spec.Label(), got[i], want[i])
+				}
+			}
+		})
+	}
+}

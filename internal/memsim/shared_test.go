@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mosaic/internal/core"
+	"mosaic/internal/invariant"
 	"mosaic/internal/tlb"
 )
 
@@ -89,4 +90,59 @@ func TestMappingsWithoutFaultWalk(t *testing.T) {
 			s.AccessFrom(2, page(0x300, i), false)
 		}
 	})
+}
+
+// TestSharedEvictionShootsDownEveryMapping: a shared page that leaves
+// memory must be shot down under every (ASID, VPN) that maps it — two
+// spaces that mapped the region and a forked child that inherited one
+// mapping — or those TLB entries would keep translating to a frame the
+// OS gave away. After the eviction the coherence audit must pass, and the
+// next reference through each mapping must miss in every unit.
+func TestSharedEvictionShootsDownEveryMapping(t *testing.T) {
+	g := tlb.Geometry{Entries: 2048, Ways: 2048}
+	s := newSim(t, Config{Frames: 512, Seed: 1, Specs: []TLBSpec{
+		{Geometry: g}, {Geometry: g, Arity: 4}, {Geometry: g, Coalesce: 4},
+	}})
+	region, err := s.OS().CreateSharedRegion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OS().MapShared(1, 0x300, region); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OS().MapShared(2, 0x700, region); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OS().ForkCopy(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	mappings := []struct {
+		asid core.ASID
+		vpn  core.VPN
+	}{{1, 0x300}, {2, 0x700}, {3, 0x300}}
+	for _, m := range mappings {
+		s.AccessFrom(m.asid, uint64(m.vpn)*core.PageSize, false)
+	}
+	// Private pages of a fourth space fill memory until the shared page
+	// is evicted; the TLBs are large enough to keep its entries until then.
+	for i := 0; s.OS().Resident(1, 0x300); i++ {
+		if i == 3*700 {
+			t.Fatal("the shared page never left memory")
+		}
+		s.AccessFrom(4, uint64(0x10000+i)*core.PageSize, true)
+	}
+	var r invariant.Report
+	s.CheckInvariants(&r)
+	if err := r.Err(); err != nil {
+		t.Errorf("after the shared page's eviction: %v", err)
+	}
+	for _, m := range mappings {
+		before := s.Results()
+		s.AccessFrom(m.asid, uint64(m.vpn)*core.PageSize, false)
+		for i, after := range s.Results() {
+			if after.TLB.Misses != before[i].TLB.Misses+1 {
+				t.Errorf("%s: ASID %d VPN %#x hit after its page was evicted", after.Spec.Label(), m.asid, m.vpn)
+			}
+		}
+	}
 }

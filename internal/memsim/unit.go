@@ -22,13 +22,18 @@ const segmentCap = trace.DefaultBatchSize
 // memory during it, so each page's record holds, as of each reference's
 // clock, what it held when the reference ran. The columns are parallel:
 // reference i ran at access clock clock+i and touched vpn[i] at physical
-// address pa[i], a write when write[i].
+// address pa[i], a write when write[i]. repeat[i] marks a reference to the
+// page of reference i-1, which hits in every unit (see the package doc),
+// and repeats counts them. Only the same VPN repeats: another page of the
+// same mosaic page or CoLT group can be absent from the entry.
 type segment struct {
-	asid  core.ASID
-	clock uint64
-	vpn   []core.VPN
-	pa    []uint64
-	write []bool
+	asid    core.ASID
+	clock   uint64
+	vpn     []core.VPN
+	pa      []uint64
+	write   []bool
+	repeat  []bool
+	repeats uint64
 }
 
 // unit is one TLB design point. Each kind owns its TLB and fill path; the
@@ -36,7 +41,8 @@ type segment struct {
 type unit interface {
 	base() *unitBase
 	// run feeds the segment through the unit in reference order: TLB
-	// lookup, a walk and fill on a miss, then the data access.
+	// lookup, a walk and fill on a miss, then the data access. A repeat
+	// skips the lookup and counts as a hit.
 	run(s *Simulator, seg *segment)
 	// invalidate shoots down the mapping of one ASID-tagged VPN.
 	invalidate(tagged core.VPN)
@@ -147,6 +153,10 @@ func (u *vanillaUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
 	var pt *pagetable.Table // resolved on the segment's first miss
 	for i, vpn := range seg.vpn {
+		if seg.repeat[i] {
+			u.access(seg, i)
+			continue
+		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
 				pt = s.pt(seg.asid, 0)
@@ -158,6 +168,7 @@ func (u *vanillaUnit) run(s *Simulator, seg *segment) {
 		}
 		u.access(seg, i)
 	}
+	u.tlb.Repeat(seg.repeats)
 }
 
 func (u *vanillaUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }
@@ -195,6 +206,10 @@ func (u *mosaicUnit) run(s *Simulator, seg *segment) {
 	var pt *pagetable.Table // resolved on the segment's first miss
 	var as *vm.AddressSpace
 	for i, vpn := range seg.vpn {
+		if seg.repeat[i] {
+			u.access(seg, i)
+			continue
+		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
 				pt, as = s.pt(seg.asid, u.spec.Arity), s.os.Space(seg.asid)
@@ -207,6 +222,7 @@ func (u *mosaicUnit) run(s *Simulator, seg *segment) {
 		}
 		u.access(seg, i)
 	}
+	u.tlb.Repeat(seg.repeats)
 }
 
 func (u *mosaicUnit) invalidate(tagged core.VPN) { u.tlb.InvalidateSub(tagged) }
@@ -250,6 +266,10 @@ func (u *coalescedUnit) run(s *Simulator, seg *segment) {
 	var pt *pagetable.Table // resolved on the segment's first miss
 	var as *vm.AddressSpace
 	for i, vpn := range seg.vpn {
+		if seg.repeat[i] {
+			u.access(seg, i)
+			continue
+		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
 			if pt == nil {
 				pt, as = s.pt(seg.asid, 0), s.os.Space(seg.asid)
@@ -271,6 +291,7 @@ func (u *coalescedUnit) run(s *Simulator, seg *segment) {
 		}
 		u.access(seg, i)
 	}
+	u.tlb.Repeat(seg.repeats)
 }
 
 func (u *coalescedUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }

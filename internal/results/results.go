@@ -94,15 +94,9 @@ func (f *File) Metric(name string) (float64, bool) {
 
 // AddSnapshot flattens a metrics snapshot into the file under an optional
 // "prefix." namespace (histograms expand to .count/.mean/.p50/.p99/.max).
-// Instruments in the reserved "wall." namespace are excluded: wall-clock
-// telemetry varies run to run by construction, and a results file must be
-// byte-identical across runs of one seed.
 func (f *File) AddSnapshot(prefix string, snap obs.Snapshot) {
 	for _, nv := range snap.Flatten() {
 		name := nv.Name
-		if strings.HasPrefix(name, "wall.") {
-			continue
-		}
 		if prefix != "" {
 			name = prefix + "." + name
 		}
@@ -110,13 +104,10 @@ func (f *File) AddSnapshot(prefix string, snap obs.Snapshot) {
 	}
 }
 
-// AddSampler appends every series the sampler recorded, each name placed
-// under an optional "prefix." namespace. Nil samplers add nothing.
-func (f *File) AddSampler(prefix string, s *obs.Sampler) {
-	if s == nil {
-		return
-	}
-	for _, sr := range s.Series() {
+// AddSampler appends sampled series, each name placed under an optional
+// "prefix." namespace.
+func (f *File) AddSampler(prefix string, series []obs.Series) {
+	for _, sr := range series {
 		name := sr.Name
 		if prefix != "" {
 			name = prefix + "." + name
@@ -129,10 +120,10 @@ func (f *File) AddSampler(prefix string, s *obs.Sampler) {
 	}
 }
 
-// AddEvents appends retained events from the log, stamping each with the
-// given scope (empty leaves scopes untouched). Nil logs add nothing.
-func (f *File) AddEvents(scope string, l *obs.EventLog) {
-	for _, e := range l.Events() {
+// AddEvents appends events, stamping each that has no scope with the
+// given one (empty leaves scopes untouched).
+func (f *File) AddEvents(scope string, events []obs.Event) {
+	for _, e := range events {
 		if scope != "" && e.Scope == "" {
 			e.Scope = scope
 		}

@@ -106,13 +106,13 @@ func TestAddSnapshotAndSampler(t *testing.T) {
 	x = 1
 	s.Tick()
 	s.Tick()
-	f.AddSampler("gups", s)
+	f.AddSampler("gups", s.Series())
 	if len(f.Series) != 1 || f.Series[0].Name != "gups.vm.utilization" {
 		t.Fatalf("series = %+v", f.Series)
 	}
-	f.AddSampler("", nil) // nil sampler is a no-op
+	f.AddSampler("", nil) // no series is a no-op
 	if len(f.Series) != 1 {
-		t.Fatal("nil sampler added series")
+		t.Fatal("an empty series list added series")
 	}
 }
 
@@ -121,13 +121,13 @@ func TestAddEventsScoping(t *testing.T) {
 	l.Emit(obs.Event{Ref: 1, Component: "vm", Kind: "a.b", Severity: obs.Info})
 	l.Emit(obs.Event{Ref: 2, Component: "vm", Kind: "a.b", Severity: obs.Info, Scope: "keep"})
 	f := New("t")
-	f.AddEvents("gups", l)
+	f.AddEvents("gups", l.Events())
 	if f.Events[0].Scope != "gups" || f.Events[1].Scope != "keep" {
 		t.Fatalf("scopes = %q %q", f.Events[0].Scope, f.Events[1].Scope)
 	}
-	f.AddEvents("x", nil) // nil log is a no-op
+	f.AddEvents("x", nil) // no events is a no-op
 	if len(f.Events) != 2 {
-		t.Fatal("nil event log added events")
+		t.Fatal("an empty event list added events")
 	}
 }
 

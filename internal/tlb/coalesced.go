@@ -110,6 +110,10 @@ func (t *Coalesced) Lookup(vpn core.VPN) (core.PFN, bool) {
 	return 0, false
 }
 
+// Repeat counts n lookups that hit without a probe: lookups of the page
+// the last lookup hit or the last fill inserted; see Vanilla.Repeat.
+func (t *Coalesced) Repeat(n uint64) { t.stats.Hits += n }
+
 // Insert fills the translation for vpn→pfn and opportunistically coalesces:
 // the walker hands over the translations of the whole aligned group (as
 // CoLT's extended walker does), and every neighbour page whose PFN is at

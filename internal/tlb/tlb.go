@@ -47,6 +47,11 @@ func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
 	return 0, false
 }
 
+// Repeat counts n lookups that hit without a probe: lookups of the page
+// the last lookup or fill named, which sits at its set's MRU slot, so a
+// probe would change nothing but the hit count.
+func (t *Vanilla) Repeat(n uint64) { t.stats.Hits += n }
+
 // Insert fills the translation after a page-table walk, evicting LRU within
 // the set if needed.
 func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
@@ -162,6 +167,12 @@ func (t *Mosaic) Lookup(vpn core.VPN) (core.CPFN, bool) {
 	t.stats.SubMisses++
 	return core.CPFNInvalid, false
 }
+
+// Repeat counts n lookups that hit without a probe: lookups of the page
+// the last lookup hit or the last fill's ToC held valid; see
+// Vanilla.Repeat. A lookup of another sub-page of that entry is no repeat,
+// as its CPFN may be invalid.
+func (t *Mosaic) Repeat(n uint64) { t.stats.Hits += n }
 
 // Insert fills the whole ToC for vpn's mosaic page after a walk. The walker
 // obtains the full leaf ToC, so all currently-mapped sub-pages become

@@ -413,3 +413,84 @@ func BenchmarkVanillaFullyAssociativeLookup(b *testing.B) {
 		tl.Lookup(core.VPN(i & 2047)) // 50% miss
 	}
 }
+
+// TestRepeatCountsMRULookups: after a lookup that hits a page or a fill
+// that covers it, Repeat(n) leaves each TLB kind exactly as n more lookups
+// of the page would — the same counters and the same entries in the same
+// slots. Shootdowns between the steps make sub-entry and CoLT misses.
+func TestRepeatCountsMRULookups(t *testing.T) {
+	for _, ways := range []int{1, 4, 16, 64} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			g := Geometry{Entries: 64, Ways: ways}
+			rng := rand.New(rand.NewSource(int64(ways)))
+			van := [2]*Vanilla{NewVanilla(g), NewVanilla(g)}
+			mos := [2]*Mosaic{NewMosaic(g, 4), NewMosaic(g, 4)}
+			col := [2]*Coalesced{NewCoalesced(g, 4), NewCoalesced(g, 4)}
+			for range 5000 {
+				vpn := core.VPN(rng.Intn(1024))
+				pfn := core.PFN(rng.Intn(64))
+				if rng.Intn(4) == 0 {
+					for k := range 2 {
+						van[k].Invalidate(vpn)
+						mos[k].InvalidateSub(vpn)
+						col[k].Invalidate(vpn)
+					}
+					continue
+				}
+				// A fill always covers the page itself, as a walk's does.
+				toc := make(ToC, 4)
+				nb := make([]NeighbourPFN, 4)
+				for i := range toc {
+					toc[i], nb[i] = core.CPFN(rng.Intn(100)), NeighbourPFN{PFN: pfn.Sub(uint64(vpn)%4).Add(uint64(i)), OK: rng.Intn(2) == 0}
+					if rng.Intn(2) == 0 && i != int(vpn%4) {
+						toc[i] = core.CPFNInvalid
+					}
+				}
+				n := rng.Intn(4)
+				for k := range 2 {
+					if _, hit := van[k].Lookup(vpn); !hit {
+						van[k].Insert(vpn, pfn)
+					}
+					if _, hit := mos[k].Lookup(vpn); !hit {
+						mos[k].Insert(vpn, toc)
+					}
+					if _, hit := col[k].Lookup(vpn); !hit {
+						col[k].Insert(vpn, pfn, nb)
+					}
+				}
+				for range n {
+					van[0].Lookup(vpn)
+					mos[0].Lookup(vpn)
+					col[0].Lookup(vpn)
+				}
+				van[1].Repeat(uint64(n))
+				mos[1].Repeat(uint64(n))
+				col[1].Repeat(uint64(n))
+			}
+			var contents [2][]string
+			for k := range 2 {
+				van[k].Range(func(key uint64, pfn core.PFN) { contents[k] = append(contents[k], fmt.Sprintf("v%#x:%d", key, pfn)) })
+				mos[k].Range(func(key uint64, toc ToC) { contents[k] = append(contents[k], fmt.Sprintf("m%#x:%v", key, toc)) })
+				col[k].tab.each(func(tag uint64, g int32) { contents[k] = append(contents[k], fmt.Sprintf("c%#x:%+v", tag, col[k].entries[g])) })
+			}
+			if fmt.Sprint(contents[0]) != fmt.Sprint(contents[1]) {
+				t.Errorf("entries after Repeat differ from entries after lookups:\n got  %v\n want %v", contents[1], contents[0])
+			}
+			for _, c := range []struct {
+				name      string
+				want, got Stats
+			}{
+				{"Vanilla", van[0].Stats(), van[1].Stats()},
+				{"Mosaic", mos[0].Stats(), mos[1].Stats()},
+				{"Coalesced", col[0].Stats(), col[1].Stats()},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s: stats with Repeat %+v, with lookups %+v", c.name, c.got, c.want)
+				}
+				if c.want.SubMisses == 0 && c.name != "Vanilla" {
+					t.Errorf("%s: no sub-entry misses; the steps must leave entries partly valid", c.name)
+				}
+			}
+		})
+	}
+}

@@ -65,6 +65,8 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 	st.SharedMappings = len(inherited)
 	slices.Sort(inherited)
 	for _, vpn := range inherited {
+		ref := cas.shared[vpn]
+		ref.region.addMapping(sharedMapping{asid: child, base: vpn - core.VPN(ref.index)})
 		s.notifyMap(child, vpn)
 	}
 

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"mosaic/internal/core"
@@ -18,7 +20,6 @@ var boundaryVPNs = []core.VPN{0, 511, 512, 1<<18 - 1, 1 << 18, 0x7f0000, 1<<36 -
 type recordModel struct {
 	private map[modelKey]*modelPage
 	shared  map[modelKey]modelShare // (asid, vpn) → region page
-	regions map[uint32]*modelRegion
 	spaces  map[core.ASID]bool
 }
 
@@ -75,21 +76,19 @@ func FuzzPageRecords(f *testing.F) {
 		model := &recordModel{
 			private: map[modelKey]*modelPage{},
 			shared:  map[modelKey]modelShare{},
-			regions: map[uint32]*modelRegion{},
 			spaces:  map[core.ASID]bool{},
 		}
+		// evicted collects, per page, the mappings the eviction hook named
+		// during the current operation. A page is evicted at most once per
+		// operation, and the hook names each mapping of it once.
+		evicted := map[*modelPage][]modelKey{}
 		s.OnEvict(func(asid core.ASID, vpn core.VPN) {
-			var pg *modelPage
-			if asid == sharedASID {
-				rid, idx := splitSharedVPN(vpn)
-				pg = &model.regions[rid].pages[idx]
-			} else {
-				pg = model.private[modelKey{asid, vpn}]
-			}
-			if pg == nil || pg.state != pageResident {
+			pg := model.page(asid, vpn)
+			if pg == nil || (len(evicted[pg]) == 0 && pg.state != pageResident) {
 				t.Fatalf("evicted (asid %d, vpn %#x), which the oracle does not hold resident", asid, vpn)
 			}
 			*pg = modelPage{state: pageSwapped}
+			evicted[pg] = append(evicted[pg], modelKey{asid, vpn})
 		})
 
 		for k := 0; k+2 < len(ops); k += 3 {
@@ -109,6 +108,8 @@ func FuzzPageRecords(f *testing.F) {
 			case 5:
 				model.mapShared(t, s, asid, vpn, 1+int(ops[k+2]%4))
 			}
+			model.checkEvicted(t, evicted)
+			clear(evicted)
 			model.check(t, s, asid, vpn)
 		}
 		for key := range model.private {
@@ -197,6 +198,34 @@ func (m *recordModel) unmap(t *testing.T, s *System, asid core.ASID, vpn core.VP
 	delete(m.private, key)
 }
 
+// checkEvicted checks that the eviction hook named every mapping of each
+// page it evicted: one for a private page, every (asid, vpn) that maps a
+// shared one.
+func (m *recordModel) checkEvicted(t *testing.T, evicted map[*modelPage][]modelKey) {
+	t.Helper()
+	for pg, got := range evicted {
+		var want []modelKey
+		for key, p := range m.private {
+			if p == pg {
+				want = append(want, key)
+			}
+		}
+		for key, sh := range m.shared {
+			if &sh.region.pages[sh.index] == pg {
+				want = append(want, key)
+			}
+		}
+		byKey := func(a, b modelKey) int {
+			return cmp.Or(cmp.Compare(a.asid, b.asid), cmp.Compare(a.vpn, b.vpn))
+		}
+		slices.SortFunc(got, byKey)
+		slices.SortFunc(want, byKey)
+		if !slices.Equal(got, want) {
+			t.Fatalf("eviction hook named %v, the page's mappings are %v", got, want)
+		}
+	}
+}
+
 // gcRegion forgets a region's pages once nothing maps it: the system
 // frees them then.
 func (m *recordModel) gcRegion(region *modelRegion) {
@@ -218,6 +247,15 @@ func (m *recordModel) fork(t *testing.T, s *System, parent, child core.ASID) {
 	}
 	for key := range m.shared {
 		wantErr = wantErr || key.asid == child
+	}
+	if !wantErr {
+		// The child inherits the shared mappings before any page is
+		// copied, so a copy that evicts a shared page reports them too.
+		for key, sh := range m.shared {
+			if key.asid == parent {
+				m.shared[modelKey{child, key.vpn}] = sh
+			}
+		}
 	}
 	st, err := s.ForkCopy(parent, child)
 	if parent != child && m.spaces[parent] {
@@ -252,11 +290,6 @@ func (m *recordModel) fork(t *testing.T, s *System, parent, child core.ASID) {
 	if got := st.CopiedPages + st.ClonedSwapSlots; got != inherited {
 		t.Fatalf("ForkCopy copied %d and cloned %d pages, parent maps %d", st.CopiedPages, st.ClonedSwapSlots, inherited)
 	}
-	for key, sh := range m.shared {
-		if key.asid == parent {
-			m.shared[modelKey{child, key.vpn}] = sh
-		}
-	}
 }
 
 // stampOf reads (asid, vpn)'s stamp from its record.
@@ -272,7 +305,6 @@ func (m *recordModel) mapShared(t *testing.T, s *System, asid core.ASID, base co
 		t.Fatal(err)
 	}
 	region := &modelRegion{r: r, pages: make([]modelPage, n)}
-	m.regions[r.ID()] = region
 	wantErr := false
 	for i := 0; i < n; i++ {
 		if m.page(asid, base+core.VPN(i)) != nil {

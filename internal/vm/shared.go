@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"mosaic/internal/alloc"
 	"mosaic/internal/core"
@@ -68,7 +69,17 @@ func (s *System) MapShared(asid core.ASID, baseVPN core.VPN, region *SharedRegio
 		s.notifyMap(asid, baseVPN+core.VPN(i))
 	}
 	region.maps += region.Len()
+	region.addMapping(sharedMapping{asid: asid, base: baseVPN})
 	return nil
+}
+
+// addMapping records m unless the region already lists it: a mapping
+// whose pages were all unmapped one by one keeps its entry, and may be
+// made again.
+func (r *SharedRegion) addMapping(m sharedMapping) {
+	if !slices.Contains(r.mappings, m) {
+		r.mappings = append(r.mappings, m)
+	}
 }
 
 // UnmapShared removes a whole shared mapping from asid's space.
@@ -87,6 +98,9 @@ func (s *System) UnmapShared(asid core.ASID, baseVPN core.VPN, region *SharedReg
 	for i := 0; i < region.Len(); i++ {
 		delete(as.shared, baseVPN+core.VPN(i))
 	}
+	region.mappings = slices.DeleteFunc(region.mappings, func(m sharedMapping) bool {
+		return m == sharedMapping{asid: asid, base: baseVPN}
+	})
 	s.releaseShared(region, region.Len())
 	return nil
 }

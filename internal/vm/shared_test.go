@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"mosaic/internal/core"
@@ -212,4 +213,52 @@ func checkClean(t *testing.T, s *System) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSharedEvictionReportsEveryMapping: the eviction hook names a shared
+// page under every (ASID, VPN) that maps it when it leaves memory, in the
+// order the mappings were made — a fork child's inherited mappings
+// included, and neither a page unmapped on its own nor a whole mapping
+// removed with UnmapShared.
+func TestSharedEvictionReportsEveryMapping(t *testing.T) {
+	s := newMosaic(t, 64)
+	r, err := s.CreateSharedRegion(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []modelKey{{1, 0x100}, {2, 0x200}, {1, 0x900}} {
+		if err := s.MapShared(m.asid, m.vpn, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.ForkCopy(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Unmap(1, 0x900) {
+		t.Fatal("Unmap of a shared VPN failed")
+	}
+	if err := s.UnmapShared(2, 0x200, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MapShared(2, 0x400, r); err != nil {
+		t.Fatal(err)
+	}
+	var got []modelKey
+	s.OnEvict(func(asid core.ASID, vpn core.VPN) {
+		if asid != 4 {
+			got = append(got, modelKey{asid, vpn})
+		}
+	})
+	s.Touch(1, 0x100, true)
+	for v := core.VPN(0); s.Resident(1, 0x100); v++ {
+		if v == 1000 {
+			t.Fatal("the shared page never left memory")
+		}
+		s.Touch(4, 0x10000+v, true)
+	}
+	want := []modelKey{{1, 0x100}, {3, 0x100}, {3, 0x900}, {2, 0x400}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("eviction hook named %v, want %v", got, want)
+	}
+	checkClean(t, s)
 }

@@ -200,6 +200,18 @@ type SharedRegion struct {
 	// maps counts the VPNs that map the region, over all address spaces:
 	// the region is freed when the last one is unmapped.
 	maps int
+	// mappings lists each (ASID, base VPN) the region was mapped at, in
+	// the order the mappings were made, so an evicted page can be shot
+	// down in every space that maps it. A page unmapped on its own keeps
+	// its mapping's entry; eviction checks the space still maps it.
+	mappings []sharedMapping
+}
+
+// sharedMapping is one mapping of a shared region: page i of the region
+// is VPN base+i of the ASID's space.
+type sharedMapping struct {
+	asid core.ASID
+	base core.VPN
 }
 
 // ID is the region's location ID.
@@ -591,8 +603,10 @@ func (s *System) reclaimOneVanilla() {
 
 // OnEvict registers fn to run whenever a page leaves memory for swap —
 // the hook the memory-system simulator uses for page-table invalidation
-// and TLB shootdown. Shared-region pages report the reserved shared ASID
-// (0xFFFFFFFF) with a synthetic VPN.
+// and TLB shootdown. fn runs once for each (ASID, VPN) that maps the page:
+// a shared-region page reports every mapping of it, in the order the
+// mappings were made, and a shared page no space maps any more reports
+// none.
 func (s *System) OnEvict(fn func(asid core.ASID, vpn core.VPN)) { s.evictHook = fn }
 
 // OnMap registers fn to run for every page a mapping makes visible in an
@@ -653,10 +667,6 @@ func (s *System) recordEviction(owner alloc.Owner) {
 	if s.events != nil {
 		s.noteEvictionStorm()
 	}
-	if s.evictHook != nil {
-		s.evictHook(owner.ASID, owner.VPN)
-	}
-	s.dev.PageOut(owner)
 	if owner.ASID == sharedASID {
 		rid, idx := splitSharedVPN(owner.VPN)
 		r, ok := s.regions[rid]
@@ -664,9 +674,22 @@ func (s *System) recordEviction(owner alloc.Owner) {
 			//lint:ignore nopanic shared owners are minted from live regions, and regions are never deleted
 			panic(fmt.Sprintf("vm: evicted page of unknown shared region %d", rid))
 		}
+		if s.evictHook != nil {
+			for _, m := range r.mappings {
+				vpn := m.base + core.VPN(idx)
+				if ref, ok := s.spaces[m.asid].shared[vpn]; ok && ref.region == r && ref.index == idx {
+					s.evictHook(m.asid, vpn)
+				}
+			}
+		}
+		s.dev.PageOut(owner)
 		r.pages[idx].state = pageSwapped
 		return
 	}
+	if s.evictHook != nil {
+		s.evictHook(owner.ASID, owner.VPN)
+	}
+	s.dev.PageOut(owner)
 	as, ok := s.spaces[owner.ASID]
 	if !ok {
 		//lint:ignore nopanic frame owners are recorded at placement from existing spaces

@@ -47,8 +47,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # (counters, series, event ref-indices) to the default-size replay. The
 # memsim cases evict in the middle of segments, which the fig6 stream
 # never does, and fault pages into ToCs and CoLT groups already filled in
-# the same segment; both must match the one-reference-per-batch order.
-go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults' -count=1 . ./internal/memsim
+# the same segment; both must match the one-reference-per-batch order. So
+# must the repeat fast path, which counts a reference to its predecessor's
+# page as a hit without a TLB lookup.
+go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults|TestRepeatsExact' -count=1 . ./internal/memsim
 # Committed results gate: the six fast result tables must regenerate byte
 # for byte at their defaults.
 scripts/regen.sh
