@@ -12,9 +12,8 @@ import (
 )
 
 // The simulator's batching contract is byte-identical results at any batch
-// granularity: every counter, histogram bucket, sampler window, and event
-// reference index must come out the same however the stream is cut into
-// batches. These tests pin that contract by serializing the full
+// granularity: every counter, sampler window, and event reference index
+// must come out the same however the stream is cut into batches. These tests pin that contract by serializing the full
 // results.File from replays of one stream at different batchings and
 // comparing the JSON bytes.
 
@@ -66,10 +65,13 @@ func resultsJSON(t *testing.T, sim *Simulator, ob *obs.Observer) []byte {
 	return data
 }
 
-func equivSim(t *testing.T, ob *obs.Observer) *Simulator {
+// equivSim builds the simulator the batchings replay into: frames sizes
+// its memory, and checkEvery sets its invariant-audit cadence (0 = off).
+func equivSim(t *testing.T, ob *obs.Observer, frames int, checkEvery uint64) *Simulator {
 	t.Helper()
 	sim, err := NewSimulator(SimConfig{
-		Frames: 1 << 15,
+		Frames:     frames,
+		CheckEvery: checkEvery,
 		Specs: []TLBSpec{
 			{Geometry: TLBGeometry{Entries: 256, Ways: 8}},
 			{Geometry: TLBGeometry{Entries: 256, Ways: 8}, Arity: 4},
@@ -99,22 +101,36 @@ var batchings = map[string][]int{
 
 // TestBatchBoundaryInvariance replays one captured stream into a Simulator
 // at every batching and requires results files byte-identical to the
-// default-size replay. The fig6 case runs with the sampler off (the tight
-// batch loop) and on (the per-reference observer path); the multiprogram
-// case interleaves two streams in round-robin quanta, cut either per
-// quantum or through the v2 decoder's frame-carrying quantum slicer.
+// default-size replay; batches of one reference are the per-reference
+// order. The fig6 case runs with the sampler off, in ample memory, and
+// on, in memory that evicts throughout, with a window of 1000 references
+// and an invariant audit every 777, so window and audit edges cut
+// segments in the middle of batches and between evictions. The
+// multiprogram case interleaves two streams in round-robin quanta, cut
+// either per quantum or through the v2 decoder's frame-carrying quantum
+// slicer.
 func TestBatchBoundaryInvariance(t *testing.T) {
 	t.Run("fig6", func(t *testing.T) {
+		// The stream touches 1024 pages; the sampled case's 768 frames
+		// evict.
 		stream := captureStream(t, "gups", 4<<20, 300_000)
 		for _, sampled := range []bool{false, true} {
 			replay := func(sizes ...int) []byte {
 				var ob *obs.Observer
+				refs, frames, checkEvery := stream, 1<<15, uint64(0)
 				if sampled {
-					ob = obs.NewObserver(1 << 12)
+					// The audits dominate this replay's cost, so it runs
+					// half the stream: 150 window edges, 193 audits and
+					// about 18k evictions.
+					ob = obs.NewObserver(1000)
+					refs, frames, checkEvery = stream[:150_000], 768, 777
 				}
-				sim := equivSim(t, ob)
-				for _, b := range cutBatches(stream, sizes...) {
+				sim := equivSim(t, ob, frames, checkEvery)
+				for _, b := range cutBatches(refs, sizes...) {
 					sim.ProcessBatch(b)
+				}
+				if sampled && sim.Metrics().CounterValue("vm.evict") == 0 {
+					t.Fatal("the sampled replay evicted nothing")
 				}
 				return resultsJSON(t, sim, ob)
 			}
@@ -136,7 +152,7 @@ func TestBatchBoundaryInvariance(t *testing.T) {
 		// replay interleaves the streams in quanta, delivering each
 		// quantum cut into batches of the given sizes.
 		replay := func(sizes ...int) []byte {
-			sim := equivSim(t, nil)
+			sim := equivSim(t, nil, 1<<15, 0)
 			offs := make([]int, len(streams))
 			for live := len(streams); live > 0; {
 				live = 0
@@ -164,7 +180,7 @@ func TestBatchBoundaryInvariance(t *testing.T) {
 		}
 		// The quantum slicer Multiprogram's shared run uses: v2 captures
 		// decoded frame by frame, frames carried across quantum cuts.
-		sim := equivSim(t, nil)
+		sim := equivSim(t, nil, 1<<15, 0)
 		readers := make([]*quantumStream, len(streams))
 		for i, s := range streams {
 			var buf bytes.Buffer

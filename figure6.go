@@ -3,6 +3,7 @@ package mosaic
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mosaic/internal/obs"
 	"mosaic/internal/sweep"
@@ -39,7 +40,9 @@ type Figure6Options struct {
 	// TLBEntries is the TLB size (Table 1a uses 1024).
 	TLBEntries int
 	// Ways lists the associativities (default 1, 2, 4, 8, TLBEntries —
-	// the paper's direct / 2-way / 4-way / 8-way / fully-associative).
+	// the paper's direct / 2-way / 4-way / 8-way / fully-associative —
+	// with TLBEntries left out when it is already listed). Ways, Arities
+	// and Coalesce must not repeat an entry.
 	Ways []int
 	// Arities lists the mosaic arities (default 4, 8, 16, 32, 64).
 	Arities []int
@@ -85,13 +88,28 @@ func (o *Figure6Options) applyDefaults() error {
 		o.TLBEntries = 1024
 	}
 	if len(o.Ways) == 0 {
-		o.Ways = []int{1, 2, 4, 8, o.TLBEntries}
+		o.Ways = []int{1, 2, 4, 8}
+		if !slices.Contains(o.Ways, o.TLBEntries) {
+			o.Ways = append(o.Ways, o.TLBEntries)
+		}
 	}
 	if len(o.Arities) == 0 {
 		o.Arities = []int{4, 8, 16, 32, 64}
 	}
 	if o.Frames == 0 {
 		o.Frames = int(4 * o.FootprintBytes / PageSize)
+	}
+	// A repeated entry would repeat a cell, and a sampled point would
+	// register two series under one name.
+	for _, l := range []struct {
+		field string
+		xs    []int
+	}{{"Ways", o.Ways}, {"Arities", o.Arities}, {"Coalesce", o.Coalesce}} {
+		for i, x := range l.xs {
+			if slices.Contains(l.xs[:i], x) {
+				return fmt.Errorf("mosaic: Figure6 %s lists %d twice", l.field, x)
+			}
+		}
 	}
 	return nil
 }

@@ -157,3 +157,72 @@ func TestFigure6AcrossWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure6RejectsDuplicates: a repeated Ways, Arities or Coalesce entry
+// is an error, not a repeated cell. With sampling on, a repeated arity
+// used to register one series name twice and panic inside a sweep worker.
+func TestFigure6RejectsDuplicates(t *testing.T) {
+	for _, opt := range []Figure6Options{
+		{Workload: "gups", TLBEntries: 64, Arities: []int{4, 4}, SampleEvery: 1000},
+		{Workload: "gups", TLBEntries: 64, Arities: []int{4, 4}},
+		{Workload: "gups", TLBEntries: 64, Ways: []int{8, 64, 8}},
+		{Workload: "gups", TLBEntries: 64, Coalesce: []int{4, 4}, SampleEvery: 1000},
+	} {
+		opt.FootprintBytes, opt.MaxRefs = 1<<20, 10_000
+		if _, err := Figure6(opt); err == nil {
+			t.Errorf("Ways %v, Arities %v, Coalesce %v: no error", opt.Ways, opt.Arities, opt.Coalesce)
+		}
+	}
+	// The default associativities list a TLB of at most 8 entries once.
+	opt := Figure6Options{Workload: "gups", TLBEntries: 8}
+	if err := opt.applyDefaults(); err != nil {
+		t.Fatalf("TLBEntries 8 at default Ways: %v", err)
+	}
+	if !reflect.DeepEqual(opt.Ways, []int{1, 2, 4, 8}) {
+		t.Errorf("default Ways at TLBEntries 8 = %v, want [1 2 4 8]", opt.Ways)
+	}
+}
+
+// FuzzFigure6Options drives Figure6 with arbitrary TLB lists, entry
+// counts, frame counts (small ones force evictions and swap), sampling
+// cadences and one or two workers, at a footprint of at most 1 MiB and
+// 20k references. Options it accepts must finish and fill every cell;
+// options it rejects must return an error; nothing may panic.
+func FuzzFigure6Options(f *testing.F) {
+	f.Add(uint8(2), uint8(15), int16(64), uint8(2), int16(1), int16(64), uint8(2), int8(4), int8(16), uint8(1), int8(4), int16(0), uint16(1000), false)
+	f.Add(uint8(0), uint8(3), int16(64), uint8(0), int16(0), int16(0), uint8(2), int8(4), int8(4), uint8(0), int8(0), int16(0), uint16(1000), true)
+	f.Add(uint8(1), uint8(15), int16(32), uint8(1), int16(8), int16(0), uint8(1), int8(64), int8(0), uint8(1), int8(8), int16(96), uint16(777), true)
+	f.Add(uint8(3), uint8(7), int16(-4), uint8(2), int16(3), int16(0), uint8(1), int8(-2), int8(0), uint8(1), int8(65), int16(-1), uint16(0), false)
+	names := WorkloadNames()
+	f.Fuzz(func(t *testing.T, wl, fp uint8, entries int16, nWays uint8, way1, way2 int16,
+		nArities uint8, arity1, arity2 int8, nCoalesce uint8, coalesce int8, frames int16, sample uint16, twoWorkers bool) {
+		opt := Figure6Options{
+			Workload:       names[int(wl)%len(names)],
+			FootprintBytes: (uint64(fp%16) + 1) << 16,
+			MaxRefs:        20_000,
+			TLBEntries:     int(entries),
+			Ways:           []int{int(way1), int(way2)}[:nWays%3],
+			Arities:        []int{int(arity1), int(arity2)}[:nArities%3],
+			Coalesce:       []int{int(coalesce)}[:nCoalesce%2],
+			Frames:         int(frames) % 4097,
+			SampleEvery:    uint64(sample),
+			Workers:        1,
+		}
+		if twoWorkers {
+			opt.Workers = 2
+		}
+		res, err := Figure6(opt)
+		if err != nil {
+			return
+		}
+		if err := opt.applyDefaults(); err != nil {
+			t.Fatalf("Figure6 accepted options its defaults reject: %v", err)
+		}
+		if want := len(opt.Ways) * (1 + len(opt.Coalesce) + len(opt.Arities)); len(res.Cells) != want {
+			t.Fatalf("%d cells, want %d", len(res.Cells), want)
+		}
+		if res.Refs == 0 || res.Refs > opt.MaxRefs {
+			t.Fatalf("ran %d references, want 1..%d", res.Refs, opt.MaxRefs)
+		}
+	})
+}

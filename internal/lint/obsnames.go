@@ -25,7 +25,7 @@ var ObsNames = &Analyzer{
 // obsNameMethods maps receiver type → methods whose first argument is a
 // metric name.
 var obsNameMethods = map[string]map[string]bool{
-	"Registry": {"Counter": true, "Gauge": true, "Histogram": true},
+	"Registry": {"Counter": true, "Gauge": true},
 	"Sampler":  {"Gauge": true, "Rate": true, "Ratio": true},
 }
 

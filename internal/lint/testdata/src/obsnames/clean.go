@@ -6,7 +6,6 @@ import "mosaic/internal/obs"
 func goodNames(r *obs.Registry, s *obs.Sampler) {
 	r.Counter("vm.fault.minor")
 	r.Gauge("vm.utilization")
-	r.Histogram("tlb.walk.latency")
 	r.Counter("iceberg.put.backyard")
 	s.Gauge("vm.ghost.fraction", func() float64 { return 0 })
 	s.Ratio("tlb.mosaic_4.hit_rate", 1, nil, nil)

@@ -32,6 +32,10 @@
 // before the shootdown. So every unit sees exactly the per-reference
 // sequence of lookups, walks and fills: units share nothing else.
 //
+// Sampler window edges and CheckEvery audits end a segment too, so the
+// probes and the audit read the state after exactly the reference at the
+// edge. A batch, a single Access and a sampled run all take this one path.
+//
 // A reference to the page of the one before it in the segment is marked
 // a repeat once, and every unit counts it as a hit without a lookup. That
 // is exact: after the earlier reference each unit's TLB holds the page at
@@ -131,13 +135,16 @@ type Config struct {
 	// CheckEvery, when positive, runs the deep invariant checkers (see
 	// Simulator.CheckInvariants) every CheckEvery data references — a
 	// debug mode for long simulations. Any violation panics with the full
-	// report, stopping the run at the first reference that broke state.
+	// report, stopping the run at the first audit after the reference that
+	// broke state.
 	CheckEvery uint64
 	// Obs supplies the observability bundle. The registry is shared with
 	// the underlying vm.System (one namespace per run); when the bundle
 	// carries a Sampler, the simulator registers its time-series probes on
-	// it and ticks it once per data reference. Nil disables sampling and
-	// events; metrics still work through a private registry.
+	// it and advances it at the end of each run segment, cutting segments
+	// at window edges. Units then need distinct labels, one series name
+	// each. Nil disables sampling and events; metrics still work through a
+	// private registry.
 	Obs *obs.Observer
 }
 
@@ -185,8 +192,10 @@ type Simulator struct {
 	os    *vm.System
 	units []unit
 	// seg is the pending segment: references the OS layer has resolved
-	// and no unit has run yet.
+	// and no unit has run yet. resolve runs it at cut references (see
+	// nextCut).
 	seg segment
+	cut uint64
 	// Page tables are per (ASID, arity), arity 0 the vanilla table that
 	// vanilla and CoLT units walk: mosaic PTs are shared among units with
 	// equal arity (each unit still walks them independently).
@@ -201,8 +210,8 @@ type Simulator struct {
 	path    []uint64
 
 	// Observability: instrument handles on the hot paths, plus the
-	// optional sampler (nil = one pointer compare per reference) and
-	// event log.
+	// optional sampler (nil = one pointer compare per segment) and event
+	// log.
 	metrics    *obs.Registry
 	sampler    *obs.Sampler
 	events     *obs.EventLog
@@ -210,7 +219,8 @@ type Simulator struct {
 	cFlush     *obs.Counter // tlb.flush
 	finalized  bool
 
-	// Invariant checking (Config.CheckEvery).
+	// Invariant checking (Config.CheckEvery): references run since the
+	// last audit.
 	sinceCheck  uint64
 	clockMono   *invariant.Monotone
 	horizonMono *invariant.Monotone
@@ -257,9 +267,17 @@ func New(cfg Config) (*Simulator, error) {
 	// traffic and data traffic never alias in the caches.
 	ptBase := uint64(cfg.Frames) * core.PageSize
 	s.paAlloc = pagetable.BumpAllocator(ptBase)
+	sampled := make(map[string]bool)
 	for _, spec := range cfg.Specs {
 		if err := spec.Geometry.Validate(); err != nil {
 			return nil, err
+		}
+		if s.sampler != nil {
+			name := slug(spec.Label())
+			if sampled[name] {
+				return nil, fmt.Errorf("memsim: two TLB specs are labelled %s; a sampled run needs one series name per unit", spec.Label())
+			}
+			sampled[name] = true
 		}
 		if spec.Arity != 0 && spec.Coalesce != 0 {
 			return nil, fmt.Errorf("memsim: spec %s sets both Arity and Coalesce", spec.Label())
@@ -295,6 +313,7 @@ func New(cfg Config) (*Simulator, error) {
 		write:  make([]bool, 0, segmentCap),
 		repeat: make([]bool, 0, segmentCap),
 	}
+	s.cut = s.nextCut()
 	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
 	osys.OnMap(s.mapNodes)
@@ -417,7 +436,10 @@ func (s *Simulator) pt(asid core.ASID, arity int) *pagetable.Table {
 // onEvict keeps the TLBs coherent with the OS: they shoot down the
 // mapping — for a mosaic TLB only the sub-page entry, per §3.1. The hook
 // runs before the OS changes the page's record, and the pending segment
-// runs first: its references precede the eviction.
+// runs first: its references precede the eviction. The evicting reference
+// is not appended yet, so that segment is shorter than the cut and ends
+// short of every sampler and audit edge: no probe and no invariant audit
+// runs inside an eviction.
 func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	s.flush()
 	s.cShootdown.Inc()
@@ -450,23 +472,13 @@ func (s *Simulator) Access(va uint64, write bool) {
 }
 
 // AccessFrom performs one data reference from the given address space: a
-// one-reference segment. TLB entries are ASID-tagged (PCID-style), so
+// one-reference batch. TLB entries are ASID-tagged (PCID-style), so
 // entries from several processes coexist; use FlushTLBs to model untagged
 // context switches.
 func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
 	s.seg.asid = asid
 	s.resolve(va, write)
 	s.flush()
-	if s.cfg.CheckEvery > 0 {
-		s.sinceCheck++
-		if s.sinceCheck >= s.cfg.CheckEvery {
-			s.sinceCheck = 0
-			s.mustCheck()
-		}
-	}
-	if s.sampler != nil {
-		s.sampler.Tick()
-	}
 }
 
 // resolve runs one reference of the segment's ASID through the OS layer
@@ -496,7 +508,7 @@ func (s *Simulator) resolve(va uint64, write bool) {
 	seg.repeat = append(seg.repeat, repeat)
 	seg.pa = append(seg.pa, uint64(pfn)*core.PageSize+core.PageOffset(va))
 	seg.write = append(seg.write, write)
-	if len(seg.vpn) == segmentCap {
+	if uint64(len(seg.vpn)) == s.cut {
 		s.flush()
 	}
 }
@@ -515,10 +527,13 @@ func (s *Simulator) mapNodes(asid core.ASID, vpn core.VPN) {
 }
 
 // flush runs the pending segment through every unit, one unit at a time,
-// and empties it.
+// and empties it. It then advances the audit count and the sampler by the
+// segment's length; a segment that ends at an edge runs the audit, then
+// samples. Finally it sets the next segment's cut.
 func (s *Simulator) flush() {
 	seg := &s.seg
-	if len(seg.vpn) == 0 {
+	n := uint64(len(seg.vpn))
+	if n == 0 {
 		return
 	}
 	for _, u := range s.units {
@@ -526,28 +541,47 @@ func (s *Simulator) flush() {
 	}
 	seg.vpn, seg.pa, seg.write, seg.repeat = seg.vpn[:0], seg.pa[:0], seg.write[:0], seg.repeat[:0]
 	seg.repeats = 0
+	if s.cfg.CheckEvery > 0 {
+		s.sinceCheck += n
+		if s.sinceCheck == s.cfg.CheckEvery {
+			s.sinceCheck = 0
+			s.mustCheck()
+		}
+	}
+	if s.sampler != nil {
+		s.sampler.Tick(n)
+	}
+	s.cut = s.nextCut()
+}
+
+// nextCut is the pending segment's cut length: segmentCap, or the
+// references left before the next audit or sampler window edge when that
+// is fewer.
+func (s *Simulator) nextCut() uint64 {
+	cut := uint64(segmentCap)
+	if every := s.cfg.CheckEvery; every > 0 {
+		cut = min(cut, every-s.sinceCheck)
+	}
+	if s.sampler != nil {
+		cut = min(cut, s.sampler.Left())
+	}
+	return cut
 }
 
 // ProcessBatch implements trace.BatchSink: a whole batch of references
-// from the configured default address space. Results — counters,
-// histograms, sampler windows, event ref-indices — do not depend on where
-// batch boundaries fall.
+// from the configured default address space. Results — counters, sampler
+// windows, event ref-indices — do not depend on where batch boundaries
+// fall.
 func (s *Simulator) ProcessBatch(b trace.Batch) {
 	s.ProcessBatchFrom(s.cfg.ASID, b)
 }
 
-// ProcessBatchFrom is the batched AccessFrom. When neither the sampler
-// nor the invariant cadence needs a per-reference tick, the batch is
-// resolved into segments that each unit runs whole; otherwise each
-// reference is its own segment through AccessFrom, so window boundaries
-// land on the same reference indices at any batching.
+// ProcessBatchFrom runs a batch of references from the given address
+// space: the OS layer resolves them into segments, and each unit runs
+// every segment whole. Segments end at the batch's end, at evictions and
+// at sampler and audit edges, so window boundaries land on the same
+// reference indices at any batching.
 func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
-	if s.sampler != nil || s.cfg.CheckEvery > 0 {
-		for _, r := range b {
-			s.AccessFrom(asid, r.VA(), r.Write())
-		}
-		return
-	}
 	s.seg.asid = asid
 	for _, r := range b {
 		s.resolve(r.VA(), r.Write())
@@ -587,7 +621,8 @@ func (s *Simulator) ReplayFrom(asid core.ASID, r *trace.BatchReader) (uint64, er
 
 // mustCheck runs CheckInvariants and panics on any violation — the
 // Config.CheckEvery debug mode wants a loud, immediate stop at the first
-// sampling point where the simulated machine's state is inconsistent.
+// audit where the simulated machine's state is inconsistent. flush calls
+// it only at an audit edge, between references, with no segment pending.
 func (s *Simulator) mustCheck() {
 	var r invariant.Report
 	s.CheckInvariants(&r)

@@ -89,6 +89,23 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSampledSpecsNeedDistinctLabels: a sampler names each unit's series
+// after its label, so two units with one label are a configuration error
+// with a sampler attached (New used to panic registering the second
+// series) and fine without one.
+func TestSampledSpecsNeedDistinctLabels(t *testing.T) {
+	twoMosaic4 := []TLBSpec{
+		{Geometry: tlb.Geometry{Entries: 64, Ways: 8}, Arity: 4},
+		{Geometry: tlb.Geometry{Entries: 64, Ways: 64}, Arity: 4},
+	}
+	if _, err := New(Config{Frames: 1 << 12, Specs: twoMosaic4, Obs: obs.NewObserver(1000)}); err == nil {
+		t.Error("sampled run with two Mosaic-4 units accepted")
+	}
+	if _, err := New(Config{Frames: 1 << 12, Specs: twoMosaic4, Obs: obs.NewObserver(0)}); err != nil {
+		t.Errorf("unsampled run with two Mosaic-4 units: %v", err)
+	}
+}
+
 // TestFinalizeMetricsIdempotent guards against double-counting when a
 // driver calls FinalizeMetrics more than once (e.g. once for the JSON
 // result and once for the text table).
@@ -104,9 +121,10 @@ func TestFinalizeMetricsIdempotent(t *testing.T) {
 	}
 }
 
-// TestHotPathZeroAllocs pins the acceptance criterion that the
-// per-reference path allocates nothing once the working set is faulted
-// in and no sampler/event log is attached (the default for library use).
+// TestHotPathZeroAllocs pins the acceptance criterion that the reference
+// path — single Access calls and batches — allocates nothing once the
+// working set is faulted in and no sampler/event log is attached (the
+// default for library use).
 func TestHotPathZeroAllocs(t *testing.T) {
 	t.Run("access", func(t *testing.T) {
 		s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4)})
@@ -169,9 +187,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// Paired benchmarks for the sampler-overhead acceptance criterion:
-// compare ns/op of BenchmarkAccessSampled (default fig6 cadence) against
-// BenchmarkAccessNoObs. The delta must stay within ~5%.
+// Paired benchmarks of single-reference Access with and without a sampler
+// attached at the default fig6 cadence.
 func benchAccess(b *testing.B, ob *obs.Observer) {
 	s, err := New(Config{Frames: 1 << 16, Specs: specs(64, 8, 4), Obs: ob})
 	if err != nil {

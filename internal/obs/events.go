@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"math"
 )
 
@@ -42,7 +41,7 @@ type Event struct {
 }
 
 // MarshalJSON encodes the event with non-finite field values as null, so
-// an event stream is always valid JSONL.
+// a results file's events array is always valid JSON.
 func (e Event) MarshalJSON() ([]byte, error) {
 	type wire struct {
 		Ref       uint64              `json:"ref"`
@@ -68,95 +67,26 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// defaultEventCap bounds the in-memory event ring. Rare events stay rare;
-// if a run emits more than this, the oldest are dropped (and counted), the
-// JSONL stream — if attached — still sees every record.
-const defaultEventCap = 4096
+// eventCap bounds the event log. Rare events stay rare; if a run emits
+// more than this, the oldest are dropped.
+const eventCap = 4096
 
-// EventLog collects events in a bounded in-memory ring and optionally
-// streams them as JSONL to a writer. Emit on a nil *EventLog is a no-op,
-// so components hold the pointer unconditionally. Like trace.BatchWriter, write
-// errors are sticky and reported by Err rather than interrupting a
-// simulation mid-run.
+// EventLog keeps the latest eventCap events in emission order. The zero
+// value is ready to use, and Emit on a nil *EventLog is a no-op, so
+// components hold the pointer unconditionally.
 type EventLog struct {
-	enc     *json.Encoder
-	ring    []Event
-	start   int
-	cap     int
-	dropped uint64
-	err     error
+	events []Event
 }
 
-// NewEventLog creates an event log. w may be nil for in-memory only.
-func NewEventLog(w io.Writer) *EventLog {
-	l := &EventLog{cap: defaultEventCap}
-	if w != nil {
-		l.enc = json.NewEncoder(w)
-	}
-	return l
-}
-
-// SetWriter attaches (or replaces) the JSONL stream. Events already in the
-// ring are not replayed.
-func (l *EventLog) SetWriter(w io.Writer) {
-	if w == nil {
-		l.enc = nil
-		return
-	}
-	l.enc = json.NewEncoder(w)
-}
-
-// SetCap resizes the in-memory ring bound (minimum 1). Existing events are
-// kept up to the new bound, oldest dropped first.
-func (l *EventLog) SetCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for len(l.ring) > n {
-		l.evictOldest()
-	}
-	l.cap = n
-}
-
-// Emit records one event; nil-safe.
+// Emit records one event, dropping the oldest at the cap; nil-safe.
 func (l *EventLog) Emit(e Event) {
 	if l == nil {
 		return
 	}
-	if l.enc != nil && l.err == nil {
-		if err := l.enc.Encode(e); err != nil {
-			l.err = err
-		}
+	if len(l.events) == eventCap {
+		l.events = l.events[1:]
 	}
-	if len(l.ring) >= l.cap {
-		l.evictOldest()
-	}
-	l.ring = append(l.ring, Event{})
-	idx := (l.start + len(l.ring) - 1) % len(l.ring)
-	l.ring[idx] = e
-}
-
-// evictOldest drops the oldest ring entry.
-func (l *EventLog) evictOldest() {
-	// Ring stored as a slice rotated by start; dropping the oldest advances
-	// start and shrinks by re-slicing after compaction. Simplest correct
-	// form: materialize in order, drop head.
-	evs := l.eventsInOrder()
-	l.ring = evs[1:]
-	l.start = 0
-	l.dropped++
-}
-
-func (l *EventLog) eventsInOrder() []Event {
-	if l.start == 0 {
-		return l.ring
-	}
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.start:]...)
-	out = append(out, l.ring[:l.start]...)
-	l.start = 0
-	l.ring = out
-	return out
+	l.events = append(l.events, e)
 }
 
 // Events returns the retained events, oldest first; nil-safe.
@@ -164,7 +94,7 @@ func (l *EventLog) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	return append([]Event(nil), l.eventsInOrder()...)
+	return append([]Event(nil), l.events...)
 }
 
 // Len is the number of retained events; nil-safe.
@@ -172,21 +102,5 @@ func (l *EventLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.ring)
-}
-
-// Dropped is the number of events evicted from the ring; nil-safe.
-func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
-}
-
-// Err reports the first JSONL encoding error, if any; nil-safe.
-func (l *EventLog) Err() error {
-	if l == nil {
-		return nil
-	}
-	return l.err
+	return len(l.events)
 }

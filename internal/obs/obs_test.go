@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -52,158 +52,6 @@ func TestGaugeAdd(t *testing.T) {
 	}
 }
 
-// TestQuantileTopBucket: samples in the top log bucket (≥ 2^63) must not
-// collapse the bucket's upper bound to a wrapped 0 — the quantile has to
-// interpolate upward within [2^63, MaxUint64], never below its own
-// bucket's lower bound.
-func TestQuantileTopBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(1 << 63)
-	h.Observe(math.MaxUint64)
-	s := h.Snapshot()
-	lo := math.Ldexp(1, 63)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		v := s.Quantile(q)
-		if v < lo || v > math.Ldexp(1, 64) {
-			t.Errorf("Quantile(%v) = %v, want within [2^63, 2^64)", q, v)
-		}
-	}
-	// Quantiles are monotone in q even inside the top bucket.
-	if s.Quantile(0.9) < s.Quantile(0.1) {
-		t.Errorf("top-bucket quantiles not monotone: q0.9 = %v < q0.1 = %v", s.Quantile(0.9), s.Quantile(0.1))
-	}
-	// A mixed stream still interpolates the top bucket sanely.
-	h.Observe(1)
-	h.Observe(2)
-	if v := h.Snapshot().Quantile(0.99); v < lo {
-		t.Errorf("p99 with top-bucket samples = %v, want ≥ 2^63", v)
-	}
-}
-
-// TestHistogramBucketBoundaries pins the log-bucket layout: bucket 0 holds
-// only zero, bucket k holds [2^(k-1), 2^k).
-func TestHistogramBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{2, 2}, {3, 2},
-		{4, 3}, {7, 3},
-		{8, 4}, {15, 4},
-		{1 << 10, 11}, {1<<11 - 1, 11},
-		{math.MaxUint64, 64},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	// Boundary values land in distinct adjacent buckets.
-	for k := 1; k < 64; k++ {
-		lo := uint64(1) << uint(k-1)
-		if bucketOf(lo) != k {
-			t.Errorf("bucketOf(2^%d) = %d, want %d", k-1, bucketOf(lo), k)
-		}
-		if bucketOf(lo-1) != k-1 && lo-1 != 0 {
-			// lo-1 has one fewer bit unless it's zero.
-			t.Errorf("bucketOf(2^%d - 1) = %d, want %d", k-1, bucketOf(lo-1), k-1)
-		}
-	}
-	// bucketBounds round-trips bucketOf: every sample's bucket bounds
-	// contain the sample.
-	for _, v := range []uint64{0, 1, 2, 3, 5, 100, 1 << 20, 1<<40 + 17} {
-		b := bucketOf(v)
-		lo, hi := bucketBounds(b)
-		if b == 0 {
-			if v != 0 {
-				t.Errorf("bucket 0 holds %d, want only 0", v)
-			}
-			continue
-		}
-		if float64(v) < lo || float64(v) >= hi {
-			t.Errorf("value %d in bucket %d outside bounds [%v, %v)", v, b, lo, hi)
-		}
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	for _, v := range []uint64{0, 1, 2, 4, 8, 16} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 6 || s.Sum != 31 || s.Min != 0 || s.Max != 16 {
-		t.Fatalf("snapshot = count %d sum %d min %d max %d", s.Count, s.Sum, s.Min, s.Max)
-	}
-	if got := s.Mean(); got != 31.0/6.0 {
-		t.Errorf("mean = %v, want %v", got, 31.0/6.0)
-	}
-	if q := s.Quantile(0); q != 0 {
-		t.Errorf("q0 = %v, want 0 (min)", q)
-	}
-	if q := s.Quantile(1); q != 16 {
-		t.Errorf("q1 = %v, want 16 (max)", q)
-	}
-	q50 := s.Quantile(0.5)
-	if q50 < 1 || q50 > 4 {
-		t.Errorf("p50 = %v, want within [1, 4]", q50)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	var h Histogram
-	if q := h.Snapshot().Quantile(0.5); !math.IsNaN(q) {
-		t.Fatalf("empty quantile = %v, want NaN", q)
-	}
-	if m := h.Snapshot().Mean(); m != 0 {
-		t.Fatalf("empty mean = %v, want 0", m)
-	}
-}
-
-// TestHistogramMergeProperty is the satellite-mandated property: merging
-// the snapshots of two streams equals the snapshot of the combined stream.
-func TestHistogramMergeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		var a, b, both Histogram
-		nA, nB := rng.Intn(200), rng.Intn(200)
-		for i := 0; i < nA; i++ {
-			v := uint64(rng.Int63n(1 << uint(1+rng.Intn(40))))
-			a.Observe(v)
-			both.Observe(v)
-		}
-		for i := 0; i < nB; i++ {
-			v := uint64(rng.Int63n(1 << uint(1+rng.Intn(40))))
-			b.Observe(v)
-			both.Observe(v)
-		}
-		merged := a.Snapshot().Merge(b.Snapshot())
-		want := both.Snapshot()
-		if merged != want {
-			t.Fatalf("trial %d (nA=%d nB=%d): merged snapshot %+v != combined-stream snapshot %+v",
-				trial, nA, nB, merged, want)
-		}
-	}
-}
-
-func TestHistogramMergeEmptySides(t *testing.T) {
-	var empty, full Histogram
-	full.Observe(3)
-	full.Observe(9)
-	want := full.Snapshot()
-	if got := empty.Snapshot().Merge(full.Snapshot()); got != want {
-		t.Errorf("empty.Merge(full) = %+v, want %+v", got, want)
-	}
-	if got := full.Snapshot().Merge(empty.Snapshot()); got != want {
-		t.Errorf("full.Merge(empty) = %+v, want %+v", got, want)
-	}
-	if got := empty.Snapshot().Merge(empty.Snapshot()); got.Count != 0 {
-		t.Errorf("empty.Merge(empty).Count = %d, want 0", got.Count)
-	}
-}
-
 func TestRegistryHandlesAndValues(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tlb.miss")
@@ -217,13 +65,14 @@ func TestRegistryHandlesAndValues(t *testing.T) {
 	if got := r.CounterValue("no.such"); got != 0 {
 		t.Fatalf("missing CounterValue = %d, want 0", got)
 	}
-	r.Gauge("vm.utilization").Set(0.9)
-	if got := r.GaugeValue("vm.utilization"); got != 0.9 {
-		t.Fatalf("GaugeValue = %v, want 0.9", got)
+	g := r.Gauge("vm.utilization")
+	g.Set(0.9)
+	if r.Gauge("vm.utilization") != g {
+		t.Fatal("second Gauge lookup returned a different handle")
 	}
-	r.Histogram("walk.latency").Observe(12)
+	r.Counter("walk.count")
 	names := r.Names()
-	want := []string{"tlb.miss", "vm.utilization", "walk.latency"}
+	want := []string{"tlb.miss", "vm.utilization", "walk.count"}
 	if len(names) != len(want) {
 		t.Fatalf("Names = %v, want %v", names, want)
 	}
@@ -249,20 +98,19 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("single segment", func() { r.Counter("tlb") })
 	r.Counter("tlb.miss")
 	mustPanic("kind conflict gauge", func() { r.Gauge("tlb.miss") })
-	mustPanic("kind conflict hist", func() { r.Histogram("tlb.miss") })
+	r.Gauge("vm.utilization")
+	mustPanic("kind conflict counter", func() { r.Counter("vm.utilization") })
 }
 
 func TestSnapshotMergeAndFlatten(t *testing.T) {
 	r1 := NewRegistry()
 	r1.Counter("tlb.miss").Add(10)
 	r1.Gauge("vm.utilization").Set(0.5)
-	r1.Histogram("walk.latency").Observe(4)
 
 	r2 := NewRegistry()
 	r2.Counter("tlb.miss").Add(5)
 	r2.Counter("tlb.flush").Add(1)
 	r2.Gauge("vm.utilization").Set(0.8)
-	r2.Histogram("walk.latency").Observe(16)
 
 	m := r1.Snapshot().Merge(r2.Snapshot())
 	if m.Counters["tlb.miss"] != 15 {
@@ -273,9 +121,6 @@ func TestSnapshotMergeAndFlatten(t *testing.T) {
 	}
 	if m.Gauges["vm.utilization"] != 0.8 {
 		t.Errorf("merged gauge = %v, want last-writer 0.8", m.Gauges["vm.utilization"])
-	}
-	if h := m.Histograms["walk.latency"]; h.Count != 2 || h.Sum != 20 {
-		t.Errorf("merged histogram = %+v, want count 2 sum 20", h)
 	}
 
 	flat := m.Flatten()
@@ -291,53 +136,39 @@ func TestSnapshotMergeAndFlatten(t *testing.T) {
 	if byName["tlb.miss"] != 15 {
 		t.Errorf("flattened tlb.miss = %v, want 15", byName["tlb.miss"])
 	}
-	if byName["walk.latency.count"] != 2 {
-		t.Errorf("flattened walk.latency.count = %v, want 2", byName["walk.latency.count"])
+	if byName["vm.utilization"] != 0.8 {
+		t.Errorf("flattened vm.utilization = %v, want 0.8", byName["vm.utilization"])
 	}
-	if byName["walk.latency.mean"] != 10 {
-		t.Errorf("flattened walk.latency.mean = %v, want 10", byName["walk.latency.mean"])
-	}
-	if _, ok := byName["walk.latency.p99"]; !ok {
-		t.Error("flattened snapshot missing walk.latency.p99")
+	if len(flat) != 3 {
+		t.Errorf("Flatten = %v, want 3 metrics", flat)
 	}
 }
 
-func TestEventLogRingAndJSONL(t *testing.T) {
-	var sb strings.Builder
-	l := NewEventLog(&sb)
-	l.SetCap(3)
-	for i := 0; i < 5; i++ {
+// TestEventLogRing: past the cap the log drops its oldest events and
+// keeps the rest in emission order.
+func TestEventLogRing(t *testing.T) {
+	var l EventLog
+	for i := 0; i < eventCap+2; i++ {
 		l.Emit(Event{Ref: uint64(i), Component: "vm", Kind: "horizon.advance", Severity: Info})
 	}
-	if l.Len() != 3 {
-		t.Fatalf("ring len = %d, want 3", l.Len())
-	}
-	if l.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", l.Dropped())
+	if l.Len() != eventCap {
+		t.Fatalf("len = %d, want %d", l.Len(), eventCap)
 	}
 	evs := l.Events()
-	if evs[0].Ref != 2 || evs[2].Ref != 4 {
-		t.Fatalf("retained refs = [%d..%d], want [2..4]", evs[0].Ref, evs[2].Ref)
-	}
-	// Every event reached the JSONL stream despite ring eviction.
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("JSONL lines = %d, want 5", len(lines))
-	}
-	if !strings.Contains(lines[0], `"kind":"horizon.advance"`) {
-		t.Errorf("JSONL line missing kind: %s", lines[0])
-	}
-	if err := l.Err(); err != nil {
-		t.Fatalf("unexpected stream error: %v", err)
+	for i, e := range evs {
+		if e.Ref != uint64(i+2) {
+			t.Fatalf("event %d has ref %d, want %d", i, e.Ref, i+2)
+		}
 	}
 }
 
 func TestEventNonFiniteFieldsRenderNull(t *testing.T) {
-	var sb strings.Builder
-	l := NewEventLog(&sb)
-	l.Emit(Event{Ref: 1, Component: "x", Kind: "a.b", Severity: Warn,
+	data, err := json.Marshal(Event{Ref: 1, Component: "x", Kind: "a.b", Severity: Warn,
 		Fields: map[string]float64{"bad": math.Inf(-1), "good": 2}})
-	line := sb.String()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := string(data)
 	if !strings.Contains(line, `"bad":null`) {
 		t.Errorf("non-finite field not rendered as null: %s", line)
 	}
@@ -349,13 +180,8 @@ func TestEventNonFiniteFieldsRenderNull(t *testing.T) {
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	l.Emit(Event{Kind: "a.b"}) // must not panic
-	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Err() != nil {
+	if l.Len() != 0 || l.Events() != nil {
 		t.Fatal("nil EventLog accessors should all be zero")
-	}
-	var o *Observer
-	o.Emit(Event{Kind: "a.b"}) // must not panic
-	if o.Registry() != nil {
-		t.Fatal("nil Observer.Registry should be nil")
 	}
 }
 

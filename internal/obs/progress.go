@@ -144,17 +144,3 @@ func StartCPUProfile(path string) (stop func(), err error) {
 		f.Close()
 	}, nil
 }
-
-// WriteHeapProfile writes a heap profile to the named file. Drivers wire
-// this to a -memprofile flag, invoked after the run completes.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: create heap profile: %w", err)
-	}
-	defer f.Close()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return fmt.Errorf("obs: write heap profile: %w", err)
-	}
-	return nil
-}

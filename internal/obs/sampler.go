@@ -4,8 +4,10 @@ import "math"
 
 // Sampler records windowed time series while the simulator runs: the
 // driver registers probes (closures over live simulator state), the
-// simulator calls Tick once per data reference, and every `every` ticks
-// the sampler evaluates all probes and appends one point per series.
+// simulator advances it by each run segment's reference count with Tick,
+// cutting its segments so that none crosses a window edge, and every
+// `every` references the sampler evaluates all probes and appends one
+// point per series.
 //
 // Three probe kinds cover the evaluation's needs:
 //
@@ -21,7 +23,7 @@ import "math"
 // observation", rendered as null in the JSON results — rather than a fake
 // zero.
 //
-// The per-tick cost is two integer increments and one compare; Tick
+// The per-tick cost is two integer additions and one compare; Tick
 // allocates nothing. Probe evaluation allocates only via slice append,
 // amortized over the run.
 type Sampler struct {
@@ -104,11 +106,17 @@ func (s *Sampler) add(p probe) {
 	s.series = append(s.series, nil)
 }
 
-// Tick advances the reference clock by one and samples at window
-// boundaries. This is the hot-path entry point.
-func (s *Sampler) Tick() {
-	s.refs++
-	s.since++
+// Left is the number of references before the current window's edge,
+// at least one.
+func (s *Sampler) Left() uint64 { return s.every - s.since }
+
+// Tick advances the reference clock by n references and samples when the
+// window's edge is reached. n must not exceed Left: a caller running
+// references in segments ends a segment at the edge, so every probe reads
+// the state of exactly the window's last reference.
+func (s *Sampler) Tick(n uint64) {
+	s.refs += n
+	s.since += n
 	if s.since >= s.every {
 		s.since = 0
 		s.sample()

@@ -19,7 +19,7 @@ func TestSamplerWindows(t *testing.T) {
 			hits++
 		}
 		occupancy = float64(i)
-		s.Tick()
+		s.Tick(1)
 	}
 	if s.Points() != 2 {
 		t.Fatalf("points = %d, want 2 completed windows", s.Points())
@@ -64,12 +64,46 @@ func TestSamplerWindows(t *testing.T) {
 	}
 }
 
+// TestSamplerTickChunks: advancing in chunks that end at or before each
+// window edge records the same series as advancing one reference at a
+// time, with Left counting down to the edge.
+func TestSamplerTickChunks(t *testing.T) {
+	run := func(chunk func(i uint64) uint64) []Series {
+		s := NewSampler(7)
+		var refs float64
+		s.Rate("x.rate", func() float64 { return refs * refs })
+		for i := uint64(0); i < 40; {
+			n := min(chunk(i), s.Left(), 40-i)
+			left := s.Left()
+			refs += float64(n)
+			s.Tick(n)
+			if n < left && s.Left() != left-n {
+				t.Fatalf("after Tick(%d) Left = %d, want %d", n, s.Left(), left-n)
+			}
+			i += n
+		}
+		s.Flush()
+		return s.Series()
+	}
+	want := run(func(uint64) uint64 { return 1 })
+	got := run(func(i uint64) uint64 { return i%5 + 1 })
+	if len(got[0].Values) != 6 || len(want[0].Values) != 6 {
+		t.Fatalf("points = %d and %d, want 6 (five full windows and a partial one)", len(got[0].Values), len(want[0].Values))
+	}
+	for i := range want[0].Values {
+		if got[0].Refs[i] != want[0].Refs[i] || got[0].Values[i] != want[0].Values[i] {
+			t.Fatalf("window %d: chunked (%d, %v), per-reference (%d, %v)",
+				i, got[0].Refs[i], got[0].Values[i], want[0].Refs[i], want[0].Values[i])
+		}
+	}
+}
+
 func TestSamplerRatioNaNOnIdleDenominator(t *testing.T) {
 	s := NewSampler(5)
 	var num, den float64
 	s.Ratio("cache.mpki", 1000, func() float64 { return num }, func() float64 { return den })
 	for i := 0; i < 5; i++ {
-		s.Tick()
+		s.Tick(1)
 	}
 	v := s.Series()[0].Values[0]
 	if !math.IsNaN(v) {
@@ -77,7 +111,7 @@ func TestSamplerRatioNaNOnIdleDenominator(t *testing.T) {
 	}
 	num, den = 3, 1000
 	for i := 0; i < 5; i++ {
-		s.Tick()
+		s.Tick(1)
 	}
 	v = s.Series()[0].Values[1]
 	if v != 3 { // 1000 × 3/1000
@@ -110,7 +144,7 @@ func TestSamplerBaselineCapturedAtRegistration(t *testing.T) {
 	s.Rate("x.y", func() float64 { return v })
 	v = 104
 	for i := 0; i < 4; i++ {
-		s.Tick()
+		s.Tick(1)
 	}
 	if got := s.Series()[0].Values[0]; got != 1 {
 		t.Fatalf("first-window rate = %v, want 1 (delta 4 over 4 refs)", got)
@@ -123,7 +157,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 	s.Gauge("a.b", func() float64 { return 0 })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Tick()
+		s.Tick(1)
 	}
 }
 
@@ -133,7 +167,7 @@ func BenchmarkSamplerDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if s != nil {
-			s.Tick()
+			s.Tick(1)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (f *File) Metric(name string) (float64, bool) {
 }
 
 // AddSnapshot flattens a metrics snapshot into the file under an optional
-// "prefix." namespace (histograms expand to .count/.mean/.p50/.p99/.max).
+// "prefix." namespace.
 func (f *File) AddSnapshot(prefix string, snap obs.Snapshot) {
 	for _, nv := range snap.Flatten() {
 		name := nv.Name
@@ -271,7 +271,7 @@ func (f *File) Format() string {
 		b.WriteString(st.String())
 	}
 	if len(f.Events) > 0 {
-		fmt.Fprintf(&b, "\nevents: %d recorded (JSONL in the file's events array)\n", len(f.Events))
+		fmt.Fprintf(&b, "\nevents: %d recorded (in the file's events array)\n", len(f.Events))
 	}
 	return b.String()
 }

@@ -89,23 +89,22 @@ func TestReadRejectsBadSchema(t *testing.T) {
 func TestAddSnapshotAndSampler(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("tlb.miss").Add(3)
-	r.Histogram("walk.latency").Observe(8)
+	r.Gauge("vm.utilization").Set(0.5)
 
 	f := New("t")
 	f.AddSnapshot("gups", r.Snapshot())
 	if v, ok := f.Metric("gups.tlb.miss"); !ok || v != 3 {
 		t.Fatalf("prefixed counter = %v %v", v, ok)
 	}
-	if _, ok := f.Metric("gups.walk.latency.p99"); !ok {
-		t.Fatal("histogram expansion missing under prefix")
+	if v, ok := f.Metric("gups.vm.utilization"); !ok || v != 0.5 {
+		t.Fatalf("prefixed gauge = %v %v", v, ok)
 	}
 
 	s := obs.NewSampler(2)
 	x := 0.0
 	s.Gauge("vm.utilization", func() float64 { return x })
 	x = 1
-	s.Tick()
-	s.Tick()
+	s.Tick(2)
 	f.AddSampler("gups", s.Series())
 	if len(f.Series) != 1 || f.Series[0].Name != "gups.vm.utilization" {
 		t.Fatalf("series = %+v", f.Series)
@@ -117,7 +116,7 @@ func TestAddSnapshotAndSampler(t *testing.T) {
 }
 
 func TestAddEventsScoping(t *testing.T) {
-	l := obs.NewEventLog(nil)
+	var l obs.EventLog
 	l.Emit(obs.Event{Ref: 1, Component: "vm", Kind: "a.b", Severity: obs.Info})
 	l.Emit(obs.Event{Ref: 2, Component: "vm", Kind: "a.b", Severity: obs.Info, Scope: "keep"})
 	f := New("t")

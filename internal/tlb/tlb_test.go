@@ -441,7 +441,7 @@ func TestRepeatCountsMRULookups(t *testing.T) {
 				toc := make(ToC, 4)
 				nb := make([]NeighbourPFN, 4)
 				for i := range toc {
-					toc[i], nb[i] = core.CPFN(rng.Intn(100)), NeighbourPFN{PFN: pfn.Sub(uint64(vpn)%4).Add(uint64(i)), OK: rng.Intn(2) == 0}
+					toc[i], nb[i] = core.CPFN(rng.Intn(100)), NeighbourPFN{PFN: pfn.Sub(uint64(vpn) % 4).Add(uint64(i)), OK: rng.Intn(2) == 0}
 					if rng.Intn(2) == 0 && i != int(vpn%4) {
 						toc[i] = core.CPFNInvalid
 					}
@@ -471,7 +471,9 @@ func TestRepeatCountsMRULookups(t *testing.T) {
 			for k := range 2 {
 				van[k].Range(func(key uint64, pfn core.PFN) { contents[k] = append(contents[k], fmt.Sprintf("v%#x:%d", key, pfn)) })
 				mos[k].Range(func(key uint64, toc ToC) { contents[k] = append(contents[k], fmt.Sprintf("m%#x:%v", key, toc)) })
-				col[k].tab.each(func(tag uint64, g int32) { contents[k] = append(contents[k], fmt.Sprintf("c%#x:%+v", tag, col[k].entries[g])) })
+				col[k].tab.each(func(tag uint64, g int32) {
+					contents[k] = append(contents[k], fmt.Sprintf("c%#x:%+v", tag, col[k].entries[g]))
+				})
 			}
 			if fmt.Sprint(contents[0]) != fmt.Sprint(contents[1]) {
 				t.Errorf("entries after Repeat differ from entries after lookups:\n got  %v\n want %v", contents[1], contents[0])

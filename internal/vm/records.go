@@ -212,7 +212,7 @@ func (as *AddressSpace) Window(vpn core.VPN, n int) Window {
 	if c == nil {
 		c = emptyChunk
 	}
-	w := Window{c: c, lo: int(uint64(vpn) & (ChunkPages - 1)) &^ (n - 1), n: n}
+	w := Window{c: c, lo: int(uint64(vpn)&(ChunkPages-1)) &^ (n - 1), n: n}
 	for b := w.lo / blockPages; b <= (w.lo+n-1)/blockPages; b++ {
 		w.newest = max(w.newest, c.newest[b])
 	}

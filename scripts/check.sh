@@ -9,6 +9,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Formatting gate: every Go file, lint fixtures included, is gofmt-clean.
+test -z "$(gofmt -l .)"
 go vet ./...
 # The per-package mosaiclint analyzers (ML000–ML005, ML013). Determinism
 # across worker counts, goroutine lifetimes and the allocation-free miss
@@ -37,6 +39,10 @@ go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
 go test -run='^$' -fuzz=FuzzTableIndex -fuzztime=3s ./internal/tlb
 # The cache hierarchy against a naive per-set LRU write-back model.
 go test -run='^$' -fuzz=FuzzCacheOracle -fuzztime=3s ./internal/cache
+# Figure 6 driver options: duplicate, invalid and tiny TLB lists, frame
+# counts that evict, sampling cadences and worker counts either finish or
+# return an error, never panic.
+go test -run='^$' -fuzz=FuzzFigure6Options -fuzztime=3s .
 # Nothing records the go-test benchmarks (bench/ is the repository
 # benchmark), so run each once to keep them compiling and passing.
 go test -run='^$' -bench=. -benchtime=1x ./...
@@ -45,14 +51,15 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # whole stream at once, sampler off and on, and the multiprogram
 # quantum-sliced replay — must produce a byte-identical results file
 # (counters, series, event ref-indices) to the default-size replay. The
-# memsim cases evict in the middle of segments, which the fig6 stream
-# never does, and fault pages into ToCs and CoLT groups already filled in
-# the same segment; both must match the one-reference-per-batch order. So
-# must the repeat fast path, which counts a reference to its predecessor's
-# page as a hit without a TLB lookup.
+# sampled replay evicts throughout and cuts segments at window and
+# invariant-audit edges that fall mid-batch. The memsim cases fault pages
+# into ToCs and CoLT groups already filled in the same segment; they too
+# must match the one-reference-per-batch order. So must the repeat fast
+# path, which counts a reference to its predecessor's page as a hit
+# without a TLB lookup.
 go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults|TestRepeatsExact' -count=1 . ./internal/memsim
-# Committed results gate: the six fast result tables must regenerate byte
-# for byte at their defaults.
+# Committed results gate: all eight result tables, fig6 and table4
+# included, must regenerate byte for byte at their defaults.
 scripts/regen.sh
 
 # Smoke-test the machine-readable results path: a tiny fig6 run must

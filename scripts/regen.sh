@@ -5,12 +5,8 @@
 # change moved a paper number (regenerate the file and say why in review)
 # or the output stopped being deterministic.
 #
-# Covers the six tables that regenerate in well under a minute. fig6.txt
-# (~67 s) and table4.txt (~35 s) take longer on a 2-vCPU x86-64 host and
-# are regenerated by hand, each from its command's defaults:
-#
-#	go run ./cmd/fig6 | cmp - results/fig6.txt
-#	go run ./cmd/table4 | cmp - results/table4.txt
+# Covers all eight committed tables. fig6.txt and table4.txt take most of
+# the time: about 50 s and 45 s on a 2-vCPU x86-64 host.
 #
 # Usage: scripts/regen.sh (no arguments).
 set -eu
@@ -20,7 +16,7 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-for cmd in table3 ablate multiprog frag table5 fig6; do
+for cmd in table3 ablate multiprog frag table5 fig6 table4; do
 	go build -o "$tmp/$cmd" "./cmd/$cmd"
 done
 
@@ -46,4 +42,6 @@ check multiprog.txt multiprog
 check frag.txt frag
 check table5.txt table5
 check bits.txt fig6 -bits
+check fig6.txt fig6
+check table4.txt table4
 exit "$status"
