@@ -58,15 +58,24 @@ func FuzzMemoryPlaceFree(f *testing.F) {
 			t.Helper()
 			var r invariant.Report
 			m.CheckInvariants(&r)
-			r.Checkf(m.Used() == len(oracle), "fuzz.used", "Used %d, oracle holds %d pages", m.Used(), len(oracle))
+			if !r.Check(m.Used() == len(oracle)) {
+				r.Failf("fuzz.used",
+					"Used %d, oracle holds %d pages", m.Used(), len(oracle))
+			}
 			for pg, h := range oracle {
 				owner, last, _, used := m.FrameInfo(h.pfn)
-				r.Checkf(used && owner == pg, "fuzz.stable-frame",
-					"page %+v placed in frame %d, which now holds %+v (used=%v)", pg, h.pfn, owner, used)
-				r.Checkf(last == h.lastAccess, "fuzz.last-access",
-					"page %+v last accessed at %d, frame says %d", pg, h.lastAccess, last)
-				r.Checkf(m.DecodeCPFN(pg.ASID, pg.VPN, h.cpfn) == h.pfn, "fuzz.cpfn-decode",
-					"page %+v CPFN %d decodes to %d, not its frame %d", pg, h.cpfn, m.DecodeCPFN(pg.ASID, pg.VPN, h.cpfn), h.pfn)
+				if !r.Check(used && owner == pg) {
+					r.Failf("fuzz.stable-frame",
+						"page %+v placed in frame %d, which now holds %+v (used=%v)", pg, h.pfn, owner, used)
+				}
+				if !r.Check(last == h.lastAccess) {
+					r.Failf("fuzz.last-access",
+						"page %+v last accessed at %d, frame says %d", pg, h.lastAccess, last)
+				}
+				if !r.Check(m.DecodeCPFN(pg.ASID, pg.VPN, h.cpfn) == h.pfn) {
+					r.Failf("fuzz.cpfn-decode",
+						"page %+v CPFN %d decodes to %d, not its frame %d", pg, h.cpfn, m.DecodeCPFN(pg.ASID, pg.VPN, h.cpfn), h.pfn)
+				}
 			}
 			if err := r.Err(); err != nil {
 				t.Fatal(err)

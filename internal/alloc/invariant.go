@@ -31,12 +31,16 @@ func (m *Memory) CheckInvariants(r *invariant.Report) {
 		for s := 0; s < bs; s++ {
 			idx := bkt*bs + s
 			bit := occ&(1<<uint(s)) != 0
-			r.Checkf(bit == m.frames[idx].used, "alloc.occupancy-bitmap",
-				"frame %d: bitmap says used=%v, frame record says used=%v", idx, bit, m.frames[idx].used)
+			if !r.Check(bit == m.frames[idx].used) {
+				r.Failf("alloc.occupancy-bitmap",
+					"frame %d: bitmap says used=%v, frame record says used=%v", idx, bit, m.frames[idx].used)
+			}
 		}
 	}
-	r.Checkf(pop == m.used, "alloc.used-count",
-		"used %d, bitmap population %d", m.used, pop)
+	if !r.Check(pop == m.used) {
+		r.Failf("alloc.used-count",
+			"used %d, bitmap population %d", m.used, pop)
+	}
 
 	seen := make(map[Owner]int, m.used)
 	for idx := range m.frames {
@@ -53,8 +57,10 @@ func (m *Memory) CheckInvariants(r *invariant.Report) {
 		bk := m.buckets(fr.owner.ASID, fr.owner.VPN)
 		bucket := uint64(idx / bs)
 		if idx%bs < f {
-			r.Checkf(bk[0] == bucket, "alloc.owner-location",
-				"page %+v in frontyard of bucket %d, hashes to %d", fr.owner, bucket, bk[0])
+			if !r.Check(bk[0] == bucket) {
+				r.Failf("alloc.owner-location",
+					"page %+v in frontyard of bucket %d, hashes to %d", fr.owner, bucket, bk[0])
+			}
 		} else {
 			ok := false
 			for j := 0; j < m.geom.Choices; j++ {
@@ -62,8 +68,10 @@ func (m *Memory) CheckInvariants(r *invariant.Report) {
 					ok = true
 				}
 			}
-			r.Checkf(ok, "alloc.owner-location",
-				"page %+v in backyard of bucket %d, not among its choices %v", fr.owner, bucket, bk[1:])
+			if !r.Check(ok) {
+				r.Failf("alloc.owner-location",
+					"page %+v in backyard of bucket %d, not among its choices %v", fr.owner, bucket, bk[1:])
+			}
 		}
 	}
 }
@@ -74,29 +82,35 @@ func (m *Memory) CheckInvariants(r *invariant.Report) {
 // frame on the free stack twice, counts adding up), and no (ASID, VPN) may
 // own two frames.
 func (u *Unconstrained) CheckInvariants(r *invariant.Report) {
-	onFree := make(map[int]bool, len(u.free))
+	onFree := make([]bool, len(u.frames))
 	for _, pfn := range u.free {
 		// Range-check before narrowing: int(pfn) is only meaningful once
 		// pfn is known to be a frames index.
-		if !r.Checkf(uint64(pfn) < uint64(len(u.frames)), "alloc.free-range",
-			"free list holds out-of-range frame %d", uint64(pfn)) {
+		if !r.Check(uint64(pfn) < uint64(len(u.frames))) {
+			r.Failf("alloc.free-range",
+				"free list holds out-of-range frame %d", uint64(pfn))
 			continue
 		}
 		idx := int(pfn)
-		if !r.Checkf(!onFree[idx], "alloc.free-duplicate",
-			"frame %d on the free list twice", idx) {
+		if !r.Check(!onFree[idx]) {
+			r.Failf("alloc.free-duplicate",
+				"frame %d on the free list twice", idx)
 			continue
 		}
 		onFree[idx] = true
-		r.Checkf(!u.frames[idx].used, "alloc.free-used",
-			"frame %d is on the free list but marked used", idx)
+		if !r.Check(!u.frames[idx].used) {
+			r.Failf("alloc.free-used",
+				"frame %d is on the free list but marked used", idx)
+		}
 	}
 	used := 0
-	seen := make(map[Owner]int)
+	seen := make(map[Owner]int, max(0, len(u.frames)-len(u.free)))
 	for idx := range u.frames {
 		if !u.frames[idx].used {
-			r.Checkf(onFree[idx], "alloc.leaked-frame",
-				"frame %d is neither used nor on the free list", idx)
+			if !r.Check(onFree[idx]) {
+				r.Failf("alloc.leaked-frame",
+					"frame %d is neither used nor on the free list", idx)
+			}
 			continue
 		}
 		used++
@@ -108,6 +122,8 @@ func (u *Unconstrained) CheckInvariants(r *invariant.Report) {
 		}
 		seen[owner] = idx
 	}
-	r.Checkf(used+len(u.free) == len(u.frames), "alloc.used-count",
-		"%d used + %d free != %d frames", used, len(u.free), len(u.frames))
+	if !r.Check(used+len(u.free) == len(u.frames)) {
+		r.Failf("alloc.used-count",
+			"%d used + %d free != %d frames", used, len(u.free), len(u.frames))
+	}
 }

@@ -21,12 +21,14 @@ func (a *Allocator) CheckInvariants(r *invariant.Report) {
 	coverage := make([]int, a.frames)
 	claim := func(base uint64, order int, kind string) {
 		size := uint64(1) << uint(order)
-		if !r.Checkf(base%size == 0, "buddy.alignment",
-			"%s block base %d not aligned to order %d", kind, base, order) {
+		if !r.Check(base%size == 0) {
+			r.Failf("buddy.alignment",
+				"%s block base %d not aligned to order %d", kind, base, order)
 			return
 		}
-		if !r.Checkf(base+size <= uint64(a.frames), "buddy.range",
-			"%s block [%d,%d) exceeds %d frames", kind, base, base+size, a.frames) {
+		if !r.Check(base+size <= uint64(a.frames)) {
+			r.Failf("buddy.range",
+				"%s block [%d,%d) exceeds %d frames", kind, base, base+size, a.frames)
 			return
 		}
 		for p := base; p < base+size; p++ {
@@ -41,17 +43,23 @@ func (a *Allocator) CheckInvariants(r *invariant.Report) {
 			claim(base, order, "free")
 			if order < MaxOrder {
 				buddy := base ^ 1<<uint(order)
-				r.Checkf(!blocks[buddy] || buddy < base, "buddy.uncoalesced",
-					"blocks %d and %d are buddies, both free at order %d", base, buddy, order)
+				if !r.Check(!blocks[buddy] || buddy < base) {
+					r.Failf("buddy.uncoalesced",
+						"blocks %d and %d are buddies, both free at order %d", base, buddy, order)
+				}
 			}
 		}
 	}
-	r.Checkf(freeTot == a.freeFrames, "buddy.free-count",
-		"freeFrames %d, free lists hold %d", a.freeFrames, freeTot)
+	if !r.Check(freeTot == a.freeFrames) {
+		r.Failf("buddy.free-count",
+			"freeFrames %d, free lists hold %d", a.freeFrames, freeTot)
+	}
 
 	for base, order := range a.blockOrder {
-		r.Checkf(order >= 0 && order <= MaxOrder, "buddy.order-range",
-			"allocated block %d has order %d", base, order)
+		if !r.Check(order >= 0 && order <= MaxOrder) {
+			r.Failf("buddy.order-range",
+				"allocated block %d has order %d", base, order)
+		}
 		claim(base, order, "allocated")
 	}
 

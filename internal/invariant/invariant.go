@@ -37,20 +37,23 @@ type Report struct {
 	checks     int
 }
 
-// Violatef records a violation of rule.
-func (r *Report) Violatef(rule, format string, args ...any) {
+// Check counts one check and reports whether cond holds. It takes no
+// message, so a passing check formats and allocates nothing: the caller
+// describes a failure with Failf, whose arguments are boxed only then.
+func (r *Report) Check(cond bool) bool {
 	r.checks++
+	return cond
+}
+
+// Failf records a violation of rule found by the last Check.
+func (r *Report) Failf(rule, format string, args ...any) {
 	r.violations = append(r.violations, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Checkf records a violation of rule unless cond holds, and reports cond.
-func (r *Report) Checkf(cond bool, rule, format string, args ...any) bool {
-	if !cond {
-		r.Violatef(rule, format, args...) // Violatef counts the check
-		return false
-	}
+// Violatef records a violation of rule as one failed check.
+func (r *Report) Violatef(rule, format string, args ...any) {
 	r.checks++
-	return true
+	r.Failf(rule, format, args...)
 }
 
 // Checks is the number of individual checks evaluated — telemetry for

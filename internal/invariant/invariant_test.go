@@ -10,15 +10,20 @@ func TestReport(t *testing.T) {
 	if !r.OK() || r.Err() != nil {
 		t.Fatal("fresh report should be clean")
 	}
-	if !r.Checkf(true, "a", "never recorded") {
-		t.Fatal("Checkf(true) must report true")
+	if !r.Check(true) {
+		t.Fatal("Check(true) must report true")
 	}
-	if r.Checkf(false, "rule.one", "bad value %d", 7) {
-		t.Fatal("Checkf(false) must report false")
+	if r.Check(false) {
+		t.Fatal("Check(false) must report false")
+	} else {
+		r.Failf("rule.one", "bad value %d", 7)
 	}
 	r.Violatef("rule.two", "second")
 	if r.OK() {
 		t.Fatal("report with violations claims OK")
+	}
+	if r.Checks() != 3 {
+		t.Fatalf("Checks = %d, want 3: each Check and each Violatef counts once", r.Checks())
 	}
 	vs := r.Violations()
 	if len(vs) != 2 || vs[0].Rule != "rule.one" || vs[1].Rule != "rule.two" {

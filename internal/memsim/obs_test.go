@@ -49,9 +49,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if sp == nil {
 		t.Fatal("Sampler() = nil with observer attached")
 	}
-	if sp.Refs() != refs {
-		t.Errorf("sampler refs = %d, want %d", sp.Refs(), refs)
-	}
 	series := make(map[string]obs.Series)
 	for _, sr := range sp.Series() {
 		series[sr.Name] = sr
@@ -62,8 +59,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("sampler missing series %q", name)
 			continue
 		}
-		if len(sr.Values) != refs/256 {
-			t.Errorf("%s: %d points, want %d", name, len(sr.Values), refs/256)
+		if n := len(sr.Values); n != refs/256 || sr.Refs[n-1] != refs {
+			t.Errorf("%s: windows end at %v, want %d windows ending at %d", name, sr.Refs, refs/256, refs)
 		}
 	}
 	// The second round re-touches the same 256 pages; mosaic-4's window

@@ -182,12 +182,15 @@ func (u *vanillaUnit) audit(s *Simulator, r *invariant.Report) {
 		asid := core.ASID(key >> asidTagShift)
 		vpn := core.VPN(key & vpnMask)
 		got, mapped := s.os.Translate(asid, vpn)
-		if !r.Checkf(mapped, "memsim.tlb-coherence",
-			"%s: valid entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn) {
+		if !r.Check(mapped) {
+			r.Failf("memsim.tlb-coherence",
+				"%s: valid entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn)
 			return
 		}
-		r.Checkf(got == pfn, "memsim.tlb-coherence",
-			"%s: entry for ASID %d VPN %#x holds PFN %d, the OS maps %d", label, asid, vpn, pfn, got)
+		if !r.Check(got == pfn) {
+			r.Failf("memsim.tlb-coherence",
+				"%s: entry for ASID %d VPN %#x holds PFN %d, the OS maps %d", label, asid, vpn, pfn, got)
+		}
 	})
 }
 
@@ -241,12 +244,15 @@ func (u *mosaicUnit) audit(s *Simulator, r *invariant.Report) {
 			asid := core.ASID(uint64(tagged) >> asidTagShift)
 			vpn := core.VPN(uint64(tagged) & vpnMask)
 			got, mapped := s.os.CPFNFor(asid, vpn)
-			if !r.Checkf(mapped, "memsim.tlb-coherence",
-				"%s: valid sub-entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn) {
+			if !r.Check(mapped) {
+				r.Failf("memsim.tlb-coherence",
+					"%s: valid sub-entry for ASID %d VPN %#x, which the OS does not map", label, asid, vpn)
 				continue
 			}
-			r.Checkf(got == c, "memsim.tlb-coherence",
-				"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, the OS maps %d", label, asid, vpn, c, got)
+			if !r.Check(got == c) {
+				r.Failf("memsim.tlb-coherence",
+					"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, the OS maps %d", label, asid, vpn, c, got)
+			}
 		}
 	})
 }

@@ -96,11 +96,3 @@ func (l *EventLog) Events() []Event {
 	}
 	return append([]Event(nil), l.events...)
 }
-
-// Len is the number of retained events; nil-safe.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.events)
-}

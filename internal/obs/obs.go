@@ -82,7 +82,6 @@ func (g *Gauge) Value() float64 { return g.v }
 // sweeps give every point its own simulator and registry, and only the
 // shared Progress line — which is goroutine-safe — crosses workers).
 type Registry struct {
-	names    []string
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 }
@@ -119,9 +118,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// register validates the name, checks cross-kind uniqueness, and records
-// registration order. It panics on conflicts — instrument registration is
-// construction, not steady state.
+// register validates the name and checks cross-kind uniqueness. It panics
+// on conflicts — instrument registration is construction, not steady
+// state.
 func (r *Registry) register(name, kind string) {
 	mustValidName(name)
 	_, c := r.counters[name]
@@ -129,11 +128,7 @@ func (r *Registry) register(name, kind string) {
 	if c || g {
 		panic(fmt.Sprintf("obs: %q already registered with a different kind than %s", name, kind))
 	}
-	r.names = append(r.names, name)
 }
-
-// Names returns all instrument names in registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
 // CounterValue returns the value of a registered counter, or zero if no
 // counter has that name — the test-friendly read path.

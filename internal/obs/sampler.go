@@ -62,12 +62,6 @@ func NewSampler(every uint64) *Sampler {
 	return &Sampler{every: every}
 }
 
-// Every is the sampling cadence in references.
-func (s *Sampler) Every() uint64 { return s.every }
-
-// Refs is the number of references ticked so far.
-func (s *Sampler) Refs() uint64 { return s.refs }
-
 // Gauge registers an instantaneous-value probe. The name must be a
 // lowercase dotted identifier, or Gauge panics.
 func (s *Sampler) Gauge(name string, fn func() float64) {
@@ -182,6 +176,3 @@ func (s *Sampler) Series() []Series {
 	}
 	return out
 }
-
-// Points is the number of completed sample windows.
-func (s *Sampler) Points() int { return len(s.marks) }

@@ -21,16 +21,17 @@ func TestSamplerWindows(t *testing.T) {
 		occupancy = float64(i)
 		s.Tick(1)
 	}
-	if s.Points() != 2 {
-		t.Fatalf("points = %d, want 2 completed windows", s.Points())
+	points := func() int { return len(s.Series()[0].Values) }
+	if points() != 2 {
+		t.Fatalf("points = %d, want 2 completed windows", points())
 	}
 	s.Flush()
-	if s.Points() != 3 {
-		t.Fatalf("points after flush = %d, want 3", s.Points())
+	if points() != 3 {
+		t.Fatalf("points after flush = %d, want 3", points())
 	}
 	s.Flush() // second flush of an empty window is a no-op
-	if s.Points() != 3 {
-		t.Fatalf("points after redundant flush = %d, want 3", s.Points())
+	if points() != 3 {
+		t.Fatalf("points after redundant flush = %d, want 3", points())
 	}
 
 	series := s.Series()

@@ -32,37 +32,45 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 	if s.umem != nil {
 		s.umem.CheckInvariants(r)
 	}
-	if s.hlru != nil {
-		r.Checkf(s.hlru.Horizon() <= s.clock, "vm.horizon-clock",
+	if s.hlru != nil && !r.Check(s.hlru.Horizon() <= s.clock) {
+		r.Failf("vm.horizon-clock",
 			"horizon %d exceeds access clock %d", s.hlru.Horizon(), s.clock)
 	}
 
-	resident := make(map[alloc.Owner]core.PFN)
+	resident := make(map[alloc.Owner]core.PFN, s.Used())
 	swapped := 0
 	checkPage := func(owner alloc.Owner, pg *page) {
 		switch pg.state {
 		case pageResident:
 			resident[owner] = pg.pfn
 			fOwner, _, _, used := s.frameInfo(pg.pfn)
-			if !r.Checkf(used, "vm.resident-frame",
-				"page %+v resident at frame %d, but the frame is free", owner, pg.pfn) {
+			if !r.Check(used) {
+				r.Failf("vm.resident-frame",
+					"page %+v resident at frame %d, but the frame is free", owner, pg.pfn)
 				return
 			}
-			r.Checkf(fOwner == owner, "vm.resident-owner",
-				"page %+v resident at frame %d, owned by %+v", owner, pg.pfn, fOwner)
+			if !r.Check(fOwner == owner) {
+				r.Failf("vm.resident-owner",
+					"page %+v resident at frame %d, owned by %+v", owner, pg.pfn, fOwner)
+			}
 			if s.mode == ModeMosaic {
-				if !r.Checkf(s.mem.Geometry().ValidCPFN(pg.cpfn), "vm.cpfn-valid",
-					"page %+v stores invalid CPFN %d", owner, pg.cpfn) {
+				if !r.Check(s.mem.Geometry().ValidCPFN(pg.cpfn)) {
+					r.Failf("vm.cpfn-valid",
+						"page %+v stores invalid CPFN %d", owner, pg.cpfn)
 					return
 				}
 				dec := s.mem.DecodeCPFN(owner.ASID, owner.VPN, pg.cpfn)
-				r.Checkf(dec == pg.pfn, "vm.cpfn-decode",
-					"page %+v CPFN %d decodes to frame %d, page records %d", owner, pg.cpfn, dec, pg.pfn)
+				if !r.Check(dec == pg.pfn) {
+					r.Failf("vm.cpfn-decode",
+						"page %+v CPFN %d decodes to frame %d, page records %d", owner, pg.cpfn, dec, pg.pfn)
+				}
 			}
 		case pageSwapped:
 			swapped++
-			r.Checkf(s.dev.Contains(owner), "vm.swap-slot",
-				"page %+v marked swapped, but the device has no slot for it", owner)
+			if !r.Check(s.dev.Contains(owner)) {
+				r.Failf("vm.swap-slot",
+					"page %+v marked swapped, but the device has no slot for it", owner)
+			}
 		}
 	}
 	for asid, as := range s.spaces {
@@ -70,11 +78,15 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 			owner := alloc.Owner{ASID: asid, VPN: vpn}
 			checkPage(owner, &page{state: c.state[i], pfn: c.pfn[i], cpfn: c.cpfn[i], stamp: c.stamp[i]})
 			if c.state[i] != pageResident {
-				r.Checkf(c.cpfn[i] == core.CPFNInvalid && c.stamp[i] == never, "vm.record-absent",
-					"page %+v is not resident, but its record holds CPFN %d stamped %d", owner, c.cpfn[i], c.stamp[i])
+				if !r.Check(c.cpfn[i] == core.CPFNInvalid && c.stamp[i] == never) {
+					r.Failf("vm.record-absent",
+						"page %+v is not resident, but its record holds CPFN %d stamped %d", owner, c.cpfn[i], c.stamp[i])
+				}
 			} else {
-				r.Checkf(c.stamp[i] <= s.clock, "vm.record-stamp",
-					"page %+v stamped %d, after the access clock %d", owner, c.stamp[i], s.clock)
+				if !r.Check(c.stamp[i] <= s.clock) {
+					r.Failf("vm.record-stamp",
+						"page %+v stamped %d, after the access clock %d", owner, c.stamp[i], s.clock)
+				}
 			}
 		})
 	}
@@ -84,8 +96,10 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 		}
 	}
 
-	r.Checkf(len(resident) == s.Used(), "vm.resident-count",
-		"%d resident pages, allocator reports %d frames used", len(resident), s.Used())
+	if !r.Check(len(resident) == s.Used()) {
+		r.Failf("vm.resident-count",
+			"%d resident pages, allocator reports %d frames used", len(resident), s.Used())
+	}
 	for idx := 0; idx < s.NumFrames(); idx++ {
 		pfn := core.PFN(idx)
 		owner, _, _, used := s.frameInfo(pfn)
@@ -96,12 +110,16 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 			r.Violatef("vm.leaked-frame",
 				"frame %d owned by %+v, but no resident page maps it", idx, owner)
 		} else {
-			r.Checkf(back == pfn, "vm.frame-backlink",
-				"frame %d owned by %+v, whose page records frame %d", idx, owner, back)
+			if !r.Check(back == pfn) {
+				r.Failf("vm.frame-backlink",
+					"frame %d owned by %+v, whose page records frame %d", idx, owner, back)
+			}
 		}
 	}
-	r.Checkf(swapped == s.dev.Resident(), "vm.swap-count",
-		"%d pages in swapped state, device holds %d", swapped, s.dev.Resident())
+	if !r.Check(swapped == s.dev.Resident()) {
+		r.Failf("vm.swap-count",
+			"%d pages in swapped state, device holds %d", swapped, s.dev.Resident())
+	}
 }
 
 // frameInfo dispatches FrameInfo to whichever allocator the mode uses.

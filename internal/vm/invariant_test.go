@@ -58,6 +58,33 @@ func TestCheckInvariantsClean(t *testing.T) {
 	}
 }
 
+// TestCleanAuditAllocatesPerAuditNotPerRecord pins that a passing check
+// formats nothing: a clean audit of thousands of page records allocates
+// only its own bookkeeping maps, not a boxed message per record.
+func TestCleanAuditAllocatesPerAuditNotPerRecord(t *testing.T) {
+	for _, mode := range []Mode{ModeMosaic, ModeVanilla} {
+		s, err := New(Config{Frames: 4096, Mode: mode, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for vpn := core.VPN(0); vpn < 5120; vpn++ {
+				s.Touch(1, vpn, vpn%7 == 0)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			var r invariant.Report
+			s.CheckInvariants(&r)
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if records := s.Used() + s.Device().Resident(); allocs > float64(records/64) {
+			t.Errorf("mode %v: a clean audit of %d records allocated %v times, want at most %d", mode, records, allocs, records/64)
+		}
+	}
+}
+
 // recordRef names one private page record.
 type recordRef struct {
 	vpn core.VPN

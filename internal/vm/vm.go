@@ -76,9 +76,16 @@ const (
 // (§2.5); user address spaces must not use it.
 const sharedASID core.ASID = 0xFFFFFFFF
 
+// maxFrames bounds Config.Frames: 2^24 frames of 4 KiB are 64 GiB, sixteen
+// times the paper's 4 GiB pool. The allocator, the LRU and the swap
+// bookkeeping are sized by the frame count when the System is built, so a
+// larger count would ask for gigabytes before simulating anything.
+const maxFrames = 1 << 24
+
 // Config parameterizes a System.
 type Config struct {
-	// Frames is the number of physical frames. Required.
+	// Frames is the number of physical frames: required, and at most
+	// 2^24.
 	Frames int
 	// Mode selects mosaic or vanilla behaviour.
 	Mode Mode
@@ -110,6 +117,9 @@ type Config struct {
 func (c *Config) applyDefaults() error {
 	if c.Frames <= 0 {
 		return fmt.Errorf("vm: config needs a positive frame count, got %d", c.Frames)
+	}
+	if c.Frames > maxFrames {
+		return fmt.Errorf("vm: %d frames exceeds the limit of %d", c.Frames, maxFrames)
 	}
 	if c.Geometry == (core.Geometry{}) {
 		c.Geometry = core.DefaultGeometry

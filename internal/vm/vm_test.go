@@ -29,6 +29,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Frames: 0}); err == nil {
 		t.Error("zero frames accepted")
 	}
+	// Rejected before anything is sized by the frame count.
+	for _, mode := range []Mode{ModeMosaic, ModeVanilla} {
+		if _, err := New(Config{Frames: maxFrames + 1, Mode: mode}); err == nil {
+			t.Errorf("%v: %d frames accepted", mode, maxFrames+1)
+		}
+	}
 	if _, err := New(Config{Frames: 1024, Mode: Mode(9)}); err == nil {
 		t.Error("bogus mode accepted")
 	}

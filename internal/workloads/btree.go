@@ -1,10 +1,8 @@
 package workloads
 
 import (
-	"fmt"
-	"math/rand"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"mosaic/internal/core"
 	"mosaic/internal/rng"
@@ -27,12 +25,23 @@ type BTreeConfig struct {
 // index. Nodes are page-sized (4 KiB), so every level of a descent touches
 // a different page — classic index behaviour with high virtual locality
 // inside a node and none between nodes.
+//
+// The tree is bulk-loaded from distinct sorted keys, and its nodes are
+// allocated in order from a page-aligned arena: the leaves left to right,
+// then each internal level, the root last. A level is therefore fully
+// described by its first node's address and its node count, and a lookup
+// takes every probe from its key's rank alone (see lookup), so the tree
+// keeps no node objects and no key values.
 type BTree struct {
-	cfg   BTreeConfig
-	arena *Arena
-	root  *bnode
-	keys  []uint64
-	depth int
+	cfg    BTreeConfig
+	arena  *Arena
+	levels []btLevel // leaves first, root last; nil until Run
+}
+
+// btLevel is one level of the tree: nodes consecutive pages from base.
+type btLevel struct {
+	base  uint64
+	nodes int
 }
 
 // B+ tree node layout in the simulated heap (4 KiB per node):
@@ -41,26 +50,20 @@ type BTree struct {
 //	offset 16:   keys[0..254)                     254 × 8 = 2032 bytes
 //	offset 2048: children[0..255) or values       255 × 8 = 2040 bytes
 //
-// 16 + 2032 + 2040 = 4088 ≤ 4096.
+// 16 + 2032 + 2040 = 4088 ≤ 4096. A leaf holds up to btMaxKeys keys with
+// their values; an internal node up to btFanout children, separated by
+// each child's smallest key but the first's.
 const (
 	btNodeSize    = core.PageSize
 	btMaxKeys     = 254
+	btFanout      = btMaxKeys + 1
 	btHeaderSize  = 16
 	btKeysOffset  = btHeaderSize
 	btChildOffset = btKeysOffset + btMaxKeys*8
+	// btMaxDepth bounds the height: 254·255^7 leaf slots exceed any int
+	// key count.
+	btMaxDepth = 8
 )
-
-type bnode struct {
-	va       uint64
-	keys     []uint64
-	children []*bnode // internal nodes
-	values   []uint64 // leaves
-	next     *bnode   // leaf chain
-	leaf     bool
-}
-
-func (n *bnode) keyAddr(i int) uint64   { return n.va + btKeysOffset + uint64(i)*8 }
-func (n *bnode) childAddr(i int) uint64 { return n.va + btChildOffset + uint64(i)*8 }
 
 // NewBTree builds the workload. The tree itself is bulk-loaded during Run
 // (emitting the build's reference stream), matching an index-build-then-
@@ -86,90 +89,114 @@ func NewBTree(cfg BTreeConfig) *BTree {
 func (t *BTree) Name() string { return "btree" }
 
 // FootprintBytes implements Workload. Before Run the value is an estimate;
-// after Run it is exact.
+// after Run it is exact: the nodes the build allocated before the budget
+// ran out.
 func (t *BTree) FootprintBytes() uint64 {
-	if t.root != nil {
+	if t.levels != nil {
 		return t.arena.Size()
 	}
 	leaves := (t.cfg.Keys + btMaxKeys - 1) / btMaxKeys
 	return uint64(leaves) * btNodeSize * 257 / 256
 }
 
-// Depth is the tree height after Run.
-func (t *BTree) Depth() int { return t.depth }
-
-// Run implements Workload: bulk-load the index, then perform random point
-// lookups.
+// Run implements Workload: bulk-load the index, then look up keys of
+// uniformly random rank. The keys are drawn as an index build would draw
+// them, which leaves rnd where the lookups start; the stream depends only
+// on how many there are.
 func (t *BTree) Run(b *trace.Batcher) {
 	rnd := rng.Derive(t.cfg.Seed, 0x6274726565) // "btree"
-	t.build(b, rnd)
-	hits := 0
-	for i := 0; i < t.cfg.Lookups; i++ {
-		if b.Done() {
-			return
-		}
-		key := t.keys[rnd.Intn(len(t.keys))]
-		if _, ok := t.Lookup(b, key); ok {
-			hits++
-		}
-	}
-	if hits != t.cfg.Lookups {
-		//lint:ignore nopanic lookups draw from t.keys, all of which were bulk-loaded into the tree
-		panic(fmt.Sprintf("btree: %d/%d lookups found their key", hits, t.cfg.Lookups))
+	drawKeys(t.cfg.Keys, rnd.Uint64)
+	t.build(b)
+	for i := 0; i < t.cfg.Lookups && !b.Done(); i++ {
+		t.lookup(b, rnd.Intn(t.cfg.Keys))
 	}
 }
 
-// build bulk-loads the tree from sorted random keys, writing every slot of
-// every node to the simulated heap.
-func (t *BTree) build(sink *trace.Batcher, rng *rand.Rand) {
-	keys := drawKeys(t.cfg.Keys, rng.Uint64)
-	t.keys = keys
-
-	newNode := func(leaf bool) *bnode {
-		return &bnode{va: t.arena.Alloc(btNodeSize, btNodeSize), leaf: leaf}
+// node allocates the next page-sized node and adds it to l.
+func (t *BTree) node(l *btLevel) uint64 {
+	va := t.arena.Alloc(btNodeSize, btNodeSize)
+	if l.nodes == 0 {
+		l.base = va
 	}
+	l.nodes++
+	return va
+}
 
-	// Leaf level.
-	var level []*bnode
-	var prev *bnode
-	for start := 0; start < len(keys) && !sink.Done(); start += btMaxKeys {
-		end := min(start+btMaxKeys, len(keys))
-		n := newNode(true)
-		for i, k := range keys[start:end] {
-			sink.Access(n.keyAddr(i), true)
-			n.keys = append(n.keys, k)
-			sink.Access(n.childAddr(i), true)
-			n.values = append(n.values, k^0xABCD)
+// build bulk-loads the tree, writing every slot of every node to the
+// simulated heap. The leaf level stops once the budget is spent; an
+// internal level, once started, is written whole.
+func (t *BTree) build(sink *trace.Batcher) {
+	n := t.cfg.Keys
+	var leaves btLevel
+	for start := 0; start < n && !sink.Done(); start += btMaxKeys {
+		va := t.node(&leaves)
+		for i := range uint64(min(btMaxKeys, n-start)) {
+			sink.Access(va+btKeysOffset+i*8, true)
+			sink.Access(va+btChildOffset+i*8, true)
 		}
-		if prev != nil {
-			prev.next = n
-		}
-		prev = n
-		level = append(level, n)
 	}
-	t.depth = 1
+	t.levels = []btLevel{leaves}
 
-	// Internal levels: each parent spans up to btMaxKeys+1 children, keyed
-	// by each child's smallest key (except the first).
-	for len(level) > 1 && !sink.Done() {
-		var up []*bnode
-		for start := 0; start < len(level); start += btMaxKeys + 1 {
-			end := min(start+btMaxKeys+1, len(level))
-			n := newNode(false)
-			for i, child := range level[start:end] {
-				if i > 0 {
-					sink.Access(n.keyAddr(i-1), true)
-					n.keys = append(n.keys, minKey(child))
-				}
-				sink.Access(n.childAddr(i), true)
-				n.children = append(n.children, child)
+	for below := leaves; below.nodes > 1 && !sink.Done(); {
+		var level btLevel
+		for first := 0; first < below.nodes; first += btFanout {
+			va := t.node(&level)
+			sink.Access(va+btChildOffset, true)
+			for i := uint64(1); i < uint64(min(btFanout, below.nodes-first)); i++ {
+				sink.Access(va+btKeysOffset+(i-1)*8, true)
+				sink.Access(va+btChildOffset+i*8, true)
 			}
-			up = append(up, n)
 		}
-		level = up
-		t.depth++
+		t.levels = append(t.levels, level)
+		below = level
 	}
-	t.root = level[0]
+}
+
+// lookup emits the probes of a point lookup of the key of rank r, which
+// the bulk load placed in leaf r/254 at slot r%254. The keys are distinct
+// and sorted, so no key value is needed to steer the binary searches: at
+// the leaf, keys[mid] <= key exactly when mid <= r%254, and at an
+// internal node, whose separators are its children's smallest keys,
+// sep[mid] <= key exactly when mid < c, c being the index of the child
+// on the key's path.
+func (t *BTree) lookup(sink *trace.Batcher, r int) {
+	leaf, slot := r/btMaxKeys, r%btMaxKeys
+	// child[h] is the child taken at level h: the path's level-(h-1) node
+	// index, modulo the fanout.
+	var child [btMaxDepth]int
+	for h, j := 1, leaf; h < len(t.levels); h++ {
+		child[h] = j % btFanout
+		j /= btFanout
+	}
+	j := 0 // the path's node index on the current level
+	for h := len(t.levels) - 1; h > 0; h-- {
+		c := child[h]
+		va := t.levels[h].base + uint64(j)*btNodeSize
+		children := min(btFanout, t.levels[h-1].nodes-j*btFanout)
+		search(sink, va, children-1, c)
+		sink.Access(va+btChildOffset+uint64(c)*8, false)
+		j = j*btFanout + c
+	}
+	va := t.levels[0].base + uint64(leaf)*btNodeSize
+	search(sink, va, min(btMaxKeys, t.cfg.Keys-leaf*btMaxKeys), slot+1)
+	sink.Access(va+btChildOffset+uint64(slot)*8, false)
+}
+
+// search emits the key reads of a binary search for the searched key's
+// upper bound among the first keys key slots of the node at va, given
+// that slot mid holds a key at most the searched one exactly when
+// mid < ub.
+func search(sink *trace.Batcher, va uint64, keys, ub int) {
+	lo, hi := 0, keys
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		sink.Access(va+btKeysOffset+uint64(mid)*8, false)
+		if mid < ub {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 }
 
 // drawKeys returns n distinct values from draw, sorted ascending. It takes
@@ -182,8 +209,7 @@ func drawKeys(n int, draw func() uint64) []uint64 {
 	for i := range keys {
 		keys[i] = draw()
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	keys = slices.Compact(sortKeys(keys))
 	if len(keys) == n {
 		return keys
 	}
@@ -197,83 +223,45 @@ func drawKeys(n int, draw func() uint64) []uint64 {
 			keys = append(keys, k)
 		}
 	}
-	slices.Sort(keys)
-	return keys
+	return sortKeys(keys)
 }
 
-func minKey(n *bnode) uint64 {
-	for !n.leaf {
-		n = n.children[0]
+// sortKeys returns keys sorted ascending. One counting pass over the top
+// bits spreads them, in order, over len(keys)/8 to len(keys)/4 buckets;
+// uniform random keys leave a handful in each, which an insertion sort
+// orders. A bucket that a skewed draw overfills is sorted with slices.Sort.
+func sortKeys(keys []uint64) []uint64 {
+	if len(keys) < 2 {
+		return keys
 	}
-	return n.keys[0]
-}
-
-// Lookup performs one point lookup — a binary-search probe sequence in
-// each node plus the child-pointer read — emitting every node slot it
-// reads. The caller flushes b.
-func (t *BTree) Lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
-	n := t.root
-	for {
-		// Binary search for the upper bound of key among n.keys.
-		lo, hi := 0, len(n.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			sink.Access(n.keyAddr(mid), false)
-			if n.keys[mid] <= key {
-				lo = mid + 1
-			} else {
-				hi = mid
+	shift := min(64, 67-bits.Len(uint(len(keys)))) // 2^(64-shift) buckets
+	ends := make([]int, 1<<(64-shift)+1)
+	for _, k := range keys {
+		ends[k>>shift+1]++
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	// ends[b] is where bucket b starts; it advances to the bucket's end.
+	out := make([]uint64, len(keys))
+	for _, k := range keys {
+		b := k >> shift
+		out[ends[b]] = k
+		ends[b]++
+	}
+	start := 0
+	for _, end := range ends[:len(ends)-1] {
+		bucket := out[start:end]
+		if len(bucket) > 32 {
+			slices.Sort(bucket)
+		} else {
+			for i := 1; i < len(bucket); i++ {
+				for j := i; j > 0 && bucket[j] < bucket[j-1]; j-- {
+					bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+				}
 			}
 		}
-		if n.leaf {
-			// lo is one past the matching position if present.
-			if lo > 0 && n.keys[lo-1] == key {
-				sink.Access(n.childAddr(lo-1), false)
-				return n.values[lo-1], true
-			}
-			return 0, false
-		}
-		sink.Access(n.childAddr(lo), false)
-		n = n.children[lo]
-	}
-}
-
-// RangeScan reads count consecutive keys starting at the smallest key ≥
-// from, following the leaf chain (used by the database example). The
-// caller flushes b.
-func (t *BTree) RangeScan(sink *trace.Batcher, from uint64, count int) []uint64 {
-	n := t.root
-	for !n.leaf {
-		lo, hi := 0, len(n.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			sink.Access(n.keyAddr(mid), false)
-			if n.keys[mid] <= from {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		sink.Access(n.childAddr(lo), false)
-		n = n.children[lo]
-	}
-	var out []uint64
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= from })
-	for n != nil && len(out) < count {
-		for ; i < len(n.keys) && len(out) < count; i++ {
-			sink.Access(n.keyAddr(i), false)
-			sink.Access(n.childAddr(i), false)
-			out = append(out, n.values[i])
-		}
-		n = n.next
-		i = 0
+		start = end
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

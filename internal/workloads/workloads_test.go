@@ -206,56 +206,6 @@ func TestGraph500TouchesManyPages(t *testing.T) {
 	}
 }
 
-func TestBTreeLookupsFindKeys(t *testing.T) {
-	bt := NewBTree(BTreeConfig{Keys: 10000, Lookups: 100, Seed: 3})
-	runAll(bt, discard) // panics internally if any lookup misses
-	if bt.Depth() < 2 {
-		t.Errorf("depth = %d, want a multi-level tree", bt.Depth())
-	}
-	// A lookup of an absent key must miss.
-	if _, ok := bt.Lookup(trace.NewBatcher(discard, 0), 0xDEADBEEF00000001); ok {
-		// Astronomically unlikely to be a real key with seed 3.
-		t.Error("lookup of absent key succeeded")
-	}
-}
-
-func TestBTreeRangeScan(t *testing.T) {
-	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	runAll(bt, discard)
-	b := trace.NewBatcher(discard, 0)
-	got := bt.RangeScan(b, 0, 1000)
-	if len(got) != 1000 {
-		t.Fatalf("RangeScan returned %d values", len(got))
-	}
-	// Values correspond to sorted keys.
-	for i, v := range got {
-		if v != bt.keys[i]^0xABCD {
-			t.Fatalf("value %d = %#x, want %#x", i, v, bt.keys[i]^0xABCD)
-		}
-	}
-	// Scan from the middle.
-	mid := bt.keys[2500]
-	got = bt.RangeScan(b, mid, 10)
-	if len(got) != 10 || got[0] != mid^0xABCD {
-		t.Fatalf("mid scan = %v", got[:min(len(got), 3)])
-	}
-}
-
-func TestBTreeNodesPageAligned(t *testing.T) {
-	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	runAll(bt, discard)
-	var walk func(n *bnode)
-	walk = func(n *bnode) {
-		if n.va%core.PageSize != 0 {
-			t.Fatalf("node at unaligned VA %#x", n.va)
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(bt.root)
-}
-
 // seenSetKeys is the reference key preparation drawKeys replaces: keep
 // drawing until n distinct values are in hand, then sort.
 func seenSetKeys(n int, draw func() uint64) []uint64 {
@@ -380,6 +330,25 @@ func BenchmarkBTreeLookup(b *testing.B) {
 	sink := trace.NewBatcher(discard, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bt.Lookup(sink, bt.keys[i%len(bt.keys)])
+		bt.lookup(sink, i%bt.cfg.Keys)
+	}
+}
+
+func TestSortKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 100, 5000} {
+		for _, spread := range []uint64{0, 64, 1 << 40} { // 0 = full 64-bit keys
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = r.Uint64()
+				if spread != 0 {
+					keys[i] %= spread
+				}
+			}
+			want := slices.Sorted(slices.Values(keys))
+			if got := sortKeys(keys); !slices.Equal(got, want) {
+				t.Fatalf("n=%d spread=%d: sortKeys = %v, want %v", n, spread, got[:min(n, 8)], want[:min(n, 8)])
+			}
+		}
 	}
 }

@@ -39,10 +39,18 @@ go test -run='^$' -fuzz=FuzzTLBOracle -fuzztime=3s ./internal/tlb
 go test -run='^$' -fuzz=FuzzTableIndex -fuzztime=3s ./internal/tlb
 # The cache hierarchy against a naive per-set LRU write-back model.
 go test -run='^$' -fuzz=FuzzCacheOracle -fuzztime=3s ./internal/cache
+# The rank-addressed B+ tree against the pointer-tree reference model: the
+# same reference stream and footprint at any key count, lookup count and
+# budget.
+go test -run='^$' -fuzz=FuzzBTreeStream -fuzztime=3s ./internal/workloads
 # Figure 6 driver options: duplicate, invalid and tiny TLB lists, frame
 # counts that evict, sampling cadences and worker counts either finish or
 # return an error, never panic.
 go test -run='^$' -fuzz=FuzzFigure6Options -fuzztime=3s .
+# Table4Options: unknown workloads, tiny and negative pools, bad
+# footprint fractions, run and worker counts either finish or return an
+# error, never panic.
+go test -run='^$' -fuzz=FuzzTable4Options -fuzztime=3s .
 # Nothing records the go-test benchmarks (bench/ is the repository
 # benchmark), so run each once to keep them compiling and passing.
 go test -run='^$' -bench=. -benchtime=1x ./...
