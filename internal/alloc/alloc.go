@@ -68,6 +68,10 @@ type Candidate struct {
 	LastAccess uint64
 }
 
+// MaxBucketSize is the most frames a bucket can hold: a bucket's occupancy
+// is one 64-bit word.
+const MaxBucketSize = 64
+
 // Memory is a mosaic (iceberg-constrained) physical memory. It is not safe
 // for concurrent use.
 type Memory struct {
@@ -90,8 +94,8 @@ func NewMemory(numFrames int, geom core.Geometry, hash core.PlacementHash) *Memo
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
-	if geom.BucketSize() > 64 {
-		panic(fmt.Sprintf("alloc: bucket size %d exceeds the 64-frame occupancy word", geom.BucketSize()))
+	if geom.BucketSize() > MaxBucketSize {
+		panic(fmt.Sprintf("alloc: bucket size %d exceeds the %d-frame occupancy word", geom.BucketSize(), MaxBucketSize))
 	}
 	if hash == nil {
 		panic("alloc: nil placement hash")

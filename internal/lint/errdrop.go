@@ -6,8 +6,8 @@ import (
 )
 
 // ErrDrop flags call statements that silently discard an error returned by
-// the allocation or swap APIs — the layers whose errors encode placement
-// conflicts and capacity exhaustion, exactly the conditions the simulator
+// the allocation API — the layer whose errors encode placement conflicts
+// and capacity exhaustion, exactly the conditions the simulator
 // exists to measure. A dropped alloc.ErrConflict
 // turns a measurable eviction into silent corruption.
 //
@@ -16,15 +16,12 @@ import (
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	ID:   "ML004",
-	Doc:  "error returns from the alloc and swap APIs must not be silently discarded",
+	Doc:  "error returns from the alloc API must not be silently discarded",
 	Run:  runErrDrop,
 }
 
-// errDropPkgs are the API layers whose errors must be handled.
-var errDropPkgs = map[string]bool{
-	"mosaic/internal/alloc": true,
-	"mosaic/internal/swap":  true,
-}
+// errDropPkg is the API layer whose errors must be handled.
+const errDropPkg = "mosaic/internal/alloc"
 
 var errorType = types.Universe.Lookup("error").Type()
 
@@ -53,7 +50,7 @@ func runErrDrop(p *Pass) []Diagnostic {
 				return true
 			}
 			fn, ok := callee(p.Info, call).(*types.Func)
-			if !ok || fn.Pkg() == nil || !errDropPkgs[fn.Pkg().Path()] {
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != errDropPkg {
 				return true
 			}
 			sig, ok := fn.Type().(*types.Signature)

@@ -18,7 +18,9 @@
 //     patterns) that §4.3 credits for some of mosaic's wins.
 //
 // A Device counts swap I/Os the way sysstat does: one page-out per page
-// written to swap, one page-in per page read back.
+// written to swap, one page-in per page read back. It keeps only those
+// counts: which pages are swapped out is recorded in the OS layer's page
+// records, not here.
 package swap
 
 import (
@@ -29,79 +31,32 @@ import (
 	"mosaic/internal/obs"
 )
 
-// Device models a swap device (the paper uses a 4 GiB ramdisk). It tracks
-// which pages are currently swapped out and counts I/O operations.
+// Device models a swap device (the paper uses a 4 GiB ramdisk) by
+// counting its I/O operations.
 type Device struct {
-	swapped  map[alloc.Owner]bool
-	pageOuts uint64
-	pageIns  uint64
-
-	cOut *obs.Counter
-	cIn  *obs.Counter
+	out, in *obs.Counter
 }
 
-// NewDevice creates an empty swap device.
-func NewDevice() *Device {
-	return &Device{swapped: make(map[alloc.Owner]bool)}
+// NewDevice creates a device that counts its I/Os in r's swap.out and
+// swap.in counters.
+func NewDevice(r *obs.Registry) *Device {
+	return &Device{out: r.Counter("swap.out"), in: r.Counter("swap.in")}
 }
 
-// Instrument mirrors the device's I/O counts into a metrics registry as
-// swap.out and swap.in. Without it, the plain accessors still work.
-func (d *Device) Instrument(r *obs.Registry) {
-	d.cOut = r.Counter("swap.out")
-	d.cIn = r.Counter("swap.in")
-}
+// PageOut records a page being written to swap.
+func (d *Device) PageOut() { d.out.Inc() }
 
-// PageOut records page being written to swap.
-func (d *Device) PageOut(page alloc.Owner) {
-	d.swapped[page] = true
-	d.pageOuts++
-	if d.cOut != nil {
-		d.cOut.Inc()
-	}
-}
-
-// PageIn records page being read back from swap. It reports whether the
-// page was actually swapped out (a demand-zero fault is not a page-in).
-func (d *Device) PageIn(page alloc.Owner) bool {
-	if !d.swapped[page] {
-		return false
-	}
-	delete(d.swapped, page)
-	d.pageIns++
-	if d.cIn != nil {
-		d.cIn.Inc()
-	}
-	return true
-}
-
-// Contains reports whether page is currently swapped out.
-func (d *Device) Contains(page alloc.Owner) bool { return d.swapped[page] }
-
-// Drop removes page from the device without an I/O (e.g. the mapping was
-// destroyed while swapped out).
-func (d *Device) Drop(page alloc.Owner) { delete(d.swapped, page) }
-
-// Clone logically duplicates a swap slot for a new owner without I/O (fork
-// inheriting a swapped-out page). It panics if from is not on the device.
-func (d *Device) Clone(from, to alloc.Owner) {
-	if !d.swapped[from] {
-		panic(fmt.Sprintf("swap: Clone of absent slot %+v", from))
-	}
-	d.swapped[to] = true
-}
+// PageIn records a page being read back from swap.
+func (d *Device) PageIn() { d.in.Inc() }
 
 // PageOuts is the cumulative number of pages written to swap.
-func (d *Device) PageOuts() uint64 { return d.pageOuts }
+func (d *Device) PageOuts() uint64 { return d.out.Value() }
 
 // PageIns is the cumulative number of pages read from swap.
-func (d *Device) PageIns() uint64 { return d.pageIns }
+func (d *Device) PageIns() uint64 { return d.in.Value() }
 
 // TotalIO is PageOuts + PageIns — the quantity Table 4 reports.
-func (d *Device) TotalIO() uint64 { return d.pageOuts + d.pageIns }
-
-// Resident is the number of pages currently swapped out.
-func (d *Device) Resident() int { return len(d.swapped) }
+func (d *Device) TotalIO() uint64 { return d.PageOuts() + d.PageIns() }
 
 // HorizonLRU is mosaic's eviction policy. The heavy lifting — ghost
 // detection and reclamation — happens inside the allocator using the

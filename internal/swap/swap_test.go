@@ -6,40 +6,23 @@ import (
 
 	"mosaic/internal/alloc"
 	"mosaic/internal/core"
+	"mosaic/internal/obs"
 )
 
 func TestDevice(t *testing.T) {
-	d := NewDevice()
-	a := alloc.Owner{ASID: 1, VPN: 10}
-	b := alloc.Owner{ASID: 1, VPN: 20}
-
-	if d.PageIn(a) {
-		t.Error("PageIn of never-swapped page returned true")
+	r := obs.NewRegistry()
+	d := NewDevice(r)
+	if d.TotalIO() != 0 {
+		t.Errorf("fresh device TotalIO = %d", d.TotalIO())
 	}
-	if d.PageIns() != 0 {
-		t.Error("spurious page-in counted")
+	d.PageOut()
+	d.PageOut()
+	d.PageIn()
+	if d.PageOuts() != 2 || d.PageIns() != 1 || d.TotalIO() != 3 {
+		t.Errorf("outs=%d ins=%d total=%d, want 2, 1, 3", d.PageOuts(), d.PageIns(), d.TotalIO())
 	}
-
-	d.PageOut(a)
-	d.PageOut(b)
-	if d.PageOuts() != 2 || d.Resident() != 2 {
-		t.Errorf("outs=%d resident=%d", d.PageOuts(), d.Resident())
-	}
-	if !d.Contains(a) {
-		t.Error("Contains(a) = false")
-	}
-	if !d.PageIn(a) {
-		t.Error("PageIn of swapped page returned false")
-	}
-	if d.Contains(a) {
-		t.Error("page still on device after page-in")
-	}
-	if d.TotalIO() != 3 {
-		t.Errorf("TotalIO = %d, want 3", d.TotalIO())
-	}
-	d.Drop(b)
-	if d.Contains(b) || d.TotalIO() != 3 {
-		t.Error("Drop should remove without I/O")
+	if out, in := r.CounterValue("swap.out"), r.CounterValue("swap.in"); out != 2 || in != 1 {
+		t.Errorf("registry swap.out=%d swap.in=%d, want 2 and 1", out, in)
 	}
 }
 
@@ -224,32 +207,4 @@ func BenchmarkTwoListVictim(b *testing.B) {
 		p.OnRemove(v)
 		p.OnFault(v)
 	}
-}
-
-func TestDeviceClone(t *testing.T) {
-	d := NewDevice()
-	parent := alloc.Owner{ASID: 1, VPN: 7}
-	child := alloc.Owner{ASID: 2, VPN: 7}
-	d.PageOut(parent)
-	io := d.TotalIO()
-	d.Clone(parent, child)
-	if d.TotalIO() != io {
-		t.Error("Clone counted I/O")
-	}
-	if !d.Contains(parent) || !d.Contains(child) {
-		t.Error("Clone lost a slot")
-	}
-	// Each slot pages in independently.
-	if !d.PageIn(child) {
-		t.Error("child slot missing")
-	}
-	if !d.Contains(parent) {
-		t.Error("parent slot vanished with child's page-in")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Clone of absent slot should panic")
-		}
-	}()
-	d.Clone(alloc.Owner{ASID: 9, VPN: 9}, child)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"mosaic/internal/alloc"
 	"mosaic/internal/core"
 )
 
@@ -24,8 +23,9 @@ type ForkStats struct {
 	// CopiedPages is the number of resident pages physically copied into
 	// child-constrained frames.
 	CopiedPages int
-	// ClonedSwapSlots is the number of swapped-out pages whose swap slots
-	// were duplicated for the child (no I/O: the device copy is logical).
+	// ClonedSwapSlots is the number of swapped-out pages the child
+	// inherited as swapped records of its own (no I/O: the device only
+	// counts transfers, and a page's swap state lives in its record).
 	ClonedSwapSlots int
 	// SharedMappings is the number of location-ID region mappings the
 	// child inherited by reference (no copying needed — the §2.5 design).
@@ -34,9 +34,10 @@ type ForkStats struct {
 
 // ForkCopy clones parent's address space into child (which must be empty):
 // resident private pages are eagerly copied into frames drawn from the
-// child's own candidate sets, swapped pages get cloned swap slots, and
-// shared-region mappings are inherited by reference. The copies may evict
-// other pages under memory pressure, exactly like any other allocation.
+// child's own candidate sets, swapped pages get swapped records of the
+// child's own, and shared-region mappings are inherited by reference. The
+// copies may evict other pages under memory pressure, exactly like any
+// other allocation.
 func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 	if parent == child {
 		return ForkStats{}, fmt.Errorf("vm: fork onto the same ASID %d", parent)
@@ -70,7 +71,7 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 		s.notifyMap(child, vpn)
 	}
 
-	// Private pages: eager copy or swap-slot clone, in VPN order so fork
+	// Private pages: eager copy or swapped record, in VPN order so fork
 	// results are deterministic even when the copies trigger evictions.
 	// Each parent record's state is read when its turn comes: an earlier
 	// copy may have evicted it.
@@ -84,10 +85,6 @@ func (s *System) ForkCopy(parent, child core.ASID) (ForkStats, error) {
 			st.CopiedPages++
 			s.notifyMap(child, vpn)
 		case pageSwapped:
-			s.dev.Clone(
-				alloc.Owner{ASID: parent, VPN: vpn},
-				alloc.Owner{ASID: child, VPN: vpn},
-			)
 			c.setAbsent(j, pageSwapped)
 			st.ClonedSwapSlots++
 		}

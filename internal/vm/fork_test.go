@@ -53,11 +53,12 @@ func TestForkCopySwappedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.ClonedSwapSlots == 0 {
-		t.Fatal("no swap slots cloned despite swapped parent pages")
+		t.Fatal("no swapped records cloned despite swapped parent pages")
 	}
-	// Cloning a slot is not I/O — but the resident-page copies may well
-	// have evicted pages (real I/O). Just assert clones exceed the delta
-	// in outs by construction: every cloned slot produced zero page-ins.
+	// Cloning a swapped record is not I/O — but the resident-page copies
+	// may well have evicted pages (real I/O). Just assert clones exceed
+	// the delta in outs by construction: every cloned record produced
+	// zero page-ins.
 	if s.Device().PageIns() != 0 {
 		t.Fatal("fork performed page-ins")
 	}
@@ -74,7 +75,7 @@ func TestForkCopySwappedPages(t *testing.T) {
 		t.Skip("all child pages resident under this placement")
 	}
 	if got := s.Touch(2, swapped, false); got != MajorFault {
-		t.Fatalf("child touch of cloned slot = %v", got)
+		t.Fatalf("child touch of cloned swapped record = %v", got)
 	}
 }
 

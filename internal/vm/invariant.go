@@ -9,17 +9,17 @@ import (
 // CheckInvariants performs a deep consistency check of the whole VM state,
 // recording any violation on r. It first delegates to the allocator's own
 // checker (bitmap/free-list integrity, owner hashing), then verifies the
-// OS-level coherence the allocator cannot see:
+// OS-level coherence the allocator cannot see, over every page record,
+// private and shared alike:
 //
 //   - every resident page's frame is owned by exactly that (ASID, VPN) —
 //     and, in mosaic mode, its stored CPFN decodes back to its PFN and the
 //     allocator really knows the owner;
 //   - every occupied frame belongs to some resident page (no leaked
 //     frames), so resident-page count equals allocator Used();
-//   - every swapped-out page has a swap-device slot and vice versa;
-//   - every private record that is not resident holds CPFNInvalid and
-//     the never stamp, so record windows read it as absent, and no
-//     resident record is stamped after the access clock;
+//   - every record that is not resident holds CPFNInvalid and the never
+//     stamp, so record windows read it as absent, and no resident record
+//     is stamped after the access clock;
 //   - the Horizon LRU's ghost threshold never exceeds the access clock
 //     (a page cannot have been evicted at a time later than "now").
 //
@@ -38,61 +38,52 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 	}
 
 	resident := make(map[alloc.Owner]core.PFN, s.Used())
-	swapped := 0
-	checkPage := func(owner alloc.Owner, pg *page) {
-		switch pg.state {
-		case pageResident:
-			resident[owner] = pg.pfn
-			fOwner, _, _, used := s.frameInfo(pg.pfn)
-			if !r.Check(used) {
-				r.Failf("vm.resident-frame",
-					"page %+v resident at frame %d, but the frame is free", owner, pg.pfn)
+	checkRecord := func(owner alloc.Owner, c *chunk, i int) {
+		if c.state[i] != pageResident {
+			if !r.Check(c.cpfn[i] == core.CPFNInvalid && c.stamp[i] == never) {
+				r.Failf("vm.record-absent",
+					"page %+v is not resident, but its record holds CPFN %d stamped %d", owner, c.cpfn[i], c.stamp[i])
+			}
+			return
+		}
+		pfn, cpfn := c.pfn[i], c.cpfn[i]
+		resident[owner] = pfn
+		if !r.Check(c.stamp[i] <= s.clock) {
+			r.Failf("vm.record-stamp",
+				"page %+v stamped %d, after the access clock %d", owner, c.stamp[i], s.clock)
+		}
+		fOwner, _, _, used := s.frameInfo(pfn)
+		if !r.Check(used) {
+			r.Failf("vm.resident-frame",
+				"page %+v resident at frame %d, but the frame is free", owner, pfn)
+			return
+		}
+		if !r.Check(fOwner == owner) {
+			r.Failf("vm.resident-owner",
+				"page %+v resident at frame %d, owned by %+v", owner, pfn, fOwner)
+		}
+		if s.mode == ModeMosaic {
+			if !r.Check(s.mem.Geometry().ValidCPFN(cpfn)) {
+				r.Failf("vm.cpfn-valid",
+					"page %+v stores invalid CPFN %d", owner, cpfn)
 				return
 			}
-			if !r.Check(fOwner == owner) {
-				r.Failf("vm.resident-owner",
-					"page %+v resident at frame %d, owned by %+v", owner, pg.pfn, fOwner)
-			}
-			if s.mode == ModeMosaic {
-				if !r.Check(s.mem.Geometry().ValidCPFN(pg.cpfn)) {
-					r.Failf("vm.cpfn-valid",
-						"page %+v stores invalid CPFN %d", owner, pg.cpfn)
-					return
-				}
-				dec := s.mem.DecodeCPFN(owner.ASID, owner.VPN, pg.cpfn)
-				if !r.Check(dec == pg.pfn) {
-					r.Failf("vm.cpfn-decode",
-						"page %+v CPFN %d decodes to frame %d, page records %d", owner, pg.cpfn, dec, pg.pfn)
-				}
-			}
-		case pageSwapped:
-			swapped++
-			if !r.Check(s.dev.Contains(owner)) {
-				r.Failf("vm.swap-slot",
-					"page %+v marked swapped, but the device has no slot for it", owner)
+			dec := s.mem.DecodeCPFN(owner.ASID, owner.VPN, cpfn)
+			if !r.Check(dec == pfn) {
+				r.Failf("vm.cpfn-decode",
+					"page %+v CPFN %d decodes to frame %d, page records %d", owner, cpfn, dec, pfn)
 			}
 		}
 	}
 	for asid, as := range s.spaces {
 		as.each(func(vpn core.VPN, c *chunk, i int) {
-			owner := alloc.Owner{ASID: asid, VPN: vpn}
-			checkPage(owner, &page{state: c.state[i], pfn: c.pfn[i], cpfn: c.cpfn[i], stamp: c.stamp[i]})
-			if c.state[i] != pageResident {
-				if !r.Check(c.cpfn[i] == core.CPFNInvalid && c.stamp[i] == never) {
-					r.Failf("vm.record-absent",
-						"page %+v is not resident, but its record holds CPFN %d stamped %d", owner, c.cpfn[i], c.stamp[i])
-				}
-			} else {
-				if !r.Check(c.stamp[i] <= s.clock) {
-					r.Failf("vm.record-stamp",
-						"page %+v stamped %d, after the access clock %d", owner, c.stamp[i], s.clock)
-				}
-			}
+			checkRecord(alloc.Owner{ASID: asid, VPN: vpn}, c, i)
 		})
 	}
 	for _, region := range s.regions {
-		for i := range region.pages {
-			checkPage(alloc.Owner{ASID: sharedASID, VPN: sharedVPN(region.id, i)}, &region.pages[i])
+		for i := 0; i < region.n; i++ {
+			c, j := region.record(i)
+			checkRecord(alloc.Owner{ASID: sharedASID, VPN: sharedVPN(region.id, i)}, c, j)
 		}
 	}
 
@@ -115,10 +106,6 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 					"frame %d owned by %+v, whose page records frame %d", idx, owner, back)
 			}
 		}
-	}
-	if !r.Check(swapped == s.dev.Resident()) {
-		r.Failf("vm.swap-count",
-			"%d pages in swapped state, device holds %d", swapped, s.dev.Resident())
 	}
 }
 

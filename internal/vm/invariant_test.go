@@ -3,7 +3,6 @@ package vm
 import (
 	"testing"
 
-	"mosaic/internal/alloc"
 	"mosaic/internal/core"
 	"mosaic/internal/invariant"
 )
@@ -30,7 +29,7 @@ func workedSystem(t *testing.T) *System {
 			s.Touch(1, vpn, vpn%7 == 0)
 		}
 	}
-	if s.Device().Resident() == 0 {
+	if len(records(t, s, 1, pageSwapped)) == 0 {
 		t.Fatal("workload did not push any page to swap; corruption tests need swap state")
 	}
 	return s
@@ -79,7 +78,7 @@ func TestCleanAuditAllocatesPerAuditNotPerRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if records := s.Used() + s.Device().Resident(); allocs > float64(records/64) {
+		if records := s.MappedPages(1); allocs > float64(records/64) {
 			t.Errorf("mode %v: a clean audit of %d records allocated %v times, want at most %d", mode, records, allocs, records/64)
 		}
 	}
@@ -145,18 +144,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			pg := residentPages(t, s, 1)[0]
 			pg.c.setAbsent(pg.i, pageNone)
 		}, "vm.leaked-frame"},
-		{"phantom-swap-slot", func(t *testing.T, s *System) {
-			// A device slot no page is in swapped state for.
-			s.dev.PageOut(alloc.Owner{ASID: 3, VPN: 0x123456})
-		}, "vm.swap-count"},
-		{"swapped-without-slot", func(t *testing.T, s *System) {
-			// A page marked swapped whose device slot vanished.
-			swapped := records(t, s, 1, pageSwapped)
-			if len(swapped) == 0 {
-				t.Fatal("no swapped page to orphan")
-			}
-			s.dev.Drop(alloc.Owner{ASID: 1, VPN: swapped[0].vpn})
-		}, "vm.swap-slot"},
 		{"swapped-record-holds-cpfn", func(t *testing.T, s *System) {
 			// A swapped record whose CPFN column still names a slot: a
 			// window over it would read the page as present.
@@ -165,6 +152,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				t.Fatal("no swapped page to corrupt")
 			}
 			swapped[0].c.cpfn[swapped[0].i] = 0
+		}, "vm.record-absent"},
+		{"shared-record-holds-cpfn", func(t *testing.T, s *System) {
+			// The same corruption in a shared region's record: a region
+			// page evicted to swap whose CPFN column still names a slot.
+			rc, ri := swappedSharedRecord(t, s)
+			rc.cpfn[ri] = 0
 		}, "vm.record-absent"},
 		{"stamp-after-clock", func(t *testing.T, s *System) {
 			// A resident record stamped in the future: every window would

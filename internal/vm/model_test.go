@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mosaic/internal/alloc"
 	"mosaic/internal/core"
 )
 
@@ -48,8 +47,8 @@ func runDifferential(t *testing.T, sys *System, ops int, seed int64, vpnSpace in
 				continue
 			}
 			if !sys.Resident(1, vpn) {
-				if !sys.Device().Contains(ownerOf(vpn)) {
-					t.Fatalf("page %#x vanished: not resident, not on swap device", vpn)
+				if !swappedRecord(sys, vpn) {
+					t.Fatalf("page %#x vanished: not resident, not swapped", vpn)
 				}
 				pm.state = mSwapped
 				expectedOuts++
@@ -117,20 +116,20 @@ func runDifferential(t *testing.T, sys *System, ops int, seed int64, vpnSpace in
 	resident, swapped := 0, 0
 	for vpn, pm := range model {
 		sysResident := sys.Resident(1, vpn)
-		onDevice := sys.Device().Contains(ownerOf(vpn))
+		sysSwapped := swappedRecord(sys, vpn)
 		switch pm.state {
 		case mUnmapped:
-			if sysResident || onDevice {
-				t.Fatalf("unmapped page %#x: resident=%v swapped=%v", vpn, sysResident, onDevice)
+			if sysResident || sysSwapped {
+				t.Fatalf("unmapped page %#x: resident=%v swapped=%v", vpn, sysResident, sysSwapped)
 			}
 		case mResident:
-			if !sysResident || onDevice {
-				t.Fatalf("resident page %#x: resident=%v swapped=%v", vpn, sysResident, onDevice)
+			if !sysResident || sysSwapped {
+				t.Fatalf("resident page %#x: resident=%v swapped=%v", vpn, sysResident, sysSwapped)
 			}
 			resident++
 		case mSwapped:
-			if sysResident || !onDevice {
-				t.Fatalf("swapped page %#x: resident=%v swapped=%v", vpn, sysResident, onDevice)
+			if sysResident || !sysSwapped {
+				t.Fatalf("swapped page %#x: resident=%v swapped=%v", vpn, sysResident, sysSwapped)
 			}
 			swapped++
 		}
@@ -138,13 +137,15 @@ func runDifferential(t *testing.T, sys *System, ops int, seed int64, vpnSpace in
 	if resident != sys.Used() {
 		t.Fatalf("model counts %d resident, system %d", resident, sys.Used())
 	}
-	if swapped != sys.Device().Resident() {
-		t.Fatalf("model counts %d swapped, device %d", swapped, sys.Device().Resident())
+	if got := len(records(t, sys, 1, pageSwapped)); swapped != got {
+		t.Fatalf("model counts %d swapped, system %d", swapped, got)
 	}
 }
 
-func ownerOf(vpn core.VPN) alloc.Owner {
-	return alloc.Owner{ASID: 1, VPN: vpn}
+// swappedRecord reports whether ASID 1's record of vpn is swapped out.
+func swappedRecord(sys *System, vpn core.VPN) bool {
+	c, i := sys.Space(1).lookup(vpn)
+	return c != nil && c.state[i] == pageSwapped
 }
 
 func TestDifferentialModelMosaic(t *testing.T) {

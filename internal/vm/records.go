@@ -7,7 +7,9 @@ import (
 	"mosaic/internal/core"
 )
 
-// Page records. An address space keeps one record per private page, stored
+// Page records. A record is the only store of a page's state: an address
+// space keeps one per private page, and a shared region one per page of
+// the region, in chunks of the same type. A space's records are stored
 // densely: records live in chunks of ChunkPages consecutive VPNs, a
 // directory holds the chunks of 2^dirShift pages, and the space keeps its
 // directories in a map keyed by the VPN's high bits, cached on the last key
@@ -109,6 +111,25 @@ func (as *AddressSpace) lookup(vpn core.VPN) (*chunk, int) {
 		return nil, 0
 	}
 	return d[ci], i
+}
+
+// touchRecord is record for a Touch of a space that maps shared regions:
+// for a shared page it returns the region's record and the owner placement
+// hashes (sharedASID and the region's packed index), otherwise the private
+// record and (as.asid, vpn).
+func (as *AddressSpace) touchRecord(vpn core.VPN) (*chunk, int, core.ASID, core.VPN) {
+	if ref, ok := as.shared[vpn]; ok {
+		c, i := ref.region.record(ref.index)
+		return c, i, sharedASID, sharedVPN(ref.region.id, ref.index)
+	}
+	c, i := as.record(vpn)
+	return c, i, as.asid, vpn
+}
+
+// record returns the chunk holding page i's record and the record's index
+// in it.
+func (r *SharedRegion) record(i int) (*chunk, int) {
+	return r.chunks[i>>chunkShift], i & (ChunkPages - 1)
 }
 
 // mapped reports whether vpn has a private record (resident or swapped).
@@ -231,10 +252,8 @@ func (as *AddressSpace) Window(vpn core.VPN, n int) Window {
 	copy(sc.stamp[:n], c.stamp[w.lo:])
 	for j := 0; j < n; j++ {
 		if ref, ok := as.shared[base+core.VPN(j)]; ok {
-			sc.pfn[j], sc.cpfn[j], sc.stamp[j] = 0, core.CPFNInvalid, never
-			if pg := &ref.region.pages[ref.index]; pg.state == pageResident {
-				sc.pfn[j], sc.cpfn[j], sc.stamp[j] = pg.pfn, pg.cpfn, pg.stamp
-			}
+			rc, ri := ref.region.record(ref.index)
+			sc.pfn[j], sc.cpfn[j], sc.stamp[j] = rc.pfn[ri], rc.cpfn[ri], rc.stamp[ri]
 		}
 	}
 	return Window{c: sc, n: n, newest: never}

@@ -64,6 +64,8 @@ func FuzzPageRecords(f *testing.F) {
 	}
 	f.Add(byte(1), []byte{0, 1, 8, 0, 2, 8, 4, 1, 0, 5, 3, 9, 0, 3, 9, 3, 1, 8, 4, 2, 0})
 	f.Add(byte(0), []byte("fault, evict, fork and share around every boundary \x00\x07\x13"))
+	f.Add(byte(0), pressureOps())
+	f.Add(byte(1), pressureOps())
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		frames, m := 128, ModeMosaic
 		if mode%2 == 1 {
@@ -124,6 +126,42 @@ func FuzzPageRecords(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// pressureOps is a FuzzPageRecords op sequence long enough to overflow
+// its memory: it maps a four-page shared region into ASID 1 and faults it
+// in, faults in all 112 VPNs of ASIDs 1 to 3 so that earlier pages,
+// shared ones included, are swapped out, forks ASID 1 (which then holds
+// swapped pages) onto ASID 4, and unmaps and re-touches every page of
+// ASID 2.
+func pressureOps() []byte {
+	// op returns the three bytes of one operation on the space asid, at
+	// offset off-8 from boundaryVPNs[bnd].
+	op := func(code byte, asid core.ASID, bnd int, off byte) []byte {
+		b := byte(asid-1) << 6
+		for int(b)%len(boundaryVPNs) != bnd {
+			b++
+		}
+		return []byte{code, b, off}
+	}
+	ops := op(5, 1, 3, 11) // map 4 pages at 2^18+2
+	for off := byte(11); off < 15; off++ {
+		ops = append(ops, op(1, 1, 3, off)...)
+	}
+	each := func(code byte, asid core.ASID) {
+		for bnd := range boundaryVPNs {
+			for off := byte(0); off < 16; off++ {
+				ops = append(ops, op(code, asid, bnd, off)...)
+			}
+		}
+	}
+	for asid := core.ASID(1); asid <= 3; asid++ {
+		each(byte(asid%2), asid)
+	}
+	ops = append(ops, op(4, 1, 0, 2)...) // fork 1 onto 1+(1+2)%4 = 4
+	each(3, 2)
+	each(0, 2)
+	return ops
 }
 
 func (m *recordModel) touch(t *testing.T, s *System, asid core.ASID, vpn core.VPN, write bool) {

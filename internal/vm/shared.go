@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"mosaic/internal/alloc"
 	"mosaic/internal/core"
 )
 
@@ -36,7 +35,10 @@ func (s *System) CreateSharedRegion(n int) (*SharedRegion, error) {
 		return nil, fmt.Errorf("vm: shared region size %d exceeds %d pages", n, 1<<sharedIndexBits-1)
 	}
 	s.nextRID++
-	r := &SharedRegion{id: s.nextRID, pages: make([]page, n)}
+	r := &SharedRegion{id: s.nextRID, n: n, chunks: make([]*chunk, (n+ChunkPages-1)/ChunkPages)}
+	for i := range r.chunks {
+		r.chunks[i] = newChunk()
+	}
 	s.regions[r.id] = r
 	return r, nil
 }
@@ -112,43 +114,13 @@ func (s *System) releaseShared(region *SharedRegion, n int) {
 	if region.maps > 0 {
 		return
 	}
-	for i := range region.pages {
-		pg := &region.pages[i]
-		switch pg.state {
-		case pageResident:
-			s.freeFrame(pg.pfn)
-		case pageSwapped:
-			s.dev.Drop(alloc.Owner{ASID: sharedASID, VPN: sharedVPN(region.id, i)})
+	for _, c := range region.chunks {
+		for i := range c.state {
+			if c.state[i] == pageResident {
+				s.freeFrame(c.pfn[i])
+			}
+			c.setAbsent(i, pageNone)
 		}
-		*pg = page{}
 	}
 	delete(s.regions, region.id)
-}
-
-func (s *System) touchShared(ref sharedRef, write bool) AccessResult {
-	pg := &ref.region.pages[ref.index]
-	owner := alloc.Owner{ASID: sharedASID, VPN: sharedVPN(ref.region.id, ref.index)}
-	switch pg.state {
-	case pageResident:
-		s.lastPFN, s.lastCPFN = pg.pfn, pg.cpfn
-		s.touchFrame(pg.pfn, write)
-		return Hit
-	case pageSwapped:
-		s.cMajorFault.Inc()
-		if !s.dev.PageIn(owner) {
-			//lint:ignore nopanic every shared page marked pageSwapped was handed to the device by recordEviction
-			panic("vm: swapped shared page missing from swap device")
-		}
-		s.fillSharedPage(owner, pg, write)
-		return MajorFault
-	default:
-		s.cMinorFault.Inc()
-		s.fillSharedPage(owner, pg, write)
-		return MinorFault
-	}
-}
-
-func (s *System) fillSharedPage(owner alloc.Owner, pg *page, write bool) {
-	pfn, cpfn := s.place(owner.ASID, owner.VPN, write)
-	*pg = page{state: pageResident, pfn: pfn, cpfn: cpfn, stamp: s.clock}
 }

@@ -262,3 +262,48 @@ func TestSharedEvictionReportsEveryMapping(t *testing.T) {
 	}
 	checkClean(t, s)
 }
+
+// swappedSharedRecord maps a four-page shared region into ASID 2 of s,
+// faults its pages in, then touches new private pages of ASID 2 until one
+// of the region's pages is evicted, and returns that page's record.
+func swappedSharedRecord(t *testing.T, s *System) (*chunk, int) {
+	t.Helper()
+	r, err := s.CreateSharedRegion(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 0x4000
+	if err := s.MapShared(2, base, r); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < r.Len(); i++ {
+		s.Touch(2, base+core.VPN(i), true)
+	}
+	for v := core.VPN(0); v < core.VPN(4*s.NumFrames()); v++ {
+		s.Touch(2, 0x10000+v, false)
+		for i := 0; i < r.Len(); i++ {
+			if c, j := r.record(i); c.state[j] == pageSwapped {
+				return c, j
+			}
+		}
+	}
+	t.Fatal("no shared page was evicted")
+	return nil, 0
+}
+
+// TestEvictedSharedRecordIsAbsent: a shared page that leaves memory keeps
+// no trace of its frame in its region's record, exactly like a private
+// one, so a window overlaying it reads it as absent.
+func TestEvictedSharedRecordIsAbsent(t *testing.T) {
+	for _, mk := range []func(testing.TB, int) *System{newMosaic, newVanilla} {
+		s := mk(t, 128)
+		t.Run(s.Mode().String(), func(t *testing.T) {
+			c, i := swappedSharedRecord(t, s)
+			if c.pfn[i] != 0 || c.cpfn[i] != core.CPFNInvalid || c.stamp[i] != never {
+				t.Fatalf("evicted shared record holds frame %d, CPFN %d, stamp %d; want 0, CPFNInvalid, never",
+					c.pfn[i], c.cpfn[i], c.stamp[i])
+			}
+			checkClean(t, s)
+		})
+	}
+}

@@ -19,10 +19,14 @@
 //
 // Each address space stores its pages as dense records (records.go): state,
 // frame, CPFN and the access clock at which the page became resident, in
-// column chunks indexed by VPN. A non-resident record holds CPFNInvalid, so
-// an aligned window of a chunk's CPFN column is exactly a mosaic
-// page-table leaf; the memory-system simulator reads its page tables'
-// entries from these records through Window instead of keeping a copy.
+// column chunks indexed by VPN. A shared region keeps its pages in chunks
+// of the same form. These records are the only store of page state:
+// whether a page is unmapped, resident or swapped out is read from its
+// record, and the swap device only counts page-outs and page-ins. A
+// non-resident record holds CPFNInvalid, so an aligned window of a chunk's
+// CPFN column is exactly a mosaic page-table leaf; the memory-system
+// simulator reads its page tables' entries from these records through
+// Window instead of keeping a copy.
 //
 // Unlike the paper's Linux prototype — which emulates access timestamps
 // with a scan daemon because x86 only maintains access bits — this layer
@@ -127,6 +131,9 @@ func (c *Config) applyDefaults() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
+	if c.Mode == ModeMosaic && c.Geometry.BucketSize() > alloc.MaxBucketSize {
+		return fmt.Errorf("vm: bucket size %d exceeds the allocator's limit of %d frames", c.Geometry.BucketSize(), alloc.MaxBucketSize)
+	}
 	if c.Mode == ModeMosaic && c.Frames < c.Geometry.BucketSize() {
 		return fmt.Errorf("vm: %d frames is less than one %d-frame bucket", c.Frames, c.Geometry.BucketSize())
 	}
@@ -172,15 +179,6 @@ const (
 	pageSwapped
 )
 
-// page is one shared-region page record; private records live in the
-// address space's chunks (records.go).
-type page struct {
-	state pageState
-	pfn   core.PFN
-	cpfn  core.CPFN
-	stamp uint64 // access clock at which the page became resident
-}
-
 type sharedRef struct {
 	region *SharedRegion
 	index  int
@@ -205,8 +203,11 @@ type AddressSpace struct {
 // of §2.5: placement hashes (locationID, index) rather than (ASID, VPN), so
 // the same frames back every mapping of the region.
 type SharedRegion struct {
-	id    uint32
-	pages []page
+	id uint32
+	// chunks hold the region's page records, ChunkPages to a chunk; n is
+	// the region's length in pages.
+	chunks []*chunk
+	n      int
 	// maps counts the VPNs that map the region, over all address spaces:
 	// the region is freed when the last one is unmapped.
 	maps int
@@ -228,7 +229,7 @@ type sharedMapping struct {
 func (r *SharedRegion) ID() uint32 { return r.id }
 
 // Len is the region's length in pages.
-func (r *SharedRegion) Len() int { return len(r.pages) }
+func (r *SharedRegion) Len() int { return r.n }
 
 // System is a simulated virtual-memory subsystem. It is not safe for
 // concurrent use.
@@ -297,7 +298,6 @@ func New(cfg Config) (*System, error) {
 	s := &System{
 		cfg:     cfg,
 		mode:    cfg.Mode,
-		dev:     swap.NewDevice(),
 		spaces:  make(map[core.ASID]*AddressSpace),
 		regions: make(map[uint32]*SharedRegion),
 	}
@@ -318,7 +318,7 @@ func New(cfg Config) (*System, error) {
 	s.cReclaim = s.metrics.Counter("vm.reclaim")
 	s.cDaemonScan = s.metrics.Counter("vm.scan.daemon")
 	s.cForkCopy = s.metrics.Counter("vm.fork.copy")
-	s.dev.Instrument(s.metrics)
+	s.dev = swap.NewDevice(s.metrics)
 	switch cfg.Mode {
 	case ModeMosaic:
 		s.mem = alloc.NewMemory(cfg.Frames, cfg.Geometry, cfg.Hash)
@@ -372,7 +372,7 @@ func (s *System) Utilization() float64 { return float64(s.Used()) / float64(s.Nu
 // Clock is the logical access clock (one tick per Touch).
 func (s *System) Clock() uint64 { return s.clock }
 
-// Device exposes the swap device for I/O accounting.
+// Device exposes the swap device's I/O counts.
 func (s *System) Device() *swap.Device { return s.dev }
 
 // Metrics exposes the instrument registry. The system's counters are
@@ -436,13 +436,15 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 	}
 	as := s.Space(asid)
 
-	if len(as.shared) != 0 {
-		if ref, ok := as.shared[vpn]; ok {
-			return s.touchShared(ref, write)
-		}
+	// A shared page's record is its region's, and placement knows the
+	// page by the region's owner, not (asid, vpn).
+	var c *chunk
+	var i int
+	if len(as.shared) == 0 {
+		c, i = as.record(vpn)
+	} else {
+		c, i, asid, vpn = as.touchRecord(vpn)
 	}
-
-	c, i := as.record(vpn)
 	switch c.state[i] {
 	case pageResident:
 		pfn := c.pfn[i]
@@ -455,10 +457,7 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 		return MinorFault
 	default:
 		s.cMajorFault.Inc()
-		if !s.dev.PageIn(alloc.Owner{ASID: asid, VPN: vpn}) {
-			//lint:ignore nopanic every page marked pageSwapped was handed to the device by recordEviction
-			panic("vm: swapped page missing from swap device")
-		}
+		s.dev.PageIn()
 		s.fillPage(asid, vpn, c, i, write)
 		return MajorFault
 	}
@@ -493,22 +492,16 @@ func (s *System) touchFrame(pfn core.PFN, write bool) {
 	s.policy.OnAccess(pfn)
 }
 
-// fillPage allocates a frame for (asid, vpn) and installs it in record i
+// fillPage allocates a frame for the page placement knows as (asid, vpn),
+// as the page the current access resolves to, and installs it in record i
 // of c, stamped with the current clock.
 func (s *System) fillPage(asid core.ASID, vpn core.VPN, c *chunk, i int, write bool) {
-	pfn, cpfn := s.place(asid, vpn, write)
-	c.setResident(i, pfn, cpfn, s.clock)
-}
-
-// place allocates a frame for (asid, vpn) as the page the current access
-// resolves to.
-func (s *System) place(asid core.ASID, vpn core.VPN, write bool) (core.PFN, core.CPFN) {
 	pfn, cpfn := s.allocate(asid, vpn)
 	s.lastPFN, s.lastCPFN = pfn, cpfn
 	if write {
 		s.touchDirty(pfn)
 	}
-	return pfn, cpfn
+	c.setResident(i, pfn, cpfn, s.clock)
 }
 
 func (s *System) touchDirty(pfn core.PFN) {
@@ -670,13 +663,15 @@ func (s *System) noteEvictionStorm() {
 	}
 }
 
-// recordEviction pushes an evicted page to the swap device and updates the
-// owning address space (or shared region).
+// recordEviction counts an evicted page's write to swap and marks its
+// record, in the owning address space or shared region, swapped.
 func (s *System) recordEviction(owner alloc.Owner) {
 	s.cEvict.Inc()
 	if s.events != nil {
 		s.noteEvictionStorm()
 	}
+	var c *chunk
+	var i int
 	if owner.ASID == sharedASID {
 		rid, idx := splitSharedVPN(owner.VPN)
 		r, ok := s.regions[rid]
@@ -692,24 +687,23 @@ func (s *System) recordEviction(owner alloc.Owner) {
 				}
 			}
 		}
-		s.dev.PageOut(owner)
-		r.pages[idx].state = pageSwapped
-		return
+		c, i = r.record(idx)
+	} else {
+		if s.evictHook != nil {
+			s.evictHook(owner.ASID, owner.VPN)
+		}
+		as, ok := s.spaces[owner.ASID]
+		if !ok {
+			//lint:ignore nopanic frame owners are recorded at placement from existing spaces
+			panic(fmt.Sprintf("vm: evicted page of unknown ASID %d", owner.ASID))
+		}
+		c, i = as.lookup(owner.VPN)
 	}
-	if s.evictHook != nil {
-		s.evictHook(owner.ASID, owner.VPN)
-	}
-	s.dev.PageOut(owner)
-	as, ok := s.spaces[owner.ASID]
-	if !ok {
-		//lint:ignore nopanic frame owners are recorded at placement from existing spaces
-		panic(fmt.Sprintf("vm: evicted page of unknown ASID %d", owner.ASID))
-	}
-	c, i := as.lookup(owner.VPN)
 	if c == nil || c.state[i] != pageResident {
-		//lint:ignore nopanic the allocator reported this owner as occupying the frame, so its space must show it resident
-		panic(fmt.Sprintf("vm: evicted page (asid %d, vpn %#x) not resident in its space", owner.ASID, owner.VPN))
+		//lint:ignore nopanic the allocator reported this owner as occupying the frame, so its record must show it resident
+		panic(fmt.Sprintf("vm: evicted page (asid %d, vpn %#x) not resident in its record", owner.ASID, owner.VPN))
 	}
+	s.dev.PageOut()
 	c.setAbsent(i, pageSwapped)
 }
 
@@ -719,11 +713,13 @@ func (s *System) resolve(asid core.ASID, vpn core.VPN) (core.PFN, core.CPFN, boo
 	if !ok {
 		return 0, core.CPFNInvalid, false
 	}
+	var c *chunk
+	var i int
 	if ref, ok := as.shared[vpn]; ok {
-		pg := &ref.region.pages[ref.index]
-		return pg.pfn, pg.cpfn, pg.state == pageResident
+		c, i = ref.region.record(ref.index)
+	} else {
+		c, i = as.lookup(vpn)
 	}
-	c, i := as.lookup(vpn)
 	if c == nil || c.state[i] != pageResident {
 		return 0, core.CPFNInvalid, false
 	}
@@ -755,8 +751,8 @@ func (s *System) Resident(asid core.ASID, vpn core.VPN) bool {
 	return ok
 }
 
-// Unmap destroys the mapping of (asid, vpn), freeing its frame or dropping
-// its swap slot. It reports whether a mapping existed.
+// Unmap destroys the mapping of (asid, vpn), freeing its frame if it is
+// resident. It reports whether a mapping existed.
 func (s *System) Unmap(asid core.ASID, vpn core.VPN) bool {
 	as, ok := s.spaces[asid]
 	if !ok {
@@ -771,11 +767,8 @@ func (s *System) Unmap(asid core.ASID, vpn core.VPN) bool {
 	if c == nil || c.state[i] == pageNone {
 		return false
 	}
-	switch c.state[i] {
-	case pageResident:
+	if c.state[i] == pageResident {
 		s.freeFrame(c.pfn[i])
-	case pageSwapped:
-		s.dev.Drop(alloc.Owner{ASID: asid, VPN: vpn})
 	}
 	c.setAbsent(i, pageNone)
 	return true

@@ -38,6 +38,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Frames: 1024, Mode: Mode(9)}); err == nil {
 		t.Error("bogus mode accepted")
 	}
+	// A valid geometry whose buckets outgrow the allocator's 64-frame
+	// occupancy word is a config error, not an allocator panic.
+	wide := core.Geometry{FrontyardSize: 57, BackyardSize: 13, Choices: 1}
+	if _, err := New(Config{Frames: 1024, Mode: ModeMosaic, Geometry: wide}); err == nil {
+		t.Error("70-frame buckets accepted")
+	}
 }
 
 func TestDemandPagingBasics(t *testing.T) {
@@ -268,7 +274,7 @@ func TestUnmapPrivate(t *testing.T) {
 	if s.Resident(1, 5) {
 		t.Error("page resident after unmap")
 	}
-	// Unmap of a swapped page drops the swap slot.
+	// Unmap of a swapped page clears its record.
 	tiny := newMosaic(t, 64)
 	for v := core.VPN(0); v < 80; v++ {
 		tiny.Touch(1, v, true)
