@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mosaic/internal/obs"
@@ -108,7 +109,8 @@ var batchings = map[string][]int{
 // segments in the middle of batches and between evictions. The
 // multiprogram case interleaves two streams in round-robin quanta, cut
 // either per quantum or through the v2 decoder's frame-carrying quantum
-// slicer.
+// slicer. The table4 case runs the OS-only path, one TouchN per run of
+// references to one page, into vanilla, mosaic and scan-mode Systems.
 func TestBatchBoundaryInvariance(t *testing.T) {
 	t.Run("fig6", func(t *testing.T) {
 		// The stream touches 1024 pages; the sampled case's 768 frames
@@ -140,6 +142,46 @@ func TestBatchBoundaryInvariance(t *testing.T) {
 					t.Errorf("sampled=%v, batches of %s: diverged from the default-size replay:\n%s",
 						sampled, name, firstDiff(got, want))
 				}
+			}
+		}
+	})
+	t.Run("table4", func(t *testing.T) {
+		// A 1.2 MiB btree in 256 frames (1 MiB) swaps throughout, and a
+		// 97-reference scan interval puts daemon ticks inside runs.
+		stream := captureStream(t, "btree", 1200<<10, 200_000)
+		replay := func(sizes ...int) []obs.Snapshot {
+			sinks := fanOut{}
+			for _, cfg := range []SystemConfig{
+				{Mode: ModeVanilla},
+				{Mode: ModeMosaic},
+				{Mode: ModeMosaic, ScanInterval: 97},
+			} {
+				cfg.Frames, cfg.Seed = 256, 3
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sinks = append(sinks, vmSink{sys, 1})
+			}
+			for _, b := range cutBatches(stream, sizes...) {
+				sinks.ProcessBatch(b)
+			}
+			snaps := make([]obs.Snapshot, len(sinks))
+			for i, s := range sinks {
+				if s.sys.Device().TotalIO() == 0 {
+					t.Fatalf("system %d did no swap I/O", i)
+				}
+				snaps[i] = s.sys.Metrics().Snapshot()
+			}
+			return snaps
+		}
+		want := replay(1)
+		if want[2].Counters["vm.scan.daemon"] == 0 {
+			t.Fatal("the scan daemon never ran")
+		}
+		for name, sizes := range batchings {
+			if got := replay(sizes...); !reflect.DeepEqual(got, want) {
+				t.Errorf("batches of %s: counters %v, per-reference order %v", name, got, want)
 			}
 		}
 	})

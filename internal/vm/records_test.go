@@ -53,8 +53,8 @@ func (m *recordModel) page(asid core.ASID, vpn core.VPN) *modelPage {
 	return m.private[modelKey{asid, vpn}]
 }
 
-// FuzzPageRecords drives Touch, Unmap, ForkCopy and MapShared/UnmapShared
-// against a map oracle, in a memory small enough that pages are evicted,
+// FuzzPageRecords drives Touch, TouchN, Unmap, ForkCopy and
+// MapShared/UnmapShared against a map oracle, in a memory small enough that pages are evicted,
 // and checks Touch's outcome, Resolved, Translate, CPFNFor, Window,
 // MappedPages and CheckInvariants against it. VPNs cluster around the
 // record layout's chunk and directory boundaries.
@@ -66,6 +66,15 @@ func FuzzPageRecords(f *testing.F) {
 	f.Add(byte(0), []byte("fault, evict, fork and share around every boundary \x00\x07\x13"))
 	f.Add(byte(0), pressureOps())
 	f.Add(byte(1), pressureOps())
+	// The same pressure with its read touches made runs of two accesses.
+	runs := pressureOps()
+	for k := 0; k < len(runs); k += 3 {
+		if runs[k] == 0 {
+			runs[k] = 6
+		}
+	}
+	f.Add(byte(0), runs)
+	f.Add(byte(1), runs)
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		frames, m := 128, ModeMosaic
 		if mode%2 == 1 {
@@ -94,7 +103,7 @@ func FuzzPageRecords(f *testing.F) {
 		})
 
 		for k := 0; k+2 < len(ops); k += 3 {
-			op := ops[k] % 6
+			op := ops[k] % 7
 			asid := core.ASID(1 + ops[k+1]>>6%3)
 			vpn := boundaryVPNs[int(ops[k+1])%len(boundaryVPNs)] + core.VPN(ops[k+2]%16) - 8
 			if vpn > 1<<36-1 {
@@ -102,13 +111,15 @@ func FuzzPageRecords(f *testing.F) {
 			}
 			switch op {
 			case 0, 1, 2:
-				model.touch(t, s, asid, vpn, op == 1)
+				model.touch(t, s, asid, vpn, 1, op == 1)
 			case 3:
 				model.unmap(t, s, asid, vpn)
 			case 4:
 				model.fork(t, s, asid, core.ASID(1+(uint32(asid)+uint32(ops[k+2]))%4))
 			case 5:
 				model.mapShared(t, s, asid, vpn, 1+int(ops[k+2]%4))
+			case 6:
+				model.touch(t, s, asid, vpn, 2+uint64(ops[k+2]>>5), ops[k+2]&16 != 0)
 			}
 			model.checkEvicted(t, evicted)
 			clear(evicted)
@@ -164,7 +175,9 @@ func pressureOps() []byte {
 	return ops
 }
 
-func (m *recordModel) touch(t *testing.T, s *System, asid core.ASID, vpn core.VPN, write bool) {
+// touch makes n accesses to (asid, vpn), one Touch when n is 1 and one
+// TouchN otherwise, and checks the first access's outcome.
+func (m *recordModel) touch(t *testing.T, s *System, asid core.ASID, vpn core.VPN, n uint64, write bool) {
 	t.Helper()
 	pg := m.page(asid, vpn)
 	want := MinorFault
@@ -177,10 +190,19 @@ func (m *recordModel) touch(t *testing.T, s *System, asid core.ASID, vpn core.VP
 	if pg != nil {
 		before = *pg
 	}
-	got := s.Touch(asid, vpn, write)
+	clock := s.Clock()
+	var got AccessResult
+	if n == 1 {
+		got = s.Touch(asid, vpn, write)
+	} else {
+		got = s.TouchN(asid, vpn, n, write)
+	}
 	m.spaces[asid] = true
 	if got != want {
-		t.Fatalf("Touch(%d, %#x) = %v, oracle %v", asid, vpn, got, want)
+		t.Fatalf("TouchN(%d, %#x, %d) = %v, oracle %v", asid, vpn, n, got, want)
+	}
+	if s.Clock() != clock+n {
+		t.Fatalf("TouchN(%d, %#x, %d) moved the clock from %d to %d", asid, vpn, n, clock, s.Clock())
 	}
 	if pg == nil {
 		pg = &modelPage{}
@@ -194,7 +216,7 @@ func (m *recordModel) touch(t *testing.T, s *System, asid core.ASID, vpn core.VP
 		}
 		return
 	}
-	*pg = modelPage{state: pageResident, pfn: pfn, cpfn: cpfn, stamp: s.Clock()}
+	*pg = modelPage{state: pageResident, pfn: pfn, cpfn: cpfn, stamp: clock + 1}
 }
 
 func (m *recordModel) unmap(t *testing.T, s *System, asid core.ASID, vpn core.VPN) {

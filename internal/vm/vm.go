@@ -28,6 +28,13 @@
 // simulator reads its page tables' entries from these records through
 // Window instead of keeping a copy.
 //
+// Touch makes one access. TouchN makes a run of back-to-back accesses to
+// one page and leaves the System exactly as that many Touch calls would:
+// only the run's first access can fault, place or evict, so the rest cost
+// a clock advance and one frame stamp. Drivers that need nothing of a
+// reference but its effect on the OS layer feed whole runs through it;
+// the memory-system simulator calls Touch per reference.
+//
 // Unlike the paper's Linux prototype — which emulates access timestamps
 // with a scan daemon because x86 only maintains access bits — this layer
 // keeps exact per-frame timestamps from a logical access clock, the design
@@ -461,6 +468,51 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 		s.fillPage(asid, vpn, c, i, write)
 		return MajorFault
 	}
+}
+
+// TouchN performs n back-to-back accesses to one page, where write is true
+// if any of them writes, and returns the first access's result. It leaves
+// the System exactly as n Touch calls would. It panics if n is 0.
+//
+// The first access is a Touch, which may fault, place, evict or reclaim.
+// The page is resident from then on, and the other n−1 accesses are hits,
+// which never place, evict or reclaim a page. So the rest of the run only
+// advances the clock and vm.access, and stamps the frame once, at the
+// run's last clock. Setting the dirty bit at the first access rather than
+// at a later store in the run is exact: nothing reads the bit before the
+// page is evicted. In vanilla mode the two-list LRU sees every repeated
+// access. Under the scan daemon (ScanInterval) a tick can fall inside the
+// run, so the repeated accesses step the clock one by one.
+func (s *System) TouchN(asid core.ASID, vpn core.VPN, n uint64, write bool) AccessResult {
+	if n == 0 {
+		panic("vm: TouchN of zero accesses")
+	}
+	r := s.Touch(asid, vpn, write)
+	if n == 1 {
+		return r
+	}
+	pfn := s.lastPFN
+	s.cAccess.Add(n - 1)
+	switch {
+	case s.scan != nil:
+		for k := uint64(1); k < n; k++ {
+			s.clock++
+			if s.clock%s.scan.interval == 0 {
+				s.runScan()
+			}
+			s.scan.accessed[pfn] = true
+		}
+	case s.mode == ModeMosaic:
+		s.clock += n - 1
+		s.mem.Touch(pfn, s.clock, write)
+	default:
+		s.clock += n - 1
+		s.umem.Touch(pfn, s.clock, write)
+		for k := uint64(1); k < n; k++ {
+			s.policy.OnAccess(pfn)
+		}
+	}
+	return r
 }
 
 // Resolved returns the frame and CPFN (CPFNInvalid in vanilla mode) of

@@ -62,6 +62,10 @@ go test -run='^$' -fuzz=FuzzTable4Options -fuzztime=3s .
 # panic.
 go test -run='^$' -fuzz=FuzzTable3Options -fuzztime=3s .
 go test -run='^$' -fuzz=FuzzIcebergDeltaOptions -fuzztime=3s .
+# The swap ablations' arguments (AblateTimestamps, AblateEviction), scan
+# intervals included: workloads, pools, fractions, reference budgets and
+# worker counts either finish or return an error, never panic.
+go test -run='^$' -fuzz=FuzzAblateSwapOptions -fuzztime=3s .
 # Nothing records the go-test benchmarks (bench/ is the repository
 # benchmark), so run each once to keep them compiling and passing.
 go test -run='^$' -bench=. -benchtime=1x ./...
@@ -75,8 +79,11 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # into ToCs and CoLT groups already filled in the same segment; they too
 # must match the one-reference-per-batch order. So must the repeat fast
 # path, which counts a reference to its predecessor's page as a hit
-# without a TLB lookup.
-go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults|TestRepeatsExact' -count=1 . ./internal/memsim
+# without a TLB lookup. The OS-only drivers touch once per run of
+# references to one page (vm.TouchN): the run path must leave every
+# System, scan mode included, as per-reference Touch calls do, and the
+# Table 3 and swap-onset sinks must sample as they would per reference.
+go test -run 'TestBatchBoundaryInvariance|TestSegmentsExactUnderEviction|TestSegmentsExactUnderFaults|TestRepeatsExact|TestTouchNMatchesTouch|TestOSSinksMatchPerReference' -count=1 . ./internal/memsim ./internal/vm
 # Committed results gate: all eight result tables, fig6 and table4
 # included, must regenerate byte for byte at their defaults.
 scripts/regen.sh

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mosaic/internal/core"
 	"mosaic/internal/obs"
 	"mosaic/internal/stats"
 	"mosaic/internal/sweep"
@@ -96,17 +97,34 @@ type Table3Row struct {
 	SteadySD        float64
 }
 
-// vmSink feeds a vm.System from one ASID, one touch per reference.
+// touchRuns touches sys from asid once per run of b through TouchN. A run
+// is a maximal stretch of consecutive references to one page, and it
+// writes if any of its references does. afterRun, when not nil, is called
+// after each run with the run's length. A run that a batch boundary cuts
+// is touched as two runs, which TouchN makes no different.
+func touchRuns(sys *vm.System, asid ASID, b trace.Batch, afterRun func(n uint64)) {
+	for i := 0; i < len(b); {
+		vpn, write := core.VPNOf(b[i].VA()), b[i].Write()
+		j := i + 1
+		for ; j < len(b) && core.VPNOf(b[j].VA()) == vpn; j++ {
+			write = write || b[j].Write()
+		}
+		sys.TouchN(asid, vpn, uint64(j-i), write)
+		if afterRun != nil {
+			afterRun(uint64(j - i))
+		}
+		i = j
+	}
+}
+
+// vmSink feeds a vm.System from one ASID, one TouchN per run of
+// references to one page.
 type vmSink struct {
 	sys  *vm.System
 	asid ASID
 }
 
-func (s vmSink) ProcessBatch(b trace.Batch) {
-	for _, r := range b {
-		s.sys.TouchVA(s.asid, r.VA(), r.Write())
-	}
-}
+func (s vmSink) ProcessBatch(b trace.Batch) { touchRuns(s.sys, s.asid, b, nil) }
 
 // table3Sink drives one Table 3 cell: every reference touches the mosaic VM
 // system, and utilization is sampled every 4096 references once the first
@@ -119,30 +137,34 @@ type table3Sink struct {
 }
 
 func (s *table3Sink) ProcessBatch(b trace.Batch) {
-	for _, r := range b {
-		s.sys.TouchVA(1, r.VA(), r.Write())
-		if s.sys.Clock()%4096 == 0 {
+	touchRuns(s.sys, 1, b, func(n uint64) {
+		// Utilization and the first conflict can change only at a run's
+		// first access, so every sample clock the run passes reads them
+		// as they are after the run.
+		end := s.sys.Clock()
+		for k := end/4096 - (end-n)/4096; k > 0; k-- {
 			if _, saw := s.sys.FirstConflictUtilization(); saw {
 				s.steady.Observe(s.sys.Utilization())
 			}
 		}
-	}
+	})
 }
 
 // onsetSink drives LinuxSwapOnset: each reference touches the vanilla VM
-// system and records utilization at the first page-out.
+// system and records utilization at the first page-out. Page-outs, like
+// utilization, can change only at a run's first access, so checking after
+// the run is checking after that access.
 type onsetSink struct {
 	sys   *vm.System
 	onset *float64
 }
 
 func (s onsetSink) ProcessBatch(b trace.Batch) {
-	for _, r := range b {
-		s.sys.TouchVA(1, r.VA(), r.Write())
+	touchRuns(s.sys, 1, b, func(uint64) {
 		if *s.onset < 0 && s.sys.Device().PageOuts() > 0 {
 			*s.onset = s.sys.Utilization()
 		}
-	}
+	})
 }
 
 // table3Cell addresses one workload × footprint × run simulation.
@@ -192,8 +214,11 @@ func Table3(opt Table3Options) ([]Table3Row, error) {
 				return table3Sample{}, err
 			}
 			var steady stats.Running
-			RunBatch(w, &table3Sink{sys: sys, steady: &steady}, opt.MaxRefs)
+			delivered := RunBatch(w, &table3Sink{sys: sys, steady: &steady}, opt.MaxRefs)
 			u, saw := sys.FirstConflictUtilization()
+			if !saw && delivered == opt.MaxRefs {
+				return table3Sample{}, fmt.Errorf("mosaic: %s at %.0f MiB ran out of its reference budget (MaxRefs %d) before the first conflict", c.workload, float64(c.footprint)/(1<<20), opt.MaxRefs)
+			}
 			if !saw {
 				return table3Sample{}, fmt.Errorf("mosaic: %s at %.0f MiB never conflicted — footprint too small for the pool", c.workload, float64(c.footprint)/(1<<20))
 			}

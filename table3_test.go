@@ -2,8 +2,139 @@ package mosaic
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+
+	"mosaic/internal/stats"
+	"mosaic/internal/trace"
 )
+
+// TestTable3NamesExhaustedBudget: a run that spends its whole MaxRefs
+// budget before the first conflict blames the budget, not the footprint.
+// graph500 at 1.05× a 1 MiB pool conflicts only after about 2M references.
+func TestTable3NamesExhaustedBudget(t *testing.T) {
+	_, err := Table3(Table3Options{Workloads: []string{"graph500"}, MemoryMiB: 1,
+		FootprintFracs: []float64{1.05}, MaxRefs: 20_000, Runs: 1, Workers: 1})
+	if err == nil {
+		t.Fatal("no conflict within 20k references, yet no error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "reference budget (MaxRefs 20000)") || strings.Contains(msg, "footprint") {
+		t.Errorf("error %q does not blame the MaxRefs budget alone", msg)
+	}
+}
+
+// runStream is a synthetic reference stream over pages [0, pages): mostly
+// short runs of references to one page, and in its second half, after
+// memory has filled, some runs longer than two 4096-reference sampling
+// periods. Each reference is a store with probability 1/9, so stores fall
+// at any position of a run.
+func runStream(pages, runs int, seed int64) trace.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	var b trace.Batch
+	for i := 0; i < runs; i++ {
+		n := 1 + rng.Intn(8)
+		if i > runs/2 && rng.Intn(100) == 0 {
+			n = 4000 + rng.Intn(9000)
+		}
+		va := uint64(rng.Intn(pages)) * PageSize
+		for k := 0; k < n; k++ {
+			b = append(b, trace.MakeRef(va+uint64(k%64)*8, rng.Intn(9) == 0))
+		}
+	}
+	return b
+}
+
+// TestOSSinksMatchPerReference feeds one stream with long runs to the
+// OS-only sinks, which touch once per run, and to their per-reference
+// definitions, one TouchVA per reference with the check after each:
+// table3Sink must take the same steady-state samples, onsetSink must see
+// the same onset, and vmSink must leave the System in the same state,
+// every frame's dirty bit and timestamp included.
+func TestOSSinksMatchPerReference(t *testing.T) {
+	const frames = 1024
+	stream := runStream(frames*13/10, 8000, 5)
+	newSys := func(mode Mode) *System {
+		sys, err := NewSystem(SystemConfig{Frames: frames, Mode: mode, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	// The whole stream goes in one batch: DefaultBatchSize batches would
+	// cut every run at each 4096th reference, the sampling clock.
+	feed := func(sink BatchSink) { sink.ProcessBatch(stream) }
+
+	t.Run("table3", func(t *testing.T) {
+		var got, want stats.Running
+		feed(&table3Sink{sys: newSys(ModeMosaic), steady: &got})
+		sys := newSys(ModeMosaic)
+		for _, r := range stream {
+			sys.TouchVA(1, r.VA(), r.Write())
+			if sys.Clock()%4096 == 0 {
+				if _, saw := sys.FirstConflictUtilization(); saw {
+					want.Observe(sys.Utilization())
+				}
+			}
+		}
+		if want.N() < 2 {
+			t.Fatalf("%d steady-state samples: the check is vacuous", want.N())
+		}
+		if got.N() != want.N() || got.Mean() != want.Mean() || got.Stddev() != want.Stddev() {
+			t.Errorf("steady state: %d samples, mean %v, sd %v; per reference %d, %v, %v",
+				got.N(), got.Mean(), got.Stddev(), want.N(), want.Mean(), want.Stddev())
+		}
+	})
+
+	t.Run("onset", func(t *testing.T) {
+		got, want := -1.0, -1.0
+		feed(onsetSink{sys: newSys(ModeVanilla), onset: &got})
+		sys := newSys(ModeVanilla)
+		for _, r := range stream {
+			sys.TouchVA(1, r.VA(), r.Write())
+			if want < 0 && sys.Device().PageOuts() > 0 {
+				want = sys.Utilization()
+			}
+		}
+		if want < 0 || got != want {
+			t.Errorf("onset %v, per reference %v", got, want)
+		}
+	})
+
+	t.Run("vm", func(t *testing.T) {
+		for _, mode := range []Mode{ModeVanilla, ModeMosaic} {
+			got, want := newSys(mode), newSys(mode)
+			feed(vmSink{got, 1})
+			for _, r := range stream {
+				want.TouchVA(1, r.VA(), r.Write())
+			}
+			if want.Device().PageOuts() == 0 {
+				t.Fatalf("%v: the stream evicted nothing", mode)
+			}
+			if g, w := got.Metrics().Snapshot(), want.Metrics().Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%v: counters %v, per reference %v", mode, g.Counters, w.Counters)
+			}
+			for vpn := VPN(0); vpn < frames*2; vpn++ {
+				gp, gok := got.Translate(1, vpn)
+				wp, wok := want.Translate(1, vpn)
+				if gp != wp || gok != wok {
+					t.Fatalf("%v: page %#x at frame %d (%v), per reference %d (%v)", mode, vpn, gp, gok, wp, wok)
+				}
+			}
+			if mode != ModeMosaic {
+				continue
+			}
+			for pfn := PFN(0); pfn < frames; pfn++ {
+				_, gl, gd, _ := got.Allocator().FrameInfo(pfn)
+				_, wl, wd, _ := want.Allocator().FrameInfo(pfn)
+				if gl != wl || gd != wd {
+					t.Fatalf("frame %d: last access %d, dirty %v; per reference %d, %v", pfn, gl, gd, wl, wd)
+				}
+			}
+		}
+	})
+}
 
 // FuzzTable3Options: workload lists with unknown names, pools of at most
 // 2 MiB (zero takes the 16 MiB default, negative is an error),
