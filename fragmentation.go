@@ -27,7 +27,8 @@ import (
 
 // FragmentationOptions parameterizes the experiment.
 type FragmentationOptions struct {
-	// Frames is the physical memory size (default 1<<14 frames = 64 MiB).
+	// Frames is the physical memory size (default 1<<14 frames = 64 MiB),
+	// a whole number of 2 MiB huge pages.
 	Frames int
 	// FreeFrac is the fraction of memory freed before the new region
 	// faults in (default 0.5 — the paper's "50% fragmented" point).
@@ -79,13 +80,13 @@ func Fragmentation(opt FragmentationOptions) ([]FragmentationRow, error) {
 	if opt.Frames == 0 {
 		opt.Frames = 1 << 14
 	}
-	if opt.Frames < 1<<buddy.MaxOrder {
-		return nil, fmt.Errorf("mosaic: fragmentation experiment needs ≥ %d frames", 1<<buddy.MaxOrder)
+	if opt.Frames < 1<<buddy.MaxOrder || opt.Frames%(1<<buddy.MaxOrder) != 0 {
+		return nil, fmt.Errorf("mosaic: fragmentation experiment needs a positive multiple of %d frames, got %d", 1<<buddy.MaxOrder, opt.Frames)
 	}
 	if opt.FreeFrac == 0 {
 		opt.FreeFrac = 0.5
 	}
-	if opt.FreeFrac <= 0 || opt.FreeFrac > 1 {
+	if !(opt.FreeFrac > 0 && opt.FreeFrac <= 1) {
 		return nil, fmt.Errorf("mosaic: free fraction %v out of (0,1]", opt.FreeFrac)
 	}
 	if len(opt.ChunkOrders) == 0 {

@@ -1,6 +1,9 @@
 package mosaic
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestFragmentationShape(t *testing.T) {
 	rows, err := Fragmentation(FragmentationOptions{Seed: 1})
@@ -113,4 +116,58 @@ func TestFragmentationDeterministic(t *testing.T) {
 			t.Fatalf("row %d differs across identical runs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// FuzzFragmentationOptions: memories of at most 2^14 frames (zero takes
+// the default, negative and sub-huge-page sizes are errors), free
+// fractions that are zero, negative, above one, tiny or NaN, severity
+// lists of zero to three orders (negative and oversized ones too) and
+// worker counts either finish with one row per severity and percentages
+// in [0, 100] or return an error, never panic. A NaN fraction is an
+// error.
+func FuzzFragmentationOptions(f *testing.F) {
+	f.Add(int16(0), int16(50), int8(9), int8(0), int8(4), uint8(3), false)
+	f.Add(int16(512), int16(100), int8(0), int8(9), int8(2), uint8(2), true)
+	f.Add(int16(-512), int16(0), int8(-1), int8(10), int8(3), uint8(1), false)
+	f.Add(int16(1000), int16(-7), int8(2), int8(6), int8(127), uint8(3), true)
+	f.Add(int16(16383), int16(1), int8(1), int8(5), int8(9), uint8(0), false)
+	f.Add(int16(4096), int16(101), int8(3), int8(3), int8(3), uint8(2), true)
+	f.Add(int16(4096), int16(-1), int8(9), int8(0), int8(0), uint8(1), false) // NaN
+	f.Add(int16(4096), int16(1), int8(0), int8(0), int8(0), uint8(1), false)  // 1e-9
+	f.Fuzz(func(t *testing.T, frames, freePct int16, o1, o2, o3 int8, nOrders uint8, twoWorkers bool) {
+		free := float64(freePct) / 100
+		if freePct == 1 {
+			free = 1e-9
+		}
+		if freePct == -1 {
+			free = math.NaN()
+		}
+		opt := FragmentationOptions{
+			Frames:      int(frames) % (1<<14 + 1),
+			FreeFrac:    free,
+			ChunkOrders: []int{int(o1), int(o2), int(o3)}[:nOrders%4],
+			Seed:        uint64(frames),
+			Workers:     1,
+		}
+		if twoWorkers {
+			opt.Workers = 2
+		}
+		rows, err := Fragmentation(opt)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(opt.FreeFrac) {
+			t.Fatal("Fragmentation accepted a NaN free fraction")
+		}
+		if want := len(opt.ChunkOrders); len(rows) != want && !(want == 0 && len(rows) == 5) {
+			t.Fatalf("%d rows for %d severities", len(rows), want)
+		}
+		for _, r := range rows {
+			for _, pct := range []float64{r.HugeBackedPct, r.MosaicBackedPct, 100 * r.UnusableIndex} {
+				if !(pct >= 0 && pct <= 100) {
+					t.Fatalf("row %+v: a percentage outside [0, 100]", r)
+				}
+			}
+		}
+	})
 }

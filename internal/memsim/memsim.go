@@ -230,6 +230,20 @@ type Simulator struct {
 // PCID-style tagging that lets entries from several address spaces coexist.
 const asidTagShift = 40
 
+// ASIDLimit is the first ASID the simulator cannot run: a 64-bit TLB tag
+// holds the ASID's low 64−asidTagShift bits, so a wider ASID would share
+// its entries with another address space. New and ReplayFrom return an
+// error for such an ASID; AccessFrom and ProcessBatchFrom panic.
+const ASIDLimit = 1 << (64 - asidTagShift)
+
+// checkASID returns an error for an ASID at or above ASIDLimit.
+func checkASID(asid core.ASID) error {
+	if uint64(asid) >= ASIDLimit {
+		return fmt.Errorf("memsim: ASID %d is at or above the TLB tag limit %d", asid, uint64(ASIDLimit))
+	}
+	return nil
+}
+
 func taggedVPN(asid core.ASID, vpn core.VPN) core.VPN {
 	return vpn | core.VPN(uint64(asid)<<asidTagShift)
 }
@@ -241,6 +255,9 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	if cfg.ASID == 0 {
 		cfg.ASID = 1
+	}
+	if err := checkASID(cfg.ASID); err != nil {
+		return nil, err
 	}
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("memsim: config needs at least one TLB spec")
@@ -316,7 +333,6 @@ func New(cfg Config) (*Simulator, error) {
 	s.cut = s.nextCut()
 	sort.Ints(s.arities)
 	osys.OnEvict(s.onEvict)
-	osys.OnMap(s.mapNodes)
 	if s.sampler != nil {
 		s.registerProbes()
 	}
@@ -434,12 +450,12 @@ func (s *Simulator) pt(asid core.ASID, arity int) *pagetable.Table {
 }
 
 // onEvict keeps the TLBs coherent with the OS: they shoot down the
-// mapping — for a mosaic TLB only the sub-page entry, per §3.1. The hook
-// runs before the OS changes the page's record, and the pending segment
-// runs first: its references precede the eviction. The evicting reference
-// is not appended yet, so that segment is shorter than the cut and ends
-// short of every sampler and audit edge: no probe and no invariant audit
-// runs inside an eviction.
+// evicted page's one mapping, (asid, vpn) — for a mosaic TLB only the
+// sub-page entry, per §3.1. The hook runs before the OS changes the page's
+// record, and the pending segment runs first: its references precede the
+// eviction. The evicting reference is not appended yet, so that segment is
+// shorter than the cut and ends short of every sampler and audit edge: no
+// probe and no invariant audit runs inside an eviction.
 func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	s.flush()
 	s.cShootdown.Inc()
@@ -476,9 +492,18 @@ func (s *Simulator) Access(va uint64, write bool) {
 // entries from several processes coexist; use FlushTLBs to model untagged
 // context switches.
 func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
-	s.seg.asid = asid
+	s.setASID(asid)
 	s.resolve(va, write)
 	s.flush()
+}
+
+// setASID makes asid the ASID of the references resolve appends next.
+func (s *Simulator) setASID(asid core.ASID) {
+	if err := checkASID(asid); err != nil {
+		//lint:ignore nopanic New and ReplayFrom return this error; a caller passing its own ASIDs keeps them below ASIDLimit, as it keeps VAs below VALimit
+		panic(err)
+	}
+	s.seg.asid = asid
 }
 
 // resolve runs one reference of the segment's ASID through the OS layer
@@ -515,9 +540,8 @@ func (s *Simulator) resolve(va uint64, write bool) {
 
 // mapNodes maps a page's nodes in every page table of the ASID: the
 // vanilla table first, then the arities ascending. resolve calls it for a
-// page the reference faulted in; the OS calls it (OnMap) for a page a
-// shared mapping or a fork made visible without a fault, whose first
-// reference is a hit. It is the cold half of resolve, outlined so the hot
+// page the reference faulted in, the only way a page becomes resident in
+// an address space. It is the cold half of resolve, outlined so the hot
 // loop stays compact.
 func (s *Simulator) mapNodes(asid core.ASID, vpn core.VPN) {
 	s.pt(asid, 0).Map(vpn)
@@ -582,7 +606,7 @@ func (s *Simulator) ProcessBatch(b trace.Batch) {
 // at sampler and audit edges, so window boundaries land on the same
 // reference indices at any batching.
 func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
-	s.seg.asid = asid
+	s.setASID(asid)
 	for _, r := range b {
 		s.resolve(r.VA(), r.Write())
 	}
@@ -598,8 +622,12 @@ func (s *Simulator) Replay(r *trace.BatchReader) (uint64, error) {
 // ReplayFrom replays a captured stream into asid's address space, one
 // decoded frame per batch, and returns the number of references run. A
 // frame holding a reference at or above VALimit stops the replay with an
-// error before any of the frame's references runs.
+// error before any of the frame's references runs, and an ASID at or above
+// ASIDLimit stops it before any reference runs.
 func (s *Simulator) ReplayFrom(asid core.ASID, r *trace.BatchReader) (uint64, error) {
+	if err := checkASID(asid); err != nil {
+		return 0, err
+	}
 	var n uint64
 	buf := make(trace.Batch, 0, trace.DefaultBatchSize)
 	for {

@@ -7,6 +7,7 @@ package memsim
 // CPFN hand-off (page table leaf, ToC fill, sub-page indexing) breaks it.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -134,4 +135,65 @@ func TestVALimit(t *testing.T) {
 		}
 	}()
 	s.Access(VALimit, false)
+}
+
+// TestASIDLimit: TLB tags hold the ASID above VPN bit 40, so only ASIDs
+// below ASIDLimit keep their entries apart. The highest one still misses
+// where ASID 1 has an entry for the same VA; New and ReplayFrom refuse
+// ASIDLimit with an error, and AccessFrom and ProcessBatchFrom panic on
+// an ASID that would share ASID 1's tags rather than hit its entries.
+func TestASIDLimit(t *testing.T) {
+	cfg := Config{Frames: 1 << 12, Specs: specs(64, 8, 4), CheckEvery: 1}
+	for _, asid := range []core.ASID{ASIDLimit, ASIDLimit + 1, 1<<32 - 1} {
+		bad := cfg
+		bad.ASID = asid
+		if _, err := New(bad); err == nil {
+			t.Errorf("New accepted ASID %d", asid)
+		}
+	}
+	const va = 0x10000000
+	s := newSim(t, cfg)
+	s.AccessFrom(1, va, false)
+	s.AccessFrom(ASIDLimit-1, va, false)
+	for _, r := range s.Results() {
+		if r.TLB.Hits != 0 || r.TLB.Misses != 2 {
+			t.Errorf("%s: ASIDs 1 and %d at one VA gave %d hits, %d misses; want 0 and 2", r.Spec.Label(), ASIDLimit-1, r.TLB.Hits, r.TLB.Misses)
+		}
+	}
+
+	var buf bytes.Buffer
+	w, err := trace.NewBatchWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(trace.Batch{trace.MakeRef(va, false)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewBatchReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.ReplayFrom(1+ASIDLimit, r); err == nil || n != 0 {
+		t.Errorf("ReplayFrom(%d) ran %d references, error %v; want none and an error", 1+ASIDLimit, n, err)
+	}
+
+	for name, run := range map[string]func(){
+		"AccessFrom":       func() { s.AccessFrom(1+ASIDLimit, va, false) },
+		"ProcessBatchFrom": func() { s.ProcessBatchFrom(1+ASIDLimit, trace.Batch{trace.MakeRef(va, false)}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of ASID %d ran", name, 1+ASIDLimit)
+				}
+			}()
+			run()
+		}()
+	}
+	if c := s.OS().Clock(); c != 2 {
+		t.Errorf("OS clock %d after the refused references, want 2", c)
+	}
 }

@@ -138,7 +138,7 @@ func (b *unitBase) walk(s *Simulator, pt *pagetable.Table, vpn core.VPN) {
 	path, ok := pt.Walk(vpn, s.path[:0])
 	b.walkTraffic(s, path)
 	if !ok {
-		//lint:ignore nopanic a fault or a mapping made without one (vm OnMap) maps the page's nodes in every table before any unit runs a reference to it, so a resident VPN always walks
+		//lint:ignore nopanic a page becomes resident only by a fault, which maps its nodes in every table before any unit runs a reference to it, so a resident VPN always walks
 		panic(fmt.Sprintf("memsim: %s walk failed for resident VPN %#x", b.spec.Label(), vpn))
 	}
 }

@@ -210,6 +210,16 @@ func (p *TwoListLRU) OnAccess(pfn core.PFN) {
 	}
 }
 
+// OnAccessN records n back-to-back references to resident pfn, leaving
+// the lists exactly as n OnAccess calls would. At most three references
+// take any page to the active list with its bit set, and a reference
+// changes nothing there, so it makes at most three OnAccess calls.
+func (p *TwoListLRU) OnAccessN(pfn core.PFN, n uint64) {
+	for range min(n, 3) {
+		p.OnAccess(pfn)
+	}
+}
+
 // OnRemove records that pfn left memory. It panics if pfn is not resident.
 func (p *TwoListLRU) OnRemove(pfn core.PFN) {
 	n := &p.nodes[pfn]

@@ -2,6 +2,7 @@ package swap
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mosaic/internal/alloc"
@@ -75,6 +76,46 @@ func TestTwoListPromotion(t *testing.T) {
 	p.OnAccess(0)
 	if p.ActiveLen() != 1 || p.InactiveLen() != 1 {
 		t.Errorf("after promotion: active=%d inactive=%d", p.ActiveLen(), p.InactiveLen())
+	}
+}
+
+// TestTwoListOnAccessNMatchesOnAccess checks OnAccessN(pfn, n) against n
+// OnAccess calls from every state a tracked page can be in, comparing the
+// whole policy: both lists' order and every page's list and bit.
+func TestTwoListOnAccessNMatchesOnAccess(t *testing.T) {
+	starts := []struct {
+		name  string
+		setup int // OnAccess calls after the fault
+	}{
+		{"inactive", 0},
+		{"inactive-referenced", 1},
+		{"active", 2},
+		{"active-referenced", 3},
+	}
+	build := func(setup int) *TwoListLRU {
+		p := NewTwoListLRU(8)
+		for pfn := core.PFN(0); pfn < 6; pfn++ {
+			p.OnFault(pfn)
+		}
+		p.OnAccess(4)
+		p.OnAccess(4) // a neighbour on the active list
+		for range setup {
+			p.OnAccess(2)
+		}
+		return p
+	}
+	for _, st := range starts {
+		for n := uint64(0); n <= 6; n++ {
+			want, got := build(st.setup), build(st.setup)
+			for range n {
+				want.OnAccess(2)
+			}
+			got.OnAccessN(2, n)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, n=%d: OnAccessN left active %d inactive %d, page %+v; %d OnAccess calls left active %d inactive %d, page %+v",
+					st.name, n, got.ActiveLen(), got.InactiveLen(), got.nodes[2], n, want.ActiveLen(), want.InactiveLen(), want.nodes[2])
+			}
+		}
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 // CheckInvariants performs a deep consistency check of the whole VM state,
 // recording any violation on r. It first delegates to the allocator's own
 // checker (bitmap/free-list integrity, owner hashing), then verifies the
-// OS-level coherence the allocator cannot see, over every page record,
-// private and shared alike:
+// OS-level coherence the allocator cannot see, over every page record:
 //
 //   - every resident page's frame is owned by exactly that (ASID, VPN) —
 //     and, in mosaic mode, its stored CPFN decodes back to its PFN and the
@@ -79,12 +78,6 @@ func (s *System) CheckInvariants(r *invariant.Report) {
 		as.each(func(vpn core.VPN, c *chunk, i int) {
 			checkRecord(alloc.Owner{ASID: asid, VPN: vpn}, c, i)
 		})
-	}
-	for _, region := range s.regions {
-		for i := 0; i < region.n; i++ {
-			c, j := region.record(i)
-			checkRecord(alloc.Owner{ASID: sharedASID, VPN: sharedVPN(region.id, i)}, c, j)
-		}
 	}
 
 	if !r.Check(len(resident) == s.Used()) {

@@ -84,14 +84,14 @@ func TestCleanAuditAllocatesPerAuditNotPerRecord(t *testing.T) {
 	}
 }
 
-// recordRef names one private page record.
+// recordRef names one page record.
 type recordRef struct {
 	vpn core.VPN
 	c   *chunk
 	i   int
 }
 
-// records returns the private records of asid in the given state, in VPN
+// records returns the records of asid in the given state, in VPN
 // order.
 func records(t *testing.T, s *System, asid core.ASID, state pageState) []recordRef {
 	t.Helper()
@@ -108,7 +108,7 @@ func records(t *testing.T, s *System, asid core.ASID, state pageState) []recordR
 	return out
 }
 
-// residentPages returns the resident private records of asid in VPN order.
+// residentPages returns the resident records of asid in VPN order.
 func residentPages(t *testing.T, s *System, asid core.ASID) []recordRef {
 	t.Helper()
 	pages := records(t, s, asid, pageResident)
@@ -152,12 +152,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				t.Fatal("no swapped page to corrupt")
 			}
 			swapped[0].c.cpfn[swapped[0].i] = 0
-		}, "vm.record-absent"},
-		{"shared-record-holds-cpfn", func(t *testing.T, s *System) {
-			// The same corruption in a shared region's record: a region
-			// page evicted to swap whose CPFN column still names a slot.
-			rc, ri := swappedSharedRecord(t, s)
-			rc.cpfn[ri] = 0
 		}, "vm.record-absent"},
 		{"stamp-after-clock", func(t *testing.T, s *System) {
 			// A resident record stamped in the future: every window would

@@ -8,12 +8,12 @@ import (
 )
 
 // Page records. A record is the only store of a page's state: an address
-// space keeps one per private page, and a shared region one per page of
-// the region, in chunks of the same type. A space's records are stored
-// densely: records live in chunks of ChunkPages consecutive VPNs, a
-// directory holds the chunks of 2^dirShift pages, and the space keeps its
-// directories in a map keyed by the VPN's high bits, cached on the last key
-// (a simulated heap is contiguous, so a stream stays in one directory). A
+// space keeps one per page it maps, and no page has a record in more than
+// one space. A space's records are stored densely: records live in chunks
+// of ChunkPages consecutive VPNs, a directory holds the chunks of
+// 2^dirShift pages, and the space keeps its directories in a map keyed by
+// the VPN's high bits, cached on the last key (a simulated heap is
+// contiguous, so a stream stays in one directory). A
 // Touch that hits finds its record with two array indexings and no map
 // probe.
 //
@@ -113,35 +113,7 @@ func (as *AddressSpace) lookup(vpn core.VPN) (*chunk, int) {
 	return d[ci], i
 }
 
-// touchRecord is record for a Touch of a space that maps shared regions:
-// for a shared page it returns the region's record and the owner placement
-// hashes (sharedASID and the region's packed index), otherwise the private
-// record and (as.asid, vpn).
-func (as *AddressSpace) touchRecord(vpn core.VPN) (*chunk, int, core.ASID, core.VPN) {
-	if ref, ok := as.shared[vpn]; ok {
-		c, i := ref.region.record(ref.index)
-		return c, i, sharedASID, sharedVPN(ref.region.id, ref.index)
-	}
-	c, i := as.record(vpn)
-	return c, i, as.asid, vpn
-}
-
-// record returns the chunk holding page i's record and the record's index
-// in it.
-func (r *SharedRegion) record(i int) (*chunk, int) {
-	return r.chunks[i>>chunkShift], i & (ChunkPages - 1)
-}
-
-// mapped reports whether vpn has a private record (resident or swapped).
-func (as *AddressSpace) mapped(vpn core.VPN) bool {
-	c, i := as.lookup(vpn)
-	return c != nil && c.state[i] != pageNone
-}
-
-// each calls fn for every private record that is mapped, in ascending VPN
-// order. fn reads the record's state when it is called, so it sees the
-// effects of its own earlier calls (ForkCopy's copies may evict pages of
-// the space it walks).
+// each calls fn for every record that is mapped, in ascending VPN order.
 func (as *AddressSpace) each(fn func(vpn core.VPN, c *chunk, i int)) {
 	keys := make([]uint64, 0, len(as.dirs))
 	for k := range as.dirs {
@@ -226,8 +198,7 @@ var emptyChunk = newChunk()
 
 // Window returns the view of the n records of the aligned run that holds
 // vpn. n must be a power of two no larger than ChunkPages, so the run lies
-// in one chunk. Shared-region pages mapped into the run read through to
-// their region's records.
+// in one chunk.
 func (as *AddressSpace) Window(vpn core.VPN, n int) Window {
 	c, _ := as.lookup(vpn)
 	if c == nil {
@@ -237,24 +208,5 @@ func (as *AddressSpace) Window(vpn core.VPN, n int) Window {
 	for b := w.lo / blockPages; b <= (w.lo+n-1)/blockPages; b++ {
 		w.newest = max(w.newest, c.newest[b])
 	}
-	if len(as.shared) == 0 {
-		return w
-	}
-	// Copy the run into the space's scratch chunk and overlay the shared
-	// pages, which live in their regions' records.
-	if as.scratch == nil {
-		as.scratch = newChunk()
-	}
-	sc := as.scratch
-	base := vpn &^ core.VPN(n-1)
-	copy(sc.pfn[:n], c.pfn[w.lo:])
-	copy(sc.cpfn[:n], c.cpfn[w.lo:])
-	copy(sc.stamp[:n], c.stamp[w.lo:])
-	for j := 0; j < n; j++ {
-		if ref, ok := as.shared[base+core.VPN(j)]; ok {
-			rc, ri := ref.region.record(ref.index)
-			sc.pfn[j], sc.cpfn[j], sc.stamp[j] = rc.pfn[ri], rc.cpfn[ri], rc.stamp[ri]
-		}
-	}
-	return Window{c: sc, n: n, newest: never}
+	return w
 }

@@ -17,95 +17,59 @@ type touchRun struct {
 	writes []bool
 }
 
-// runScript is a stream of runs with a shared region mapped into ASIDs 1
-// and 2 from the start and a ForkCopy of ASID 1 onto ASID 3 halfway.
-type runScript struct {
-	before, after []touchRun
-}
-
-const (
-	scriptSharedBase1 core.VPN = 700
-	scriptSharedBase2 core.VPN = 900
-	scriptSharedLen            = 8
-)
+// runScript is a stream of runs over ASIDs 1 to 3.
+type runScript []touchRun
 
 // newRunScript draws a stream of runs: most are a few accesses long, some
 // reach hundreds, so runs cross scan-daemon ticks, and stores fall at any
-// position in a run. VPNs cross the 512-record chunk edge and include the
-// shared region's pages.
+// position in a run. VPNs cross the 512-record chunk edge.
 func newRunScript(seed int64, runs int) runScript {
 	rng := rand.New(rand.NewSource(seed))
-	draw := func(asids int) []touchRun {
-		out := make([]touchRun, runs)
-		for i := range out {
-			asid := core.ASID(1 + rng.Intn(asids))
-			vpn := core.VPN(400 + rng.Intn(240))
-			if asid <= 2 && rng.Intn(8) == 0 {
-				vpn = scriptSharedBase1 + core.VPN(rng.Intn(scriptSharedLen))
-				if asid == 2 {
-					vpn += scriptSharedBase2 - scriptSharedBase1
-				}
-			}
-			var n int
-			switch k := rng.Intn(20); {
-			case k < 6:
-				n = 1
-			case k < 14:
-				n = 2 + rng.Intn(3)
-			case k < 19:
-				n = 5 + rng.Intn(40)
-			default:
-				n = 100 + rng.Intn(300)
-			}
-			writes := make([]bool, n)
-			for k := range writes {
-				writes[k] = rng.Intn(9) == 0
-			}
-			out[i] = touchRun{asid: asid, vpn: vpn, writes: writes}
+	out := make(runScript, runs)
+	for i := range out {
+		asid := core.ASID(1 + rng.Intn(3))
+		vpn := core.VPN(400 + rng.Intn(240))
+		var n int
+		switch k := rng.Intn(20); {
+		case k < 6:
+			n = 1
+		case k < 14:
+			n = 2 + rng.Intn(3)
+		case k < 19:
+			n = 5 + rng.Intn(40)
+		default:
+			n = 100 + rng.Intn(300)
 		}
-		return out
+		writes := make([]bool, n)
+		for k := range writes {
+			writes[k] = rng.Intn(9) == 0
+		}
+		out[i] = touchRun{asid: asid, vpn: vpn, writes: writes}
 	}
-	return runScript{before: draw(2), after: draw(3)}
+	return out
 }
 
 // play runs the script on s, one Touch per access or, with batched set,
 // one TouchN per run, and returns each run's first-access result.
 func (sc runScript) play(t *testing.T, s *System, batched bool) []AccessResult {
 	t.Helper()
-	region, err := s.CreateSharedRegion(scriptSharedLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MapShared(1, scriptSharedBase1, region); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MapShared(2, scriptSharedBase2, region); err != nil {
-		t.Fatal(err)
-	}
 	var results []AccessResult
-	touch := func(runs []touchRun) {
-		for _, r := range runs {
-			if batched {
-				write := false
-				for _, w := range r.writes {
-					write = write || w
-				}
-				results = append(results, s.TouchN(r.asid, r.vpn, uint64(len(r.writes)), write))
-				continue
+	for _, r := range sc {
+		if batched {
+			write := false
+			for _, w := range r.writes {
+				write = write || w
 			}
-			results = append(results, s.Touch(r.asid, r.vpn, r.writes[0]))
-			for k, w := range r.writes[1:] {
-				if got := s.Touch(r.asid, r.vpn, w); got != Hit {
-					t.Fatalf("access %d of a run on (%d, %#x) = %v, want a hit", k+1, r.asid, r.vpn, got)
-				}
+			results = append(results, s.TouchN(r.asid, r.vpn, uint64(len(r.writes)), write))
+			continue
+		}
+		results = append(results, s.Touch(r.asid, r.vpn, r.writes[0]))
+		for k, w := range r.writes[1:] {
+			if got := s.Touch(r.asid, r.vpn, w); got != Hit {
+				t.Fatalf("access %d of a run on (%d, %#x) = %v, want a hit", k+1, r.asid, r.vpn, got)
 			}
 		}
 	}
-	touch(sc.before)
-	if _, err := s.ForkCopy(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	touch(sc.after)
 	return results
 }
 
@@ -113,7 +77,7 @@ func (sc runScript) play(t *testing.T, s *System, batched bool) []AccessResult {
 // Touch per access and one TouchN per run, and requires identical
 // results and identical state: the clock, every counter, the swap
 // device, every frame's owner, timestamp, dirty bit and occupancy, the
-// two-list LRU's lists, every page's translation, and a clean invariant
+// two-list LRU's lists in order and every page's bit, every page's translation, and a clean invariant
 // audit. Memory is small enough to evict throughout, and the scan-mode
 // interval is short enough that long runs cross several daemon ticks.
 func TestTouchNMatchesTouch(t *testing.T) {
@@ -122,7 +86,7 @@ func TestTouchNMatchesTouch(t *testing.T) {
 		"mosaic":  {Frames: 256, Mode: ModeMosaic, Seed: 3},
 		"scan":    {Frames: 256, Mode: ModeMosaic, Seed: 3, ScanInterval: 61},
 	}
-	script := newRunScript(11, 3000)
+	script := newRunScript(11, 6000)
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			each, err := New(cfg)
@@ -171,8 +135,8 @@ func assertSameState(t *testing.T, got, want *System) {
 				pfn, gown, gl, gd, gu, wown, wl, wd, wu)
 		}
 	}
-	if want.policy != nil && (got.policy.ActiveLen() != want.policy.ActiveLen() || got.policy.InactiveLen() != want.policy.InactiveLen()) {
-		t.Fatalf("two-list LRU active %d inactive %d, want %d and %d", got.policy.ActiveLen(), got.policy.InactiveLen(),
+	if !reflect.DeepEqual(got.policy, want.policy) {
+		t.Fatalf("two-list LRU differs: active %d inactive %d, want %d and %d", got.policy.ActiveLen(), got.policy.InactiveLen(),
 			want.policy.ActiveLen(), want.policy.InactiveLen())
 	}
 	for asid := core.ASID(1); asid <= 3; asid++ {

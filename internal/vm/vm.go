@@ -19,10 +19,10 @@
 //
 // Each address space stores its pages as dense records (records.go): state,
 // frame, CPFN and the access clock at which the page became resident, in
-// column chunks indexed by VPN. A shared region keeps its pages in chunks
-// of the same form. These records are the only store of page state:
-// whether a page is unmapped, resident or swapped out is read from its
-// record, and the swap device only counts page-outs and page-ins. A
+// column chunks indexed by VPN. Every page has exactly one owner, its
+// (ASID, VPN), and one record. These records are the only store of page
+// state: whether a page is unmapped, resident or swapped out is read from
+// its record, and the swap device only counts page-outs and page-ins. A
 // non-resident record holds CPFNInvalid, so an aligned window of a chunk's
 // CPFN column is exactly a mosaic page-table leaf; the memory-system
 // simulator reads its page tables' entries from these records through
@@ -82,10 +82,6 @@ const (
 	lowWatermark  float64 = 0.008
 	highWatermark         = 1.25 * lowWatermark
 )
-
-// sharedASID is the reserved namespace for pages placed via location IDs
-// (§2.5); user address spaces must not use it.
-const sharedASID core.ASID = 0xFFFFFFFF
 
 // maxFrames bounds Config.Frames: 2^24 frames of 4 KiB are 64 GiB, sixteen
 // times the paper's 4 GiB pool. The allocator, the LRU and the swap
@@ -179,64 +175,22 @@ func (r AccessResult) String() string {
 type pageState uint8
 
 const (
-	// pageNone: a private record that maps nothing, or a shared-region
-	// page that was never faulted in.
+	// pageNone: a record that maps nothing.
 	pageNone pageState = iota
 	pageResident
 	pageSwapped
 )
 
-type sharedRef struct {
-	region *SharedRegion
-	index  int
-}
-
-// AddressSpace is one process's view of virtual memory: its private page
-// records (records.go) and its shared-region mappings.
+// AddressSpace is one process's view of virtual memory: its page records
+// (records.go).
 type AddressSpace struct {
 	asid core.ASID
-	// dirs holds the private records by the VPN's high bits; lastKey and
+	// dirs holds the records by the VPN's high bits; lastKey and
 	// lastDir cache the directory the last lookup used.
 	dirs    map[uint64]*directory
 	lastKey uint64
 	lastDir *directory
-	// shared is nil until the space maps a shared region.
-	shared map[core.VPN]sharedRef
-	// scratch backs Window when shared pages overlay private records.
-	scratch *chunk
 }
-
-// SharedRegion is a run of pages shared through the location-ID mechanism
-// of §2.5: placement hashes (locationID, index) rather than (ASID, VPN), so
-// the same frames back every mapping of the region.
-type SharedRegion struct {
-	id uint32
-	// chunks hold the region's page records, ChunkPages to a chunk; n is
-	// the region's length in pages.
-	chunks []*chunk
-	n      int
-	// maps counts the VPNs that map the region, over all address spaces:
-	// the region is freed when the last one is unmapped.
-	maps int
-	// mappings lists each (ASID, base VPN) the region was mapped at, in
-	// the order the mappings were made, so an evicted page can be shot
-	// down in every space that maps it. A page unmapped on its own keeps
-	// its mapping's entry; eviction checks the space still maps it.
-	mappings []sharedMapping
-}
-
-// sharedMapping is one mapping of a shared region: page i of the region
-// is VPN base+i of the ASID's space.
-type sharedMapping struct {
-	asid core.ASID
-	base core.VPN
-}
-
-// ID is the region's location ID.
-func (r *SharedRegion) ID() uint32 { return r.id }
-
-// Len is the region's length in pages.
-func (r *SharedRegion) Len() int { return r.n }
 
 // System is a simulated virtual-memory subsystem. It is not safe for
 // concurrent use.
@@ -251,9 +205,7 @@ type System struct {
 	policy *swap.TwoListLRU
 	dev    *swap.Device
 
-	spaces  map[core.ASID]*AddressSpace
-	regions map[uint32]*SharedRegion
-	nextRID uint32
+	spaces map[core.ASID]*AddressSpace
 
 	// lastSpace is the space Space last returned: a stream touches one
 	// ASID for long runs, and spaces are never deleted.
@@ -282,7 +234,6 @@ type System struct {
 	cConflictEvict *obs.Counter // vm.evict.conflict
 	cReclaim       *obs.Counter // vm.reclaim
 	cDaemonScan    *obs.Counter // vm.scan.daemon
-	cForkCopy      *obs.Counter // vm.fork.copy
 
 	storm stormState
 
@@ -294,7 +245,6 @@ type System struct {
 	scan                  *scanState
 
 	evictHook func(asid core.ASID, vpn core.VPN)
-	mapHook   func(asid core.ASID, vpn core.VPN)
 }
 
 // New creates a System from cfg.
@@ -303,10 +253,9 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:     cfg,
-		mode:    cfg.Mode,
-		spaces:  make(map[core.ASID]*AddressSpace),
-		regions: make(map[uint32]*SharedRegion),
+		cfg:    cfg,
+		mode:   cfg.Mode,
+		spaces: make(map[core.ASID]*AddressSpace),
 	}
 	if cfg.Obs != nil {
 		s.metrics = cfg.Obs.Metrics
@@ -324,7 +273,6 @@ func New(cfg Config) (*System, error) {
 	s.cConflictEvict = s.metrics.Counter("vm.evict.conflict")
 	s.cReclaim = s.metrics.Counter("vm.reclaim")
 	s.cDaemonScan = s.metrics.Counter("vm.scan.daemon")
-	s.cForkCopy = s.metrics.Counter("vm.fork.copy")
 	s.dev = swap.NewDevice(s.metrics)
 	switch cfg.Mode {
 	case ModeMosaic:
@@ -384,8 +332,8 @@ func (s *System) Device() *swap.Device { return s.dev }
 
 // Metrics exposes the instrument registry. The system's counters are
 // vm.access, vm.fault.minor, vm.fault.major, vm.conflict, vm.ghost.reclaim,
-// vm.evict, vm.evict.conflict, vm.reclaim, vm.scan.daemon, vm.fork.copy,
-// plus the swap device's swap.out and swap.in.
+// vm.evict, vm.evict.conflict, vm.reclaim, vm.scan.daemon, plus the swap
+// device's swap.out and swap.in.
 func (s *System) Metrics() *obs.Registry { return s.metrics }
 
 // Allocator exposes the iceberg-constrained allocator (mosaic mode only;
@@ -416,12 +364,8 @@ func (s *System) FirstConflictUtilization() (float64, bool) {
 	return s.firstConflictUtil, s.sawConflict
 }
 
-// Space returns (creating if needed) the address space for asid. It panics
-// for the reserved shared-mapping ASID 0xFFFFFFFF.
+// Space returns (creating if needed) the address space for asid.
 func (s *System) Space(asid core.ASID) *AddressSpace {
-	if asid == sharedASID {
-		panic("vm: ASID 0xFFFFFFFF is reserved for shared mappings")
-	}
 	if as := s.lastSpace; as != nil && as.asid == asid {
 		return as
 	}
@@ -441,17 +385,7 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 	if s.scan != nil && s.clock%s.scan.interval == 0 {
 		s.runScan()
 	}
-	as := s.Space(asid)
-
-	// A shared page's record is its region's, and placement knows the
-	// page by the region's owner, not (asid, vpn).
-	var c *chunk
-	var i int
-	if len(as.shared) == 0 {
-		c, i = as.record(vpn)
-	} else {
-		c, i, asid, vpn = as.touchRecord(vpn)
-	}
+	c, i := s.Space(asid).record(vpn)
 	switch c.state[i] {
 	case pageResident:
 		pfn := c.pfn[i]
@@ -481,8 +415,9 @@ func (s *System) Touch(asid core.ASID, vpn core.VPN, write bool) AccessResult {
 // run's last clock. Setting the dirty bit at the first access rather than
 // at a later store in the run is exact: nothing reads the bit before the
 // page is evicted. In vanilla mode the two-list LRU sees every repeated
-// access. Under the scan daemon (ScanInterval) a tick can fall inside the
-// run, so the repeated accesses step the clock one by one.
+// access, through one OnAccessN. Under the scan daemon (ScanInterval) a
+// tick can fall inside the run, so the repeated accesses step the clock
+// one by one.
 func (s *System) TouchN(asid core.ASID, vpn core.VPN, n uint64, write bool) AccessResult {
 	if n == 0 {
 		panic("vm: TouchN of zero accesses")
@@ -508,9 +443,7 @@ func (s *System) TouchN(asid core.ASID, vpn core.VPN, n uint64, write bool) Acce
 	default:
 		s.clock += n - 1
 		s.umem.Touch(pfn, s.clock, write)
-		for k := uint64(1); k < n; k++ {
-			s.policy.OnAccess(pfn)
-		}
+		s.policy.OnAccessN(pfn, n-1)
 	}
 	return r
 }
@@ -544,9 +477,9 @@ func (s *System) touchFrame(pfn core.PFN, write bool) {
 	s.policy.OnAccess(pfn)
 }
 
-// fillPage allocates a frame for the page placement knows as (asid, vpn),
-// as the page the current access resolves to, and installs it in record i
-// of c, stamped with the current clock.
+// fillPage allocates a frame for (asid, vpn), as the page the current
+// access resolves to, and installs it in record i of c, stamped with the
+// current clock.
 func (s *System) fillPage(asid core.ASID, vpn core.VPN, c *chunk, i int, write bool) {
 	pfn, cpfn := s.allocate(asid, vpn)
 	s.lastPFN, s.lastCPFN = pfn, cpfn
@@ -658,24 +591,9 @@ func (s *System) reclaimOneVanilla() {
 
 // OnEvict registers fn to run whenever a page leaves memory for swap —
 // the hook the memory-system simulator uses for page-table invalidation
-// and TLB shootdown. fn runs once for each (ASID, VPN) that maps the page:
-// a shared-region page reports every mapping of it, in the order the
-// mappings were made, and a shared page no space maps any more reports
-// none.
+// and TLB shootdown. fn runs once per eviction, with the page's owner: a
+// page is mapped by exactly one (ASID, VPN).
 func (s *System) OnEvict(fn func(asid core.ASID, vpn core.VPN)) { s.evictHook = fn }
-
-// OnMap registers fn to run for every page a mapping makes visible in an
-// address space without a fault there: each page of a MapShared mapping
-// and each page a ForkCopy child inherits, in a deterministic order. Such
-// a page's first Touch in that space can be a Hit, so this is the hook the
-// memory-system simulator uses to build the space's page-table path to it.
-func (s *System) OnMap(fn func(asid core.ASID, vpn core.VPN)) { s.mapHook = fn }
-
-func (s *System) notifyMap(asid core.ASID, vpn core.VPN) {
-	if s.mapHook != nil {
-		s.mapHook(asid, vpn)
-	}
-}
 
 // Eviction-storm detection: stormThreshold evictions within one
 // stormWindow of the access clock is thrashing-grade pressure worth a
@@ -716,41 +634,21 @@ func (s *System) noteEvictionStorm() {
 }
 
 // recordEviction counts an evicted page's write to swap and marks its
-// record, in the owning address space or shared region, swapped.
+// owner's record swapped.
 func (s *System) recordEviction(owner alloc.Owner) {
 	s.cEvict.Inc()
 	if s.events != nil {
 		s.noteEvictionStorm()
 	}
-	var c *chunk
-	var i int
-	if owner.ASID == sharedASID {
-		rid, idx := splitSharedVPN(owner.VPN)
-		r, ok := s.regions[rid]
-		if !ok {
-			//lint:ignore nopanic shared owners are minted from live regions, and regions are never deleted
-			panic(fmt.Sprintf("vm: evicted page of unknown shared region %d", rid))
-		}
-		if s.evictHook != nil {
-			for _, m := range r.mappings {
-				vpn := m.base + core.VPN(idx)
-				if ref, ok := s.spaces[m.asid].shared[vpn]; ok && ref.region == r && ref.index == idx {
-					s.evictHook(m.asid, vpn)
-				}
-			}
-		}
-		c, i = r.record(idx)
-	} else {
-		if s.evictHook != nil {
-			s.evictHook(owner.ASID, owner.VPN)
-		}
-		as, ok := s.spaces[owner.ASID]
-		if !ok {
-			//lint:ignore nopanic frame owners are recorded at placement from existing spaces
-			panic(fmt.Sprintf("vm: evicted page of unknown ASID %d", owner.ASID))
-		}
-		c, i = as.lookup(owner.VPN)
+	if s.evictHook != nil {
+		s.evictHook(owner.ASID, owner.VPN)
 	}
+	as, ok := s.spaces[owner.ASID]
+	if !ok {
+		//lint:ignore nopanic frame owners are recorded at placement from existing spaces
+		panic(fmt.Sprintf("vm: evicted page of unknown ASID %d", owner.ASID))
+	}
+	c, i := as.lookup(owner.VPN)
 	if c == nil || c.state[i] != pageResident {
 		//lint:ignore nopanic the allocator reported this owner as occupying the frame, so its record must show it resident
 		panic(fmt.Sprintf("vm: evicted page (asid %d, vpn %#x) not resident in its record", owner.ASID, owner.VPN))
@@ -765,13 +663,7 @@ func (s *System) resolve(asid core.ASID, vpn core.VPN) (core.PFN, core.CPFN, boo
 	if !ok {
 		return 0, core.CPFNInvalid, false
 	}
-	var c *chunk
-	var i int
-	if ref, ok := as.shared[vpn]; ok {
-		c, i = ref.region.record(ref.index)
-	} else {
-		c, i = as.lookup(vpn)
-	}
+	c, i := as.lookup(vpn)
 	if c == nil || c.state[i] != pageResident {
 		return 0, core.CPFNInvalid, false
 	}
@@ -810,11 +702,6 @@ func (s *System) Unmap(asid core.ASID, vpn core.VPN) bool {
 	if !ok {
 		return false
 	}
-	if ref, ok := as.shared[vpn]; ok {
-		delete(as.shared, vpn)
-		s.releaseShared(ref.region, 1)
-		return true
-	}
 	c, i := as.lookup(vpn)
 	if c == nil || c.state[i] == pageNone {
 		return false
@@ -837,7 +724,7 @@ func (s *System) freeFrame(pfn core.PFN) {
 }
 
 // MappedPages reports the number of mapped pages (resident or swapped) in
-// asid's space, excluding shared mappings.
+// asid's space.
 func (s *System) MappedPages(asid core.ASID) int {
 	as, ok := s.spaces[asid]
 	if !ok {

@@ -324,37 +324,16 @@ func TestASIDIsolation(t *testing.T) {
 	}
 }
 
-func TestReservedASIDPanics(t *testing.T) {
-	s := newMosaic(t, 64*16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reserved ASID should panic")
-		}
-	}()
-	s.Touch(0xFFFFFFFF, 1, false)
-}
-
 // TestResolvedMatchesTranslate: after every Touch — hit, minor or major
-// fault, private or shared page, in both modes and under enough pressure
-// to evict — Resolved names the same frame and CPFN that Translate and
-// CPFNFor look up afresh.
+// fault, in both modes and under enough pressure to evict — Resolved
+// names the same frame and CPFN that Translate and CPFNFor look up afresh.
 func TestResolvedMatchesTranslate(t *testing.T) {
 	for _, s := range []*System{newMosaic(t, 64*4), newVanilla(t, 64*4)} {
 		t.Run(s.Mode().String(), func(t *testing.T) {
-			region, err := s.CreateSharedRegion(16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.MapShared(1, 1<<20, region); err != nil {
-				t.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(5))
 			seen := map[AccessResult]int{}
 			for i := 0; i < 20000; i++ {
 				vpn := core.VPN(rng.Intn(400))
-				if rng.Intn(8) == 0 {
-					vpn = 1<<20 + core.VPN(rng.Intn(16))
-				}
 				seen[s.Touch(1, vpn, rng.Intn(2) == 0)]++
 				pfn, cpfn := s.Resolved()
 				wantPFN, ok := s.Translate(1, vpn)

@@ -68,8 +68,6 @@ type (
 	System = vm.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = vm.Config
-	// SharedRegion is a §2.5 location-ID shared-memory region.
-	SharedRegion = vm.SharedRegion
 	// AccessResult classifies a Touch: Hit, MinorFault, or MajorFault.
 	AccessResult = vm.AccessResult
 	// Mode selects mosaic or vanilla memory management.

@@ -463,29 +463,6 @@ func TestAblateEviction(t *testing.T) {
 		r.HorizonKIO, r.NaiveKIO, r.LinuxKIO, r.HorizonVsNaive)
 }
 
-func TestSharedMemoryFacade(t *testing.T) {
-	sys, err := NewSystem(SystemConfig{Frames: 1024, Mode: ModeMosaic, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := sys.CreateSharedRegion(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.MapShared(1, 0x100, region); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.MapShared(2, 0x200, region); err != nil {
-		t.Fatal(err)
-	}
-	sys.Touch(1, 0x101, true)
-	p1, _ := sys.Translate(1, 0x101)
-	p2, ok := sys.Translate(2, 0x201)
-	if !ok || p1 != p2 {
-		t.Fatalf("shared translation mismatch: %d vs %d", p1, p2)
-	}
-}
-
 func TestAblateTimestamps(t *testing.T) {
 	rows, err := AblateTimestamps("btree", 8, 1.15, []uint64{0, 2048}, 3_000_000, 4, 0)
 	if err != nil {

@@ -179,3 +179,52 @@ func TestReplayRejectsVAsAboveLimit(t *testing.T) {
 		t.Errorf("quantum replay ran %d references of the refused frame", n)
 	}
 }
+
+// FuzzMultiprogramOptions: lists of zero to three workloads (unknown names
+// too), footprints of at most 1 MiB, streams of at most 20k references,
+// odd, zero and wrapped-negative quanta, TLB sizes and arities that are
+// zero, negative, odd or oversized, and worker counts either finish with
+// one result per design or return an error, never panic.
+func FuzzMultiprogramOptions(f *testing.F) {
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), uint32(1<<20), uint16(5000), int16(997), int8(64), int8(8), int8(4), int8(16), uint8(2), false, false)
+	f.Add(uint8(0), uint8(5), uint8(2), uint8(3), uint32(4096), uint16(1), int16(0), int8(0), int8(0), int8(0), int8(0), uint8(0), true, true)
+	f.Add(uint8(1), uint8(3), uint8(0), uint8(2), uint32(12345), uint16(19999), int16(-1), int8(-8), int8(3), int8(-4), int8(3), uint8(1), false, true)
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(3), uint32(1), uint16(300), int16(1), int8(7), int8(7), int8(64), int8(127), uint8(2), true, false)
+	f.Add(uint8(3), uint8(4), uint8(4), uint8(2), uint32(0), uint16(0), int16(33), int8(16), int8(-1), int8(2), int8(1), uint8(2), false, false)
+	names := []string{"graph500", "xsbench", "btree", "gups", "kvstore", "nosuch"}
+	f.Fuzz(func(t *testing.T, wl1, wl2, wl3, nWl uint8, footprint uint32, maxRefs uint16, quantum int16, entries, ways, ar1, ar2 int8, nAr uint8, flush, twoWorkers bool) {
+		opt := MultiprogramOptions{
+			Workloads:      []string{names[int(wl1)%len(names)], names[int(wl2)%len(names)], names[int(wl3)%len(names)]}[:nWl%4],
+			FootprintBytes: uint64(footprint)%(1<<20) + 1,
+			QuantumRefs:    uint64(int64(quantum)),
+			MaxRefsPerProc: uint64(maxRefs)%20_000 + 1,
+			TLBEntries:     int(entries),
+			Ways:           int(ways),
+			Arities:        []int{int(ar1), int(ar2)}[:nAr%3],
+			FlushOnSwitch:  flush,
+			Seed:           uint64(footprint),
+			Workers:        1,
+		}
+		if twoWorkers {
+			opt.Workers = 2
+		}
+		res, refs, err := Multiprogram(opt)
+		if err != nil {
+			return
+		}
+		if err := opt.applyDefaults(); err != nil {
+			t.Fatalf("Multiprogram accepted options its defaults reject: %v", err)
+		}
+		if want := 1 + len(opt.Arities); len(res) != want {
+			t.Fatalf("%d results, want %d", len(res), want)
+		}
+		if refs == 0 || refs > uint64(len(opt.Workloads))*opt.MaxRefsPerProc {
+			t.Fatalf("%d references from %d streams of at most %d", refs, len(opt.Workloads), opt.MaxRefsPerProc)
+		}
+		for _, r := range res {
+			if r.SharedMisses > refs || r.SoloMisses > refs {
+				t.Fatalf("%+v: more misses than the %d references", r, refs)
+			}
+		}
+	})
+}

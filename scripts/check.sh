@@ -30,8 +30,8 @@ go test -race -timeout 120s ./internal/sweep/... ./internal/obs/...
 # 300 s.
 go test -race -timeout 320s .
 go test -race -timeout 300s $(go list ./... | grep -vx mosaic)
-# The VM's dense page records against a map oracle: faults, evictions,
-# unmaps, forks and shared mappings around chunk and directory edges.
+# The VM's dense page records against a map oracle: faults, runs of
+# touches, evictions and unmaps around chunk and directory edges.
 go test -run='^$' -fuzz=FuzzPageRecords -fuzztime=3s ./internal/vm
 # The iceberg allocator against a map oracle: stable frames, CPFNs that
 # decode back, conflicts only when every candidate is live.
@@ -66,6 +66,12 @@ go test -run='^$' -fuzz=FuzzIcebergDeltaOptions -fuzztime=3s .
 # intervals included: workloads, pools, fractions, reference budgets and
 # worker counts either finish or return an error, never panic.
 go test -run='^$' -fuzz=FuzzAblateSwapOptions -fuzztime=3s .
+# MultiprogramOptions and FragmentationOptions: zero to three workloads
+# (unknown names too), tiny footprints and memories, odd, zero and wrapped
+# negative quanta, bad TLB sizes, arities, chunk orders and free fractions
+# (NaN included) either finish or return an error, never panic.
+go test -run='^$' -fuzz=FuzzMultiprogramOptions -fuzztime=3s .
+go test -run='^$' -fuzz=FuzzFragmentationOptions -fuzztime=3s .
 # Nothing records the go-test benchmarks (bench/ is the repository
 # benchmark), so run each once to keep them compiling and passing.
 go test -run='^$' -bench=. -benchtime=1x ./...
