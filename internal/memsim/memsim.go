@@ -15,34 +15,39 @@
 // (Table 1a) through which both its page-table walks and the data stream
 // flow, exactly as gem5 attaches a walker per TLB.
 //
-// The page tables the walkers read are views of the OS layer's page
-// records, not copies: memsim keeps only each radix tree's nodes (walker
-// traffic needs their physical addresses), and a walk reads the PFN, the
-// ToC or the CoLT neighbours from the records. Each record carries the
-// access clock at which its page became resident.
+// Only a cache hierarchy or a walk cache reads the physical addresses a
+// page-table walk touches, so only a simulator with either builds radix
+// page tables. They are views of the OS layer's page records, not copies:
+// memsim keeps only each tree's nodes, and a walk reads the PFN, the ToC or
+// the CoLT neighbours from the records. Without them a walk reads
+// pagetable.Levels entries and its addresses go unread, so it is counted,
+// not performed.
 //
-// The simulator runs unit-major. The OS layer resolves each reference
-// once, into the frame it touched, and appends it to a pending segment;
-// each TLB unit then runs the whole segment in its own loop, so its tags,
-// LRU links and ToCs stay hot in the host's cache. A unit replaying the
-// reference at clock c reads every record as of c: a page that faulted in
-// later in the segment is absent from the ToC or neighbour group it
-// fills. Faults therefore do not end a segment. Evictions do: the
+// The simulator runs unit-major. The OS layer resolves each run of
+// references to one page once, with one vm.TouchN, into the frame it
+// touched, and appends it to a pending segment as one row; each TLB unit
+// then runs the whole segment in its own loop, so its tags, LRU links and
+// ToCs stay hot in the host's cache. Each record carries the access clock
+// at which its page became resident, and a unit replaying a row whose
+// first reference ran at clock c reads every record as of c: a page that
+// faulted in later in the segment is absent from the ToC or neighbour
+// group it fills. Faults therefore do not end a segment. Evictions do: the
 // eviction hook runs the pending segment before the record changes and
 // before the shootdown. So every unit sees exactly the per-reference
 // sequence of lookups, walks and fills: units share nothing else.
 //
-// Sampler window edges and CheckEvery audits end a segment too, so the
-// probes and the audit read the state after exactly the reference at the
-// edge. A batch, a single Access and a sampled run all take this one path.
+// Sampler window edges and CheckEvery audits end a segment too, cutting a
+// row that spans one, so the probes and the audit read the state after
+// exactly the reference at the edge. A batch, a single Access and a
+// sampled run all take this one path.
 //
-// A reference to the page of the one before it in the segment is marked
-// a repeat once, and every unit counts it as a hit without a lookup. That
-// is exact: after the earlier reference each unit's TLB holds the page at
-// the MRU slot of its set, whether it hit or filled (a mosaic ToC as of
-// that reference holds the page, which was resident then), and no
-// shootdown lands inside a segment, so the lookup would hit and change
-// nothing but the hit count.
+// A unit looks up only a row's first reference and counts the rest of the
+// row as hits. That is exact: after the first reference each unit's TLB
+// holds the page at the MRU slot of its set, whether it hit or filled (a
+// mosaic ToC as of that reference holds the page, which was resident
+// then), and no shootdown lands inside a segment, so each further lookup
+// would hit and change nothing but the hit count. The caches still see
+// every data access, in order.
 package memsim
 
 import (
@@ -198,7 +203,8 @@ type Simulator struct {
 	cut uint64
 	// Page tables are per (ASID, arity), arity 0 the vanilla table that
 	// vanilla and CoLT units walk: mosaic PTs are shared among units with
-	// equal arity (each unit still walks them independently).
+	// equal arity (each unit still walks them independently). pts is nil
+	// unless caches or a walk cache read the walks' addresses.
 	pts map[ptKey]*pagetable.Table
 	// arities lists the distinct mosaic arities in ascending order. A fault
 	// maps the page in the vanilla table and then in the per-arity tables
@@ -269,7 +275,6 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:         cfg,
 		os:          osys,
-		pts:         make(map[ptKey]*pagetable.Table),
 		metrics:     osys.Metrics(), // one namespace shared with the OS layer
 		clockMono:   invariant.NewMonotone("memsim.clock-monotone"),
 		horizonMono: invariant.NewMonotone("memsim.horizon-monotone"),
@@ -280,10 +285,12 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.cShootdown = s.metrics.Counter("tlb.shootdown")
 	s.cFlush = s.metrics.Counter("tlb.flush")
-	// Page-table nodes live above the workload's physical frames so walk
-	// traffic and data traffic never alias in the caches.
-	ptBase := uint64(cfg.Frames) * core.PageSize
-	s.paAlloc = pagetable.BumpAllocator(ptBase)
+	if cfg.EnableCaches || cfg.EnableWalkCache {
+		s.pts = make(map[ptKey]*pagetable.Table)
+		// Page-table nodes live above the workload's physical frames so
+		// walk traffic and data traffic never alias in the caches.
+		s.paAlloc = pagetable.BumpAllocator(uint64(cfg.Frames) * core.PageSize)
+	}
 	sampled := make(map[string]bool)
 	for _, spec := range cfg.Specs {
 		if err := spec.Geometry.Validate(); err != nil {
@@ -325,10 +332,13 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.seg = segment{
-		vpn:    make([]core.VPN, 0, segmentCap),
-		pa:     make([]uint64, 0, segmentCap),
-		write:  make([]bool, 0, segmentCap),
-		repeat: make([]bool, 0, segmentCap),
+		vpn: make([]core.VPN, 0, segmentCap),
+		pfn: make([]core.PFN, 0, segmentCap),
+		n:   make([]uint64, 0, segmentCap),
+	}
+	if cfg.EnableCaches {
+		s.seg.pa = make([]uint64, 0, segmentCap)
+		s.seg.write = make([]bool, 0, segmentCap)
 	}
 	s.cut = s.nextCut()
 	sort.Ints(s.arities)
@@ -492,9 +502,8 @@ func (s *Simulator) Access(va uint64, write bool) {
 // entries from several processes coexist; use FlushTLBs to model untagged
 // context switches.
 func (s *Simulator) AccessFrom(asid core.ASID, va uint64, write bool) {
-	s.setASID(asid)
-	s.resolve(va, write)
-	s.flush()
+	checkVA(va)
+	s.ProcessBatchFrom(asid, trace.Batch{trace.MakeRef(va, write)})
 }
 
 // setASID makes asid the ASID of the references resolve appends next.
@@ -506,34 +515,43 @@ func (s *Simulator) setASID(asid core.ASID) {
 	s.seg.asid = asid
 }
 
-// resolve runs one reference of the segment's ASID through the OS layer
-// and appends it to the pending segment. A reference that faults maps its
-// page-table nodes; the units read its record as of each reference's
-// clock, so none sees the page before the reference that faulted it in.
-func (s *Simulator) resolve(va uint64, write bool) {
+// checkVA panics for a VA at or above VALimit.
+func checkVA(va uint64) {
 	if va >= VALimit {
 		//lint:ignore nopanic streams from outside the process are checked with CheckBatch; a larger VA would alias another page's entries
 		panic(fmt.Sprintf("memsim: VA %#x is at or above the simulated address-space limit", va))
 	}
+}
+
+// resolve runs a run of references to one page of the segment's ASID
+// through the OS layer, as one TouchN, and appends it to the pending
+// segment as one row. The run must end at or before the cut. A run whose
+// first reference faults maps its page-table nodes; the units read its
+// record as of each row's first clock, so none sees the page before the
+// reference that faulted it in. The row is appended only after TouchN
+// returns: an eviction inside it runs the pending segment, which must not
+// hold the row.
+func (s *Simulator) resolve(vpn core.VPN, run trace.Batch, write bool) {
 	seg := &s.seg
-	vpn := core.VPNOf(va)
-	if s.os.Touch(seg.asid, vpn, write) != vm.Hit {
+	n := uint64(len(run))
+	if s.os.TouchN(seg.asid, vpn, n, write) != vm.Hit && s.pts != nil {
 		s.mapNodes(seg.asid, vpn)
 	}
-	n := len(seg.vpn)
-	if n == 0 {
-		seg.clock = s.os.Clock()
-	}
-	repeat := n > 0 && seg.vpn[n-1] == vpn
-	if repeat {
-		seg.repeats++
+	if seg.refs == 0 {
+		seg.clock = s.os.Clock() - (n - 1)
 	}
 	pfn, _ := s.os.Resolved()
 	seg.vpn = append(seg.vpn, vpn)
-	seg.repeat = append(seg.repeat, repeat)
-	seg.pa = append(seg.pa, uint64(pfn)*core.PageSize+core.PageOffset(va))
-	seg.write = append(seg.write, write)
-	if uint64(len(seg.vpn)) == s.cut {
+	seg.pfn = append(seg.pfn, pfn)
+	seg.n = append(seg.n, n)
+	seg.refs += n
+	if s.cfg.EnableCaches {
+		for _, r := range run {
+			seg.pa = append(seg.pa, uint64(pfn)*core.PageSize+core.PageOffset(r.VA()))
+			seg.write = append(seg.write, r.Write())
+		}
+	}
+	if seg.refs == s.cut {
 		s.flush()
 	}
 }
@@ -556,15 +574,15 @@ func (s *Simulator) mapNodes(asid core.ASID, vpn core.VPN) {
 // samples. Finally it sets the next segment's cut.
 func (s *Simulator) flush() {
 	seg := &s.seg
-	n := uint64(len(seg.vpn))
+	n := seg.refs
 	if n == 0 {
 		return
 	}
 	for _, u := range s.units {
 		u.run(s, seg)
 	}
-	seg.vpn, seg.pa, seg.write, seg.repeat = seg.vpn[:0], seg.pa[:0], seg.write[:0], seg.repeat[:0]
-	seg.repeats = 0
+	seg.vpn, seg.pfn, seg.n, seg.pa, seg.write = seg.vpn[:0], seg.pfn[:0], seg.n[:0], seg.pa[:0], seg.write[:0]
+	seg.refs = 0
 	if s.cfg.CheckEvery > 0 {
 		s.sinceCheck += n
 		if s.sinceCheck == s.cfg.CheckEvery {
@@ -601,14 +619,27 @@ func (s *Simulator) ProcessBatch(b trace.Batch) {
 }
 
 // ProcessBatchFrom runs a batch of references from the given address
-// space: the OS layer resolves them into segments, and each unit runs
-// every segment whole. Segments end at the batch's end, at evictions and
-// at sampler and audit edges, so window boundaries land on the same
-// reference indices at any batching.
+// space: the OS layer resolves each maximal run of references to one page,
+// cut where the pending segment's cut falls inside it, into one row of the
+// segment, and each unit runs every segment whole. Segments end at the
+// batch's end, at evictions and at sampler and audit edges, so window
+// boundaries land on the same reference indices at any batching.
 func (s *Simulator) ProcessBatchFrom(asid core.ASID, b trace.Batch) {
 	s.setASID(asid)
-	for _, r := range b {
-		s.resolve(r.VA(), r.Write())
+	for i := 0; i < len(b); {
+		va := b[i].VA()
+		checkVA(va) // a run's other references share its page
+		vpn, write := core.VPNOf(va), b[i].Write()
+		end := len(b)
+		if left := s.cut - s.seg.refs; left < uint64(end-i) {
+			end = i + int(left)
+		}
+		j := i + 1
+		for ; j < end && core.VPNOf(b[j].VA()) == vpn; j++ {
+			write = write || b[j].Write()
+		}
+		s.resolve(vpn, b[i:j], write)
+		i = j
 	}
 	s.flush()
 }

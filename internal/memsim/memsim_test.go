@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mosaic/internal/core"
+	"mosaic/internal/pagetable"
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
@@ -103,6 +104,47 @@ func TestWalksEqualMisses(t *testing.T) {
 		}
 		if r.TLB.EntryMisses+r.TLB.SubMisses != r.TLB.Misses {
 			t.Errorf("%s: miss breakdown inconsistent: %+v", r.Spec.Label(), r.TLB)
+		}
+	}
+}
+
+// TestWalkCountsWithoutTables: a simulator without caches or a walk cache
+// builds no page tables and counts each walk as pagetable.Levels reads.
+// One stream that evicts throughout runs through vanilla, Mosaic-4,
+// Mosaic-64 and CoLT-4 units without tables, with caches (real walks
+// through real tables) and with the walk cache too. Every unit's TLB
+// stats and walk count must match in all three, and its walk reads must
+// match with caches; the walk cache instead keeps every read it absorbs
+// out of the count.
+func TestWalkCountsWithoutTables(t *testing.T) {
+	g := tlb.Geometry{Entries: 16, Ways: 4}
+	unitSpecs := []TLBSpec{{Geometry: g}, {Geometry: g, Arity: 4}, {Geometry: g, Arity: 64}, {Geometry: g, Coalesce: 4}}
+	run := func(caches, walkCache bool) (*Simulator, []Result) {
+		s := newSim(t, Config{Frames: 256, Specs: unitSpecs, EnableCaches: caches, EnableWalkCache: walkCache, Seed: 5})
+		runWorkload(s, workloads.NewXSBench(workloads.XSBenchConfig{TargetBytes: 4 << 20, Seed: 5}), 200_000)
+		return s, s.Results()
+	}
+	bare, want := run(false, false)
+	if bare.pts != nil {
+		t.Fatal("a simulator without caches or a walk cache built page tables")
+	}
+	if n := bare.metrics.CounterValue("tlb.shootdown"); n < 500 {
+		t.Fatalf("only %d shootdowns: the stream must evict throughout", n)
+	}
+	_, cached := run(true, false)
+	_, walkCached := run(true, true)
+	for i, w := range want {
+		label := w.Spec.Label()
+		if w.Walks != w.TLB.Misses || w.WalkAccesses != pagetable.Levels*w.Walks {
+			t.Errorf("%s without tables: %d walks reading %d entries for %d misses", label, w.Walks, w.WalkAccesses, w.TLB.Misses)
+		}
+		if c := cached[i]; c.TLB != w.TLB || c.Walks != w.Walks || c.WalkAccesses != w.WalkAccesses {
+			t.Errorf("%s with caches: %+v, %d walks reading %d entries; without tables %+v, %d, %d",
+				label, c.TLB, c.Walks, c.WalkAccesses, w.TLB, w.Walks, w.WalkAccesses)
+		}
+		if c := walkCached[i]; c.TLB != w.TLB || c.Walks != w.Walks || c.WalkAccesses+c.WalkCacheHits != w.WalkAccesses || c.WalkCacheHits == 0 {
+			t.Errorf("%s with the walk cache: %+v, %d walks reading %d entries with %d walk-cache hits; without tables %+v, %d, %d",
+				label, c.TLB, c.Walks, c.WalkAccesses, c.WalkCacheHits, w.TLB, w.Walks, w.WalkAccesses)
 		}
 	}
 }

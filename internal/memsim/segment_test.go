@@ -8,6 +8,7 @@ import (
 
 	"mosaic/internal/core"
 	"mosaic/internal/invariant"
+	"mosaic/internal/obs"
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
@@ -126,22 +127,21 @@ func TestSegmentsExactUnderFaults(t *testing.T) {
 	}
 }
 
-// TestRepeatsExact checks the repeat fast path: a reference to the page of
-// the reference before it in the segment counts as a hit in every unit
-// without a lookup. The stream is runs of one to eight references to one
-// page; the run's page is often the first touch of the next page, which
-// shares a mosaic page or CoLT group with pages units have already
-// filled, so sub-entry misses follow pages that repeat. Memory holds only
-// part of the pages, so evictions end segments and shoot entries down
-// throughout. One reference per batch makes every segment a single
-// reference, which never repeats; 4096 per batch takes the fast path. The
-// two must agree on every result, cache and walk counters included.
-func TestRepeatsExact(t *testing.T) {
-	var unitSpecs []TLBSpec
-	for _, g := range []tlb.Geometry{{Entries: 16, Ways: 2}, {Entries: 64, Ways: 64}} {
-		unitSpecs = append(unitSpecs, TLBSpec{Geometry: g}, TLBSpec{Geometry: g, Arity: 4},
-			TLBSpec{Geometry: g, Arity: 64}, TLBSpec{Geometry: g, Coalesce: 4})
-	}
+// TestRunsExact checks the run rows: a run of references to one page is
+// one row, looked up once, and every unit counts the row's other
+// references as hits. The stream is runs of one to eight references to
+// one page; the run's page is often the first touch of the next page,
+// which shares a mosaic page or CoLT group with pages units have already
+// filled, so sub-entry misses follow runs. Memory holds only part of the
+// pages, so evictions end segments and shoot entries down throughout. One
+// reference per batch makes every row a single reference; 4096 per batch
+// makes rows of whole runs. In the edged runs a sampler window edge and a
+// CheckEvery audit edge, every 997 and 409 references, cut the runs that
+// span them, so the probes and the audit read the state after exactly
+// the reference at the edge. The two batchings must agree on every
+// result, cache and walk counters included, and on every sampled point.
+func TestRunsExact(t *testing.T) {
+	const sampleEvery, checkEvery = 997, 409
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -168,30 +168,61 @@ func TestRepeatsExact(t *testing.T) {
 			if repeats < len(stream)/2 {
 				t.Fatalf("only %d of %d references repeat their predecessor's page", repeats, len(stream))
 			}
-			run := func(batch int) *Simulator {
-				s := newSim(t, Config{Frames: 64, Specs: unitSpecs, EnableCaches: true, EnableWalkCache: true, Seed: uint64(seed)})
-				for off := 0; off < len(stream); off += batch {
-					s.ProcessBatch(stream[off:min(off+batch, len(stream))])
+			// cut counts the edges every k references that fall inside a
+			// run, between two references to one page.
+			cut := func(k int) (n int) {
+				for e := k; e < len(stream); e += k {
+					if core.VPNOf(stream[e-1].VA()) == core.VPNOf(stream[e].VA()) {
+						n++
+					}
 				}
-				var r invariant.Report
-				s.CheckInvariants(&r)
-				if err := r.Err(); err != nil {
-					t.Fatalf("batches of %d: %v", batch, err)
-				}
-				return s
+				return n
 			}
-			single, segmented := run(1), run(trace.DefaultBatchSize)
-			if n := single.metrics.CounterValue("tlb.shootdown"); n < 500 {
-				t.Fatalf("only %d shootdowns: the stream must evict throughout", n)
+			if a, b := cut(sampleEvery), cut(checkEvery); a < 5 || b < 10 {
+				t.Fatalf("only %d sampler and %d audit edges fall inside a run", a, b)
 			}
-			want, got := single.Results(), segmented.Results()
-			for i := range want {
-				if want[i].Spec.Arity != 0 && want[i].TLB.SubMisses < 100 {
-					t.Fatalf("%s %s: only %d sub-entry misses", want[i].Spec.Geometry, want[i].Spec.Label(), want[i].TLB.SubMisses)
-				}
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s %s: segmented run with repeats diverged from per-reference order:\n got  %+v\n want %+v",
-						want[i].Spec.Geometry, want[i].Spec.Label(), got[i], want[i])
+			for _, g := range []tlb.Geometry{{Entries: 16, Ways: 2}, {Entries: 64, Ways: 64}} {
+				unitSpecs := []TLBSpec{{Geometry: g}, {Geometry: g, Arity: 4}, {Geometry: g, Arity: 64}, {Geometry: g, Coalesce: 4}}
+				for _, edged := range []bool{false, true} {
+					run := func(batch int) *Simulator {
+						cfg := Config{Frames: 64, Specs: unitSpecs, EnableCaches: true, EnableWalkCache: true, Seed: uint64(seed)}
+						if edged {
+							cfg.Obs, cfg.CheckEvery = obs.NewObserver(sampleEvery), checkEvery
+						}
+						s := newSim(t, cfg)
+						for off := 0; off < len(stream); off += batch {
+							s.ProcessBatch(stream[off:min(off+batch, len(stream))])
+						}
+						var r invariant.Report
+						s.CheckInvariants(&r)
+						if err := r.Err(); err != nil {
+							t.Fatalf("%s, edged %v, batches of %d: %v", g, edged, batch, err)
+						}
+						s.FinalizeMetrics()
+						return s
+					}
+					single, segmented := run(1), run(trace.DefaultBatchSize)
+					if n := single.metrics.CounterValue("tlb.shootdown"); n < 500 {
+						t.Fatalf("only %d shootdowns: the stream must evict throughout", n)
+					}
+					want, got := single.Results(), segmented.Results()
+					for i := range want {
+						if want[i].Spec.Arity != 0 && want[i].TLB.SubMisses < 100 {
+							t.Fatalf("%s %s: only %d sub-entry misses", g, want[i].Spec.Label(), want[i].TLB.SubMisses)
+						}
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Errorf("%s %s, edged %v: rows of runs diverged from per-reference order:\n got  %+v\n want %+v",
+								g, want[i].Spec.Label(), edged, got[i], want[i])
+						}
+					}
+					if edged {
+						// NaN marks an empty window; compare the printed
+						// series so it equals itself.
+						want, got := fmt.Sprint(single.Sampler().Series()), fmt.Sprint(segmented.Sampler().Series())
+						if got != want {
+							t.Errorf("%s: sampled series diverged:\n got  %s\n want %s", g, got, want)
+						}
+					}
 				}
 			}
 		})

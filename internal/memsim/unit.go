@@ -17,32 +17,35 @@ import (
 // evictions runs as one segment.
 const segmentCap = trace.DefaultBatchSize
 
-// segment is the run of pending references: resolved by the OS layer, not
-// yet run by any unit. Its references share one ASID and no page left
+// segment is the stretch of pending references: resolved by the OS layer,
+// not yet run by any unit. Its references share one ASID and no page left
 // memory during it, so each page's record holds, as of each reference's
-// clock, what it held when the reference ran. The columns are parallel:
-// reference i ran at access clock clock+i and touched vpn[i] at physical
-// address pa[i], a write when write[i]. repeat[i] marks a reference to the
-// page of reference i-1, which hits in every unit (see the package doc),
-// and repeats counts them. Only the same VPN repeats: another page of the
-// same mosaic page or CoLT group can be absent from the entry.
+// clock, what it held when the reference ran. Its rows are runs: row i is
+// n[i] back-to-back references to vpn[i], whose frame is pfn[i]. The
+// segment's first reference ran at access clock clock, and refs counts its
+// references, so a row's first reference ran at clock plus the references
+// of the rows before it. Only the row's first reference needs a lookup
+// (see the package doc): another page of the same mosaic page or CoLT
+// group can be absent from the entry, so a row is one VPN. With caches,
+// reference k touched physical address pa[k], a write when write[k].
 type segment struct {
-	asid    core.ASID
-	clock   uint64
-	vpn     []core.VPN
-	pa      []uint64
-	write   []bool
-	repeat  []bool
-	repeats uint64
+	asid  core.ASID
+	clock uint64
+	vpn   []core.VPN
+	pfn   []core.PFN
+	n     []uint64
+	refs  uint64
+	pa    []uint64
+	write []bool
 }
 
 // unit is one TLB design point. Each kind owns its TLB and fill path; the
 // simulator drives every kind through these methods alone.
 type unit interface {
 	base() *unitBase
-	// run feeds the segment through the unit in reference order: TLB
-	// lookup, a walk and fill on a miss, then the data access. A repeat
-	// skips the lookup and counts as a hit.
+	// run feeds the segment through the unit in reference order: for each
+	// row a TLB lookup, a walk and fill on a miss, then the row's data
+	// accesses. The row's other references count as hits.
 	run(s *Simulator, seg *segment)
 	// invalidate shoots down the mapping of one ASID-tagged VPN.
 	invalidate(tagged core.VPN)
@@ -82,18 +85,30 @@ func newUnit(b unitBase) unit {
 	}
 }
 
-// access sends reference i's data access through the unit's caches.
-func (b *unitBase) access(seg *segment, i int) {
-	if b.caches != nil {
-		b.caches.Access(seg.pa[i], seg.write[i])
+// access sends the data accesses of the n references from reference at
+// through the unit's caches, which must be on.
+func (b *unitBase) access(seg *segment, at, n uint64) {
+	for k := at; k < at+n; k++ {
+		b.caches.Access(seg.pa[k], seg.write[k])
 	}
 }
 
-// walkTraffic accounts one walk's page-table reads and sends them through
-// the walk cache and the caches.
-func (b *unitBase) walkTraffic(s *Simulator, path []uint64) {
+// walk accounts one page-table walk for vpn. Without page tables nothing
+// reads the walk's addresses (see the package doc), and it reads
+// pagetable.Levels entries. Otherwise it walks the ASID's table of the
+// unit's arity and sends the reads through the walk cache and the caches.
+func (b *unitBase) walk(s *Simulator, asid core.ASID, vpn core.VPN) {
 	b.walks++
-	if b.pwc != nil && len(path) > 1 {
+	if s.pts == nil {
+		b.walkRefs += pagetable.Levels
+		return
+	}
+	path, ok := s.pt(asid, b.spec.Arity).Walk(vpn, s.path[:0])
+	if !ok {
+		//lint:ignore nopanic a page becomes resident only by a fault, which maps its nodes in every table before any unit runs a reference to it, so a resident VPN always walks
+		panic(fmt.Sprintf("memsim: %s walk failed for resident VPN %#x", b.spec.Label(), vpn))
+	}
+	if b.pwc != nil {
 		// The MMU walk cache absorbs upper-level reads; the leaf entry is
 		// always fetched from memory (its PTE changes on every remap).
 		kept := path[:0]
@@ -133,16 +148,6 @@ func (b *unitBase) result(st tlb.Stats) Result {
 // vpnMask strips the ASID from a tagged VPN.
 const vpnMask = 1<<asidTagShift - 1
 
-// walk walks pt for vpn and accounts the walk's traffic.
-func (b *unitBase) walk(s *Simulator, pt *pagetable.Table, vpn core.VPN) {
-	path, ok := pt.Walk(vpn, s.path[:0])
-	b.walkTraffic(s, path)
-	if !ok {
-		//lint:ignore nopanic a page becomes resident only by a fault, which maps its nodes in every table before any unit runs a reference to it, so a resident VPN always walks
-		panic(fmt.Sprintf("memsim: %s walk failed for resident VPN %#x", b.spec.Label(), vpn))
-	}
-}
-
 // vanillaUnit is a conventional TLB walking the ASID's radix page table.
 type vanillaUnit struct {
 	unitBase
@@ -151,24 +156,20 @@ type vanillaUnit struct {
 
 func (u *vanillaUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Table // resolved on the segment's first miss
+	var at uint64 // the row's first reference
 	for i, vpn := range seg.vpn {
-		if seg.repeat[i] {
-			u.access(seg, i)
-			continue
-		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
-			if pt == nil {
-				pt = s.pt(seg.asid, 0)
-			}
-			// The leaf entry is the reference's own record, whose frame
-			// the OS layer resolved into pa.
-			u.walk(s, pt, vpn)
-			u.tlb.Insert(vpn|tag, core.PFN(seg.pa[i]>>core.PageShift))
+			// The leaf entry is the row's own record, whose frame the OS
+			// layer resolved into pfn.
+			u.walk(s, seg.asid, vpn)
+			u.tlb.Insert(vpn|tag, seg.pfn[i])
 		}
-		u.access(seg, i)
+		if u.caches != nil {
+			u.access(seg, at, seg.n[i])
+		}
+		at += seg.n[i]
 	}
-	u.tlb.Repeat(seg.repeats)
+	u.tlb.Repeat(seg.refs - uint64(len(seg.vpn)))
 }
 
 func (u *vanillaUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }
@@ -206,26 +207,25 @@ type mosaicUnit struct {
 
 func (u *mosaicUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Table // resolved on the segment's first miss
-	var as *vm.AddressSpace
+	var as *vm.AddressSpace // resolved on the segment's first miss
+	var at uint64           // the row's first reference
 	for i, vpn := range seg.vpn {
-		if seg.repeat[i] {
-			u.access(seg, i)
-			continue
-		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
-			if pt == nil {
-				pt, as = s.pt(seg.asid, u.spec.Arity), s.os.Space(seg.asid)
+			if as == nil {
+				as = s.os.Space(seg.asid)
 			}
-			u.walk(s, pt, vpn)
+			u.walk(s, seg.asid, vpn)
 			// The leaf is the ToC: the window of records of vpn's mosaic
-			// page, as of this reference.
-			toc := as.Window(vpn, len(u.toc)).CPFNs(seg.clock+uint64(i), u.toc)
+			// page, as of the row's first reference.
+			toc := as.Window(vpn, len(u.toc)).CPFNs(seg.clock+at, u.toc)
 			u.tlb.Insert(vpn|tag, toc)
 		}
-		u.access(seg, i)
+		if u.caches != nil {
+			u.access(seg, at, seg.n[i])
+		}
+		at += seg.n[i]
 	}
-	u.tlb.Repeat(seg.repeats)
+	u.tlb.Repeat(seg.refs - uint64(len(seg.vpn)))
 }
 
 func (u *mosaicUnit) invalidate(tagged core.VPN) { u.tlb.InvalidateSub(tagged) }
@@ -269,35 +269,34 @@ type coalescedUnit struct {
 
 func (u *coalescedUnit) run(s *Simulator, seg *segment) {
 	tag := taggedVPN(seg.asid, 0)
-	var pt *pagetable.Table // resolved on the segment's first miss
-	var as *vm.AddressSpace
+	var as *vm.AddressSpace // resolved on the segment's first miss
+	var at uint64           // the row's first reference
 	for i, vpn := range seg.vpn {
-		if seg.repeat[i] {
-			u.access(seg, i)
-			continue
-		}
 		if _, hit := u.tlb.Lookup(vpn | tag); !hit {
-			if pt == nil {
-				pt, as = s.pt(seg.asid, 0), s.os.Space(seg.asid)
+			if as == nil {
+				as = s.os.Space(seg.asid)
 			}
-			u.walk(s, pt, vpn)
+			u.walk(s, seg.asid, vpn)
 			// CoLT's walker inspects the neighbouring PTEs in the same
 			// leaf cache line it already fetched, so offering the aligned
 			// group for coalescing costs no extra memory traffic. The
-			// neighbours are read as of this reference. The ASID tag is
-			// group-aligned (it lives far above the run bits), so tagging
-			// does not split runs.
+			// neighbours are read as of the row's first reference. The
+			// ASID tag is group-aligned (it lives far above the run bits),
+			// so tagging does not split runs.
 			nb := u.neighbours
-			w, clock := as.Window(vpn, len(nb)), seg.clock+uint64(i)
+			w, clock := as.Window(vpn, len(nb)), seg.clock+at
 			for j := range nb {
 				npfn, ok := w.PFN(j, clock)
 				nb[j] = tlb.NeighbourPFN{PFN: npfn, OK: ok}
 			}
-			u.tlb.Insert(vpn|tag, core.PFN(seg.pa[i]>>core.PageShift), nb)
+			u.tlb.Insert(vpn|tag, seg.pfn[i], nb)
 		}
-		u.access(seg, i)
+		if u.caches != nil {
+			u.access(seg, at, seg.n[i])
+		}
+		at += seg.n[i]
 	}
-	u.tlb.Repeat(seg.repeats)
+	u.tlb.Repeat(seg.refs - uint64(len(seg.vpn)))
 }
 
 func (u *coalescedUnit) invalidate(tagged core.VPN) { u.tlb.Invalidate(tagged) }

@@ -199,69 +199,57 @@ func search(sink *trace.Batcher, va uint64, keys, ub int) {
 	}
 }
 
-// drawKeys returns n distinct values from draw, sorted ascending. It takes
-// the first n distinct values draw yields, calling draw exactly as often
-// as a seen-set loop would, so the caller's generator ends in the same
-// state. The common case, no repeat among the first n draws, needs only a
-// sort; a map is built only once a repeat has been drawn.
-func drawKeys(n int, draw func() uint64) []uint64 {
+// drawKeys draws keys as an index build would, keeping n distinct values:
+// it calls draw exactly as often as a loop that draws until it holds n
+// distinct values, so the caller's generator ends in the same state. The
+// stream needs only that count, not the keys. In the common case, no
+// repeat among the first n draws, that is n draws; a set of the values
+// drawn is built only once a repeat has been drawn.
+func drawKeys(n int, draw func() uint64) {
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = draw()
 	}
-	keys = slices.Compact(sortKeys(keys))
-	if len(keys) == n {
-		return keys
+	if distinct(keys) {
+		return
 	}
 	seen := make(map[uint64]bool, n)
 	for _, k := range keys {
 		seen[k] = true
 	}
-	for len(keys) < n {
+	for have := len(seen); have < n; {
 		if k := draw(); !seen[k] {
 			seen[k] = true
-			keys = append(keys, k)
+			have++
 		}
 	}
-	return sortKeys(keys)
 }
 
-// sortKeys returns keys sorted ascending. One counting pass over the top
-// bits spreads them, in order, over len(keys)/8 to len(keys)/4 buckets;
-// uniform random keys leave a handful in each, which an insertion sort
-// orders. A bucket that a skewed draw overfills is sorted with slices.Sort.
-func sortKeys(keys []uint64) []uint64 {
-	if len(keys) < 2 {
-		return keys
-	}
-	shift := min(64, 67-bits.Len(uint(len(keys)))) // 2^(64-shift) buckets
-	ends := make([]int, 1<<(64-shift)+1)
+// distinct reports whether keys holds no value twice. A bitmap over the
+// keys' top bits, 16 to 32 prefixes per key, finds the prefixes held more
+// than once, and only the keys under those are sorted and compared: for
+// uniform keys a few percent of them.
+func distinct(keys []uint64) bool {
+	shift := 64 - min(24, max(6, bits.Len(uint(len(keys)))+4)) // 2^(64-shift) prefixes
+	once := make([]uint64, 1<<(64-shift)/64)
+	twice := make([]uint64, len(once))
 	for _, k := range keys {
-		ends[k>>shift+1]++
+		p := k >> shift
+		bit := uint64(1) << (p % 64)
+		twice[p/64] |= once[p/64] & bit
+		once[p/64] |= bit
 	}
-	for i := 1; i < len(ends); i++ {
-		ends[i] += ends[i-1]
-	}
-	// ends[b] is where bucket b starts; it advances to the bucket's end.
-	out := make([]uint64, len(keys))
+	var shared []uint64
 	for _, k := range keys {
-		b := k >> shift
-		out[ends[b]] = k
-		ends[b]++
-	}
-	start := 0
-	for _, end := range ends[:len(ends)-1] {
-		bucket := out[start:end]
-		if len(bucket) > 32 {
-			slices.Sort(bucket)
-		} else {
-			for i := 1; i < len(bucket); i++ {
-				for j := i; j > 0 && bucket[j] < bucket[j-1]; j-- {
-					bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
-				}
-			}
+		if p := k >> shift; twice[p/64]&(1<<(p%64)) != 0 {
+			shared = append(shared, k)
 		}
-		start = end
 	}
-	return out
+	slices.Sort(shared)
+	for i := 1; i < len(shared); i++ {
+		if shared[i] == shared[i-1] {
+			return false
+		}
+	}
+	return true
 }

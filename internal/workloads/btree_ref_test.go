@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -67,7 +68,7 @@ func (t *refBTree) Run(b *trace.Batcher) {
 // build bulk-loads the tree from sorted random keys, writing every slot of
 // every node to the simulated heap.
 func (t *refBTree) build(sink *trace.Batcher, rng *rand.Rand) {
-	keys := drawKeys(t.cfg.Keys, rng.Uint64)
+	keys := sortedKeys(t.cfg.Keys, rng.Uint64)
 	t.keys = keys
 
 	newNode := func(leaf bool) *bnode {
@@ -265,4 +266,71 @@ func TestBTreeNodesPageAligned(t *testing.T) {
 	if got := bt.FootprintBytes(); got != next-DefaultHeapBase {
 		t.Fatalf("footprint %d, want the %d bytes of the nodes", got, next-DefaultHeapBase)
 	}
+}
+
+// sortedKeys returns n distinct values from draw, sorted ascending: the
+// keys the model's bulk load needs. It takes the first n distinct values
+// draw yields, calling draw exactly as often as drawKeys does. The common
+// case, no repeat among the first n draws, needs only a sort; a map is
+// built only once a repeat has been drawn.
+func sortedKeys(n int, draw func() uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = draw()
+	}
+	keys = slices.Compact(sortKeys(keys))
+	if len(keys) == n {
+		return keys
+	}
+	seen := make(map[uint64]bool, n)
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for len(keys) < n {
+		if k := draw(); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	return sortKeys(keys)
+}
+
+// sortKeys returns keys sorted ascending. One counting pass over the top
+// bits spreads them, in order, over len(keys)/8 to len(keys)/4 buckets;
+// uniform random keys leave a handful in each, which an insertion sort
+// orders. A bucket that a skewed draw overfills is sorted with slices.Sort.
+func sortKeys(keys []uint64) []uint64 {
+	if len(keys) < 2 {
+		return keys
+	}
+	shift := min(64, 67-bits.Len(uint(len(keys)))) // 2^(64-shift) buckets
+	ends := make([]int, 1<<(64-shift)+1)
+	for _, k := range keys {
+		ends[k>>shift+1]++
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	// ends[b] is where bucket b starts; it advances to the bucket's end.
+	out := make([]uint64, len(keys))
+	for _, k := range keys {
+		b := k >> shift
+		out[ends[b]] = k
+		ends[b]++
+	}
+	start := 0
+	for _, end := range ends[:len(ends)-1] {
+		bucket := out[start:end]
+		if len(bucket) > 32 {
+			slices.Sort(bucket)
+		} else {
+			for i := 1; i < len(bucket); i++ {
+				for j := i; j > 0 && bucket[j] < bucket[j-1]; j-- {
+					bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+				}
+			}
+		}
+		start = end
+	}
+	return out
 }

@@ -24,11 +24,18 @@ type GUPSConfig struct {
 // mosaic helps it least, "unsurprising, because GUPS is a synthetic
 // benchmark designed to stress the system with extremely random memory
 // accesses".
+//
+// No update reads a value to choose its address, so GUPS keeps the
+// table's address, not its words: the arena reserves the table, Run emits
+// each update's load and store of its word, and Checksum is a running XOR
+// of the update values, which is the XOR of the table the updates would
+// leave (it starts zeroed, and each update XORs its value into one word).
 type GUPS struct {
 	cfg   GUPSConfig
 	arena *Arena
-	table *U64Array
+	table uint64 // the table's VA
 	mask  uint64
+	sum   uint64 // XOR of the values of every update run
 }
 
 // NewGUPS builds the workload.
@@ -49,7 +56,7 @@ func NewGUPS(cfg GUPSConfig) *GUPS {
 		cfg.Updates = 2 * cfg.TableWords
 	}
 	g := &GUPS{cfg: cfg, arena: NewArena(0), mask: uint64(w - 1)}
-	g.table = NewU64Array(g.arena, w)
+	g.table = g.arena.Alloc(uint64(w)*8, 8)
 	return g
 }
 
@@ -69,17 +76,13 @@ func (g *GUPS) Run(b *trace.Batcher) {
 	rnd := rng.Derive(g.cfg.Seed, 0x67757073) // "gups"
 	for i := 0; i < g.cfg.Updates && !b.Done(); i++ {
 		r := rnd.Uint64()
-		idx := int(r & g.mask)
-		v := g.table.Get(b, idx)
-		g.table.Set(b, idx, v^r)
+		va := g.table + (r&g.mask)*8
+		b.Access(va, false)
+		b.Access(va, true)
+		g.sum ^= r
 	}
 }
 
-// Checksum XORs the whole table (test hook; does not emit references).
-func (g *GUPS) Checksum() uint64 {
-	var sum uint64
-	for _, v := range g.table.Data {
-		sum ^= v
-	}
-	return sum
-}
+// Checksum is the XOR of the whole table after the updates run so far
+// (test hook; does not emit references).
+func (g *GUPS) Checksum() uint64 { return g.sum }

@@ -206,8 +206,8 @@ func TestGraph500TouchesManyPages(t *testing.T) {
 	}
 }
 
-// seenSetKeys is the reference key preparation drawKeys replaces: keep
-// drawing until n distinct values are in hand, then sort.
+// seenSetKeys is the reference key preparation: keep drawing until n
+// distinct values are in hand, then sort.
 func seenSetKeys(n int, draw func() uint64) []uint64 {
 	keys := make([]uint64, 0, n)
 	seen := make(map[uint64]bool, n)
@@ -222,39 +222,54 @@ func seenSetKeys(n int, draw func() uint64) []uint64 {
 	return keys
 }
 
-// TestDrawKeysMatchesSeenSet checks drawKeys against the seen-set loop on
-// the same generator: identical keys and an identical number of draws, so
-// a BTree's lookup stream after the build cannot move.
+// TestDrawKeysMatchesSeenSet checks drawKeys and the reference model's
+// sortedKeys against the seen-set loop on the same generator: an identical
+// number of draws, so a BTree's lookup stream after the build cannot move,
+// and for sortedKeys identical keys. The repeat cases force the fallback:
+// draws from a small range, and full 64-bit draws in which one value
+// comes back, which only the prefix bitmap's shared prefixes can reveal.
 func TestDrawKeysMatchesSeenSet(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		n       int
 		mod     uint64 // 0 = full 64-bit draws
+		again   int    // > 0: draw again returns draw 1's value
 		repeats bool   // the first n draws must repeat, forcing the fallback
 	}{
-		{"uint64", 20000, 0, false},
-		{"mod512", 300, 512, true},
-		{"exhaustive", 256, 256, true},
+		{"uint64", 20000, 0, 0, false},
+		{"uint64-repeat", 20000, 0, 12345, true},
+		{"uint64-repeat-last", 300, 0, 300, true},
+		{"mod512", 300, 512, 0, true},
+		{"exhaustive", 256, 256, 0, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			gen := func(draws *int) func() uint64 {
 				r := rand.New(rand.NewSource(7))
+				var first uint64
 				return func() uint64 {
 					*draws++
-					if c.mod == 0 {
-						return r.Uint64()
+					v := r.Uint64()
+					switch {
+					case *draws == 1:
+						first = v
+					case *draws == c.again:
+						v = first
 					}
-					return r.Uint64() % c.mod
+					if c.mod != 0 {
+						v %= c.mod
+					}
+					return v
 				}
 			}
-			var gotDraws, wantDraws int
-			got := drawKeys(c.n, gen(&gotDraws))
+			var drawn, sortedDraws, wantDraws int
+			drawKeys(c.n, gen(&drawn))
+			got := sortedKeys(c.n, gen(&sortedDraws))
 			want := seenSetKeys(c.n, gen(&wantDraws))
 			if !slices.Equal(got, want) {
 				t.Fatalf("keys differ:\n got  %v\n want %v", got[:min(len(got), 8)], want[:min(len(want), 8)])
 			}
-			if gotDraws != wantDraws {
-				t.Fatalf("drawKeys drew %d values, the seen-set loop %d", gotDraws, wantDraws)
+			if drawn != wantDraws || sortedDraws != wantDraws {
+				t.Fatalf("drawKeys drew %d values and sortedKeys %d, the seen-set loop %d", drawn, sortedDraws, wantDraws)
 			}
 			if repeated := wantDraws > c.n; repeated != c.repeats {
 				t.Fatalf("%d draws for %d keys: repeats = %v, want %v", wantDraws, c.n, repeated, c.repeats)

@@ -77,6 +77,12 @@ func (o *MultiprogramOptions) applyDefaults() error {
 	if len(o.Arities) == 0 {
 		o.Arities = []int{4, 16}
 	}
+	if bucket := DefaultGeometry.BucketSize(); framesFor(*o) < bucket {
+		n := uint64(len(o.Workloads))
+		least := (uint64(bucket) + n - 1) / n * PageSize / 4
+		return fmt.Errorf("mosaic: FootprintBytes %d is too small for %d workloads: memory is four times their footprints and must hold one %d-frame bucket, which needs FootprintBytes of at least %d",
+			o.FootprintBytes, n, bucket, least)
+	}
 	return nil
 }
 
@@ -230,8 +236,9 @@ func Multiprogram(opt MultiprogramOptions) ([]MultiprogramResult, uint64, error)
 	return out, total, nil
 }
 
+// framesFor sizes memory: all processes resident simultaneously, with
+// headroom.
 func framesFor(opt MultiprogramOptions) int {
-	// All processes resident simultaneously with headroom.
 	return int(4 * opt.FootprintBytes / PageSize * uint64(len(opt.Workloads)))
 }
 

@@ -2,6 +2,7 @@ package mosaic
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mosaic/internal/trace"
@@ -67,6 +68,26 @@ func TestMultiprogramValidation(t *testing.T) {
 	}
 	if _, _, err := Multiprogram(MultiprogramOptions{Workloads: []string{"gups", "nope"}}); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestMultiprogramRejectsTinyFootprint: three workloads get memory for
+// four times their footprints, and a footprint under 22 528 bytes (88
+// quarter-pages) leaves less than one 64-frame bucket. MultiprogramOptions
+// rejects it naming FootprintBytes and the least it accepts, not with the
+// OS layer's frame count, which the caller never set.
+func TestMultiprogramRejectsTinyFootprint(t *testing.T) {
+	opt := MultiprogramOptions{Workloads: []string{"gups", "xsbench", "kvstore"}, MaxRefsPerProc: 2000, Workers: 1}
+	for _, fp := range []uint64{1, 12_346, 22_527} {
+		opt.FootprintBytes = fp
+		_, _, err := Multiprogram(opt)
+		if err == nil || !strings.Contains(err.Error(), "FootprintBytes") || !strings.Contains(err.Error(), "at least 22528") {
+			t.Errorf("footprint %d: err = %v, want one naming FootprintBytes and its least value 22528", fp, err)
+		}
+	}
+	opt.FootprintBytes = 22_528
+	if _, _, err := Multiprogram(opt); err != nil {
+		t.Errorf("footprint 22528: %v", err)
 	}
 }
 
@@ -191,6 +212,7 @@ func FuzzMultiprogramOptions(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(0), uint8(2), uint32(12345), uint16(19999), int16(-1), int8(-8), int8(3), int8(-4), int8(3), uint8(1), false, true)
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(3), uint32(1), uint16(300), int16(1), int8(7), int8(7), int8(64), int8(127), uint8(2), true, false)
 	f.Add(uint8(3), uint8(4), uint8(4), uint8(2), uint32(0), uint16(0), int16(33), int8(16), int8(-1), int8(2), int8(1), uint8(2), false, false)
+	f.Add(uint8(3), uint8(1), uint8(4), uint8(3), uint32(12345), uint16(2000), int16(500), int8(0), int8(0), int8(0), int8(0), uint8(0), false, false)
 	names := []string{"graph500", "xsbench", "btree", "gups", "kvstore", "nosuch"}
 	f.Fuzz(func(t *testing.T, wl1, wl2, wl3, nWl uint8, footprint uint32, maxRefs uint16, quantum int16, entries, ways, ar1, ar2 int8, nAr uint8, flush, twoWorkers bool) {
 		opt := MultiprogramOptions{

@@ -66,6 +66,10 @@ go test -run='^$' -fuzz=FuzzIcebergDeltaOptions -fuzztime=3s .
 # intervals included: workloads, pools, fractions, reference budgets and
 # worker counts either finish or return an error, never panic.
 go test -run='^$' -fuzz=FuzzAblateSwapOptions -fuzztime=3s .
+# The utilization ablations' arguments (AblateChoices, AblateSplit,
+# AblateHash): choice counts, splits, frame, trial and worker counts that
+# are zero, negative or odd either finish or return an error, never panic.
+go test -run='^$' -fuzz=FuzzAblateOptions -fuzztime=3s .
 # MultiprogramOptions and FragmentationOptions: zero to three workloads
 # (unknown names too), tiny footprints and memories, odd, zero and wrapped
 # negative quanta, bad TLB sizes, arities, chunk orders and free fractions
